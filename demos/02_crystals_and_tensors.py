@@ -3,7 +3,7 @@
 Run:  python3 demos/02_crystals_and_tensors.py
 """
 
-from krcrystals import build_cartan, kr_C_onebox, kr_typeA, tensor_f
+from krcrystals import build_cartan, kr_C_onebox, kr_typeA
 from krcrystals.crystals import TensorProduct, explore_tensor, hw_census
 from krcrystals.kr import promotion
 
@@ -25,9 +25,9 @@ box = kr_C_onebox(2)
 print("letters:", ", ".join(box.reprs), " (KN order 1 < 2 < -2 < -1)")
 ct = build_cartan("C", 2)
 tensor = TensorProduct([box, box])
-print("signature rule: f_1(1 (x) 1) =", tensor_f(tensor, (1, 1), 1))
-print("                f_1(1 (x) 2) =", tensor_f(tensor, (1, 2), 1))
-print("                f_1(2 (x) 1) =", tensor_f(tensor, (2, 1), 1),
+print("signature rule: f_1(1 (x) 1) =", tensor.f((1, 1), 1))
+print("                f_1(1 (x) 2) =", tensor.f((1, 2), 1))
+print("                f_1(2 (x) 1) =", tensor.f((2, 1), 1),
       " (the '+-' pair cancels)")
 
 graph = explore_tensor(ct, [box, box])

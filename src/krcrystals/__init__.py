@@ -10,8 +10,7 @@ from .weyl import (build_qbg, build_weyl_group, bruhat_leq, dominantize,
 from .crystals import (CrystalGraph, TensorProduct, components,
                        demazure_filter, demazure_subset, explore,
                        explore_tensor, ground_state, hw_census, hw_crystal,
-                       iso_check, similarity_check, tensor_e, tensor_f,
-                       weyl_action)
+                       iso_check, similarity_check, weyl_action)
 from .alcove import (AdmissibleSubset, LambdaChain, alcove_crystal, alcove_e,
                      alcove_f, build_lambda_chain, enumerate_admissible,
                      fold, g_graph, phi0)
@@ -27,8 +26,8 @@ __all__ = [
     "build_qbg", "build_weyl_group", "bruhat_leq", "dominantize", "reflect",
     "CrystalGraph", "TensorProduct", "components", "demazure_filter",
     "demazure_subset", "explore", "explore_tensor", "ground_state",
-    "hw_census", "hw_crystal", "iso_check", "similarity_check", "tensor_e",
-    "tensor_f", "weyl_action",
+    "hw_census", "hw_crystal", "iso_check", "similarity_check",
+    "weyl_action",
     "AdmissibleSubset", "LambdaChain", "alcove_crystal", "alcove_e",
     "alcove_f", "build_lambda_chain", "enumerate_admissible", "fold",
     "g_graph", "phi0",

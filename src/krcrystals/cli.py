@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from . import experiments
 from .alcove import alcove_crystal
 from .cartan import parse_type
-from .crystals import demazure_filter
+from .crystals import DEFAULT_NODE_CAP
 from .errors import KRCrystalError
 from .weyl import build_qbg, DEFAULT_WEYL_CAP
-
-DEFAULT_NODE_CAP = 10 ** 6
 
 CHECK_NAMES = ("reduction", "bmin", "qsystem", "qchar", "alcove", "figure")
 
@@ -66,8 +64,11 @@ def _resolve(args):
     """Fill unset options from --config, then from the documented defaults."""
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     for key, value in cfg.items():
-        if getattr(args, key, "you-shall-not-set") is None:
-            if key in ("level", "threads", "node_cap", "weyl_cap", "a", "m"):
+        if not hasattr(args, key):
+            raise UsageError("config key %r is not an option of %s"
+                             % (key, args.command))
+        if getattr(args, key) is None:
+            if key in ("level", "node_cap", "weyl_cap", "a", "m"):
                 value = int(value)
             setattr(args, key, value)
     if getattr(args, "level", None) is None:
@@ -76,9 +77,6 @@ def _resolve(args):
         args.node_cap = DEFAULT_NODE_CAP
     if getattr(args, "weyl_cap", None) is None:
         args.weyl_cap = DEFAULT_WEYL_CAP
-    if getattr(args, "threads", None) is None:
-        import os
-        args.threads = os.cpu_count() or 1
     return args
 
 
@@ -121,12 +119,11 @@ def cmd_build(args):
     cartan = spec.cartan
     view = args.view or "none"
     if view == "none":
-        graph = experiments.build_tensor(cartan, spec.factors,
-                                         args.node_cap, args.threads)
+        graph = experiments.build_tensor(cartan, spec.factors, args.node_cap)
     else:
         mode = "head" if view == "demazure" else "tail"
         graph = experiments.build_filtered(cartan, spec.factors, args.level,
-                                           mode, args.node_cap, args.threads)
+                                           mode, args.node_cap)
     if not args.out:
         raise UsageError("build needs --out")
     _write_graph(graph, args.out)
@@ -141,23 +138,22 @@ def cmd_check(args):
         raise UsageError("unknown check %r (one of %s)"
                          % (name, ", ".join(CHECK_NAMES)))
     if name == "figure":
-        report = experiments.check_figure(args.node_cap, args.threads)
+        report = experiments.check_figure(args.node_cap)
     elif name == "reduction":
         spec = TensorSpec.parse(args.type, _require(args, "factors"))
         spec2 = TensorSpec.parse(args.type, _require(args, "factors2"))
         report = experiments.check_reduction(
             spec.cartan, spec.factors, spec2.factors, args.level,
-            args.mode or "head", args.node_cap, args.threads)
+            args.mode or "head", args.node_cap)
     elif name == "bmin":
         spec = TensorSpec.parse(args.type, _require(args, "factors"))
         report = experiments.check_bmin(spec.cartan, spec.factors,
-                                        args.level, args.node_cap,
-                                        args.threads)
+                                        args.level, args.node_cap)
     elif name == "qsystem":
         cartan = parse_type(_require(args, "type"))
         report = experiments.check_qsystem_typeA(
             cartan.rank, _require(args, "a"), _require(args, "m"),
-            args.level, args.node_cap, args.threads)
+            args.level, args.node_cap)
     elif name == "qchar":
         cartan = parse_type(_require(args, "type"))
         report = experiments.check_character_qsystem(
@@ -166,7 +162,7 @@ def cmd_check(args):
         cartan = parse_type(_require(args, "type"))
         lam = _parse_lambda(_require(args, "lam"), cartan)
         report = experiments.check_alcove_correspondence(
-            cartan, lam, args.level, args.node_cap, args.threads)
+            cartan, lam, args.level, args.node_cap)
 
     print("%s %s: %s" % (report.name, report.parameters, report.status))
     if args.out:
@@ -214,9 +210,6 @@ def cmd_alcove(args):
 
 def _add_common(sub):
     sub.add_argument("--config", help="key=value file preloading defaults")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker pool size for independent builds "
-                          "(default: serial; outputs identical either way)")
     sub.add_argument("--node-cap", dest="node_cap", type=int, default=None,
                      help="exploration node cap (default 10^6)")
     sub.add_argument("--weyl-cap", dest="weyl_cap", type=int, default=None,

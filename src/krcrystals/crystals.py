@@ -8,11 +8,13 @@ classical (fundamental-weight coordinates); the 0-edge weight rule uses
 cl(alpha_0) = -theta.
 """
 
+import itertools
 import json
+import math
 
 from .cartan import vec_add, vec_sub
-from .errors import (AmbiguousAnchorError, NonReducedWordError,
-                     ResourceLimitError)
+from .errors import (AmbiguousAnchorError, InvariantError,
+                     NonReducedWordError, ResourceLimitError)
 from .weyl import build_weyl_group
 
 DEFAULT_NODE_CAP = 10 ** 6
@@ -98,14 +100,6 @@ class CrystalGraph:
 
     def phi(self, node_id, color):
         return self._string_stats(color)[1][node_id]
-
-    def f_max(self, node_id, color):
-        cur = node_id
-        while True:
-            nxt = self.f_edges.get((cur, color))
-            if nxt is None:
-                return cur
-            cur = nxt
 
     def e_max(self, node_id, color):
         cur = node_id
@@ -285,6 +279,9 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
         if b not in index:
             index[b] = len(nodes)
             nodes.append(b)
+    if len(nodes) > node_cap:
+        raise ResourceLimitError("%d seeds exceed node cap %d"
+                                 % (len(nodes), node_cap))
     f_edges = {}
     queue = list(range(len(nodes)))
     qpos = 0
@@ -309,7 +306,9 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
                 key = (cur, c) if is_f else (j, c)
                 val = j if is_f else cur
                 old = f_edges.get(key)
-                assert old is None or old == val, "source violates f/e inverse"
+                if old is not None and old != val:
+                    raise InvariantError("source violates f/e inverse at "
+                                         "node %d color %d" % key)
                 f_edges[key] = val
     weights = [source.weight(b) for b in nodes]
     reprs = [source.repr_of(b) for b in nodes]
@@ -324,21 +323,47 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
 class TensorProduct(AbstractCrystal):
     """Tensor product of explored crystals, leftmost factor first.
 
-    Elements are tuples (b_L, ..., b_1); the signature rule decides which
-    factor an operator acts on.
+    Elements are tuples (b_L, ..., b_1); signature() takes the tuple of
+    their factor node ids instead.
     """
 
     def __init__(self, factors):
-        assert factors
+        if not factors:
+            raise ValueError("a tensor product needs at least one factor")
         self.factors = list(factors)
         self.colors = self.factors[0].colors
-        for g in self.factors:
-            assert g.colors == self.colors, "factors with different color sets"
+        if any(g.colors != self.colors for g in self.factors):
+            raise ValueError("factors with different color sets")
+        self._stats = {c: [g._string_stats(c) for g in self.factors]
+                       for c in self.colors}
 
     def all_elements(self):
-        import itertools
-        pools = [g.nodes for g in self.factors]
-        return [tuple(t) for t in itertools.product(*pools)]
+        return list(itertools.product(*(g.nodes for g in self.factors)))
+
+    def _ids(self, b):
+        return [g.index[part] for g, part in zip(self.factors, b)]
+
+    def signature(self, ids, color):
+        """The signature rule: (eps, phi, k_f, k_e), where f_color acts on
+        factor k_f and e_color on factor k_e (None where they give 0).
+        Each factor adds phi '-' then eps '+'; a '-' cancels the nearest
+        surviving '+' to its left.  f acts at the rightmost surviving '-',
+        e at the leftmost surviving '+'.  Only survivor counts are kept."""
+        plus = minus = 0
+        k_f = k_e = None
+        for k, (i, (eps, phi)) in enumerate(zip(ids, self._stats[color])):
+            left = phi[i] - plus
+            if left > 0:
+                minus += left
+                k_f = k
+                plus = 0
+            else:
+                plus = -left
+            if eps[i]:
+                if not plus:
+                    k_e = k
+                plus += eps[i]
+        return plus, minus, k_f, (k_e if plus else None)
 
     def weight(self, b):
         total = self.factors[0].weight(self.factors[0].index[b[0]])
@@ -350,94 +375,74 @@ class TensorProduct(AbstractCrystal):
         return " (x) ".join(g.reprs[g.index[part]]
                             for g, part in zip(self.factors, b))
 
-    def _signature(self, b, color):
-        """(surviving minus positions, surviving plus positions), each a
-        list of factor indices, after cancelling +- pairs."""
-        minus = []
-        plus = []
-        for k, (g, part) in enumerate(zip(self.factors, b)):
-            node = g.index[part]
-            for _ in range(g.phi(node, color)):
-                # a '-' cancels the most recent surviving '+'
-                if plus:
-                    plus.pop()
-                else:
-                    minus.append(k)
-            for _ in range(g.eps(node, color)):
-                plus.append(k)
-        return minus, plus
-
     def eps(self, b, color):
-        return len(self._signature(b, color)[1])
+        return self.signature(self._ids(b), color)[0]
 
     def phi(self, b, color):
-        return len(self._signature(b, color)[0])
+        return self.signature(self._ids(b), color)[1]
 
     def f(self, b, color):
-        minus, _ = self._signature(b, color)
-        if not minus:
-            return None
-        k = minus[-1]
-        g = self.factors[k]
-        img = g.f(g.index[b[k]], color)
-        assert img is not None
-        return b[:k] + (g.nodes[img],) + b[k + 1:]
+        return self._step(b, color, True)
 
     def e(self, b, color):
-        _, plus = self._signature(b, color)
-        if not plus:
+        return self._step(b, color, False)
+
+    def _step(self, b, color, is_f):
+        ids = self._ids(b)
+        k = self.signature(ids, color)[2 if is_f else 3]
+        if k is None:
             return None
-        k = plus[0]
         g = self.factors[k]
-        img = g.e(g.index[b[k]], color)
-        assert img is not None
+        img = g.f(ids[k], color) if is_f else g.e(ids[k], color)
         return b[:k] + (g.nodes[img],) + b[k + 1:]
-
-
-def tensor_f(tensor, b, color):
-    """Apply f_i to a tensor tuple by the signature rule (None if killed)."""
-    return tensor.f(b, color)
-
-
-def tensor_e(tensor, b, color):
-    return tensor.e(b, color)
-
-
-def two_factor_f(g2, g1, b, color):
-    """Closed-form f_i on b = (b2, b1): acts left iff eps(b2) >= phi(b1)."""
-    b2, b1 = b
-    i2, i1 = g2.index[b2], g1.index[b1]
-    if g2.eps(i2, color) >= g1.phi(i1, color):
-        img = g2.f(i2, color)
-        return None if img is None else (g2.nodes[img], b1)
-    img = g1.f(i1, color)
-    return None if img is None else (b2, g1.nodes[img])
-
-
-def two_factor_e(g2, g1, b, color):
-    """Closed-form e_i on b = (b2, b1): acts left iff eps(b2) > phi(b1)."""
-    b2, b1 = b
-    i2, i1 = g2.index[b2], g1.index[b1]
-    if g2.eps(i2, color) > g1.phi(i1, color):
-        img = g2.e(i2, color)
-        return None if img is None else (g2.nodes[img], b1)
-    img = g1.e(i1, color)
-    return None if img is None else (b2, g1.nodes[img])
 
 
 def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP,
                    affine_complete=None):
-    """Explore the full tensor product of explored factor crystals."""
+    """The full tensor product of explored factor crystals, over mixed-radix
+    ids (rightmost factor fastest, the all_elements() order): one signature
+    per (node, color), f-edges by stride arithmetic, each edge stored when
+    the walk first meets one of its ends, as a BFS from every element does.
+    InvariantError if e does not invert f."""
     tensor = TensorProduct(factors)
     if affine_complete is None:
         affine_complete = all(g.affine_complete for g in factors)
-    graph = explore(cartan, tensor, tensor.all_elements(), node_cap,
-                    affine_complete=affine_complete)
-    expected = 1
-    for g in factors:
-        expected *= len(g)
-    assert len(graph) == expected
-    return graph
+    sizes = [len(g) for g in factors]
+    total = math.prod(sizes)
+    if total > node_cap:
+        raise ResourceLimitError("tensor product of %d elements exceeds "
+                                 "node cap %d" % (total, node_cap))
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    colors = tensor.colors
+    f_into = {c: [None] * total for c in colors}  # factor of the f_c-edge in
+    e_at = {c: [None] * total for c in colors}    # factor e_c acts on
+    f_edges = {}
+    for x, ids in enumerate(itertools.product(*map(range, sizes))):
+        for c in colors:
+            _, _, k_f, k_e = tensor.signature(ids, c)
+            if k_f is not None:
+                i = ids[k_f]
+                y = x + strides[k_f] * (factors[k_f].f_edges[(i, c)] - i)
+                # a second f-edge into y gets a mark no e_at entry has
+                f_into[c][y] = k_f if f_into[c][y] is None else -1
+                if y > x:
+                    f_edges[(x, c)] = y
+            if k_e is not None:
+                e_at[c][x] = k_e
+                i = ids[k_e]
+                w = x + strides[k_e] * (factors[k_e].e_edges[(i, c)] - i)
+                if w > x:
+                    f_edges[(w, c)] = x
+    for c in colors:
+        if f_into[c] != e_at[c]:
+            x = next(x for x in range(total) if f_into[c][x] != e_at[c][x])
+            raise InvariantError("e_%d is not the inverse of f_%d at tensor "
+                                 "node %d" % (c, c, x))
+    nodes = tensor.all_elements()
+    return CrystalGraph(cartan, colors, nodes, f_edges,
+                        [tensor.weight(b) for b in nodes],
+                        [tensor.repr_of(b) for b in nodes],
+                        affine_complete=affine_complete)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +726,7 @@ def hw_crystal(cartan, lam, fundamentals, node_cap=DEFAULT_NODE_CAP):
     for i in cartan.classical_index_set:
         factor_graphs.extend([fundamentals[i]] * lam[i - 1])
     if not factor_graphs:
-        triv = trivial_crystal(cartan, cartan.classical_index_set)
-        return triv
+        return trivial_crystal(cartan, cartan.classical_index_set)
     tensor = TensorProduct(factor_graphs)
     top = tuple(g.nodes[highest_weight_node(g)] for g in factor_graphs)
     graph = explore(cartan, tensor, [top], node_cap)

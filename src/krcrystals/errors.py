@@ -35,3 +35,7 @@ class LevelBoundError(KRCrystalError, ValueError):
 
 class MaxWeightMismatchError(KRCrystalError, ValueError):
     """Two tensor products that were required to share their maximal weight."""
+
+
+class InvariantError(KRCrystalError):
+    """A construction broke an invariant it is required to keep."""

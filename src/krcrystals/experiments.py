@@ -67,15 +67,6 @@ def to_junit(reports):
     return "\n".join(lines) + "\n"
 
 
-def _parallel_map(fn, items, threads=None):
-    # order-preserving, so results are deterministic at any thread count
-    if not threads or threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # tensor-spec plumbing
 
@@ -121,22 +112,20 @@ def build_factor(cartan, r, s, node_cap=DEFAULT_NODE_CAP):
         % (factor_name(r, s), cartan.type_name))
 
 
-def build_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP, threads=None):
+def build_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
     """The unfiltered tensor product of KR factors, leftmost factor first."""
     if not factors:
         g = trivial_crystal(cartan, cartan.index_set)
         g.affine_complete = True
         return g
-    graphs = _parallel_map(
-        lambda rs: build_factor(cartan, rs[0], rs[1], node_cap),
-        list(factors), threads)
+    graphs = [build_factor(cartan, r, s, node_cap) for r, s in factors]
     if len(graphs) == 1:
         return graphs[0]
     return explore_tensor(cartan, graphs, node_cap)
 
 
 def build_filtered(cartan, factors, level, mode,
-                   node_cap=DEFAULT_NODE_CAP, threads=None):
+                   node_cap=DEFAULT_NODE_CAP):
     """The filtered tensor; the C_2 B^{1,2} fixture stands in for its own
     level-1 Demazure filtration and cannot be combined or refiltered."""
     factors = list(factors)
@@ -146,7 +135,7 @@ def build_filtered(cartan, factors, level, mode,
         raise UnsupportedFactorError(
             "C2 B^{1,2} exists only as the level-1 Demazure fixture "
             "(single factor, level 1, head mode)")
-    full = build_tensor(cartan, factors, node_cap, threads)
+    full = build_tensor(cartan, factors, node_cap)
     return demazure_filter(full, level, mode)
 
 
@@ -155,7 +144,7 @@ def build_filtered(cartan, factors, level, mode,
 
 
 def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
-                    node_cap=DEFAULT_NODE_CAP, threads=None):
+                    node_cap=DEFAULT_NODE_CAP):
     """After filtering, are the components holding the minimal (head) or
     maximal (tail) elements of B and B' isomorphic?"""
     t0 = time.perf_counter()
@@ -167,9 +156,8 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
     check_level_bound(cartan, factors_b, level)
     check_level_bound(cartan, factors_bp, level)
 
-    graphs = _parallel_map(
-        lambda fs: build_filtered(cartan, fs, level, mode, node_cap),
-        [factors_b, factors_bp], threads)
+    graphs = [build_filtered(cartan, fs, level, mode, node_cap)
+              for fs in (factors_b, factors_bp)]
     if mode == "head":
         anchor_wt = build_weyl_group(cartan).w0.apply_weight(lam)
         anchor_mode = "min"
@@ -203,15 +191,13 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
                   status, witnesses, time.perf_counter() - t0)
 
 
-def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP,
-               threads=None):
+def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP):
     """Every component of the level-l Demazure filtration has a unique
     minimal element with weight gaps in Q_0^+, and dominantizing the
     minima reproduces the affine highest-weight census."""
     t0 = time.perf_counter()
     check_level_bound(cartan, factors, level)
-    filtered = build_filtered(cartan, factors, level, "head", node_cap,
-                              threads)
+    filtered = build_filtered(cartan, factors, level, "head", node_cap)
     comps = components(filtered)
     minima = []
     lambdas = []
@@ -257,8 +243,7 @@ def _neighbors_typeA(n, a):
     return [b for b in (a - 1, a + 1) if 1 <= b <= n]
 
 
-def check_qsystem_typeA(n, a, m, level, node_cap=DEFAULT_NODE_CAP,
-                        threads=None):
+def check_qsystem_typeA(n, a, m, level, node_cap=DEFAULT_NODE_CAP):
     """Crystal-level Q-system instance: the filtered (B^{a,m-1})^(x)2 has
     the same component multiset as the filtered B^{a,m} (x) B^{a,m-2}
     together with the filtered product over the neighbors of a."""
@@ -280,8 +265,7 @@ def check_qsystem_typeA(n, a, m, level, node_cap=DEFAULT_NODE_CAP,
             return None  # an s = -1 factor kills the whole summand
         return build_filtered(cartan, fs, level, "head", node_cap)
 
-    lhs, rhs1, rhs2 = _parallel_map(
-        build, [lhs_factors, rhs1_factors, rhs2_factors], threads)
+    lhs, rhs1, rhs2 = map(build, (lhs_factors, rhs1_factors, rhs2_factors))
 
     lhs_size = len(lhs)
     rhs_sizes = [len(g) for g in (rhs1, rhs2) if g is not None]
@@ -346,7 +330,7 @@ def check_character_qsystem(n, a, m):
 
 
 def check_alcove_correspondence(cartan, lam, level=1,
-                                node_cap=DEFAULT_NODE_CAP, threads=None):
+                                node_cap=DEFAULT_NODE_CAP):
     """A_l(Gamma) against the dual filtration of the matching single-column
     tensor product, component by component with maximal anchors."""
     t0 = time.perf_counter()
@@ -357,12 +341,9 @@ def check_alcove_correspondence(cartan, lam, level=1,
     lam = tuple(lam)
     cols = [i for i in cartan.classical_index_set
             for _ in range(lam[i - 1])]
-    alc, dual = _parallel_map(
-        lambda which: alcove_crystal(cartan, lam, level, node_cap=node_cap)
-        if which == 0
-        else build_filtered(cartan, [(p, 1) for p in cols], level, "tail",
-                            node_cap),
-        [0, 1], threads)
+    alc = alcove_crystal(cartan, lam, level, node_cap=node_cap)
+    dual = build_filtered(cartan, [(p, 1) for p in cols], level, "tail",
+                          node_cap)
     comps_a = components(alc)
     comps_b = components(dual)
     pairs = match_components(comps_a, comps_b, "max")
@@ -384,7 +365,7 @@ def check_alcove_correspondence(cartan, lam, level=1,
                   status, witnesses, time.perf_counter() - t0)
 
 
-def check_figure(node_cap=DEFAULT_NODE_CAP, threads=None):
+def check_figure(node_cap=DEFAULT_NODE_CAP):
     """Reconstruct both paper-figure crystals exactly: the computed level-1
     filtration of B^{1,1} (x) B^{1,1} must equal the transcribed fixture
     node-for-node, and the B^{1,2} fixture must carry the figure's node,

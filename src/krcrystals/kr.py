@@ -193,11 +193,7 @@ def kr_typeA(n, r, s, node_cap=DEFAULT_NODE_CAP):
     if s < 1:
         raise UnsupportedFactorError("B^{r,s} needs s >= 1")
     cartan = build_cartan("A", n)
-    seeds = rect_tableaux(n, r, s)
-    if len(seeds) > node_cap:
-        from .errors import ResourceLimitError
-        raise ResourceLimitError("tableau count exceeds node cap")
-    return explore(cartan, TypeAKR(n, r, s), seeds, node_cap,
+    return explore(cartan, TypeAKR(n, r, s), rect_tableaux(n, r, s), node_cap,
                    affine_complete=True)
 
 

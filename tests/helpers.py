@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes results from first principles (alcove-walk
-geometry with exact Fractions, inversion counting, subword products),
+geometry with exact Fractions, inversion counting, subword products,
+the closed-form two-factor signature rule),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -122,6 +123,32 @@ def folding_weight_oracle(chain, J):
         bw = ct.root_to_weight(beta)
         x = vec_sub(x, vec_scale(ct.pairing(beta, x) + chain.l[j - 1], bw))
     return vec_neg(x)
+
+
+# ---------------------------------------------------------------------------
+# closed-form two-factor tensor product
+
+
+def two_factor_f(g2, g1, b, color):
+    """Closed-form f_i on b = (b2, b1): acts left iff eps(b2) >= phi(b1)."""
+    b2, b1 = b
+    i2, i1 = g2.index[b2], g1.index[b1]
+    if g2.eps(i2, color) >= g1.phi(i1, color):
+        img = g2.f(i2, color)
+        return None if img is None else (g2.nodes[img], b1)
+    img = g1.f(i1, color)
+    return None if img is None else (b2, g1.nodes[img])
+
+
+def two_factor_e(g2, g1, b, color):
+    """Closed-form e_i on b = (b2, b1): acts left iff eps(b2) > phi(b1)."""
+    b2, b1 = b
+    i2, i1 = g2.index[b2], g1.index[b1]
+    if g2.eps(i2, color) > g1.phi(i1, color):
+        img = g2.e(i2, color)
+        return None if img is None else (g2.nodes[img], b1)
+    img = g1.e(i1, color)
+    return None if img is None else (b2, g1.nodes[img])
 
 
 # ---------------------------------------------------------------------------

@@ -48,18 +48,29 @@ def test_build_bad_extension(tmp_path):
                 "--out", str(tmp_path / "g.txt")]) == 2
 
 
-def test_build_deterministic_across_runs_and_threads(tmp_path):
+def test_build_deterministic_across_runs(tmp_path):
     outs = []
-    for name, threads in [("a.json", None), ("b.json", None),
-                          ("c.json", "3")]:
-        args = ["build", "--type", "C2", "--factors", "1,1:1,1",
-                "--view", "dual", "--level", "1",
-                "--out", str(tmp_path / name)]
-        if threads:
-            args += ["--threads", threads]
-        assert run(args) == 0
+    for name in ("a.json", "b.json"):
+        assert run(["build", "--type", "C2", "--factors", "1,1:1,1",
+                    "--view", "dual", "--level", "1",
+                    "--out", str(tmp_path / name)]) == 0
         outs.append((tmp_path / name).read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
+
+
+def test_build_node_cap_bounds_the_tensor_product(tmp_path):
+    out = tmp_path / "g.json"
+    assert run(["build", "--type", "A3", "--factors",
+                "1,1:1,1:1,1:1,1:1,1", "--node-cap", "100",
+                "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_alcove_node_cap_bounds_the_subsets(tmp_path):
+    out = tmp_path / "a.dot"
+    assert run(["alcove", "--type", "A1", "--lambda", "8",
+                "--node-cap", "100", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_check_figure_exit_zero(tmp_path):
@@ -101,7 +112,7 @@ def test_check_precondition_violation_is_usage_error():
 
 
 def test_check_failing_report_exits_one(monkeypatch):
-    def fake(node_cap=None, threads=None):
+    def fake(node_cap=None):
         return experiments.Report("figure", {}, "fail",
                                   {"counterexample": ["forced"]}, 0.0)
     monkeypatch.setattr(experiments, "check_figure", fake)
@@ -142,6 +153,14 @@ def test_config_preloads_defaults(tmp_path):
     # level 2 head filtration of B^{1,2} keeps no 0-edges
     data = json.loads(out.read_text())
     assert all(e["color"] != 0 for e in data["edges"])
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "conf"
+    cfg.write_text("frobnicate=1\n")
+    assert run(["build", "--type", "A2", "--factors", "1,1",
+                "--config", str(cfg), "--out", str(tmp_path / "g.json")]) == 2
+    assert "frobnicate" in capsys.readouterr().err
 
 
 def test_tensor_spec_parse():

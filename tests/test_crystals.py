@@ -3,18 +3,17 @@ import json
 
 import pytest
 
-from helpers import decomposes_into_demazure
+from helpers import decomposes_into_demazure, two_factor_e, two_factor_f
 from krcrystals.cartan import build_cartan, vec_add
 from krcrystals.crystals import (CrystalGraph, TensorProduct, components,
                                  demazure_filter, demazure_subset, explore,
                                  explore_tensor, graphs_equal, ground_state,
                                  highest_weight_node, hw_census, hw_crystal,
-                                 iso_check, similarity_check, tensor_e,
-                                 tensor_f, trivial_crystal, two_factor_e,
-                                 two_factor_f, verify_isomorphism,
+                                 iso_check, similarity_check,
+                                 trivial_crystal, verify_isomorphism,
                                  weight_multiset, weyl_action)
-from krcrystals.errors import (AmbiguousAnchorError, NonReducedWordError,
-                               ResourceLimitError)
+from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
+                               NonReducedWordError, ResourceLimitError)
 from krcrystals.kr import (fixture_C2, fundamentals, kr_C_onebox, kr_typeA)
 from krcrystals.weyl import build_weyl_group
 
@@ -33,14 +32,14 @@ def c2_tensor():
 
 def test_tensor_f_figure_edges():
     t = c2_tensor()
-    assert tensor_f(t, (1, 1), 1) == (1, 2)
-    assert tensor_f(t, (1, 2), 1) == (2, 2)
+    assert t.f((1, 1), 1) == (1, 2)
+    assert t.f((1, 2), 1) == (2, 2)
 
 
 def test_tensor_f_none_on_empty_signature():
     t = c2_tensor()
-    assert tensor_f(t, (2, 1), 1) is None      # '+-' cancels
-    assert tensor_e(t, (-1, 1), 1) is None     # same cancellation for e
+    assert t.f((2, 1), 1) is None      # '+-' cancels
+    assert t.e((-1, 1), 1) is None     # same cancellation for e
 
 
 def test_tensor_stats_match_string_walks():
@@ -64,8 +63,8 @@ def test_two_factor_closed_form_agrees_with_signature(factors):
     t = TensorProduct([g2, g1])
     for b in t.all_elements():
         for c in t.colors:
-            assert tensor_f(t, b, c) == two_factor_f(g2, g1, b, c)
-            assert tensor_e(t, b, c) == two_factor_e(g2, g1, b, c)
+            assert t.f(b, c) == two_factor_f(g2, g1, b, c)
+            assert t.e(b, c) == two_factor_e(g2, g1, b, c)
 
 
 def test_tensor_associativity_all_triples():
@@ -134,6 +133,50 @@ def test_explore_node_cap():
     box = kr_C_onebox(2)
     with pytest.raises(ResourceLimitError):
         explore(C2, TensorProduct([box, box]), [(1, 1)], node_cap=5)
+
+
+def test_explore_node_cap_counts_seeds():
+    t = c2_tensor()
+    with pytest.raises(ResourceLimitError):
+        explore(C2, t, t.all_elements(), node_cap=15)
+    assert len(explore(C2, t, t.all_elements(), node_cap=16)) == 16
+
+
+def test_explore_tensor_node_cap_is_checked_up_front():
+    box = kr_C_onebox(2)
+    with pytest.raises(ResourceLimitError):
+        explore_tensor(C2, [box, box], node_cap=15)
+    assert len(explore_tensor(C2, [box, box], node_cap=16)) == 16
+
+
+@pytest.mark.parametrize("cartan,factors", [
+    (C2, lambda: [kr_C_onebox(2), kr_C_onebox(2)]),
+    (A2, lambda: [kr_typeA(2, 1, 1), kr_typeA(2, 2, 1), kr_typeA(2, 1, 2)]),
+    (build_cartan("A", 3),
+     lambda: [kr_typeA(3, 3, 1), kr_typeA(3, 1, 1), kr_typeA(3, 2, 1)]),
+])
+def test_explore_tensor_matches_seeded_explore(cartan, factors):
+    fs = factors()
+    tensor = TensorProduct(fs)
+    want = explore(cartan, tensor, tensor.all_elements(),
+                   affine_complete=True)
+    got = explore_tensor(cartan, fs)
+    assert got.nodes == want.nodes
+    assert got.weights == want.weights
+    assert got.reprs == want.reprs
+    assert got.edges_sorted() == want.edges_sorted()
+    assert list(got.f_edges) == list(want.f_edges)
+    assert got.affine_complete
+
+
+def test_explore_tensor_raises_when_e_does_not_mirror_f(monkeypatch):
+    real = TensorProduct.signature
+
+    def e_never_acts(self, ids, color):
+        return real(self, ids, color)[:3] + (None,)
+    monkeypatch.setattr(TensorProduct, "signature", e_never_acts)
+    with pytest.raises(InvariantError):
+        explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)])
 
 
 def test_seminormality_of_constructed_crystals():

@@ -141,12 +141,6 @@ def test_figure_check():
                                     "zero_edges": 1}
 
 
-def test_threads_do_not_change_results():
-    serial = check_qsystem_typeA(2, 1, 2, 2)
-    parallel = check_qsystem_typeA(2, 1, 2, 2, threads=4)
-    assert serial.to_dict() == parallel.to_dict()
-
-
 def test_report_serialization():
     rep = check_figure()
     data = json.loads(rep.to_json())
