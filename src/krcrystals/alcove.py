@@ -10,11 +10,10 @@ hyperplane levels at every evaluation, so the two routes to the heights
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import (identity_matrix, mat_mul, mat_vec, vec_add, vec_neg,
-                     vec_scale, vec_sub)
+from .cartan import vec_add, vec_neg, vec_scale, vec_sub
 from .crystals import AbstractCrystal, explore, DEFAULT_NODE_CAP
-from .errors import NonDominantWeightError
-from .weyl import build_qbg, build_weyl_group
+from .errors import InvariantError, NonDominantWeightError
+from .weyl import DEFAULT_WEYL_CAP, build_qbg, build_weyl_group
 
 
 class LambdaChain:
@@ -49,6 +48,7 @@ class LambdaChain:
                 items.append((key, beta))
         items.sort(key=lambda t: t[0])
         self.roots = tuple(beta for _, beta in items)
+        self.root_indices = tuple(cartan._root_index[b] for b in self.roots)
         self.m = len(self.roots)
         counts = {}
         l = []
@@ -59,7 +59,8 @@ class LambdaChain:
         self.l_tilde = tuple(cartan.pairing(beta, lam) - li
                              for beta, li in zip(self.roots, self.l))
         for beta, total in counts.items():
-            assert total == cartan.pairing(beta, lam), "multiplicity invariant"
+            if total != cartan.pairing(beta, lam):
+                raise InvariantError("multiplicity invariant")
         self._fold_cache = {}
         self._ggraph_cache = {}
 
@@ -80,41 +81,35 @@ class Folding:
 
 
 def fold(chain, J):
-    """Fold the chain at the positions of J (admissibility not required)."""
+    """Fold the chain at the positions of J (admissibility not required).
+    The running product of the folding reflections is one Weyl element;
+    gamma and the weight shifts are read from its matrices."""
     J = tuple(sorted(J))
     cached = chain._fold_cache.get(J)
     if cached is not None:
         return cached
     ct = chain.cartan
-    n = ct.rank
+    group = build_qbg(ct).group
     jset = set(J)
-    w_root = identity_matrix(n)
-    w_wt = identity_matrix(n)
-    v = (0,) * n
+    w = group.identity
+    v = (0,) * ct.rank
     gamma = []
     levels = []
     for k in range(1, chain.m + 1):
         beta = chain.roots[k - 1]
-        g = mat_vec(w_root, beta)
+        g = w.apply_root(beta)
         gamma.append(g)
         sign = ct.root_sign(g)
         base = g if sign > 0 else vec_neg(g)
-        pv = ct.pairing(base, v)
-        if sign > 0:
-            levels.append(chain.l[k - 1] - pv)
-        else:
-            levels.append(-chain.l[k - 1] - pv)
+        levels.append(sign * chain.l[k - 1] - ct.pairing(base, v))
         if k in jset:
-            beta_wt = ct.root_to_weight(beta)
-            shift = vec_scale(-chain.l[k - 1], beta_wt)
-            v = vec_add(mat_vec(w_wt, shift), v)
-            w_wt = mat_mul(w_wt, ct.reflection_weight_matrix(beta))
-            w_root = mat_mul(w_root, ct.reflection_root_matrix(beta))
-    gamma_inf = mat_vec(w_wt, ct.rho)
-    weight = vec_sub(mat_vec(w_wt, chain.lam), v)
-    group = build_weyl_group(ct)
-    final_dir = group.elements[group.index[w_wt]]
-    out = Folding(tuple(gamma), tuple(levels), gamma_inf, weight, final_dir)
+            shift = vec_scale(-chain.l[k - 1], ct.root_to_weight(beta))
+            v = vec_add(w.apply_weight(shift), v)
+            w = group.elements[
+                group.times_reflection(w.id, chain.root_indices[k - 1])]
+    weight = vec_sub(w.apply_weight(chain.lam), v)
+    out = Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho), weight,
+                  w)
     chain._fold_cache[J] = out
     return out
 
@@ -151,22 +146,12 @@ class AdmissibleSubset:
         return "J%r" % (list(self.positions),)
 
 
-def _chain_root_indices(chain):
-    ct = chain.cartan
-    idx = getattr(chain, "_root_indices", None)
-    if idx is None:
-        idx = tuple(ct._root_index[beta] for beta in chain.roots)
-        chain._root_indices = idx
-    return idx
-
-
 def is_admissible(chain, J):
     """Does 1 -> r_{j_1} -> ... walk along quantum Bruhat graph edges?"""
     qbg = build_qbg(chain.cartan)
-    cur = qbg.group.id_of(qbg.group.identity)
-    indices = _chain_root_indices(chain)
+    cur = qbg.group.identity.id
     for j in sorted(J):
-        edge = qbg.has_edge(cur, indices[j - 1])
+        edge = qbg.has_edge(cur, chain.root_indices[j - 1])
         if edge is None:
             return False
         cur = edge[0]
@@ -176,8 +161,7 @@ def is_admissible(chain, J):
 def enumerate_admissible(chain):
     """All admissible subsets, in DFS order with positions ascending."""
     qbg = build_qbg(chain.cartan)
-    indices = _chain_root_indices(chain)
-    start = qbg.group.id_of(qbg.group.identity)
+    indices = chain.root_indices
     out = []
 
     def rec(next_pos, w_id, prefix):
@@ -189,7 +173,7 @@ def enumerate_admissible(chain):
                 rec(j + 1, edge[0], prefix)
                 prefix.pop()
 
-    rec(1, start, [])
+    rec(1, qbg.group.identity.id, [])
     return out
 
 
@@ -244,18 +228,20 @@ def g_graph(chain, J, p):
     for i in positions:
         s1 = ct.root_sign(fol.gamma[i - 1])
         val2 += s1
-        assert val2 == 2 * fol.levels[i - 1], \
-            "height/slope mismatch at position %d" % i
+        if val2 != 2 * fol.levels[i - 1]:
+            raise InvariantError("height/slope mismatch at position %d" % i)
         s2 = s1 * (-1 if i in jset else 1)
         val2 += s2
         steps.append(s1)
         steps.append(s2)
     end_pair = ct.pairing(base, fol.gamma_inf)
-    assert end_pair != 0, "gamma_inf orthogonal to alpha"
+    if end_pair == 0:
+        raise InvariantError("gamma_inf orthogonal to alpha")
     s_end = 1 if end_pair > 0 else -1
     val2 += s_end
     steps.append(s_end)
-    assert val2 == 2 * l_inf, "endpoint height mismatch"
+    if val2 != 2 * l_inf:
+        raise InvariantError("endpoint height mismatch")
 
     M = max(heights + (h_inf,))
     out = GGraph(p, base, sign, positions, heights, h_inf, l_inf, M,
@@ -272,7 +258,8 @@ def alcove_f(chain, J, p, level=1):
     threshold = level if p == 0 else 0
     if not gg.M > threshold:
         return None
-    assert gg.M >= 0, "negative maximum on an admissible subset"
+    if gg.M < 0:
+        raise InvariantError("negative maximum on an admissible subset")
     jset = set(J)
     m_pos = None  # None encodes infinity
     for i, h in zip(gg.positions, gg.heights):
@@ -280,15 +267,22 @@ def alcove_f(chain, J, p, level=1):
             m_pos = i
             break
     if m_pos is None:
-        assert gg.h_inf == gg.M
-        assert gg.positions, "no predecessor of infinity although M > delta"
+        if gg.h_inf != gg.M:
+            raise InvariantError("maximum attained nowhere")
+        if not gg.positions:
+            raise InvariantError(
+                "no predecessor of infinity although M > delta")
         k_pos = gg.positions[-1]
     else:
-        assert m_pos in jset, "minimum-position element not a folding position"
+        if m_pos not in jset:
+            raise InvariantError(
+                "minimum-position element not a folding position")
         idx = gg.positions.index(m_pos)
-        assert idx > 0, "no predecessor although M > delta"
+        if idx == 0:
+            raise InvariantError("no predecessor although M > delta")
         k_pos = gg.positions[idx - 1]
-    assert k_pos not in jset, "predecessor already a folding position"
+    if k_pos in jset:
+        raise InvariantError("predecessor already a folding position")
     new = jset - {m_pos} | {k_pos}
     return tuple(sorted(new))
 
@@ -301,18 +295,21 @@ def alcove_e(chain, J, p, level=1):
     threshold = level if p == 0 else 0
     if not (gg.M > gg.h_inf and gg.M >= threshold):
         return None
-    assert gg.M >= 0
+    if gg.M < 0:
+        raise InvariantError("negative maximum on an admissible subset")
     jset = set(J)
     k_pos = None
     for i, h in zip(gg.positions, gg.heights):
         if h == gg.M:
             k_pos = i
-    assert k_pos is not None, "M exceeds the endpoint but is never attained"
-    assert k_pos in jset, "maximum-position element not a folding position"
+    if k_pos is None:
+        raise InvariantError("M exceeds the endpoint but is never attained")
+    if k_pos not in jset:
+        raise InvariantError("maximum-position element not a folding position")
     idx = gg.positions.index(k_pos)
     m_pos = gg.positions[idx + 1] if idx + 1 < len(gg.positions) else None
-    if m_pos is not None:
-        assert m_pos not in jset, "successor already a folding position"
+    if m_pos in jset:
+        raise InvariantError("successor already a folding position")
     new = jset - {k_pos}
     if m_pos is not None:
         new |= {m_pos}
@@ -348,14 +345,16 @@ class AlcoveCrystal(AbstractCrystal):
 
 
 def alcove_crystal(cartan, lam, level=1, order="lex",
-                   node_cap=DEFAULT_NODE_CAP):
+                   node_cap=DEFAULT_NODE_CAP, weyl_cap=DEFAULT_WEYL_CAP):
     """The crystal A_l(Gamma) on all admissible subsets of the lexicographic
     lambda-chain, as an explored CrystalGraph."""
+    # the cap goes in positionally: the same cache key the QBG's group uses
+    build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)
     subsets = enumerate_admissible(chain)
     source = AlcoveCrystal(chain, level)
     graph = explore(cartan, source, subsets, node_cap)
-    assert len(graph) == len(subsets), \
-        "crystal operators left the admissible family"
+    if len(graph) != len(subsets):
+        raise InvariantError("crystal operators left the admissible family")
     graph.chain = chain
     return graph

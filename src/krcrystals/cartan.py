@@ -158,12 +158,11 @@ class CartanData:
         self.kac_labels = marks
         self.dual_kac_labels = comarks
 
-        self.affine_cartan = self._affine_cartan()
-        self._check_labels()
-
         self.positive_roots_list = self._positive_roots()
         self._root_index = {r: i for i, r in enumerate(self.positive_roots_list)}
         self._coroots = tuple(self.coroot_coords(r) for r in self.positive_roots_list)
+        self.affine_cartan = self._affine_cartan()
+        self._check_labels()
 
     # -- basic structure ---------------------------------------------------
 
@@ -211,7 +210,8 @@ class CartanData:
 
     def pairing(self, root, weight):
         """<beta^vee, mu> for a root beta (alpha-basis) and weight mu (pi-basis)."""
-        cor = self.coroot_coords(root)
+        k = self._root_index.get(root)
+        cor = self.coroot_coords(root) if k is None else self._coroots[k]
         return sum(c * m for c, m in zip(cor, weight))
 
     def root_to_weight(self, root):

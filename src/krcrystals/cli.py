@@ -162,7 +162,7 @@ def cmd_check(args):
         cartan = parse_type(_require(args, "type"))
         lam = _parse_lambda(_require(args, "lam"), cartan)
         report = experiments.check_alcove_correspondence(
-            cartan, lam, args.level, args.node_cap)
+            cartan, lam, args.level, args.node_cap, args.weyl_cap)
 
     print("%s %s: %s" % (report.name, report.parameters, report.status))
     if args.out:
@@ -196,7 +196,8 @@ def cmd_qbg(args):
 def cmd_alcove(args):
     cartan = parse_type(_require(args, "type"))
     lam = _parse_lambda(_require(args, "lam"), cartan)
-    graph = alcove_crystal(cartan, lam, args.level, node_cap=args.node_cap)
+    graph = alcove_crystal(cartan, lam, args.level, node_cap=args.node_cap,
+                           weyl_cap=args.weyl_cap)
     if not args.out:
         raise UsageError("alcove needs --out")
     _write_graph(graph, args.out, chain=graph.chain)

@@ -12,7 +12,7 @@ from .crystals import (components, demazure_filter, explore_tensor,
 from .errors import (AmbiguousAnchorError, LevelBoundError,
                      MaxWeightMismatchError, UnsupportedFactorError)
 from .kr import fixture_C2, kr_C_onebox, kr_typeA
-from .weyl import build_weyl_group, dominantize
+from .weyl import DEFAULT_WEYL_CAP, build_weyl_group, dominantize
 
 
 @dataclass
@@ -330,7 +330,8 @@ def check_character_qsystem(n, a, m):
 
 
 def check_alcove_correspondence(cartan, lam, level=1,
-                                node_cap=DEFAULT_NODE_CAP):
+                                node_cap=DEFAULT_NODE_CAP,
+                                weyl_cap=DEFAULT_WEYL_CAP):
     """A_l(Gamma) against the dual filtration of the matching single-column
     tensor product, component by component with maximal anchors."""
     t0 = time.perf_counter()
@@ -341,7 +342,8 @@ def check_alcove_correspondence(cartan, lam, level=1,
     lam = tuple(lam)
     cols = [i for i in cartan.classical_index_set
             for _ in range(lam[i - 1])]
-    alc = alcove_crystal(cartan, lam, level, node_cap=node_cap)
+    alc = alcove_crystal(cartan, lam, level, node_cap=node_cap,
+                         weyl_cap=weyl_cap)
     dual = build_filtered(cartan, [(p, 1) for p in cols], level, "tail",
                           node_cap)
     comps_a = components(alc)

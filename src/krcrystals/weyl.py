@@ -3,8 +3,9 @@ level-l affine dominantization used by the Demazure decomposition checks."""
 
 from functools import lru_cache
 
-from .cartan import identity_matrix, mat_mul, mat_vec, vec_add, vec_scale, vec_sub
-from .errors import ResourceLimitError
+from .cartan import (identity_matrix, mat_mul, mat_vec, vec_add, vec_neg,
+                     vec_scale, vec_sub)
+from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_WEYL_CAP = 10 ** 5
 
@@ -12,14 +13,16 @@ DEFAULT_WEYL_CAP = 10 ** 5
 class WeylElement:
     """A finite Weyl group element, canonicalized by its action on the
     fundamental-weight basis.  Also carries the simple-root-basis matrix,
-    so roots and weights are both moved with integer arithmetic only."""
+    so roots and weights are both moved with integer arithmetic only, and
+    its id, the index into its group's tables."""
 
-    __slots__ = ("wt_mat", "root_mat", "length", "_hash", "group_key")
+    __slots__ = ("wt_mat", "root_mat", "length", "id", "_hash", "group_key")
 
-    def __init__(self, wt_mat, root_mat, length, group_key):
+    def __init__(self, wt_mat, root_mat, length, id, group_key):
         self.wt_mat = wt_mat
         self.root_mat = root_mat
         self.length = length
+        self.id = id
         self.group_key = group_key
         self._hash = hash((group_key, wt_mat))
 
@@ -45,134 +48,135 @@ class WeylGroup:
     """The full finite Weyl group of a CartanData, enumerated once.
 
     Elements are indexed 0..|W|-1, sorted by (length, weight matrix), so
-    the identity is element 0 and w0 is the last element.
+    the identity is element 0 and w0 is the last element.  Products are
+    read from the right-multiplication table: right[w][i - 1] is the id of
+    w s_i.  Each positive root beta_k keeps a reduced word of s_beta, so
+    w s_beta is a few table lookups (Bjorner-Brenti, ch. 1-2).
     """
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
         n = cartan.rank
         key = (cartan.family, cartan.rank)
-        pos = cartan.positive_roots_list
+        simple_roots = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        s_wt = [cartan.reflection_weight_matrix(a) for a in simple_roots]
+        s_root = [cartan.reflection_root_matrix(a) for a in simple_roots]
 
-        def make(wt_mat, root_mat):
-            length = 0
-            for beta in pos:
-                img = mat_vec(root_mat, beta)
-                if all(x <= 0 for x in img):
-                    length += 1
-            return WeylElement(wt_mat, root_mat, length, key)
-
-        ident = make(identity_matrix(n), identity_matrix(n))
-        simples = {}
-        for i in range(1, n + 1):
-            alpha = tuple(1 if j == i - 1 else 0 for j in range(n))
-            simples[i] = make(cartan.reflection_weight_matrix(alpha),
-                              cartan.reflection_root_matrix(alpha))
-
-        seen = {ident.wt_mat: ident}
+        # breadth-first walk of the Cayley graph; the depth at which an
+        # element is first met is its length
+        ident = identity_matrix(n)
+        found = {ident: (ident, 0)}   # wt_mat -> (root_mat, length)
+        steps = {}                    # wt_mat -> wt_mats of w s_1, ..., w s_n
         frontier = [ident]
         while frontier:
             new = []
-            for w in frontier:
-                for i in range(1, n + 1):
-                    s = simples[i]
-                    wt = mat_mul(w.wt_mat, s.wt_mat)
-                    if wt not in seen:
-                        if len(seen) >= cap:
+            for wt in frontier:
+                root, length = found[wt]
+                steps[wt] = []
+                for i in range(n):
+                    ws = mat_mul(wt, s_wt[i])
+                    if ws not in found:
+                        if len(found) >= cap:
                             raise ResourceLimitError(
                                 "Weyl group larger than cap %d" % cap)
-                        elem = make(wt, mat_mul(w.root_mat, s.root_mat))
-                        seen[wt] = elem
-                        new.append(elem)
+                        found[ws] = (mat_mul(root, s_root[i]), length + 1)
+                        new.append(ws)
+                    steps[wt].append(ws)
             frontier = new
 
-        elements = sorted(seen.values(), key=lambda w: (w.length, w.wt_mat))
-        self.elements = elements
-        self.index = {w.wt_mat: i for i, w in enumerate(elements)}
-        self.identity = elements[0]
-        self.simple = simples
-        maxlen = elements[-1].length
-        longest = [w for w in elements if w.length == maxlen]
-        assert len(longest) == 1, "longest element not unique"
-        self.w0 = longest[0]
-        self._bruhat_cache = {}
+        order = sorted(found, key=lambda wt: (found[wt][1], wt))
+        self.index = {wt: k for k, wt in enumerate(order)}
+        self.elements = [WeylElement(wt, found[wt][0], found[wt][1], k, key)
+                         for k, wt in enumerate(order)]
+        self.lengths = [w.length for w in self.elements]
+        self.right = [tuple(self.index[ws] for ws in steps[wt])
+                      for wt in order]
+        self.identity = self.elements[0]
+        self.simple = {i: self.elements[self.right[0][i - 1]]
+                       for i in range(1, n + 1)}
+        if self.lengths.count(self.lengths[-1]) != 1:
+            raise InvariantError("longest element not unique")
+        self.w0 = self.elements[-1]
+        self.reflections = tuple(
+            self.index[cartan.reflection_weight_matrix(beta)]
+            for beta in cartan.positive_roots_list)
+        self._reflection_words = tuple(self._word(r) for r in self.reflections)
 
     def __len__(self):
         return len(self.elements)
 
-    def id_of(self, w):
-        return self.index[w.wt_mat]
-
     def mul(self, v, w):
+        """v w by matrix product: the oracle the table is checked against."""
         wt = mat_mul(v.wt_mat, w.wt_mat)
         return self.elements[self.index[wt]]
 
+    def times_reflection(self, w, k):
+        """The id of w s_beta for the k-th positive root beta."""
+        right = self.right
+        for i in self._reflection_words[k]:
+            w = right[w][i - 1]
+        return w
+
     def reflect(self, root):
         """s_beta as a group element, for any root beta."""
-        wt = self.cartan.reflection_weight_matrix(root)
-        return self.elements[self.index[wt]]
+        if self.cartan.root_sign(root) < 0:
+            root = vec_neg(root)
+        return self.elements[self.reflections[self.cartan._root_index[root]]]
 
-    def descent(self, w):
-        """Smallest i with w(alpha_i) < 0, or None for the identity."""
-        for i in range(1, self.cartan.rank + 1):
-            img = tuple(row[i - 1] for row in w.root_mat)
-            if all(x <= 0 for x in img):
-                return i
-        return None
+    def _descent(self, w):
+        """Smallest 0-based i with l(w s_{i+1}) < l(w); w is not e."""
+        lengths = self.lengths
+        return next(i for i, ws in enumerate(self.right[w])
+                    if lengths[ws] < lengths[w])
+
+    def _word(self, w):
+        """The greedy smallest-descent reduced word of the element id w."""
+        word = []
+        length = self.lengths[w]
+        while self.lengths[w] > 0:
+            i = self._descent(w)
+            word.append(i + 1)
+            w = self.right[w][i]
+        word.reverse()
+        if len(word) != length:
+            raise InvariantError("reduced word of the wrong length")
+        return tuple(word)
 
     def reduced_word(self, w):
         """One reduced word of w, recovered by greedy descent."""
-        word = []
-        cur = w
-        while cur.length > 0:
-            i = self.descent(cur)
-            word.append(i)
-            cur = self.mul(cur, self.simple[i])
-        word.reverse()
-        assert len(word) == w.length
-        return tuple(word)
+        return self._word(w.id)
 
     def from_word(self, word):
-        w = self.identity
+        w = 0
         for i in word:
-            w = self.mul(w, self.simple[i])
-        return w
+            w = self.right[w][i - 1]
+        return self.elements[w]
 
     def all_reduced_words(self, w):
         """Every reduced word of w (exhaustive; fine at desk scale)."""
-        if w.length == 0:
-            return [()]
-        out = []
-        for i in range(1, self.cartan.rank + 1):
-            ws = self.mul(w, self.simple[i])
-            if ws.length == w.length - 1:
-                out.extend(word + (i,) for word in self.all_reduced_words(ws))
-        return out
+        lengths, right = self.lengths, self.right
+
+        def words(w):
+            if lengths[w] == 0:
+                return [()]
+            return [word + (i + 1,) for i, ws in enumerate(right[w])
+                    if lengths[ws] < lengths[w] for word in words(ws)]
+
+        return words(w.id)
 
     def bruhat_leq(self, v, w):
-        """Strong Bruhat order via the lifting property."""
-        key = (v.wt_mat, w.wt_mat)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
-        if v.length > w.length:
-            res = False
-        elif w.length == 0:
-            res = v.length == 0
-        else:
-            i = None
-            for j in range(1, self.cartan.rank + 1):
-                if self.mul(self.simple[j], w).length < w.length:
-                    i = j
-                    break
-            sw = self.mul(self.simple[i], w)
-            sv = self.mul(self.simple[i], v)
-            if sv.length < v.length:
-                res = self.bruhat_leq(sv, sw)
-            else:
-                res = self.bruhat_leq(v, sw)
-        self._bruhat_cache[key] = res
-        return res
+        """Strong Bruhat order by the lifting property: for a right
+        descent s of w, v <= w iff min(v, vs) <= ws."""
+        lengths, right = self.lengths, self.right
+        v, w = v.id, w.id
+        while lengths[v] <= lengths[w]:
+            if lengths[w] == 0:
+                return True
+            i = self._descent(w)
+            if lengths[right[v][i]] < lengths[v]:
+                v = right[v][i]
+            w = right[w][i]
+        return False
 
 
 @lru_cache(maxsize=None)
@@ -195,23 +199,25 @@ class QuantumBruhatGraph:
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
-        self.group = build_weyl_group(cartan, cap)
+        group = self.group = build_weyl_group(cartan, cap)
+        lengths = group.lengths
         pos = cartan.positive_roots_list
-        self._rho_pairings = [cartan.pairing(beta, cartan.rho) for beta in pos]
+        # l(w s_beta) - l(w) on a quantum edge: 1 - 2 <rho, beta^vee>
+        quantum_delta = [1 - 2 * cartan.pairing(beta, cartan.rho)
+                         for beta in pos]
 
         edges = {}        # (src_id, root_idx) -> (dst_id, is_down)
-        out = [[] for _ in self.group.elements]
-        for src_id, w in enumerate(self.group.elements):
-            for root_idx, beta in enumerate(pos):
-                ws = self.group.mul(w, self.group.reflect(beta))
-                delta = ws.length - w.length
+        out = [[] for _ in group.elements]
+        for src_id in range(len(group)):
+            for root_idx in range(len(pos)):
+                dst_id = group.times_reflection(src_id, root_idx)
+                delta = lengths[dst_id] - lengths[src_id]
                 if delta == 1:
                     down = False
-                elif delta == 1 - 2 * self._rho_pairings[root_idx]:
+                elif delta == quantum_delta[root_idx]:
                     down = True
                 else:
                     continue
-                dst_id = self.group.id_of(ws)
                 edges[(src_id, root_idx)] = (dst_id, down)
                 out[src_id].append((root_idx, dst_id, down))
         for lst in out:

@@ -125,6 +125,16 @@ def folding_weight_oracle(chain, J):
     return vec_neg(x)
 
 
+def folding_direction_oracle(chain, J):
+    """The weight-basis matrix of r_{j_1} ... r_{j_s}, multiplied out from
+    freshly built reflection matrices."""
+    ct = chain.cartan
+    w = identity_matrix(ct.rank)
+    for j in sorted(J):
+        w = mat_mul(w, ct.reflection_weight_matrix(chain.roots[j - 1]))
+    return w
+
+
 # ---------------------------------------------------------------------------
 # closed-form two-factor tensor product
 

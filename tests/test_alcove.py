@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from helpers import folding_weight_oracle, validate_chain
+from helpers import (folding_direction_oracle, folding_weight_oracle,
+                     validate_chain)
 from krcrystals.alcove import (AdmissibleSubset, alcove_crystal, alcove_e,
                                alcove_f, build_lambda_chain,
                                enumerate_admissible, fold, g_graph,
@@ -126,7 +127,9 @@ def test_fold_single_reflection_a1():
 def test_fold_weight_matches_reflection_oracle(cartan, lam):
     chain = build_lambda_chain(cartan, lam)
     for J in enumerate_admissible(chain):
-        assert fold(chain, J).weight == folding_weight_oracle(chain, J)
+        fol = fold(chain, J)
+        assert fol.weight == folding_weight_oracle(chain, J)
+        assert fol.final_dir.wt_mat == folding_direction_oracle(chain, J)
 
 
 def test_sign_partition_matches_qbg_tags():
@@ -136,14 +139,14 @@ def test_sign_partition_matches_qbg_tags():
     for J in enumerate_admissible(chain):
         sub = AdmissibleSubset(chain, J)
         plus, minus = sub.sign_partition()
-        cur = group.id_of(group.identity)
+        cur = group.identity.id
         for j in J:
             root_idx = A2._root_index[chain.roots[j - 1]]
             dst, down = qbg.has_edge(cur, root_idx)
             assert (j in minus) == down
             assert (j in plus) == (not down)
             cur = dst
-        assert group.id_of(sub.final_direction) == cur
+        assert sub.final_direction.id == cur
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,19 @@ def test_alcove_node_cap_bounds_the_subsets(tmp_path):
     assert not out.exists()
 
 
+def test_alcove_weyl_cap_bounds_the_group(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert run(["alcove", "--type", "D4", "--lambda", "1,0,0,0",
+                "--weyl-cap", "10", "--out", str(out)]) == 2
+    assert "cap 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_alcove_weyl_cap_bounds_the_group():
+    assert run(["check", "alcove", "--type", "A3", "--lambda", "1,1,1",
+                "--weyl-cap", "1"]) == 2
+
+
 def test_check_figure_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     assert run(["check", "figure", "--out", str(out)]) == 0

@@ -307,12 +307,11 @@ def test_bruhat_order_matches_demazure_containment(family, rank, lam):
     ct = build_cartan(family, rank)
     graph = hw_crystal(ct, lam, fundamentals(ct))
     group = build_weyl_group(ct)
-    subsets = {group.id_of(w): set(demazure_subset(graph,
-                                                   group.reduced_word(w)))
+    subsets = {w.id: set(demazure_subset(graph, group.reduced_word(w)))
                for w in group.elements}
     for v in group.elements:
         for w in group.elements:
-            contained = subsets[group.id_of(v)] <= subsets[group.id_of(w)]
+            contained = subsets[v.id] <= subsets[w.id]
             assert contained == group.bruhat_leq(v, w)
 
 

@@ -45,11 +45,31 @@ def test_reflections_are_involutions():
 
 
 def test_lengths_match_inversion_oracle():
-    ct = build_cartan("C", 2)
+    for family, rank in QBG_TYPES:
+        ct = build_cartan(family, rank)
+        group = build_weyl_group(ct)
+        for w in group.elements:
+            word = group.reduced_word(w)
+            assert length_by_inversions(ct, word) == w.length == len(word)
+
+
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_right_table_matches_matrix_products(family, rank):
+    group = build_weyl_group(build_cartan(family, rank))
+    for w in group.elements:
+        for i, ws in enumerate(group.right[w.id], 1):
+            assert group.elements[ws] is group.mul(w, group.simple[i])
+
+
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_times_reflection_matches_matrix_products(family, rank):
+    ct = build_cartan(family, rank)
     group = build_weyl_group(ct)
     for w in group.elements:
-        word = group.reduced_word(w)
-        assert length_by_inversions(ct, word) == w.length == len(word)
+        for k, beta in enumerate(ct.positive_roots_list):
+            expected = group.mul(w, group.reflect(beta))
+            assert group.elements[group.times_reflection(w.id, k)] is expected
+            assert group.reflect(vec_neg(beta)) is group.reflect(beta)
 
 
 def test_w0_maps_positives_to_negatives():
@@ -91,7 +111,7 @@ def test_qbg_a2_against_brute_force():
             lw = length_by_inversions(ct, word_w)
             lws = length_by_inversions(ct, group.reduced_word(ws))
             if lws == lw + 1 or lws == lw - 2 * ct.pairing(beta, ct.rho) + 1:
-                expected.add((group.id_of(w), k))
+                expected.add((w.id, k))
     assert set(qbg.edges) == expected
     assert qbg.edge_count == 15
 
