@@ -213,9 +213,9 @@ def g_graph(chain, J, p):
     else:
         base = tuple(1 if j == p - 1 else 0 for j in range(ct.rank))
         sign = 1
+    neg = vec_neg(base)
     positions = tuple(i for i in range(1, chain.m + 1)
-                      if fol.gamma[i - 1] == base
-                      or fol.gamma[i - 1] == vec_neg(base))
+                      if fol.gamma[i - 1] in (base, neg))
     heights = tuple(sign * fol.levels[i - 1] for i in positions)
     l_inf = ct.pairing(base, fol.weight)
     h_inf = sign * l_inf

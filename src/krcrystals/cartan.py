@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import UnsupportedRankError
+from .errors import InvariantError, UnsupportedRankError
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -154,7 +154,7 @@ class CartanData:
             a * d // self._d_theta for a, d in zip(self.theta, self.d))
         for a, d in zip(self.theta, self.d):
             if (a * d) % self._d_theta:
-                raise AssertionError("non-integral dual Kac label")
+                raise InvariantError("non-integral dual Kac label")
         self.kac_labels = marks
         self.dual_kac_labels = comarks
 
@@ -194,7 +194,8 @@ class CartanData:
         # (beta, beta)/2 in the scaled invariant form.
         av = mat_vec(self.cartan, root)
         tot = sum(b * d * x for b, d, x in zip(root, self.d, av))
-        assert tot % 2 == 0
+        if tot % 2:
+            raise InvariantError("odd squared root length")
         return tot // 2
 
     def coroot_coords(self, root):
@@ -204,7 +205,7 @@ class CartanData:
         for b, d in zip(root, self.d):
             num = b * d
             if num % db:
-                raise AssertionError("non-integral coroot coordinate")
+                raise InvariantError("non-integral coroot coordinate")
             out.append(num // db)
         return tuple(out)
 
@@ -325,17 +326,17 @@ class CartanData:
         n1 = self.rank + 1
         for i in range(n1):
             if sum(aff[i][j] * self.kac_labels[j] for j in range(n1)) != 0:
-                raise AssertionError("Kac labels fail the null-root condition")
+                raise InvariantError("Kac labels fail the null-root condition")
             if sum(self.dual_kac_labels[k] * aff[k][i] for k in range(n1)) != 0:
-                raise AssertionError("dual Kac labels fail the central condition")
+                raise InvariantError("dual Kac labels fail the central condition")
         for i in range(n1):
             if aff[i][i] != 2:
-                raise AssertionError("diagonal of affine Cartan matrix")
+                raise InvariantError("diagonal of affine Cartan matrix")
             for j in range(n1):
                 if i != j and aff[i][j] > 0:
-                    raise AssertionError("positive off-diagonal entry")
+                    raise InvariantError("positive off-diagonal entry")
                 if (aff[i][j] == 0) != (aff[j][i] == 0):
-                    raise AssertionError("asymmetric zero pattern")
+                    raise InvariantError("asymmetric zero pattern")
 
 
 @lru_cache(maxsize=None)
@@ -360,7 +361,8 @@ def c_value(cartan, r):
     av = cartan.dual_kac_labels[r]
     if a <= av:
         return 1
-    assert a % av == 0
+    if a % av:
+        raise InvariantError("a_r not divisible by a_r^vee")
     return a // av
 
 

@@ -144,7 +144,7 @@ def cmd_check(args):
         spec2 = TensorSpec.parse(args.type, _require(args, "factors2"))
         report = experiments.check_reduction(
             spec.cartan, spec.factors, spec2.factors, args.level,
-            args.mode or "head", args.node_cap)
+            args.mode or "head", args.node_cap, args.weyl_cap)
     elif name == "bmin":
         spec = TensorSpec.parse(args.type, _require(args, "factors"))
         report = experiments.check_bmin(spec.cartan, spec.factors,
@@ -275,8 +275,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         args = _resolve(args)
         return args.func(args)
-    except (UsageError, KRCrystalError, ValueError, OSError) as err:
-        print("error: %s" % err, file=sys.stderr)
+    except (UsageError, KRCrystalError, ValueError, OSError,
+            KeyboardInterrupt, RecursionError) as err:
+        print("error: %s" % (str(err) or type(err).__name__), file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ classical (fundamental-weight coordinates); the 0-edge weight rule uses
 cl(alpha_0) = -theta.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ import math
 from .cartan import vec_add, vec_sub
 from .errors import (AmbiguousAnchorError, InvariantError,
                      NonReducedWordError, ResourceLimitError)
-from .weyl import build_weyl_group
+from .weyl import DEFAULT_WEYL_CAP, build_weyl_group
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -23,25 +24,40 @@ DOT_EDGE_COLORS = {0: "black", 1: "blue", 2: "red"}
 
 
 class CrystalGraph:
-    """A fully explored crystal: nodes, f-edges by color, cached weights."""
+    """A fully explored crystal: nodes, per-color successor lists, weights.
 
-    def __init__(self, cartan, colors, nodes, f_edges, weights, reprs,
+    fs[c][b] is f_c(b) and es[c][b] is e_c(b), None where there is no edge.
+    The constructor keeps the f lists it is given (a color it lacks gets no
+    edges) and derives es from them.
+    """
+
+    def __init__(self, cartan, colors, nodes, fs, weights, reprs,
                  affine_complete=False):
         self.cartan = cartan
         self.colors = tuple(colors)
         self.nodes = list(nodes)
-        self.index = {b: i for i, b in enumerate(self.nodes)}
-        assert len(self.index) == len(self.nodes), "duplicate payloads"
-        self.f_edges = dict(f_edges)
-        self.e_edges = {}
-        for (src, c), dst in self.f_edges.items():
-            key = (dst, c)
-            assert key not in self.e_edges, "two f_%d-edges into one node" % c
-            self.e_edges[key] = src
+        n = len(self.nodes)
+        if len(set(self.nodes)) != n:
+            raise InvariantError("duplicate payloads")
+        self.fs = {c: fs[c] if c in fs else [None] * n for c in self.colors}
+        self.es = {}
+        for c, fc in self.fs.items():
+            ec = self.es[c] = [None] * n
+            for src, dst in enumerate(fc):
+                if dst is not None:
+                    if ec[dst] is not None:
+                        raise InvariantError(
+                            "two f_%d-edges into one node" % c)
+                    ec[dst] = src
         self.weights = list(weights)
         self.reprs = list(reprs)
         self.affine_complete = affine_complete
         self._stats = {}
+
+    @functools.cached_property
+    def index(self):
+        """Payload -> node id, built on first use."""
+        return {b: i for i, b in enumerate(self.nodes)}
 
     # -- basic queries -------------------------------------------------------
 
@@ -50,23 +66,25 @@ class CrystalGraph:
 
     @property
     def edge_count(self):
-        return len(self.f_edges)
+        return sum(len(fc) - fc.count(None) for fc in self.fs.values())
 
     def f(self, node_id, color):
-        return self.f_edges.get((node_id, color))
+        return self.fs[color][node_id]
 
     def e(self, node_id, color):
-        return self.e_edges.get((node_id, color))
+        return self.es[color][node_id]
 
     def weight(self, node_id):
         return self.weights[node_id]
 
     def edges_sorted(self):
-        return sorted((src, c, dst) for (src, c), dst in self.f_edges.items())
+        colors = sorted(self.colors)
+        return [(src, c, dst) for src in range(len(self.nodes))
+                for c in colors if (dst := self.fs[c][src]) is not None]
 
     def edges_of_color(self, color):
-        return [(src, dst) for (src, c), dst in self.f_edges.items()
-                if c == color]
+        return [(src, dst) for src, dst in enumerate(self.fs[color])
+                if dst is not None]
 
     # -- string statistics -----------------------------------------------------
 
@@ -74,19 +92,15 @@ class CrystalGraph:
         stats = self._stats.get(color)
         if stats is None:
             n = len(self.nodes)
+            fc = self.fs[color]
             eps = [0] * n
             phi = [0] * n
-            for top in range(n):
-                if (top, color) in self.e_edges:
+            for top, up in enumerate(self.es[color]):
+                if up is not None:
                     continue
                 chain = [top]
-                cur = top
-                while True:
-                    nxt = self.f_edges.get((cur, color))
-                    if nxt is None:
-                        break
+                while (nxt := fc[chain[-1]]) is not None:
                     chain.append(nxt)
-                    cur = nxt
                 last = len(chain) - 1
                 for depth, node in enumerate(chain):
                     eps[node] = depth
@@ -102,12 +116,10 @@ class CrystalGraph:
         return self._string_stats(color)[1][node_id]
 
     def e_max(self, node_id, color):
-        cur = node_id
-        while True:
-            nxt = self.e_edges.get((cur, color))
-            if nxt is None:
-                return cur
-            cur = nxt
+        ec = self.es[color]
+        while (nxt := ec[node_id]) is not None:
+            node_id = nxt
+        return node_id
 
     # -- structural checks -------------------------------------------------------
 
@@ -121,7 +133,7 @@ class CrystalGraph:
         """
         bad = []
         ct = self.cartan
-        for (src, c), dst in sorted(self.f_edges.items()):
+        for src, c, dst in self.edges_sorted():
             if c == 0:
                 expect = vec_add(self.weights[src], ct.theta_weight)
             else:
@@ -175,41 +187,46 @@ class CrystalGraph:
 
     def subgraph(self, node_ids):
         ids = sorted(node_ids)
-        idset = set(ids)
-        remap = {old: new for new, old in enumerate(ids)}
-        f_edges = {}
-        for (src, c), dst in self.f_edges.items():
-            if src in idset and dst in idset:
-                f_edges[(remap[src], c)] = remap[dst]
+        remap = [None] * len(self.nodes)
+        for new, old in enumerate(ids):
+            remap[old] = new
+        fs = {c: [None if dst is None else remap[dst]
+                  for dst in map(fc.__getitem__, ids)]
+              for c, fc in self.fs.items()}
         return CrystalGraph(
             self.cartan, self.colors,
-            [self.nodes[i] for i in ids], f_edges,
+            [self.nodes[i] for i in ids], fs,
             [self.weights[i] for i in ids], [self.reprs[i] for i in ids],
             affine_complete=False)
 
-    def component_ids(self, start):
-        adj = {}
-        for (src, _), dst in self.f_edges.items():
-            adj.setdefault(src, []).append(dst)
-            adj.setdefault(dst, []).append(src)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    def component_ids(self):
+        """The ascending node ids of every weakly connected component, in
+        order of their smallest id: one pass over the successor lists."""
+        seen = [False] * len(self.nodes)
+        steps = [*self.fs.values(), *self.es.values()]
+        out = []
+        for start in range(len(seen)):
+            if not seen[start]:
+                seen[start] = True
+                comp = [start]
+                for v in comp:  # grows while it is walked: a BFS
+                    for step in steps:
+                        w = step[v]
+                        if w is not None and not seen[w]:
+                            seen[w] = True
+                            comp.append(w)
+                out.append(sorted(comp))
+        return out
 
     def component_of(self, node_id):
-        return self.subgraph(self.component_ids(node_id))
+        return self.subgraph(next(ids for ids in self.component_ids()
+                                  if node_id in ids))
 
     def is_connected(self):
-        return len(self.component_ids(0)) == len(self.nodes) if self.nodes else True
+        return len(self.component_ids()) <= 1
 
     def node_of_weight(self, weight):
-        """The unique node of the given weight (asserts uniqueness)."""
+        """The unique node of the given weight, or AmbiguousAnchorError."""
         hits = [i for i, w in enumerate(self.weights) if w == tuple(weight)]
         if len(hits) != 1:
             raise AmbiguousAnchorError(
@@ -282,7 +299,7 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
     if len(nodes) > node_cap:
         raise ResourceLimitError("%d seeds exceed node cap %d"
                                  % (len(nodes), node_cap))
-    f_edges = {}
+    fs = {c: [None] * len(nodes) for c in colors}
     queue = list(range(len(nodes)))
     qpos = 0
     while qpos < len(queue):
@@ -303,17 +320,20 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
                     index[img] = j
                     nodes.append(img)
                     queue.append(j)
-                key = (cur, c) if is_f else (j, c)
-                val = j if is_f else cur
-                old = f_edges.get(key)
-                if old is not None and old != val:
+                    for fc in fs.values():
+                        fc.append(None)
+                src, dst = (cur, j) if is_f else (j, cur)
+                old = fs[c][src]
+                if old is not None and old != dst:
                     raise InvariantError("source violates f/e inverse at "
-                                         "node %d color %d" % key)
-                f_edges[key] = val
+                                         "node %d color %d" % (src, c))
+                fs[c][src] = dst
     weights = [source.weight(b) for b in nodes]
     reprs = [source.repr_of(b) for b in nodes]
-    return CrystalGraph(cartan, colors, nodes, f_edges, weights, reprs,
-                        affine_complete=affine_complete)
+    graph = CrystalGraph(cartan, colors, nodes, fs, weights, reprs,
+                         affine_complete=affine_complete)
+    graph.index = index
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +421,9 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP,
                    affine_complete=None):
     """The full tensor product of explored factor crystals, over mixed-radix
     ids (rightmost factor fastest, the all_elements() order): one signature
-    per (node, color), f-edges by stride arithmetic, each edge stored when
-    the walk first meets one of its ends, as a BFS from every element does.
-    InvariantError if e does not invert f."""
+    per (node, color), f- and e-edges by stride arithmetic, weights and
+    reprs by a prefix product of the factors' lists.  InvariantError if e
+    does not invert f."""
     tensor = TensorProduct(factors)
     if affine_complete is None:
         affine_complete = all(g.affine_complete for g in factors)
@@ -414,35 +434,29 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP,
                                  "node cap %d" % (total, node_cap))
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     colors = tensor.colors
-    f_into = {c: [None] * total for c in colors}  # factor of the f_c-edge in
-    e_at = {c: [None] * total for c in colors}    # factor e_c acts on
-    f_edges = {}
+    fs = {c: [None] * total for c in colors}
+    es = {c: [None] * total for c in colors}
     for x, ids in enumerate(itertools.product(*map(range, sizes))):
         for c in colors:
             _, _, k_f, k_e = tensor.signature(ids, c)
             if k_f is not None:
                 i = ids[k_f]
-                y = x + strides[k_f] * (factors[k_f].f_edges[(i, c)] - i)
-                # a second f-edge into y gets a mark no e_at entry has
-                f_into[c][y] = k_f if f_into[c][y] is None else -1
-                if y > x:
-                    f_edges[(x, c)] = y
+                fs[c][x] = x + strides[k_f] * (factors[k_f].fs[c][i] - i)
             if k_e is not None:
-                e_at[c][x] = k_e
                 i = ids[k_e]
-                w = x + strides[k_e] * (factors[k_e].e_edges[(i, c)] - i)
-                if w > x:
-                    f_edges[(w, c)] = x
+                es[c][x] = x + strides[k_e] * (factors[k_e].es[c][i] - i)
+    weights, reprs = factors[0].weights, factors[0].reprs
+    for g in factors[1:]:
+        weights = [vec_add(w, v) for w in weights for v in g.weights]
+        reprs = [r + " (x) " + s for r in reprs for s in g.reprs]
+    graph = CrystalGraph(cartan, colors, tensor.all_elements(), fs, weights,
+                         reprs, affine_complete=affine_complete)
     for c in colors:
-        if f_into[c] != e_at[c]:
-            x = next(x for x in range(total) if f_into[c][x] != e_at[c][x])
+        if graph.es[c] != es[c]:
+            x = next(x for x in range(total) if graph.es[c][x] != es[c][x])
             raise InvariantError("e_%d is not the inverse of f_%d at tensor "
                                  "node %d" % (c, c, x))
-    nodes = tensor.all_elements()
-    return CrystalGraph(cartan, colors, nodes, f_edges,
-                        [tensor.weight(b) for b in nodes],
-                        [tensor.repr_of(b) for b in nodes],
-                        affine_complete=affine_complete)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -459,31 +473,20 @@ def demazure_filter(graph, level, mode):
     if level < 1:
         raise ValueError("level must be >= 1")
     eps0, phi0 = graph._string_stats(0)
-    f_edges = {}
-    for (src, c), dst in graph.f_edges.items():
-        if c == 0:
-            if mode == "head" and eps0[dst] <= level:
-                continue
-            if mode == "tail" and phi0[dst] < level:
-                continue
-        f_edges[(src, c)] = dst
-    return CrystalGraph(graph.cartan, graph.colors, list(graph.nodes),
-                        f_edges, list(graph.weights), list(graph.reprs),
-                        affine_complete=False)
+    fs = {c: list(fc) for c, fc in graph.fs.items()}
+    f0 = fs[0]
+    for src, dst in enumerate(f0):
+        if dst is not None and (eps0[dst] <= level if mode == "head"
+                                else phi0[dst] < level):
+            f0[src] = None
+    return CrystalGraph(graph.cartan, graph.colors, graph.nodes, fs,
+                        graph.weights, graph.reprs, affine_complete=False)
 
 
 def components(graph):
     """Weakly connected components, sorted by (size, weight multiset)."""
-    n = len(graph.nodes)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        ids = graph.component_ids(start)
-        for i in ids:
-            seen[i] = True
-        comps.append(sorted(ids))
+    comps = graph.component_ids()
+
     def key(ids):
         return (len(ids), sorted(graph.weights[i] for i in ids), ids[0])
     comps.sort(key=key)
@@ -497,21 +500,16 @@ def components(graph):
 def verify_isomorphism(g1, g2, mapping):
     """Second-pass audit: mapping is a bijection commuting with every f_i
     and e_i and preserving weights."""
-    if len(mapping) != len(g1) or len(set(mapping.values())) != len(g2):
+    if g1.colors != g2.colors or len(mapping) != len(g1) \
+            or len(set(mapping.values())) != len(g2):
         return False
     for x, y in mapping.items():
         if g1.weights[x] != g2.weights[y]:
             return False
         for c in g1.colors:
-            fx, fy = g1.f(x, c), g2.f(y, c)
-            if (fx is None) != (fy is None):
-                return False
-            if fx is not None and mapping[fx] != fy:
-                return False
-            ex, ey = g1.e(x, c), g2.e(y, c)
-            if (ex is None) != (ey is None):
-                return False
-            if ex is not None and mapping[ex] != ey:
+            # mapping is total, so .get gives None only for a missing edge
+            if mapping.get(g1.fs[c][x]) != g2.fs[c][y] \
+                    or mapping.get(g1.es[c][x]) != g2.es[c][y]:
                 return False
     return True
 
@@ -534,9 +532,8 @@ def iso_check(g1, g2, anchor_mode="min"):
     while queue:
         x, y = queue.pop()
         for c in g1.colors:
-            for step1, step2 in ((g1.f, g2.f), (g1.e, g2.e)):
-                x1 = step1(x, c)
-                y1 = step2(y, c)
+            for x1, y1 in ((g1.fs[c][x], g2.fs[c][y]),
+                           (g1.es[c][x], g2.es[c][y])):
                 if (x1 is None) != (y1 is None):
                     return None
                 if x1 is None:
@@ -625,10 +622,10 @@ def highest_weight_node(graph):
     return hits[0]
 
 
-def demazure_subset(graph, word):
+def demazure_subset(graph, word, weyl_cap=DEFAULT_WEYL_CAP):
     """Node ids b with e_{i_1}^max ... e_{i_k}^max b = u_lambda, for a
     reduced word (i_1, ..., i_k)."""
-    group = build_weyl_group(graph.cartan)
+    group = build_weyl_group(graph.cartan, weyl_cap)
     if group.from_word(word).length != len(word):
         raise NonReducedWordError("word %r is not reduced" % (word,))
     top = highest_weight_node(graph)
@@ -731,7 +728,8 @@ def hw_crystal(cartan, lam, fundamentals, node_cap=DEFAULT_NODE_CAP):
     top = tuple(g.nodes[highest_weight_node(g)] for g in factor_graphs)
     graph = explore(cartan, tensor, [top], node_cap)
     hw = highest_weight_node(graph)
-    assert tuple(graph.weights[hw]) == tuple(lam)
+    if tuple(graph.weights[hw]) != tuple(lam):
+        raise InvariantError("highest weight differs from lambda")
     return graph
 
 
@@ -743,11 +741,9 @@ def trivial_crystal(cartan, colors):
 
 def classical_restriction(graph):
     """The same nodes with all 0-edges dropped and colors I_0 only."""
-    f_edges = {(src, c): dst for (src, c), dst in graph.f_edges.items()
-               if c != 0}
     return CrystalGraph(graph.cartan, graph.cartan.classical_index_set,
-                        list(graph.nodes), f_edges, list(graph.weights),
-                        list(graph.reprs), affine_complete=False)
+                        graph.nodes, graph.fs, graph.weights, graph.reprs,
+                        affine_complete=False)
 
 
 def ground_state(factors):

@@ -144,7 +144,7 @@ def build_filtered(cartan, factors, level, mode,
 
 
 def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
-                    node_cap=DEFAULT_NODE_CAP):
+                    node_cap=DEFAULT_NODE_CAP, weyl_cap=DEFAULT_WEYL_CAP):
     """After filtering, are the components holding the minimal (head) or
     maximal (tail) elements of B and B' isomorphic?"""
     t0 = time.perf_counter()
@@ -159,7 +159,7 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
     graphs = [build_filtered(cartan, fs, level, mode, node_cap)
               for fs in (factors_b, factors_bp)]
     if mode == "head":
-        anchor_wt = build_weyl_group(cartan).w0.apply_weight(lam)
+        anchor_wt = build_weyl_group(cartan, weyl_cap).w0.apply_weight(lam)
         anchor_mode = "min"
     else:
         anchor_wt = lam

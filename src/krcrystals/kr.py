@@ -13,7 +13,7 @@ from .cartan import build_cartan
 from .crystals import (AbstractCrystal, CrystalGraph, classical_restriction,
                        explore, explore_tensor, highest_weight_node,
                        DEFAULT_NODE_CAP)
-from .errors import UnsupportedFactorError
+from .errors import InvariantError, UnsupportedFactorError
 
 # ---------------------------------------------------------------------------
 # rectangular semistandard tableaux (tuples of row tuples)
@@ -108,8 +108,8 @@ def promotion(t, n):
     r = len(t)
     grid = [list(row) for row in t]
     holes = [j for j in range(len(t[0])) if grid[r - 1][j] == n + 1]
-    assert all(x <= n for row in grid[:-1] for x in row), \
-        "entry n+1 outside the last row"
+    if any(x > n for row in grid[:-1] for x in row):
+        raise InvariantError("entry n+1 outside the last row")
     for j in holes:
         grid[r - 1][j] = None
     for j in holes:
@@ -128,7 +128,8 @@ def promotion(t, n):
                 grid[i][k - 1] = None
                 k -= 1
     out = tuple(tuple(1 if x is None else x + 1 for x in row) for row in grid)
-    assert is_rect_ssyt(out, n), "promotion left the tableau family"
+    if not is_rect_ssyt(out, n):
+        raise InvariantError("promotion left the tableau family")
     return out
 
 
@@ -259,7 +260,8 @@ class TypeCOneBox(AbstractCrystal):
 @lru_cache(maxsize=None)
 def kr_C_onebox(n):
     """The type C_n KR crystal B^{1,1} (2n letters)."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError("type C_n needs n >= 2")
     cartan = build_cartan("C", n)
     return explore(cartan, TypeCOneBox(n), kn_letters(n),
                    affine_complete=True)
@@ -320,8 +322,10 @@ def fixture_C2(which):
                  for b in nodes]
     else:
         raise ValueError("unknown fixture %r" % (which,))
-    f_edges = {(src, c): dst for (src, c, dst) in edges}
-    graph = CrystalGraph(cartan, (0, 1, 2), nodes, f_edges, weights, reprs,
+    fs = {c: [None] * len(nodes) for c in (0, 1, 2)}
+    for src, c, dst in edges:
+        fs[c][src] = dst
+    graph = CrystalGraph(cartan, (0, 1, 2), nodes, fs, weights, reprs,
                          affine_complete=False)
     graph.prefiltered = ("head", 1)
     return graph
@@ -344,9 +348,11 @@ def classical_fundamental(cartan, i):
         hw = [j for j in range(len(tensor))
               if tensor.weights[j] == (0, 1)
               and all(tensor.e(j, c) is None for c in tensor.colors)]
-        assert len(hw) == 1
+        if len(hw) != 1:
+            raise InvariantError("no unique highest weight (0, 1)")
         comp = tensor.component_of(hw[0])
-        assert comp.weights[highest_weight_node(comp)] == (0, 1)
+        if comp.weights[highest_weight_node(comp)] != (0, 1):
+            raise InvariantError("component of B(pi_2) has the wrong top")
         return comp
     raise UnsupportedFactorError(
         "no classical fundamental crystal for node %d in %s" %

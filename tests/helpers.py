@@ -162,6 +162,27 @@ def two_factor_e(g2, g1, b, color):
 
 
 # ---------------------------------------------------------------------------
+# connected components
+
+
+def component_ids_oracle(graph, start):
+    """The node ids weakly connected to start: a BFS over an adjacency
+    dict rebuilt from the sorted edge list on every call."""
+    adj = {}
+    for src, _, dst in graph.edges_sorted():
+        adj.setdefault(src, []).append(dst)
+        adj.setdefault(dst, []).append(src)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # the combinatorial excellent filtration
 
 
@@ -173,17 +194,15 @@ def demazure_tensor_object(cartan, funds, mu, lam, word):
     graph = hw_crystal(cartan, mu, funds)
     subset = sorted(demazure_subset(graph, word))
     remap = {b: k for k, b in enumerate(subset)}
-    f_edges = {}
-    for b in subset:
+    fs = {i: [None] * len(subset) for i in cartan.classical_index_set}
+    for k, b in enumerate(subset):
         for i in cartan.classical_index_set:
             if graph.eps(b, i) >= lam[i - 1]:
-                img = graph.f(b, i)
-                if img is not None and img in remap:
-                    f_edges[(remap[b], i)] = remap[img]
+                fs[i][k] = remap.get(graph.f(b, i))
     weights = [vec_add(graph.weights[b], lam) for b in subset]
     reprs = [graph.reprs[b] for b in subset]
     return CrystalGraph(cartan, cartan.classical_index_set,
-                        list(range(len(subset))), f_edges, weights, reprs)
+                        list(range(len(subset))), fs, weights, reprs)
 
 
 def decomposes_into_demazure(cartan, funds, group, mu, lam, word):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from krcrystals import experiments
+from krcrystals import cli, experiments
 from krcrystals.cli import TensorSpec, main
 
 
@@ -107,6 +107,21 @@ def test_check_reduction_cli():
 def test_check_alcove_cli():
     assert run(["check", "alcove", "--type", "A2", "--lambda", "1,1",
                 "--level", "1"]) == 0
+
+
+def test_check_reduction_weyl_cap_bounds_the_group():
+    assert run(["check", "reduction", "--type", "C2",
+                "--factors", "1,1:1,1", "--factors2", "1,2",
+                "--level", "1", "--mode", "head", "--weyl-cap", "1"]) == 2
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, RecursionError])
+def test_interrupt_and_recursion_overflow_exit_two(monkeypatch, capsys, exc):
+    def boom(args):
+        raise exc()
+    monkeypatch.setattr(cli, "cmd_qbg", boom)
+    assert run(["qbg", "--type", "A2", "--out", "unused.dot"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % exc.__name__
 
 
 def test_check_unknown_name():

@@ -3,15 +3,18 @@ import json
 
 import pytest
 
-from helpers import decomposes_into_demazure, two_factor_e, two_factor_f
+from helpers import (component_ids_oracle, decomposes_into_demazure,
+                     two_factor_e, two_factor_f)
 from krcrystals.cartan import build_cartan, vec_add
-from krcrystals.crystals import (CrystalGraph, TensorProduct, components,
+from krcrystals.crystals import (CrystalGraph, TensorProduct,
+                                 classical_restriction, components,
                                  demazure_filter, demazure_subset, explore,
                                  explore_tensor, graphs_equal, ground_state,
                                  highest_weight_node, hw_census, hw_crystal,
                                  iso_check, similarity_check,
                                  trivial_crystal, verify_isomorphism,
                                  weight_multiset, weyl_action)
+from krcrystals.experiments import build_filtered
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonReducedWordError, ResourceLimitError)
 from krcrystals.kr import (fixture_C2, fundamentals, kr_C_onebox, kr_typeA)
@@ -165,7 +168,7 @@ def test_explore_tensor_matches_seeded_explore(cartan, factors):
     assert got.weights == want.weights
     assert got.reprs == want.reprs
     assert got.edges_sorted() == want.edges_sorted()
-    assert list(got.f_edges) == list(want.f_edges)
+    assert got.fs == want.fs
     assert got.affine_complete
 
 
@@ -263,7 +266,7 @@ def test_iso_rejects_weight_mismatch():
 
 
 def test_iso_ambiguous_anchor_error():
-    bad = CrystalGraph(A2, (1, 2), ["a", "b"], {(0, 1): 1},
+    bad = CrystalGraph(A2, (1, 2), ["a", "b"], {1: [1, None]},
                        [(1, 0), (0, 1)], ["a", "b"])
     with pytest.raises(AmbiguousAnchorError):
         iso_check(bad, bad, "max")
@@ -431,3 +434,87 @@ def test_graphs_equal_detects_edge_change():
     rebuilt = explore(A2, TypeAKR(2, 1, 1), [((1,),), ((2,),), ((3,),)],
                       affine_complete=True)
     assert graphs_equal(g, rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# the integer-indexed representation
+
+
+def _c2_tensor_graph():
+    return explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: kr_typeA(3, 2, 1),
+    lambda: explore(C2, c2_tensor(), c2_tensor().all_elements()),
+    _c2_tensor_graph,
+    lambda: explore_tensor(A2, [kr_typeA(2, 1, 1), kr_typeA(2, 2, 2)]),
+    lambda: _c2_tensor_graph().subgraph(range(3, 14)),
+    lambda: components(demazure_filter(_c2_tensor_graph(), 1, "head"))[1],
+    lambda: demazure_filter(_c2_tensor_graph(), 1, "head"),
+    lambda: demazure_filter(kr_typeA(2, 1, 2), 1, "tail"),
+    lambda: classical_restriction(_c2_tensor_graph()),
+    lambda: fixture_C2("tensor11"),
+    lambda: fixture_C2("B12"),
+    lambda: trivial_crystal(A2, (0, 1, 2)),
+], ids=["explore", "explore-tensor-product", "explore_tensor-C2",
+        "explore_tensor-A2", "subgraph", "component", "demazure_filter-head",
+        "demazure_filter-tail", "classical_restriction", "fixture-tensor11",
+        "fixture-B12", "trivial"])
+def test_e_lists_invert_f_lists(build):
+    g = build()
+    n = len(g)
+    assert sorted(g.fs) == sorted(g.es) == sorted(g.colors)
+    for c in g.colors:
+        fc, ec = g.fs[c], g.es[c]
+        assert len(fc) == len(ec) == n
+        for b in range(n):
+            if fc[b] is not None:
+                assert ec[fc[b]] == b
+            if ec[b] is not None:
+                assert fc[ec[b]] == b
+        assert sum(x is not None for x in fc) == \
+            sum(x is not None for x in ec)
+
+
+@pytest.mark.parametrize("cartan,factors,level,mode", [
+    (C2, [(1, 1), (1, 1)], 1, "head"),
+    (C2, [(1, 1), (1, 1), (1, 1)], 1, "tail"),
+    (build_cartan("A", 3), [(2, 1), (1, 1), (2, 1)], 3, "head"),
+    (build_cartan("A", 3), [(1, 1), (3, 1), (1, 2)], 2, "tail"),
+])
+def test_components_match_per_start_bfs(cartan, factors, level, mode):
+    graph = build_filtered(cartan, factors, level, mode)
+    want = set()
+    for start in range(len(graph)):
+        want.add(tuple(sorted(component_ids_oracle(graph, start))))
+    got = [tuple(sorted(graph.index[b] for b in comp.nodes))
+           for comp in components(graph)]
+    assert len(got) > 1
+    assert sorted(got) == sorted(want)
+    for comp in components(graph):
+        assert comp.is_connected()
+        assert comp.edge_count == sum(
+            1 for s, _, d in graph.edges_sorted()
+            if graph.nodes[s] in comp.index)
+
+
+def test_constructor_rejects_duplicate_payloads():
+    with pytest.raises(InvariantError, match="duplicate payloads"):
+        CrystalGraph(A2, (1, 2), ["a", "b", "a"], {}, [(0, 0)] * 3,
+                     ["a", "b", "a"])
+
+
+def test_constructor_rejects_two_f_edges_into_one_node():
+    with pytest.raises(InvariantError, match="two f_2-edges into one node"):
+        CrystalGraph(A2, (1, 2), ["a", "b", "c"], {2: [2, 2, None]},
+                     [(0, 0)] * 3, ["a", "b", "c"])
+
+
+def test_edges_sorted_walks_sources_then_colors():
+    g = _c2_tensor_graph()
+    assert g.edges_sorted() == sorted(g.edges_sorted())
+    assert len(g.edges_sorted()) == g.edge_count
+    for c in g.colors:
+        assert g.edges_of_color(c) == [(s, d) for s, cc, d in
+                                       g.edges_sorted() if cc == c]
