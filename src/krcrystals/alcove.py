@@ -7,8 +7,8 @@ hyperplane levels at every evaluation, so the two routes to the heights
 (affine reflections vs slope accumulation) must always agree.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import vec_add, vec_neg, vec_scale, vec_sub
 from .crystals import AbstractCrystal, explore, DEFAULT_NODE_CAP
@@ -22,7 +22,8 @@ class LambdaChain:
 
     The chain is the lexicographic one: crossings (beta, k) sorted by
     (k/p, beta^vee_1/p, ..., beta^vee_n/p) with p = <lambda, beta^vee>,
-    in simple-coroot coordinates.  order='revlex' reverses the coordinate
+    in simple-coroot coordinates, each key scaled by the lcm of the p's
+    (integers in the same order).  order='revlex' reverses the coordinate
     significance, giving a second valid chain for independence tests.
     """
 
@@ -35,17 +36,17 @@ class LambdaChain:
         self.cartan = cartan
         self.lam = lam
         self.order = order
+        crossed = [(beta, p) for beta in cartan.positive_roots_list
+                   if (p := cartan.pairing(beta, lam)) > 0]
+        scale = math.lcm(*(p for _, p in crossed))
         items = []
-        for beta in cartan.positive_roots_list:
-            p = cartan.pairing(beta, lam)
-            if p <= 0:
-                continue
+        for beta, p in crossed:
             cor = cartan.coroot_coords(beta)
             if order == "revlex":
                 cor = tuple(reversed(cor))
-            for k in range(p):
-                key = (Fraction(k, p),) + tuple(Fraction(c, p) for c in cor)
-                items.append((key, beta))
+            q = scale // p
+            items.extend(((k * q,) + tuple(c * q for c in cor), beta)
+                         for k in range(p))
         items.sort(key=lambda t: t[0])
         self.roots = tuple(beta for _, beta in items)
         self.root_indices = tuple(cartan._root_index[b] for b in self.roots)

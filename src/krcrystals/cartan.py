@@ -7,11 +7,10 @@ Conventions used throughout the package:
   stored as plain tuples, with position i-1 holding the coefficient of
   the i-th fundamental weight;
 * roots are integer vectors in the simple-root basis, also tuples;
-* all arithmetic is exact (integers and Fractions, never floats).
+* all arithmetic is exact integer arithmetic, never floats.
 """
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantError, UnsupportedRankError
@@ -59,21 +58,23 @@ def vec_scale(c, u):
     return tuple(c * x for x in u)
 
 
-def _invert(matrix):
-    """Exact inverse of an integer matrix, as a tuple of Fraction rows."""
+def _adjugate(matrix):
+    """(det, adj) with adj·A = det·I, for a finite-type Cartan matrix A.
+
+    Bareiss's fraction-free Gauss-Jordan elimination of [A | I]: entries
+    stay minors of [A | I], so every division is exact, and the pivots are
+    A's leading principal minors, all positive, so no row is swapped."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    prev = 1
+    for k in range(n):
+        p = aug[k]
+        aug = [row if row is p else
+               [(p[k] * x - row[k] * y) // prev for x, y in zip(row, p)]
+               for row in aug]
+        prev = p[k]
+    return prev, tuple(tuple(row[n:]) for row in aug)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +139,13 @@ class CartanData:
         n = rank
         self.cartan = _finite_cartan(family, n)
         self.d = _symmetrizers(family, n)
-        self.inv_cartan = _invert(self.cartan)
+        self.det, self.adj = _adjugate(self.cartan)
         self.theta = _highest_root(family, n)
         self.rho = (1,) * n
 
         # coroot coordinates of every root are integral; cache the scale of theta
         self._d_theta = self._half_norm(self.theta)
         self.theta_weight = self.root_to_weight(self.theta)
-        self.theta_coroot = self.coroot_coords(self.theta)
 
         # Kac labels: a_0 = 1 and theta = sum a_i alpha_i;
         # dual labels: a_i^vee = a_i d_i / d_theta with a_0^vee = 1.
@@ -227,18 +227,19 @@ class CartanData:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
     def weight_root_coords(self, weight):
-        """Exact simple-root coordinates (Fractions) of a weight vector."""
+        """Integer simple-root coordinates of a weight scaled by det: adj·mu."""
         return tuple(sum(row[j] * weight[j] for j in range(self.rank))
-                     for row in self.inv_cartan)
+                     for row in self.adj)
+
+    def is_positive_root_coords(self, coords):
+        """Do det-scaled root coordinates name an element of Q_0^+?"""
+        return all(c >= 0 and c % self.det == 0 for c in coords)
 
     def in_positive_root_lattice(self, weight, strict=False):
         """Is the weight in Q_0^+ (strictly nonzero when strict)?"""
         coords = self.weight_root_coords(weight)
-        if any(c.denominator != 1 or c < 0 for c in coords):
-            return False
-        if strict and all(c == 0 for c in coords):
-            return False
-        return True
+        return self.is_positive_root_coords(coords) and not (
+            strict and not any(coords))
 
     def dominance_leq(self, mu, nu):
         """mu <= nu in dominance order: nu - mu in Q_0^+."""

@@ -156,23 +156,28 @@ class CrystalGraph:
     # -- anchors ---------------------------------------------------------------
 
     def extremal(self, mode):
-        """The unique weight-extremal node id ('max' or 'min'), or an error."""
-        leq = self.cartan.dominance_leq
-        candidates = []
-        for i, wi in enumerate(self.weights):
-            if mode == "max":
-                ok = all(leq(wj, wi) for wj in self.weights)
-            else:
-                ok = all(leq(wi, wj) for wj in self.weights)
-            if ok:
-                candidates.append(i)
-            if len(candidates) > 1:
-                break
-        if len(candidates) != 1:
+        """The unique weight-extremal node id ('max' or 'min'), or an error.
+
+        The height <mu, rho^vee> (the sum of mu's simple-root coordinates)
+        grows strictly along the dominance order, so a qualifying node has
+        the greatest height (least for 'min'), and then every node of that
+        height has its weight: only one weight can qualify, and the first
+        node of that height is the one candidate.  O(n·r) in all."""
+        ct = self.cartan
+        sign = 1 if mode == "max" else -1
+        coords = [ct.weight_root_coords(w) for w in self.weights]
+        heights = [sign * sum(c) for c in coords]
+        count = 0
+        if heights:
+            best = heights.index(max(heights))
+            if all(ct.is_positive_root_coords(
+                    [sign * (x - y) for x, y in zip(coords[best], c)])
+                   for c in coords):
+                count = min(2, heights.count(heights[best]))
+        if count != 1:
             raise AmbiguousAnchorError(
-                "no unique %s-weight element (%d candidates)"
-                % (mode, len(candidates)))
-        return candidates[0]
+                "no unique %s-weight element (%d candidates)" % (mode, count))
+        return best
 
     def anchors(self):
         out = {}
@@ -646,14 +651,10 @@ def demazure_subset(graph, word, weyl_cap=DEFAULT_WEYL_CAP):
 def weyl_action(graph, node_id, color):
     """Kashiwara's s_i: reflect the node within its i-string."""
     k = graph.phi(node_id, color) - graph.eps(node_id, color)
-    cur = node_id
-    if k > 0:
-        for _ in range(k):
-            cur = graph.f(cur, color)
-    else:
-        for _ in range(-k):
-            cur = graph.e(cur, color)
-    return cur
+    step = graph.fs[color] if k > 0 else graph.es[color]
+    for _ in range(abs(k)):
+        node_id = step[node_id]
+    return node_id
 
 
 def similarity_check(sigma, m, small, big):
@@ -661,13 +662,12 @@ def similarity_check(sigma, m, small, big):
 
     e_i maps to e_i^m, f_i to f_i^m, and eps, phi, wt all scale by m.
     """
-    def power(graph, op, node, color, count):
-        cur = node
+    def power(step, node, count):
         for _ in range(count):
-            if cur is None:
+            if node is None:
                 return None
-            cur = op(cur, color)
-        return cur
+            node = step[node]
+        return node
 
     for b in small.nodes:
         ib = small.index[b]
@@ -682,18 +682,14 @@ def similarity_check(sigma, m, small, big):
                 return False
             if big.phi(jb, c) != m * small.phi(ib, c):
                 return False
-            fb = small.f(ib, c)
-            fimg = power(big, big.f, jb, c, m)
-            if (fb is None) != (fimg is None):
-                return False
-            if fb is not None and big.index[sigma(small.nodes[fb])] != fimg:
-                return False
-            eb = small.e(ib, c)
-            eimg = power(big, big.e, jb, c, m)
-            if (eb is None) != (eimg is None):
-                return False
-            if eb is not None and big.index[sigma(small.nodes[eb])] != eimg:
-                return False
+            for small_step, big_step in ((small.fs[c], big.fs[c]),
+                                         (small.es[c], big.es[c])):
+                nb = small_step[ib]
+                img = power(big_step, jb, m)
+                if (nb is None) != (img is None):
+                    return False
+                if nb is not None and big.index[sigma(small.nodes[nb])] != img:
+                    return False
     return True
 
 

@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles (alcove-walk
 geometry with exact Fractions, inversion counting, subword products,
-the closed-form two-factor signature rule),
+the closed-form two-factor signature rule, the pairwise dominance scan
+over the Fraction inverse Cartan matrix),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -14,6 +15,11 @@ from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
                                vec_neg, vec_scale, vec_sub)
 from krcrystals.crystals import (CrystalGraph, components, demazure_subset,
                                  hw_crystal, iso_check)
+from krcrystals.errors import AmbiguousAnchorError
+
+
+# the types every QBG/Weyl/alcove test runs over
+QBG_TYPES = [("A", 2), ("A", 3), ("C", 2), ("C", 3), ("B", 3), ("D", 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +186,57 @@ def component_ids_oracle(graph, start):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# dominance order over the rationals
+
+
+def fraction_inverse(matrix):
+    """Exact inverse of an integer matrix, as a tuple of Fraction rows
+    (Gauss-Jordan elimination over the rationals)."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def extremal_oracle(graph, mode):
+    """The pairwise anchor scan: node i qualifies for 'max' when nu - mu
+    has nonnegative integral simple-root coordinates (solved through the
+    Fraction inverse Cartan matrix) for every weight mu of the graph, nu
+    its own ('min' mirrors this).  The scan stops at two candidates."""
+    inv = fraction_inverse(graph.cartan.cartan)
+
+    def leq(mu, nu):
+        diff = vec_sub(nu, mu)
+        coords = [sum(x * d for x, d in zip(row, diff)) for row in inv]
+        return all(c.denominator == 1 and c >= 0 for c in coords)
+
+    candidates = []
+    for i, wi in enumerate(graph.weights):
+        if mode == "max":
+            ok = all(leq(wj, wi) for wj in graph.weights)
+        else:
+            ok = all(leq(wi, wj) for wj in graph.weights)
+        if ok:
+            candidates.append(i)
+        if len(candidates) > 1:
+            break
+    if len(candidates) != 1:
+        raise AmbiguousAnchorError(
+            "no unique %s-weight element (%d candidates)"
+            % (mode, len(candidates)))
+    return candidates[0]
 
 
 # ---------------------------------------------------------------------------

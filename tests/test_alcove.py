@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from helpers import (folding_direction_oracle, folding_weight_oracle,
-                     validate_chain)
-from krcrystals.alcove import (AdmissibleSubset, alcove_crystal, alcove_e,
-                               alcove_f, build_lambda_chain,
+from helpers import (QBG_TYPES, folding_direction_oracle,
+                     folding_weight_oracle, validate_chain)
+from krcrystals.alcove import (AdmissibleSubset, LambdaChain, alcove_crystal,
+                               alcove_e, alcove_f, build_lambda_chain,
                                enumerate_admissible, fold, g_graph,
                                is_admissible, phi0)
 from krcrystals.cartan import build_cartan, vec_add, vec_sub
@@ -78,6 +79,32 @@ def test_chain_is_reduced_alcove_path(cartan, lam, order):
     # full geometric validation: every crossing uses a wall of the current
     # alcove, crosses against the root, and the walk ends at A_{-lambda}
     assert validate_chain(build_lambda_chain(cartan, lam, order))
+
+
+def fraction_key_order(cartan, lam, order):
+    """The lambda-chain order from the unscaled keys (k/p, beta^vee/p) as
+    Fractions, under the same stable sort."""
+    items = []
+    for beta in cartan.positive_roots_list:
+        p = cartan.pairing(beta, lam)
+        cor = cartan.coroot_coords(beta)
+        if order == "revlex":
+            cor = tuple(reversed(cor))
+        for k in range(max(p, 0)):
+            key = (Fraction(k, p),) + tuple(Fraction(c, p) for c in cor)
+            items.append((key, beta))
+    items.sort(key=lambda t: t[0])
+    return tuple(beta for _, beta in items)
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_chain_order_matches_fraction_keys(family, rank, order):
+    ct = build_cartan(family, rank)
+    # rho, and a weight whose pairings p have several distinct values
+    for lam in (ct.rho, (2,) + (0,) * (rank - 2) + (3,)):
+        assert LambdaChain(ct, lam, order).roots == \
+            fraction_key_order(ct, lam, order)
 
 
 # ---------------------------------------------------------------------------

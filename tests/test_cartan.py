@@ -2,9 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from krcrystals.cartan import (build_cartan, c_value, pairing, parse_type,
-                               positive_roots)
+from helpers import fraction_inverse
+from krcrystals.cartan import (_MIN_RANK, build_cartan, c_value, mat_mul,
+                               pairing, parse_type, positive_roots)
 from krcrystals.errors import UnsupportedRankError
+
+# every family from its smallest supported rank up to rank 8
+RANKS_UP_TO_8 = [(family, rank) for family, low in sorted(_MIN_RANK.items())
+                 for rank in range(low, 9)]
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5)]
@@ -178,3 +183,15 @@ def test_dominanceutilities():
     assert ct.in_positive_root_lattice((1, 1))          # theta
     assert ct.in_positive_root_lattice((0, 0), strict=False)
     assert not ct.in_positive_root_lattice((0, 0), strict=True)
+
+
+@pytest.mark.parametrize("family,rank", RANKS_UP_TO_8)
+def test_adjugate_is_det_times_inverse(family, rank):
+    ct = build_cartan(family, rank)
+    det_identity = tuple(tuple(ct.det if i == j else 0 for j in range(rank))
+                         for i in range(rank))
+    assert mat_mul(ct.adj, ct.cartan) == det_identity
+    assert mat_mul(ct.cartan, ct.adj) == det_identity
+    assert ct.det == {"A": rank + 1, "B": 2, "C": 2, "D": 4}[family]
+    inv = fraction_inverse(ct.cartan)
+    assert ct.adj == tuple(tuple(ct.det * x for x in row) for row in inv)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from helpers import (component_ids_oracle, decomposes_into_demazure,
-                     two_factor_e, two_factor_f)
+                     extremal_oracle, two_factor_e, two_factor_f)
 from krcrystals.cartan import build_cartan, vec_add
 from krcrystals.crystals import (CrystalGraph, TensorProduct,
                                  classical_restriction, components,
@@ -273,6 +273,85 @@ def test_iso_ambiguous_anchor_error():
 
 
 # ---------------------------------------------------------------------------
+# anchors: the height search against the pairwise dominance scan
+
+
+FILTERED_CASES = [
+    (C2, [(1, 1), (1, 1)], 1, "head"),
+    (C2, [(1, 1), (1, 1), (1, 1)], 1, "tail"),
+    (build_cartan("A", 3), [(2, 1), (1, 1), (2, 1)], 3, "head"),
+    (build_cartan("A", 3), [(1, 1), (3, 1), (1, 2)], 2, "tail"),
+]
+
+
+def _anchor_outcome(search, graph, mode):
+    try:
+        return search(graph, mode)
+    except AmbiguousAnchorError as err:
+        return str(err)
+
+
+def _bare_graph(cartan, weights):
+    """Isolated nodes (no edges) of the given weights."""
+    names = ["n%d" % i for i in range(len(weights))]
+    return CrystalGraph(cartan, cartan.index_set, names, {}, weights, names)
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("cartan,factors,level,filt", FILTERED_CASES)
+def test_extremal_matches_pairwise_scan_on_components(cartan, factors, level,
+                                                      filt, mode):
+    comps = components(build_filtered(cartan, factors, level, filt))
+    assert len(comps) > 1
+    for comp in comps:
+        assert _anchor_outcome(CrystalGraph.extremal, comp, mode) == \
+            _anchor_outcome(extremal_oracle, comp, mode)
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("build", [
+    lambda: kr_typeA(2, 1, 1), lambda: kr_typeA(2, 2, 1),
+    lambda: kr_typeA(2, 1, 2), lambda: kr_typeA(2, 2, 2),
+    lambda: kr_typeA(2, 1, 3), lambda: kr_typeA(3, 1, 1),
+    lambda: kr_typeA(3, 2, 2), lambda: kr_C_onebox(2),
+    lambda: kr_C_onebox(3), lambda: fixture_C2("B12"),
+    lambda: fixture_C2("tensor11"),
+], ids=["A2-11", "A2-21", "A2-12", "A2-22", "A2-13", "A3-11", "A3-22",
+        "C2-onebox", "C3-onebox", "fixture-B12", "fixture-tensor11"])
+def test_extremal_matches_pairwise_scan_on_kr_factors(build, mode):
+    g = build()
+    assert _anchor_outcome(CrystalGraph.extremal, g, mode) == \
+        _anchor_outcome(extremal_oracle, g, mode)
+
+
+# want_max/want_min: the anchor id, or the "(k candidates)" of the error
+@pytest.mark.parametrize("graph,want_max,want_min", [
+    # the graph of test_iso_ambiguous_anchor_error: no weight qualifies
+    (CrystalGraph(A2, (1, 2), ["a", "b"], {1: [1, None]},
+                  [(1, 0), (0, 1)], ["a", "b"]),
+     "0 candidates", "0 candidates"),
+    # two or three nodes share the top weight, alpha_1 above the other
+    (_bare_graph(A2, [(-1, 1), (1, 0), (1, 0)]), "2 candidates", 0),
+    (_bare_graph(A2, [(1, 0), (-1, 1), (1, 0), (1, 0)]), "2 candidates", 1),
+    # omega_1 (A2: (2 alpha_1 + alpha_2)/3; C2: alpha_1 + alpha_2/2) has
+    # nonnegative but not integral root coordinates: divisibility decides
+    (_bare_graph(A2, [(0, 0), (1, 0)]), "0 candidates", "0 candidates"),
+    (_bare_graph(C2, [(1, 0), (0, 0)]), "0 candidates", "0 candidates"),
+    (_bare_graph(C2, [(0, 0), (0, 1)]), 1, 0),   # omega_2 = alpha_1 + alpha_2
+    (_bare_graph(A2, []), "0 candidates", "0 candidates"),
+], ids=["iso-ambiguous", "two-tops", "three-tops", "A2-omega1",
+        "C2-omega1", "C2-omega2", "empty"])
+def test_extremal_matches_pairwise_scan_on_hand_built_graphs(
+        graph, want_max, want_min):
+    for mode, want in (("max", want_max), ("min", want_min)):
+        got = _anchor_outcome(CrystalGraph.extremal, graph, mode)
+        assert got == _anchor_outcome(extremal_oracle, graph, mode)
+        if isinstance(want, str):
+            want = "no unique %s-weight element (%s)" % (mode, want)
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
 # Demazure subsets
 
 
@@ -477,12 +556,7 @@ def test_e_lists_invert_f_lists(build):
             sum(x is not None for x in ec)
 
 
-@pytest.mark.parametrize("cartan,factors,level,mode", [
-    (C2, [(1, 1), (1, 1)], 1, "head"),
-    (C2, [(1, 1), (1, 1), (1, 1)], 1, "tail"),
-    (build_cartan("A", 3), [(2, 1), (1, 1), (2, 1)], 3, "head"),
-    (build_cartan("A", 3), [(1, 1), (3, 1), (1, 2)], 2, "tail"),
-])
+@pytest.mark.parametrize("cartan,factors,level,mode", FILTERED_CASES)
 def test_components_match_per_start_bfs(cartan, factors, level, mode):
     graph = build_filtered(cartan, factors, level, mode)
     want = set()

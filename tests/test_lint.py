@@ -26,3 +26,23 @@ def test_no_assert_statements(module):
              or isinstance(node, ast.Raise) and node.exc is not None
              and _is_assertion_raise(node)]
     assert lines == [], "%s asserts on lines %s" % (module, lines)
+
+
+def _names_fractions(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "fractions" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "fractions"
+    return (isinstance(node, ast.Name) and node.id == "Fraction"
+            or isinstance(node, ast.Attribute) and node.attr == "Fraction")
+
+
+# the library computes with exact integers only: integer forms (the
+# adjugate of the Cartan matrix, lcm-scaled chain keys) give the same exact
+# results as Fractions at a small part of their cost
+@pytest.mark.parametrize("module", MODULES)
+def test_no_fractions_import(module):
+    path = SRC / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _names_fractions(node)]
+    assert lines == [], "%s uses fractions on lines %s" % (module, lines)

@@ -2,14 +2,12 @@ import math
 
 import pytest
 
-from helpers import length_by_inversions, subword_products
+from helpers import QBG_TYPES, length_by_inversions, subword_products
 from krcrystals.cartan import build_cartan, vec_neg
 from krcrystals.errors import ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, build_qbg,
                              build_weyl_group, bruhat_leq, dominantize,
                              reflect)
-
-QBG_TYPES = [("A", 2), ("A", 3), ("C", 2), ("C", 3), ("B", 3), ("D", 4)]
 
 
 def test_group_orders():
