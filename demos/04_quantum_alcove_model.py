@@ -21,11 +21,20 @@ print("initial levels l_i:", chain.l)
 subsets = enumerate_admissible(chain)
 print("admissible subsets (%d):" % len(subsets), subsets)
 
+
+
+def root_of(g):
+    """The root named by a signed root id: +-(k + 1) is +-beta_k."""
+    beta = a2.positive_roots_list[abs(g) - 1]
+    return beta if g > 0 else tuple(-x for x in beta)
+
+
 print()
 print("=== foldings and weights ===")
 for J in subsets[:4]:
     fol = fold(chain, J)
-    print("J =", J, " gamma =", fol.gamma, " wt(J) =", fol.weight)
+    print("J =", J, " gamma =", tuple(map(root_of, fol.gamma)),
+          " wt(J) =", fol.weight)
 
 print()
 print("=== a height profile and one operator application ===")

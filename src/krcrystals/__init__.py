@@ -11,9 +11,9 @@ from .crystals import (CrystalGraph, TensorProduct, components,
                        demazure_filter, demazure_subset, explore,
                        explore_tensor, ground_state, hw_census, hw_crystal,
                        iso_check, similarity_check, weyl_action)
-from .alcove import (AdmissibleSubset, LambdaChain, alcove_crystal, alcove_e,
-                     alcove_f, build_lambda_chain, enumerate_admissible,
-                     fold, g_graph, phi0)
+from .alcove import (LambdaChain, alcove_crystal, alcove_e, alcove_f,
+                     build_lambda_chain, enumerate_admissible, fold, g_graph,
+                     phi0)
 from .kr import fixture_C2, kr_C_onebox, kr_typeA, promotion
 from .experiments import (Report, check_alcove_correspondence, check_bmin,
                           check_character_qsystem, check_figure,
@@ -28,9 +28,8 @@ __all__ = [
     "demazure_subset", "explore", "explore_tensor", "ground_state",
     "hw_census", "hw_crystal", "iso_check", "similarity_check",
     "weyl_action",
-    "AdmissibleSubset", "LambdaChain", "alcove_crystal", "alcove_e",
-    "alcove_f", "build_lambda_chain", "enumerate_admissible", "fold",
-    "g_graph", "phi0",
+    "LambdaChain", "alcove_crystal", "alcove_e", "alcove_f",
+    "build_lambda_chain", "enumerate_admissible", "fold", "g_graph", "phi0",
     "fixture_C2", "kr_C_onebox", "kr_typeA", "promotion",
     "Report", "check_alcove_correspondence", "check_bmin",
     "check_character_qsystem", "check_figure", "check_qsystem_typeA",

@@ -1,6 +1,10 @@
 """The quantum alcove model: lambda-chains, foldings, admissible subsets,
 and the level-l crystal operators.
 
+Roots are signed root ids throughout: +(k + 1) names the positive root
+beta_k of CartanData.positive_roots_list and -(k + 1) its negative, so a
+folded root is read from a Weyl element's signed root permutation, its
+sign is the sign of the id, and |gamma| = alpha_p is an integer compare.
 Heights are exact integers; the piecewise-linear height profile is kept
 in doubled integer arithmetic and cross-checked against the folded
 hyperplane levels at every evaluation, so the two routes to the heights
@@ -10,7 +14,7 @@ hyperplane levels at every evaluation, so the two routes to the heights
 import math
 from dataclasses import dataclass
 
-from .cartan import vec_add, vec_neg, vec_scale, vec_sub
+from .cartan import vec_scale, vec_sub
 from .crystals import AbstractCrystal, explore, DEFAULT_NODE_CAP
 from .errors import InvariantError, NonDominantWeightError
 from .weyl import DEFAULT_WEYL_CAP, build_qbg, build_weyl_group
@@ -63,7 +67,6 @@ class LambdaChain:
             if total != cartan.pairing(beta, lam):
                 raise InvariantError("multiplicity invariant")
         self._fold_cache = {}
-        self._ggraph_cache = {}
 
 
 def build_lambda_chain(cartan, lam, order="lex"):
@@ -72,8 +75,10 @@ def build_lambda_chain(cartan, lam, order="lex"):
 
 @dataclass(frozen=True)
 class Folding:
-    """The folded chain Gamma(J): signed roots, hyperplane levels, the
-    image of rho under the folding reflections, and wt(J)."""
+    """The folded chain Gamma(J): the signed root ids gamma_k, the
+    hyperplane levels, the image of rho under the folding reflections,
+    wt(J), and the final direction (the product of the folding
+    reflections, a WeylElement)."""
     gamma: tuple
     levels: tuple
     gamma_inf: tuple
@@ -83,68 +88,36 @@ class Folding:
 
 def fold(chain, J):
     """Fold the chain at the positions of J (admissibility not required).
-    The running product of the folding reflections is one Weyl element;
-    gamma and the weight shifts are read from its matrices."""
+    The running product w of the folding reflections is one Weyl element:
+    gamma_k is w(beta_k), read from its signed root permutation, and the
+    weight shift of a folding at beta_k is -l_k w(beta_k), a multiple of a
+    precomputed root weight.  Memoized per chain."""
     J = tuple(sorted(J))
     cached = chain._fold_cache.get(J)
     if cached is not None:
         return cached
     ct = chain.cartan
     group = build_qbg(ct).group
+    coroots, root_weights = ct._coroots, ct._root_weights
     jset = set(J)
     w = group.identity
     v = (0,) * ct.rank
     gamma = []
     levels = []
-    for k in range(1, chain.m + 1):
-        beta = chain.roots[k - 1]
-        g = w.apply_root(beta)
+    for k, (idx, l) in enumerate(zip(chain.root_indices, chain.l), 1):
+        g = w.roots[idx]
         gamma.append(g)
-        sign = ct.root_sign(g)
-        base = g if sign > 0 else vec_neg(g)
-        levels.append(sign * chain.l[k - 1] - ct.pairing(base, v))
+        b = abs(g) - 1
+        sl = l if g > 0 else -l
+        levels.append(sl - sum(c * x for c, x in zip(coroots[b], v)))
         if k in jset:
-            shift = vec_scale(-chain.l[k - 1], ct.root_to_weight(beta))
-            v = vec_add(w.apply_weight(shift), v)
-            w = group.elements[
-                group.times_reflection(w.id, chain.root_indices[k - 1])]
+            v = vec_sub(v, vec_scale(sl, root_weights[b]))
+            w = group.elements[group.times_reflection(w.id, idx)]
     weight = vec_sub(w.apply_weight(chain.lam), v)
     out = Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho), weight,
                   w)
     chain._fold_cache[J] = out
     return out
-
-
-class AdmissibleSubset:
-    """A set of folding positions whose induced walk follows QBG edges."""
-
-    def __init__(self, chain, positions):
-        self.chain = chain
-        self.positions = tuple(sorted(positions))
-
-    @property
-    def folding(self):
-        return fold(self.chain, self.positions)
-
-    @property
-    def weight(self):
-        return self.folding.weight
-
-    @property
-    def final_direction(self):
-        return self.folding.final_dir
-
-    def sign_partition(self):
-        """(J+, J-): folding positions with positive/negative gamma."""
-        fol = self.folding
-        ct = self.chain.cartan
-        plus, minus = [], []
-        for j in self.positions:
-            (plus if ct.root_sign(fol.gamma[j - 1]) > 0 else minus).append(j)
-        return tuple(plus), tuple(minus)
-
-    def __repr__(self):
-        return "J%r" % (list(self.positions),)
 
 
 def is_admissible(chain, J):
@@ -202,10 +175,6 @@ def g_graph(chain, J, p):
     """The height profile for color p (p = 0 uses alpha_0 = -theta and the
     graph reflected in the x-axis)."""
     J = tuple(sorted(J))
-    key = (J, p)
-    cached = chain._ggraph_cache.get(key)
-    if cached is not None:
-        return cached
     ct = chain.cartan
     fol = fold(chain, J)
     if p == 0:
@@ -214,9 +183,8 @@ def g_graph(chain, J, p):
     else:
         base = tuple(1 if j == p - 1 else 0 for j in range(ct.rank))
         sign = 1
-    neg = vec_neg(base)
-    positions = tuple(i for i in range(1, chain.m + 1)
-                      if fol.gamma[i - 1] in (base, neg))
+    rid = ct._root_index[base] + 1
+    positions = tuple(i for i, g in enumerate(fol.gamma, 1) if abs(g) == rid)
     heights = tuple(sign * fol.levels[i - 1] for i in positions)
     l_inf = ct.pairing(base, fol.weight)
     h_inf = sign * l_inf
@@ -227,7 +195,7 @@ def g_graph(chain, J, p):
     val2 = -1
     steps = []
     for i in positions:
-        s1 = ct.root_sign(fol.gamma[i - 1])
+        s1 = 1 if fol.gamma[i - 1] > 0 else -1
         val2 += s1
         if val2 != 2 * fol.levels[i - 1]:
             raise InvariantError("height/slope mismatch at position %d" % i)
@@ -245,10 +213,8 @@ def g_graph(chain, J, p):
         raise InvariantError("endpoint height mismatch")
 
     M = max(heights + (h_inf,))
-    out = GGraph(p, base, sign, positions, heights, h_inf, l_inf, M,
-                 tuple(steps))
-    chain._ggraph_cache[key] = out
-    return out
+    return GGraph(p, base, sign, positions, heights, h_inf, l_inf, M,
+                  tuple(steps))
 
 
 def alcove_f(chain, J, p, level=1):
@@ -349,6 +315,8 @@ def alcove_crystal(cartan, lam, level=1, order="lex",
                    node_cap=DEFAULT_NODE_CAP, weyl_cap=DEFAULT_WEYL_CAP):
     """The crystal A_l(Gamma) on all admissible subsets of the lexicographic
     lambda-chain, as an explored CrystalGraph."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
     # the cap goes in positionally: the same cache key the QBG's group uses
     build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)

@@ -161,6 +161,8 @@ class CartanData:
         self.positive_roots_list = self._positive_roots()
         self._root_index = {r: i for i, r in enumerate(self.positive_roots_list)}
         self._coroots = tuple(self.coroot_coords(r) for r in self.positive_roots_list)
+        self._root_weights = tuple(self.root_to_weight(r)
+                                   for r in self.positive_roots_list)
         self.affine_cartan = self._affine_cartan()
         self._check_labels()
 
@@ -295,17 +297,6 @@ class CartanData:
         cor = self.coroot_coords(root)
         return tuple(
             tuple((1 if i == j else 0) - bw[i] * cor[j] for j in range(n))
-            for i in range(n)
-        )
-
-    def reflection_root_matrix(self, root):
-        """Matrix of s_beta on simple-root coordinates."""
-        n = self.rank
-        cor = self.coroot_coords(root)
-        row = tuple(sum(cor[k] * self.cartan[k][j] for k in range(n))
-                    for j in range(n))
-        return tuple(
-            tuple((1 if i == j else 0) - root[i] * row[j] for j in range(n))
             for i in range(n)
         )
 

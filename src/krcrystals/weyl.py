@@ -12,29 +12,35 @@ DEFAULT_WEYL_CAP = 10 ** 5
 
 class WeylElement:
     """A finite Weyl group element, canonicalized by its action on the
-    fundamental-weight basis.  Also carries the simple-root-basis matrix,
-    so roots and weights are both moved with integer arithmetic only, and
-    its id, the index into its group's tables."""
+    fundamental-weight basis.  Also carries its signed root permutation:
+    roots[k] = +(j + 1) when w(beta_k) = beta_j and -(j + 1) when
+    w(beta_k) = -beta_j, for the positive roots beta_0, beta_1, ... of
+    CartanData.positive_roots_list; and its id, the index into its
+    group's tables."""
 
-    __slots__ = ("wt_mat", "root_mat", "length", "id", "_hash", "group_key")
+    __slots__ = ("wt_mat", "roots", "length", "id", "_hash", "cartan")
 
-    def __init__(self, wt_mat, root_mat, length, id, group_key):
+    def __init__(self, wt_mat, roots, length, id, cartan):
         self.wt_mat = wt_mat
-        self.root_mat = root_mat
+        self.roots = roots
         self.length = length
         self.id = id
-        self.group_key = group_key
-        self._hash = hash((group_key, wt_mat))
+        self.cartan = cartan
+        self._hash = hash((cartan, wt_mat))
 
     def apply_weight(self, weight):
         return mat_vec(self.wt_mat, weight)
 
     def apply_root(self, root):
-        return mat_vec(self.root_mat, root)
+        """w(beta) for a root beta, read from the signed root permutation."""
+        k = signed_root_id(self.cartan, root)
+        g = self.roots[k - 1] if k > 0 else -self.roots[-k - 1]
+        beta = self.cartan.positive_roots_list[abs(g) - 1]
+        return beta if g > 0 else vec_neg(beta)
 
     def __eq__(self, other):
         return (isinstance(other, WeylElement)
-                and self.group_key == other.group_key
+                and self.cartan == other.cartan
                 and self.wt_mat == other.wt_mat)
 
     def __hash__(self):
@@ -44,53 +50,70 @@ class WeylElement:
         return "W[len=%d]" % self.length
 
 
+def signed_root_id(cartan, root):
+    """+(k + 1) for the positive root beta_k, -(k + 1) for -beta_k."""
+    sign = cartan.root_sign(root)
+    return sign * (cartan._root_index[root if sign > 0 else vec_neg(root)] + 1)
+
+
 class WeylGroup:
     """The full finite Weyl group of a CartanData, enumerated once.
 
+    The breadth-first walk of the Cayley graph keys each element on its
+    signed root permutation (faithful: W acts faithfully on the roots), so
+    a step w -> w s_i permutes one tuple through the signed table of s_i;
+    the weight matrix is multiplied once per element, from its parent.
     Elements are indexed 0..|W|-1, sorted by (length, weight matrix), so
     the identity is element 0 and w0 is the last element.  Products are
     read from the right-multiplication table: right[w][i - 1] is the id of
     w s_i.  Each positive root beta_k keeps a reduced word of s_beta, so
-    w s_beta is a few table lookups (Bjorner-Brenti, ch. 1-2).
+    w s_beta is a few table lookups (Bjorner-Brenti, ch. 1-2, 4).
     """
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
         n = cartan.rank
-        key = (cartan.family, cartan.rank)
+        pos = cartan.positive_roots_list
         simple_roots = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         s_wt = [cartan.reflection_weight_matrix(a) for a in simple_roots]
-        s_root = [cartan.reflection_root_matrix(a) for a in simple_roots]
+        # s_perm[i][k]: the signed id of s_{i+1}(beta_k)
+        s_perm = [tuple(signed_root_id(
+                      cartan, cartan.simple_reflection_on_root(i + 1, beta))
+                      for beta in pos) for i in range(n)]
 
-        # breadth-first walk of the Cayley graph; the depth at which an
-        # element is first met is its length
-        ident = identity_matrix(n)
-        found = {ident: (ident, 0)}   # wt_mat -> (root_mat, length)
-        steps = {}                    # wt_mat -> wt_mats of w s_1, ..., w s_n
-        frontier = [ident]
-        while frontier:
-            new = []
-            for wt in frontier:
-                root, length = found[wt]
-                steps[wt] = []
-                for i in range(n):
-                    ws = mat_mul(wt, s_wt[i])
-                    if ws not in found:
-                        if len(found) >= cap:
-                            raise ResourceLimitError(
-                                "Weyl group larger than cap %d" % cap)
-                        found[ws] = (mat_mul(root, s_root[i]), length + 1)
-                        new.append(ws)
-                    steps[wt].append(ws)
-            frontier = new
+        # breadth-first walk of the Cayley graph (the loop reads the list it
+        # appends to); the depth at which an element is first met is its
+        # length.  (w s_i)(beta_k) = w(s_i beta_k) = +-w(beta_j) is one
+        # signed lookup per root
+        ident = tuple(range(1, len(pos) + 1))
+        found = {ident: 0}                  # roots -> discovery number
+        walk = [(ident, identity_matrix(n), 0)]   # (roots, wt_mat, length)
+        steps = []                          # discovery numbers of w s_i
+        for w, wt, length in walk:
+            row = []
+            for i in range(n):
+                ws = tuple(w[t - 1] if t > 0 else -w[-t - 1]
+                           for t in s_perm[i])
+                d = found.get(ws)
+                if d is None:
+                    if len(found) >= cap:
+                        raise ResourceLimitError(
+                            "Weyl group larger than cap %d" % cap)
+                    d = found[ws] = len(walk)
+                    walk.append((ws, mat_mul(wt, s_wt[i]), length + 1))
+                row.append(d)
+            steps.append(row)
 
-        order = sorted(found, key=lambda wt: (found[wt][1], wt))
-        self.index = {wt: k for k, wt in enumerate(order)}
-        self.elements = [WeylElement(wt, found[wt][0], found[wt][1], k, key)
-                         for k, wt in enumerate(order)]
+        order = sorted(range(len(walk)),
+                       key=lambda d: (walk[d][2], walk[d][1]))
+        ids = [0] * len(walk)
+        for k, d in enumerate(order):
+            ids[d] = k
+        self.elements = [WeylElement(walk[d][1], walk[d][0], walk[d][2], k,
+                                     cartan) for k, d in enumerate(order)]
+        self.index = {w.wt_mat: w.id for w in self.elements}
         self.lengths = [w.length for w in self.elements]
-        self.right = [tuple(self.index[ws] for ws in steps[wt])
-                      for wt in order]
+        self.right = [tuple(ids[x] for x in steps[d]) for d in order]
         self.identity = self.elements[0]
         self.simple = {i: self.elements[self.right[0][i - 1]]
                        for i in range(1, n + 1)}
@@ -99,7 +122,7 @@ class WeylGroup:
         self.w0 = self.elements[-1]
         self.reflections = tuple(
             self.index[cartan.reflection_weight_matrix(beta)]
-            for beta in cartan.positive_roots_list)
+            for beta in pos)
         self._reflection_words = tuple(self._word(r) for r in self.reflections)
 
     def __len__(self):
@@ -119,9 +142,8 @@ class WeylGroup:
 
     def reflect(self, root):
         """s_beta as a group element, for any root beta."""
-        if self.cartan.root_sign(root) < 0:
-            root = vec_neg(root)
-        return self.elements[self.reflections[self.cartan._root_index[root]]]
+        k = abs(signed_root_id(self.cartan, root)) - 1
+        return self.elements[self.reflections[k]]
 
     def _descent(self, w):
         """Smallest 0-based i with l(w s_{i+1}) < l(w); w is not e."""

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes results from first principles (alcove-walk
-geometry with exact Fractions, inversion counting, subword products,
+geometry with exact Fractions, reflection matrices on simple-root
+coordinates, inversion counting, subword products,
 the closed-form two-factor signature rule, the pairwise dominance scan
 over the Fraction inverse Cartan matrix),
 deliberately avoiding the package's own code paths wherever a statement
@@ -24,6 +25,35 @@ QBG_TYPES = [("A", 2), ("A", 3), ("C", 2), ("C", 3), ("B", 3), ("D", 4)]
 
 # ---------------------------------------------------------------------------
 # Weyl-group oracles
+
+
+def reflection_root_matrix(cartan, root):
+    """Matrix of s_beta on simple-root coordinates:
+    s_beta(x) = x - <x, beta^vee> beta."""
+    n = cartan.rank
+    cor = cartan.coroot_coords(root)
+    row = tuple(sum(cor[k] * cartan.cartan[k][j] for k in range(n))
+                for j in range(n))
+    return tuple(
+        tuple((1 if i == j else 0) - root[i] * row[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def decode_root(cartan, g):
+    """The root named by the signed root id g = +-(k + 1)."""
+    beta = cartan.positive_roots_list[abs(g) - 1]
+    return beta if g > 0 else vec_neg(beta)
+
+
+def root_matrix_of_word(cartan, word):
+    """The simple-root-basis matrix of s_{i_1} ... s_{i_k}."""
+    n = cartan.rank
+    w = identity_matrix(n)
+    for i in word:
+        simple = tuple(int(j == i - 1) for j in range(n))
+        w = mat_mul(w, reflection_root_matrix(cartan, simple))
+    return w
 
 
 def length_by_inversions(cartan, word):
@@ -108,7 +138,7 @@ def validate_chain(chain):
         s_wt = ct.reflection_weight_matrix(beta)
         v = vec_add(mat_vec(s_wt, v), vec_scale(-level, ct.root_to_weight(beta)))
         w_wt = mat_mul(s_wt, w_wt)
-        w_root = mat_mul(ct.reflection_root_matrix(beta), w_root)
+        w_root = mat_mul(reflection_root_matrix(ct, beta), w_root)
         after = frac_pairing(ct, beta, current_point())
         assert after < before, "step %d crosses in the wrong direction" % (pos + 1)
 
@@ -129,6 +159,19 @@ def folding_weight_oracle(chain, J):
         bw = ct.root_to_weight(beta)
         x = vec_sub(x, vec_scale(ct.pairing(beta, x) + chain.l[j - 1], bw))
     return vec_neg(x)
+
+
+def folding_gamma_oracle(chain, J):
+    """The folded roots gamma_k = r_{j_1} ... r_{j_i}(beta_k), j_i < k, as
+    root tuples: a walk of simple-root-basis reflection matrices."""
+    ct = chain.cartan
+    w = identity_matrix(ct.rank)
+    gamma = []
+    for k, beta in enumerate(chain.roots, 1):
+        gamma.append(mat_vec(w, beta))
+        if k in J:
+            w = mat_mul(w, reflection_root_matrix(ct, beta))
+    return tuple(gamma)
 
 
 def folding_direction_oracle(chain, J):

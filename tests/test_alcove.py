@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (QBG_TYPES, folding_direction_oracle,
-                     folding_weight_oracle, validate_chain)
-from krcrystals.alcove import (AdmissibleSubset, LambdaChain, alcove_crystal,
-                               alcove_e, alcove_f, build_lambda_chain,
+from helpers import (QBG_TYPES, decode_root, folding_direction_oracle,
+                     folding_gamma_oracle, folding_weight_oracle,
+                     validate_chain)
+from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
+                               alcove_f, build_lambda_chain,
                                enumerate_admissible, fold, g_graph,
                                is_admissible, phi0)
 from krcrystals.cartan import build_cartan, vec_add, vec_sub
@@ -139,7 +140,7 @@ def test_fold_empty_subset():
     chain = build_lambda_chain(A2, (1, 1))
     fol = fold(chain, ())
     assert fol.weight == (1, 1)
-    assert fol.gamma == chain.roots
+    assert fol.gamma == tuple(k + 1 for k in chain.root_indices)
     assert fol.levels == chain.l
     assert fol.gamma_inf == A2.rho
 
@@ -157,23 +158,24 @@ def test_fold_weight_matches_reflection_oracle(cartan, lam):
         fol = fold(chain, J)
         assert fol.weight == folding_weight_oracle(chain, J)
         assert fol.final_dir.wt_mat == folding_direction_oracle(chain, J)
+        assert tuple(decode_root(cartan, g) for g in fol.gamma) == \
+            folding_gamma_oracle(chain, J)
 
 
 def test_sign_partition_matches_qbg_tags():
+    # J- (folding positions with negative gamma) are the quantum steps
     chain = build_lambda_chain(A2, (1, 1))
     qbg = build_qbg(A2)
     group = qbg.group
     for J in enumerate_admissible(chain):
-        sub = AdmissibleSubset(chain, J)
-        plus, minus = sub.sign_partition()
+        fol = fold(chain, J)
         cur = group.identity.id
         for j in J:
             root_idx = A2._root_index[chain.roots[j - 1]]
             dst, down = qbg.has_edge(cur, root_idx)
-            assert (j in minus) == down
-            assert (j in plus) == (not down)
+            assert (fol.gamma[j - 1] < 0) == down
             cur = dst
-        assert sub.final_direction.id == cur
+        assert fol.final_dir.id == cur
 
 
 # ---------------------------------------------------------------------------

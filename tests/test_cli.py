@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,20 @@ def test_check_alcove_weyl_cap_bounds_the_group():
                 "--weyl-cap", "1"]) == 2
 
 
+def test_alcove_level_zero_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "a.dot"
+    assert run(["alcove", "--type", "A2", "--lambda", "1,1", "--level", "0",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: level must be >= 1\n"
+    assert not out.exists()
+
+
+def test_check_alcove_level_zero_is_usage_error(capsys):
+    assert run(["check", "alcove", "--type", "A2", "--lambda", "1,1",
+                "--level", "0"]) == 2
+    assert capsys.readouterr().err == "error: level must be >= 1\n"
+
+
 def test_check_figure_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     assert run(["check", "figure", "--out", str(out)]) == 0
@@ -169,6 +184,32 @@ def test_alcove_json(tmp_path):
     assert len(data["nodes"]) == 9
     assert all("J" in node for node in data["nodes"])
     assert data["chain"] and all(len(b) == 2 for b in data["chain"])
+
+
+# sha256 of whole CLI outputs: a change to the Weyl-group walk, the folding
+# or the alcove operators that moves one byte of an export fails here
+GOLDEN = [
+    (["alcove", "--type", "A2", "--lambda", "1,1"], "json",
+     "60e3c27e6d5396e31581c373242d5ac1cea4271852731782f323fcaccfaeb02c"),
+    (["alcove", "--type", "A2", "--lambda", "1,1"], "dot",
+     "144125b19b3e14bf6cac1a084bbe393299e0d2a27024e9a6cf5c429403d16277"),
+    (["alcove", "--type", "C2", "--lambda", "1,1", "--level", "2"], "dot",
+     "6f4c05fa7a4bf900832086b36389a2272280597a0fc74e7a3ce4c5d5bd5676ae"),
+    (["alcove", "--type", "D4", "--lambda", "1,0,0,0"], "json",
+     "082763321800e57e2c46b635784317d9e9a3fac23defa878bf9b3f3e8c9ea365"),
+    (["qbg", "--type", "A3"], "dot",
+     "77297d8185915ba33fe42e1ceb295f2c482962a32c4c74c7b65e706f8beb83d9"),
+    (["qbg", "--type", "B3"], "dot",
+     "1214513f126efe51567168b5e1abf8b6e1e8f09e73e4d3a225fe85867c1c3d43"),
+]
+
+
+@pytest.mark.parametrize("args,ext,digest", GOLDEN, ids=[
+    "-".join(args[:1] + args[2::2]) + "." + ext for args, ext, _ in GOLDEN])
+def test_golden_output_bytes(tmp_path, args, ext, digest):
+    out = tmp_path / ("out." + ext)
+    assert run(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_config_preloads_defaults(tmp_path):

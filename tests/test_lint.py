@@ -46,3 +46,12 @@ def test_no_fractions_import(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if _names_fractions(node)]
     assert lines == [], "%s uses fractions on lines %s" % (module, lines)
+
+
+# a name dropped from the package but left in __all__ breaks
+# `from krcrystals import *`
+def test_public_names_resolve():
+    import krcrystals
+    missing = [name for name in krcrystals.__all__
+               if not hasattr(krcrystals, name)]
+    assert missing == []

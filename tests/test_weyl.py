@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from helpers import QBG_TYPES, length_by_inversions, subword_products
-from krcrystals.cartan import build_cartan, vec_neg
+from helpers import (QBG_TYPES, decode_root, length_by_inversions,
+                     root_matrix_of_word, subword_products)
+from krcrystals.cartan import build_cartan, mat_vec, vec_neg
 from krcrystals.errors import ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, build_qbg,
                              build_weyl_group, bruhat_leq, dominantize,
@@ -68,6 +69,21 @@ def test_times_reflection_matches_matrix_products(family, rank):
             expected = group.mul(w, group.reflect(beta))
             assert group.elements[group.times_reflection(w.id, k)] is expected
             assert group.reflect(vec_neg(beta)) is group.reflect(beta)
+
+
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_signed_roots_match_reflection_matrices(family, rank):
+    # w.roots[k] names w(beta_k), with w multiplied out as simple-root-basis
+    # reflection matrices along a reduced word
+    ct = build_cartan(family, rank)
+    group = build_weyl_group(ct)
+    for w in group.elements:
+        mat = root_matrix_of_word(ct, group.reduced_word(w))
+        assert tuple(decode_root(ct, g) for g in w.roots) == \
+            tuple(mat_vec(mat, beta) for beta in ct.positive_roots_list)
+        for beta in ct.positive_roots_list:
+            for root in (beta, vec_neg(beta)):
+                assert w.apply_root(root) == mat_vec(mat, root)
 
 
 def test_w0_maps_positives_to_negatives():
