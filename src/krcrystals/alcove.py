@@ -9,6 +9,17 @@ Heights are exact integers; the piecewise-linear height profile is kept
 in doubled integer arithmetic and cross-checked against the folded
 hyperplane levels at every evaluation, so the two routes to the heights
 (affine reflections vs slope accumulation) must always agree.
+
+Foldings are built incrementally.  One step function, _fold_step, turns
+the folding state (w, v, gamma, levels) of a subset J into that of
+J + (j,) for a position j past J: gamma and levels up to j are copied,
+positions j+1..m are recomputed from w s_{beta_j} and the shifted v.
+enumerate_admissible is an iterative DFS over the quantum Bruhat graph
+that applies this step once per admissible subset and keeps each
+Folding in the chain's map chain.foldings, whose size the node cap
+bounds; fold() reads that map and folds any other subset by the same
+step from the empty folding.  AlcoveCrystal builds one height profile
+per (subset, color) and reads both f_p and e_p from it.
 """
 
 import math
@@ -16,7 +27,8 @@ from dataclasses import dataclass
 
 from .cartan import vec_scale, vec_sub
 from .crystals import AbstractCrystal, explore, DEFAULT_NODE_CAP
-from .errors import InvariantError, NonDominantWeightError
+from .errors import (InvariantError, NonDominantWeightError,
+                     ResourceLimitError)
 from .weyl import DEFAULT_WEYL_CAP, build_qbg, build_weyl_group
 
 
@@ -66,7 +78,7 @@ class LambdaChain:
         for beta, total in counts.items():
             if total != cartan.pairing(beta, lam):
                 raise InvariantError("multiplicity invariant")
-        self._fold_cache = {}
+        self.foldings = {}
 
 
 def build_lambda_chain(cartan, lam, order="lex"):
@@ -86,38 +98,49 @@ class Folding:
     final_dir: object
 
 
-def fold(chain, J):
-    """Fold the chain at the positions of J (admissibility not required).
-    The running product w of the folding reflections is one Weyl element:
-    gamma_k is w(beta_k), read from its signed root permutation, and the
-    weight shift of a folding at beta_k is -l_k w(beta_k), a multiple of a
-    precomputed root weight.  Memoized per chain."""
-    J = tuple(sorted(J))
-    cached = chain._fold_cache.get(J)
-    if cached is not None:
-        return cached
+def _fold_step(chain, group, state, j):
+    """The one folding step.  From the state (Folding, weight shift v) of
+    a subset J and a position j past every position of J, the state of
+    J + (j,): the shift v - l_j gamma_j, the element w s_{beta_j}, the
+    entries of gamma and levels at positions 1..j copied from J's folding
+    (they only see foldings before them) and positions j+1..m recomputed
+    from the new w and v.  state None with j = 0 gives the empty folding,
+    every position computed from the identity."""
     ct = chain.cartan
-    group = build_qbg(ct).group
-    coroots, root_weights = ct._coroots, ct._root_weights
-    jset = set(J)
-    w = group.identity
-    v = (0,) * ct.rank
-    gamma = []
-    levels = []
-    for k, (idx, l) in enumerate(zip(chain.root_indices, chain.l), 1):
-        g = w.roots[idx]
+    if state is None:
+        w, v, gamma, levels = group.identity, (0,) * ct.rank, [], []
+    else:
+        fol, v = state
+        g = fol.gamma[j - 1]
+        sl = chain.l[j - 1] if g > 0 else -chain.l[j - 1]
+        v = vec_sub(v, vec_scale(sl, ct._root_weights[abs(g) - 1]))
+        w = group.elements[group.times_reflection(fol.final_dir.id,
+                                                  chain.root_indices[j - 1])]
+        gamma, levels = list(fol.gamma[:j]), list(fol.levels[:j])
+    roots, coroots = w.roots, ct._coroots
+    for idx, l in zip(chain.root_indices[j:], chain.l[j:]):
+        g = roots[idx]
         gamma.append(g)
-        b = abs(g) - 1
         sl = l if g > 0 else -l
-        levels.append(sl - sum(c * x for c, x in zip(coroots[b], v)))
-        if k in jset:
-            v = vec_sub(v, vec_scale(sl, root_weights[b]))
-            w = group.elements[group.times_reflection(w.id, idx)]
-    weight = vec_sub(w.apply_weight(chain.lam), v)
-    out = Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho), weight,
-                  w)
-    chain._fold_cache[J] = out
-    return out
+        levels.append(sl - sum(c * x for c, x in zip(coroots[abs(g) - 1], v)))
+    return (Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho),
+                    vec_sub(w.apply_weight(chain.lam), v), w), v)
+
+
+def fold(chain, J):
+    """The folding Gamma(J) (admissibility not required).  A subset that
+    enumerate_admissible reached is read from chain.foldings; any other J
+    is folded from the empty folding by _fold_step at each of its
+    positions in ascending order, and is not stored."""
+    J = tuple(sorted(set(J)))
+    fol = chain.foldings.get(J)
+    if fol is not None:
+        return fol
+    group = build_qbg(chain.cartan).group
+    state = _fold_step(chain, group, None, 0)
+    for j in J:
+        state = _fold_step(chain, group, state, j)
+    return state[0]
 
 
 def is_admissible(chain, J):
@@ -132,22 +155,41 @@ def is_admissible(chain, J):
     return True
 
 
-def enumerate_admissible(chain):
-    """All admissible subsets, in DFS order with positions ascending."""
+def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP):
+    """All admissible subsets, in DFS preorder with positions ascending.
+
+    An iterative DFS over the QBG walks 1 -> w_1 -> w_2 -> ...: each stack
+    frame holds a subset, its folding state and the next position to try,
+    and a child J + (j,) is made only when its frame is reached, by one
+    _fold_step from its parent's state, so the stack holds one frame per
+    level of depth.  Each subset's Folding goes into chain.foldings, which
+    fold() reads.  ResourceLimitError as soon as a subset beyond the
+    first node_cap is found."""
     qbg = build_qbg(chain.cartan)
+    group = qbg.group
     indices = chain.root_indices
-    out = []
-
-    def rec(next_pos, w_id, prefix):
-        out.append(tuple(prefix))
-        for j in range(next_pos, chain.m + 1):
-            edge = qbg.has_edge(w_id, indices[j - 1])
-            if edge is not None:
-                prefix.append(j)
-                rec(j + 1, edge[0], prefix)
-                prefix.pop()
-
-    rec(1, qbg.group.identity.id, [])
+    m = chain.m
+    root = _fold_step(chain, group, None, 0)
+    chain.foldings = {(): root[0]}
+    out = [()]
+    stack = [((), root, 1)]
+    while stack:
+        J, state, pos = stack[-1]
+        w_id = state[0].final_dir.id
+        while pos <= m and qbg.has_edge(w_id, indices[pos - 1]) is None:
+            pos += 1
+        if pos > m:
+            stack.pop()
+            continue
+        stack[-1] = (J, state, pos + 1)
+        if len(out) >= node_cap:
+            raise ResourceLimitError("admissible subsets exceed node cap %d"
+                                     % node_cap)
+        child = J + (pos,)
+        child_state = _fold_step(chain, group, state, pos)
+        chain.foldings[child] = child_state[0]
+        out.append(child)
+        stack.append((child, child_state, pos + 1))
     return out
 
 
@@ -184,26 +226,31 @@ def g_graph(chain, J, p):
         base = tuple(1 if j == p - 1 else 0 for j in range(ct.rank))
         sign = 1
     rid = ct._root_index[base] + 1
-    positions = tuple(i for i, g in enumerate(fol.gamma, 1) if abs(g) == rid)
-    heights = tuple(sign * fol.levels[i - 1] for i in positions)
-    l_inf = ct.pairing(base, fol.weight)
+    cor = ct._coroots[rid - 1]
+    l_inf = sum(c * x for c, x in zip(cor, fol.weight))
     h_inf = sign * l_inf
 
-    # slope accumulation for g_{|alpha|}, doubled integers; cross-checks
-    # the reflection-computed levels against the defining slope rule
+    # one pass collects I_alpha and its heights and accumulates the slopes
+    # of g_{|alpha|} in doubled integers, cross-checking the
+    # reflection-computed levels against the defining slope rule
     jset = set(J)
-    val2 = -1
+    positions = [i for i, g in enumerate(fol.gamma, 1)
+                 if g == rid or g == -rid]
+    heights = []
     steps = []
+    val2 = -1
     for i in positions:
+        level = fol.levels[i - 1]
         s1 = 1 if fol.gamma[i - 1] > 0 else -1
         val2 += s1
-        if val2 != 2 * fol.levels[i - 1]:
+        if val2 != 2 * level:
             raise InvariantError("height/slope mismatch at position %d" % i)
-        s2 = s1 * (-1 if i in jset else 1)
+        s2 = -s1 if i in jset else s1
         val2 += s2
+        heights.append(sign * level)
         steps.append(s1)
         steps.append(s2)
-    end_pair = ct.pairing(base, fol.gamma_inf)
+    end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
     if end_pair == 0:
         raise InvariantError("gamma_inf orthogonal to alpha")
     s_end = 1 if end_pair > 0 else -1
@@ -212,17 +259,21 @@ def g_graph(chain, J, p):
     if val2 != 2 * l_inf:
         raise InvariantError("endpoint height mismatch")
 
-    M = max(heights + (h_inf,))
-    return GGraph(p, base, sign, positions, heights, h_inf, l_inf, M,
-                  tuple(steps))
+    M = max(heights + [h_inf])
+    return GGraph(p, base, sign, tuple(positions), tuple(heights), h_inf,
+                  l_inf, M, tuple(steps))
 
 
 def alcove_f(chain, J, p, level=1):
     """The level-l lowering operator f_p on an admissible subset; None when
     the maximum M fails M > l * delta_{p,0}."""
     J = tuple(sorted(J))
-    gg = g_graph(chain, J, p)
-    threshold = level if p == 0 else 0
+    return _f_on(g_graph(chain, J, p), J, level)
+
+
+def _f_on(gg, J, level):
+    """f_p of the sorted subset J, read from its height profile gg."""
+    threshold = level if gg.p == 0 else 0
     if not gg.M > threshold:
         return None
     if gg.M < 0:
@@ -258,8 +309,12 @@ def alcove_e(chain, J, p, level=1):
     """The level-l raising operator e_p; None unless M > <wt(J), alpha_p^vee>
     and M >= l * delta_{p,0}."""
     J = tuple(sorted(J))
-    gg = g_graph(chain, J, p)
-    threshold = level if p == 0 else 0
+    return _e_on(g_graph(chain, J, p), J, level)
+
+
+def _e_on(gg, J, level):
+    """e_p of the sorted subset J, read from its height profile gg."""
+    threshold = level if gg.p == 0 else 0
     if not (gg.M > gg.h_inf and gg.M >= threshold):
         return None
     if gg.M < 0:
@@ -293,10 +348,20 @@ def phi0(chain, J):
 
 
 class AlcoveCrystal(AbstractCrystal):
+    """A_l(Gamma) over sorted subsets.  explore() asks for f_p and then
+    e_p of the same subset, so the last height profile is kept in one
+    slot and each (J, p) profile is built once."""
+
     def __init__(self, chain, level):
         self.chain = chain
         self.level = level
         self.colors = tuple(range(0, chain.cartan.rank + 1))
+        self._last = (None, None)
+
+    def _profile(self, J, color):
+        if self._last[0] != (J, color):
+            self._last = ((J, color), g_graph(self.chain, J, color))
+        return self._last[1]
 
     def weight(self, J):
         return fold(self.chain, J).weight
@@ -305,10 +370,10 @@ class AlcoveCrystal(AbstractCrystal):
         return "[" + ",".join(str(j) for j in J) + "]"
 
     def f(self, J, color):
-        return alcove_f(self.chain, J, color, self.level)
+        return _f_on(self._profile(J, color), J, self.level)
 
     def e(self, J, color):
-        return alcove_e(self.chain, J, color, self.level)
+        return _e_on(self._profile(J, color), J, self.level)
 
 
 def alcove_crystal(cartan, lam, level=1, order="lex",
@@ -320,7 +385,7 @@ def alcove_crystal(cartan, lam, level=1, order="lex",
     # the cap goes in positionally: the same cache key the QBG's group uses
     build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)
-    subsets = enumerate_admissible(chain)
+    subsets = enumerate_admissible(chain, node_cap)
     source = AlcoveCrystal(chain, level)
     graph = explore(cartan, source, subsets, node_cap)
     if len(graph) != len(subsets):

@@ -12,11 +12,13 @@ is being checked against it.
 import math
 from fractions import Fraction
 
+from krcrystals.alcove import Folding
 from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
                                vec_neg, vec_scale, vec_sub)
 from krcrystals.crystals import (CrystalGraph, components, demazure_subset,
                                  hw_crystal, iso_check)
 from krcrystals.errors import AmbiguousAnchorError
+from krcrystals.weyl import build_qbg
 
 
 # the types every QBG/Weyl/alcove test runs over
@@ -182,6 +184,32 @@ def folding_direction_oracle(chain, J):
     for j in sorted(J):
         w = mat_mul(w, ct.reflection_weight_matrix(chain.roots[j - 1]))
     return w
+
+
+def fold_oracle(chain, J):
+    """The folding Gamma(J) in one pass over every chain position from the
+    identity, the loop the library used before its incremental DFS: gamma_k
+    from the running element's signed root permutation, its level from the
+    running weight shift v, and at each k in J the shift by -l_k gamma_k
+    and the product with s_{beta_k}."""
+    ct = chain.cartan
+    group = build_qbg(ct).group
+    jset = set(J)
+    w = group.identity
+    v = (0,) * ct.rank
+    gamma = []
+    levels = []
+    for k, (idx, l) in enumerate(zip(chain.root_indices, chain.l), 1):
+        g = w.roots[idx]
+        gamma.append(g)
+        b = abs(g) - 1
+        sl = l if g > 0 else -l
+        levels.append(sl - sum(c * x for c, x in zip(ct._coroots[b], v)))
+        if k in jset:
+            v = vec_sub(v, vec_scale(sl, ct._root_weights[b]))
+            w = group.elements[group.times_reflection(w.id, idx)]
+    return Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho),
+                   vec_sub(w.apply_weight(chain.lam), v), w)
 
 
 # ---------------------------------------------------------------------------

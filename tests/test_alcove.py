@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import (QBG_TYPES, decode_root, folding_direction_oracle,
-                     folding_gamma_oracle, folding_weight_oracle,
-                     validate_chain)
+from helpers import (QBG_TYPES, decode_root, fold_oracle,
+                     folding_direction_oracle, folding_gamma_oracle,
+                     folding_weight_oracle, validate_chain)
+from krcrystals import alcove
 from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
                                alcove_f, build_lambda_chain,
                                enumerate_admissible, fold, g_graph,
@@ -13,7 +15,7 @@ from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
 from krcrystals.cartan import build_cartan, vec_add, vec_sub
 from krcrystals.crystals import (components, demazure_filter, explore_tensor,
                                  iso_check, match_components, weight_multiset)
-from krcrystals.errors import NonDominantWeightError
+from krcrystals.errors import NonDominantWeightError, ResourceLimitError
 from krcrystals.kr import kr_C_onebox, kr_typeA
 from krcrystals.weyl import build_qbg
 
@@ -21,16 +23,25 @@ A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
 A3 = build_cartan("A", 3)
 C2 = build_cartan("C", 2)
+B3 = build_cartan("B", 3)
+C3 = build_cartan("C", 3)
+D4 = build_cartan("D", 4)
 
 CHAIN_CASES = [
     (A1, (1,)), (A1, (2,)),
     (A2, (1, 0)), (A2, (0, 1)), (A2, (1, 1)), (A2, (2, 0)), (A2, (1, 2)),
     (A3, (0, 1, 0)), (A3, (1, 0, 1)),
     (C2, (1, 0)), (C2, (0, 1)), (C2, (2, 0)), (C2, (1, 1)),
-    (build_cartan("C", 3), (1, 0, 0)),
-    (build_cartan("B", 3), (1, 0, 0)),
-    (build_cartan("D", 4), (1, 0, 0, 0)),
+    (C3, (1, 0, 0)), (B3, (1, 0, 0)), (D4, (1, 0, 0, 0)),
 ]
+
+# multi-column chains whose foldings are checked against fold_oracle
+ORACLE_CASES = [
+    (A2, (2, 1), "lex"), (A3, (2, 2, 1), "lex"), (A3, (2, 2, 1), "revlex"),
+    (B3, (1, 1, 0), "lex"), (C3, (1, 1, 0), "lex"), (D4, (1, 0, 0, 1), "lex"),
+]
+ORACLE_IDS = ["%s%d-%s-%s" % (ct.family, ct.rank, "".join(map(str, lam)),
+                               order) for ct, lam, order in ORACLE_CASES]
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +143,23 @@ def test_enumeration_is_dfs_ordered():
     assert subsets == sorted(subsets)
 
 
+def test_enumeration_stops_at_the_node_cap():
+    chain = build_lambda_chain(A2, (1, 1))
+    assert len(enumerate_admissible(chain, node_cap=9)) == 9
+    with pytest.raises(ResourceLimitError, match="node cap 8"):
+        enumerate_admissible(chain, node_cap=8)
+    assert len(chain.foldings) == 8
+
+
+def test_enumeration_is_not_recursive():
+    # every subset of the 1100 positions is admissible, and the first DFS
+    # path goes 1100 levels deep before the cap is reached
+    chain = build_lambda_chain(A1, (1100,))
+    with pytest.raises(ResourceLimitError):
+        enumerate_admissible(chain, node_cap=1200)
+    assert len(chain.foldings) == 1200
+
+
 # ---------------------------------------------------------------------------
 # foldings
 
@@ -160,6 +188,33 @@ def test_fold_weight_matches_reflection_oracle(cartan, lam):
         assert fol.final_dir.wt_mat == folding_direction_oracle(chain, J)
         assert tuple(decode_root(cartan, g) for g in fol.gamma) == \
             folding_gamma_oracle(chain, J)
+
+
+@pytest.mark.parametrize("cartan,lam,order", ORACLE_CASES, ids=ORACLE_IDS)
+def test_fold_matches_from_scratch_oracle(cartan, lam, order):
+    # the DFS's foldings, and the step applied from the empty folding on a
+    # chain the DFS has not filled, against the one-pass loop
+    chain = build_lambda_chain(cartan, lam, order)
+    fresh = build_lambda_chain(cartan, lam, order)
+    for J in enumerate_admissible(chain):
+        want = fold_oracle(chain, J)
+        assert fold(chain, J) == want
+        assert fold(fresh, J) == want
+    assert fresh.foldings == {}
+
+
+@pytest.mark.parametrize("cartan,lam,order", ORACLE_CASES, ids=ORACLE_IDS)
+def test_fold_of_any_subset_matches_oracle(cartan, lam, order):
+    chain = build_lambda_chain(cartan, lam, order)
+    enumerate_admissible(chain)
+    positions = range(1, chain.m + 1)
+    rng = random.Random(9)
+    subsets = [tuple(positions)] + [
+        tuple(sorted(rng.sample(positions, rng.randint(1, chain.m))))
+        for _ in range(40)]
+    assert sum(not is_admissible(chain, J) for J in subsets) >= 15
+    for J in subsets:
+        assert fold(chain, J) == fold_oracle(chain, J)
 
 
 def test_sign_partition_matches_qbg_tags():
@@ -260,6 +315,19 @@ def test_phi0_formula_equals_string_length(lam):
     for J in enumerate_admissible(chain):
         node = graph.index[J]
         assert phi0(chain, J) == graph.phi(node, 0)
+
+
+def test_each_height_profile_is_built_once(monkeypatch):
+    built = []
+    g_graph = alcove.g_graph
+
+    def counted(chain, J, p):
+        built.append((J, p))
+        return g_graph(chain, J, p)
+
+    monkeypatch.setattr(alcove, "g_graph", counted)
+    graph = alcove_crystal(A3, (1, 1, 1))
+    assert len(built) == len(graph) * (A3.rank + 1) == len(set(built))
 
 
 def test_alcove_crystal_a2_fundamental():

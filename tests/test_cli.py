@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,17 @@ def test_alcove_node_cap_bounds_the_subsets(tmp_path):
     out = tmp_path / "a.dot"
     assert run(["alcove", "--type", "A1", "--lambda", "8",
                 "--node-cap", "100", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_alcove_node_cap_stops_the_enumeration(tmp_path, capsys):
+    # 2^40 admissible subsets: the cap must stop the DFS, not the explore
+    out = tmp_path / "a.dot"
+    start = time.perf_counter()
+    assert run(["alcove", "--type", "A1", "--lambda", "40",
+                "--node-cap", "1000", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 10
+    assert "node cap" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -197,6 +209,10 @@ GOLDEN = [
      "6f4c05fa7a4bf900832086b36389a2272280597a0fc74e7a3ce4c5d5bd5676ae"),
     (["alcove", "--type", "D4", "--lambda", "1,0,0,0"], "json",
      "082763321800e57e2c46b635784317d9e9a3fac23defa878bf9b3f3e8c9ea365"),
+    (["alcove", "--type", "A3", "--lambda", "2,1,1", "--level", "2"], "dot",
+     "ebcc5a096802467536a443afa0217e3c6d26a79ebf1118e0cbd1ee693fa6e2af"),
+    (["alcove", "--type", "B3", "--lambda", "1,1,0"], "json",
+     "3584212e2b91272389562d752f5415ade27296a5baf54cf50c2087a8bb81623e"),
     (["qbg", "--type", "A3"], "dot",
      "77297d8185915ba33fe42e1ceb295f2c482962a32c4c74c7b65e706f8beb83d9"),
     (["qbg", "--type", "B3"], "dot",
