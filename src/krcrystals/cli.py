@@ -80,16 +80,20 @@ def _resolve(args):
     return args
 
 
+def _check_out(path, suffixes=(".dot", ".json")):
+    """Reject an output path of the wrong suffix before anything is built."""
+    if not path.endswith(suffixes):
+        raise UsageError("output must end in %s: %r"
+                         % (" or ".join(suffixes), path))
+
+
 def _write_graph(graph, path, chain=None):
     if path.endswith(".dot"):
         text = graph.to_dot()
-    elif path.endswith(".json"):
-        if chain is not None:
-            text = _alcove_json(graph, chain)
-        else:
-            text = graph.to_json()
+    elif chain is not None:
+        text = _alcove_json(graph, chain)
     else:
-        raise UsageError("output must end in .dot or .json: %r" % path)
+        text = graph.to_json()
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -115,6 +119,7 @@ def _parse_lambda(text, cartan):
 
 
 def cmd_build(args):
+    _check_out(args.out)
     spec = TensorSpec.parse(args.type, args.factors)
     cartan = spec.cartan
     view = args.view or "none"
@@ -124,8 +129,6 @@ def cmd_build(args):
         mode = "head" if view == "demazure" else "tail"
         graph = experiments.build_filtered(cartan, spec.factors, args.level,
                                            mode, args.node_cap)
-    if not args.out:
-        raise UsageError("build needs --out")
     _write_graph(graph, args.out)
     print("wrote %s: %d nodes, %d edges" %
           (args.out, len(graph), graph.edge_count))
@@ -182,10 +185,8 @@ def _require(args, key):
 
 
 def cmd_qbg(args):
-    cartan = parse_type(_require(args, "type"))
-    qbg = build_qbg(cartan, args.weyl_cap)
-    if not args.out:
-        raise UsageError("qbg needs --out")
+    _check_out(args.out, (".dot",))
+    qbg = build_qbg(parse_type(args.type), args.weyl_cap)
     with open(args.out, "w") as fh:
         fh.write(qbg.to_dot())
     print("wrote %s: %d vertices, %d edges"
@@ -194,12 +195,11 @@ def cmd_qbg(args):
 
 
 def cmd_alcove(args):
-    cartan = parse_type(_require(args, "type"))
-    lam = _parse_lambda(_require(args, "lam"), cartan)
+    _check_out(args.out)
+    cartan = parse_type(args.type)
+    lam = _parse_lambda(args.lam, cartan)
     graph = alcove_crystal(cartan, lam, args.level, node_cap=args.node_cap,
                            weyl_cap=args.weyl_cap)
-    if not args.out:
-        raise UsageError("alcove needs --out")
     _write_graph(graph, args.out, chain=graph.chain)
     print("wrote %s: %d admissible subsets, %d edges"
           % (args.out, len(graph), graph.edge_count))

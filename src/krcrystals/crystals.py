@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 
 from .cartan import vec_add, vec_sub
 from .errors import (AmbiguousAnchorError, InvariantError,
@@ -252,13 +253,17 @@ class CrystalGraph:
 
     def to_dot(self):
         lines = ["digraph crystal {"]
-        for i in range(len(self.nodes)):
-            label = self.reprs[i].replace('"', r'\"')
-            lines.append('  n%d [label="%s"];' % (i, label))
-        for (src, c, dst) in self.edges_sorted():
+        lines += ['  n%d [label="%s"];' % (i, r.replace('"', r'\"'))
+                  for i, r in enumerate(self.reprs)]
+        # each color's edge attributes, formatted once
+        tails = []
+        for c in sorted(self.colors):
             color = DOT_EDGE_COLORS.get(c)
             attr = ', color=%s' % color if color else ""
-            lines.append('  n%d -> n%d [label="%d"%s];' % (src, dst, c, attr))
+            tails.append((self.fs[c], ' [label="%d"%s];' % (c, attr)))
+        lines += [f"  n{src} -> n{dst}{tail}"
+                  for src in range(len(self.nodes))
+                  for fc, tail in tails if (dst := fc[src]) is not None]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -422,13 +427,53 @@ class TensorProduct(AbstractCrystal):
         return b[:k] + (g.nodes[img],) + b[k + 1:]
 
 
+def _extend(values, block):
+    """The concatenated blocks block(v) for v in values, with block called
+    once per distinct v (and equal results shared)."""
+    blocks = {v: block(v) for v in set(values)}
+    return list(itertools.chain.from_iterable(map(blocks.__getitem__, values)))
+
+
+def _signature_block(state, rows):
+    """One level of the signature rule as a left fold: the state of a
+    prefix, (surviving '+' count, f offset, e offset), extended by each row
+    (phi, eps, f offset, e offset) of the next factor, as in signature().
+    An offset of 0 means no edge (an edge never has offset 0).  The e
+    offset is reset to 0 once no '+' survives, so it is nonzero exactly
+    where e acts, and prefixes that agree on where f and e act share one
+    state."""
+    plus, df, de = state
+    out = []
+    for phi, eps, f_off, e_off in rows:
+        left = phi - plus
+        if left > 0:
+            p, f = 0, f_off
+        else:
+            p, f = -left, df
+        if eps:
+            e = de if p else e_off
+            p += eps
+        else:
+            e = de if p else 0
+        out.append((p, f, e))
+    return out
+
+
 def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP,
                    affine_complete=None):
     """The full tensor product of explored factor crystals, over mixed-radix
-    ids (rightmost factor fastest, the all_elements() order): one signature
-    per (node, color), f- and e-edges by stride arithmetic, weights and
-    reprs by a prefix product of the factors' lists.  InvariantError if e
-    does not invert f."""
+    ids (rightmost factor fastest, the all_elements() order).
+
+    For each color the signature rule runs level by level, not once per
+    node: the fold state of a prefix of length k is (surviving '+' count,
+    f offset, e offset), the offset of an operator being stride_j·(f_c(i) −
+    i), or e_c, for the factor j and id i it acts on.  Level k + 1 extends
+    every state by one row (phi_i, eps_i, f offset, e offset) per id i of
+    factor k + 1; prefixes with equal states extend alike, so each
+    distinct state of a level is folded once.  After the last factor,
+    f_c(x) = x + f offset and e_c(x) = x + e offset, where nonzero.
+    Weights and reprs come from a prefix product of the factors' lists.
+    InvariantError if e does not invert f."""
     tensor = TensorProduct(factors)
     if affine_complete is None:
         affine_complete = all(g.affine_complete for g in factors)
@@ -439,20 +484,21 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP,
                                  "node cap %d" % (total, node_cap))
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     colors = tensor.colors
-    fs = {c: [None] * total for c in colors}
-    es = {c: [None] * total for c in colors}
-    for x, ids in enumerate(itertools.product(*map(range, sizes))):
-        for c in colors:
-            _, _, k_f, k_e = tensor.signature(ids, c)
-            if k_f is not None:
-                i = ids[k_f]
-                fs[c][x] = x + strides[k_f] * (factors[k_f].fs[c][i] - i)
-            if k_e is not None:
-                i = ids[k_e]
-                es[c][x] = x + strides[k_e] * (factors[k_e].es[c][i] - i)
+    fs, es = {}, {}
+    for c in colors:
+        states = [(0, 0, 0)]
+        for g, stride in zip(factors, strides):
+            eps, phi = g._string_stats(c)
+            rows = [(phi[i], eps[i], 0 if f is None else stride * (f - i),
+                     0 if e is None else stride * (e - i))
+                    for i, (f, e) in enumerate(zip(g.fs[c], g.es[c]))]
+            states = _extend(states, lambda s: _signature_block(s, rows))
+        fs[c] = [x + f if f else None for x, (_, f, _) in enumerate(states)]
+        es[c] = [x + e if e else None for x, (_, _, e) in enumerate(states)]
     weights, reprs = factors[0].weights, factors[0].reprs
     for g in factors[1:]:
-        weights = [vec_add(w, v) for w in weights for v in g.weights]
+        weights = _extend(weights, lambda w: [tuple(map(operator.add, w, v))
+                                              for v in g.weights])
         reprs = [r + " (x) " + s for r in reprs for s in g.reprs]
     graph = CrystalGraph(cartan, colors, tensor.all_elements(), fs, weights,
                          reprs, affine_complete=affine_complete)

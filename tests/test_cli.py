@@ -50,6 +50,53 @@ def test_build_bad_extension(tmp_path):
                 "--out", str(tmp_path / "g.txt")]) == 2
 
 
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """The names of the CLI's graph builders, in call order: each one is
+    wrapped to record its name."""
+    calls = []
+    for owner, name in [(experiments, "build_tensor"),
+                        (experiments, "build_filtered"),
+                        (cli, "alcove_crystal"), (cli, "build_qbg")]:
+        def wrapper(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv,name,expect", [
+    (["build", "--type", "A2", "--factors", "1,1:2,1"], "g.txt",
+     "must end in .dot or .json"),
+    (["build", "--type", "A2", "--factors", "1,1:2,1", "--view", "dual"],
+     "g.txt", "must end in .dot or .json"),
+    (["alcove", "--type", "A2", "--lambda", "1,1"], "a.txt",
+     "must end in .dot or .json"),
+    (["qbg", "--type", "A2"], "q.txt", "must end in .dot:"),
+    (["qbg", "--type", "A2"], "q.json", "must end in .dot:"),
+], ids=["build", "build-dual", "alcove", "qbg-txt", "qbg-json"])
+def test_bad_out_suffix_is_rejected_before_building(
+        tmp_path, capsys, builder_calls, argv, name, expect):
+    out = tmp_path / name
+    assert run(argv + ["--out", str(out)]) == 2
+    assert expect in capsys.readouterr().err
+    assert builder_calls == []
+    assert not out.exists()
+
+
+def test_good_out_suffix_reaches_the_builders(tmp_path, builder_calls):
+    assert run(["build", "--type", "A2", "--factors", "1,1:2,1",
+                "--out", str(tmp_path / "g.dot")]) == 0
+    assert run(["build", "--type", "A2", "--factors", "1,1:2,1",
+                "--view", "dual", "--out", str(tmp_path / "g.json")]) == 0
+    assert run(["alcove", "--type", "A2", "--lambda", "1,0",
+                "--out", str(tmp_path / "a.json")]) == 0
+    assert run(["qbg", "--type", "A2", "--out", str(tmp_path / "q.dot")]) == 0
+    # build_filtered builds its tensor through build_tensor
+    assert builder_calls == ["build_tensor", "build_filtered", "build_tensor",
+                             "alcove_crystal", "build_qbg"]
+
+
 def test_build_deterministic_across_runs(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -198,8 +245,9 @@ def test_alcove_json(tmp_path):
     assert data["chain"] and all(len(b) == 2 for b in data["chain"])
 
 
-# sha256 of whole CLI outputs: a change to the Weyl-group walk, the folding
-# or the alcove operators that moves one byte of an export fails here
+# sha256 of whole CLI outputs: a change to the Weyl-group walk, the folding,
+# the alcove operators, the tensor signature rule or the serializers that
+# moves one byte of an export fails here
 GOLDEN = [
     (["alcove", "--type", "A2", "--lambda", "1,1"], "json",
      "60e3c27e6d5396e31581c373242d5ac1cea4271852731782f323fcaccfaeb02c"),
@@ -217,6 +265,14 @@ GOLDEN = [
      "77297d8185915ba33fe42e1ceb295f2c482962a32c4c74c7b65e706f8beb83d9"),
     (["qbg", "--type", "B3"], "dot",
      "1214513f126efe51567168b5e1abf8b6e1e8f09e73e4d3a225fe85867c1c3d43"),
+    (["build", "--type", "A3", "--factors", "2,1:1,1:3,1"], "dot",
+     "932650013b745ecaed09da97de2c7258c3489fb7b2b9825d31183b1eb572818d"),
+    (["build", "--type", "C3", "--factors", "1,1:1,1:1,1",
+      "--view", "demazure", "--level", "1"], "dot",
+     "3a7c9357a36e4882fc194914f22c5da877e141750695af12c82568836b76b485"),
+    (["build", "--type", "A2", "--factors", "1,2:2,1",
+      "--view", "dual", "--level", "2"], "json",
+     "e3b89fb07cf430847e1f15e8d4b272538a1694399f6b8373457e3da1ffb58d45"),
 ]
 
 

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 
 import pytest
 
@@ -14,7 +16,7 @@ from krcrystals.crystals import (CrystalGraph, TensorProduct,
                                  iso_check, similarity_check,
                                  trivial_crystal, verify_isomorphism,
                                  weight_multiset, weyl_action)
-from krcrystals.experiments import build_filtered
+from krcrystals.experiments import build_factor, build_filtered
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonReducedWordError, ResourceLimitError)
 from krcrystals.kr import (fixture_C2, fundamentals, kr_C_onebox, kr_typeA)
@@ -172,14 +174,64 @@ def test_explore_tensor_matches_seeded_explore(cartan, factors):
     assert got.affine_complete
 
 
-def test_explore_tensor_raises_when_e_does_not_mirror_f(monkeypatch):
-    real = TensorProduct.signature
+def test_explore_tensor_raises_when_e_does_not_mirror_f():
+    # a factor whose e_1 list no longer inverts its f_1 list: the fold reads
+    # e-edges from it, the constructor derives them from the f-edges
+    box = kr_C_onebox(2)
+    bad = box.subgraph(range(len(box)))
+    i = next(i for i, j in enumerate(bad.es[1]) if j is not None)
+    bad.es[1][i] = i
+    with pytest.raises(InvariantError, match="e_1 is not the inverse"):
+        explore_tensor(C2, [box, bad])
 
-    def e_never_acts(self, ids, color):
-        return real(self, ids, color)[:3] + (None,)
-    monkeypatch.setattr(TensorProduct, "signature", e_never_acts)
-    with pytest.raises(InvariantError):
-        explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)])
+
+def random_factor_lists(seed, per_type=4, max_nodes=1500):
+    """Distinct (cartan, factor list) cases from random.Random(seed): 2-5
+    factors per product in A2, A3 and C3 (type-A rectangles, the C one-box),
+    each type's first case with a trivial s = 0 factor, at most max_nodes
+    nodes."""
+    rng = random.Random(seed)
+    pools = {("A", 2): [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)],
+             ("A", 3): [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)],
+             ("C", 3): [(1, 1), (1, 0)]}
+    cases = []
+    for (family, n), pool in pools.items():
+        cartan = build_cartan(family, n)
+        found = []
+        while len(found) < per_type:
+            factors = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
+            if not found:
+                factors.insert(rng.randint(0, len(factors)), (1, 0))
+            graphs = [build_factor(cartan, r, s) for r, s in factors]
+            if factors not in found \
+                    and math.prod(map(len, graphs)) <= max_nodes:
+                found.append(factors)
+        cases += [(cartan, factors) for factors in found]
+    return cases
+
+
+RANDOM_CASES = random_factor_lists(10)
+
+
+@pytest.mark.parametrize("cartan,factors", RANDOM_CASES, ids=[
+    "%s-%s" % (ct.type_name, ":".join("%d,%d" % rs for rs in factors))
+    for ct, factors in RANDOM_CASES])
+def test_explore_tensor_edges_match_the_signature_rule(cartan, factors):
+    graphs = [build_factor(cartan, r, s) for r, s in factors]
+    tensor = TensorProduct(graphs)
+    got = explore_tensor(cartan, graphs)
+    ids = list(itertools.product(*(range(len(g)) for g in graphs)))
+    for x, b in enumerate(ids):
+        for c in tensor.colors:
+            _, _, k_f, k_e = tensor.signature(b, c)
+            for k, step, out in ((k_f, "fs", got.fs[c][x]),
+                                 (k_e, "es", got.es[c][x])):
+                if k is None:
+                    assert out is None
+                else:
+                    want = list(b)
+                    want[k] = getattr(graphs[k], step)[c][b[k]]
+                    assert ids[out] == tuple(want)
 
 
 def test_seminormality_of_constructed_crystals():
