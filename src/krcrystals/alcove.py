@@ -18,11 +18,13 @@ enumerate_admissible is an iterative DFS over the quantum Bruhat graph
 that applies this step once per admissible subset and keeps each
 Folding in the chain's map chain.foldings, whose size the node cap
 bounds; fold() reads that map and folds any other subset by the same
-step from the empty folding.  AlcoveCrystal builds one height profile
-per (subset, color) and reads both f_p and e_p from it.
+step from the empty folding.  _height_profiles builds the r+1 height
+profiles of a subset in one pass over its folding, and AlcoveCrystal
+builds them once per subset and reads every f_p and e_p from them.
 """
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 from .cartan import vec_scale, vec_sub
@@ -78,7 +80,16 @@ class LambdaChain:
         for beta, total in counts.items():
             if total != cartan.pairing(beta, lam):
                 raise InvariantError("multiplicity invariant")
+        # per color p: alpha_p's base root, its sign, its root id and its
+        # coroot; alpha_0 = -theta has base theta and sign -1
+        self.alphas = tuple(
+            (base, sign, cartan._root_index[base] + 1,
+             cartan.coroot_coords(base))
+            for base, sign in [(cartan.theta, -1)] + [
+                (tuple(int(j == p) for j in range(cartan.rank)), 1)
+                for p in range(cartan.rank)])
         self.foldings = {}
+        self._images = {}     # Weyl element id -> (w(rho), w(lambda))
 
 
 def build_lambda_chain(cartan, lam, order="lex"):
@@ -123,36 +134,32 @@ def _fold_step(chain, group, state, j):
         gamma.append(g)
         sl = l if g > 0 else -l
         levels.append(sl - sum(c * x for c, x in zip(coroots[abs(g) - 1], v)))
-    return (Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho),
-                    vec_sub(w.apply_weight(chain.lam), v), w), v)
+    images = chain._images.get(w.id)
+    if images is None:
+        images = chain._images[w.id] = (w.apply_weight(ct.rho),
+                                        w.apply_weight(chain.lam))
+    return (Folding(tuple(gamma), tuple(levels), images[0],
+                    vec_sub(images[1], v), w), v)
 
 
 def fold(chain, J):
     """The folding Gamma(J) (admissibility not required).  A subset that
     enumerate_admissible reached is read from chain.foldings; any other J
     is folded from the empty folding by _fold_step at each of its
-    positions in ascending order, and is not stored."""
+    positions in ascending order, and is not stored.  ValueError for a
+    position outside 1..m."""
     J = tuple(sorted(set(J)))
     fol = chain.foldings.get(J)
     if fol is not None:
         return fol
+    for j in J:
+        if not 1 <= j <= chain.m:
+            raise ValueError("position %d outside 1..%d" % (j, chain.m))
     group = build_qbg(chain.cartan).group
     state = _fold_step(chain, group, None, 0)
     for j in J:
         state = _fold_step(chain, group, state, j)
     return state[0]
-
-
-def is_admissible(chain, J):
-    """Does 1 -> r_{j_1} -> ... walk along quantum Bruhat graph edges?"""
-    qbg = build_qbg(chain.cartan)
-    cur = qbg.group.identity.id
-    for j in sorted(J):
-        edge = qbg.has_edge(cur, chain.root_indices[j - 1])
-        if edge is None:
-            return False
-        cur = edge[0]
-    return True
 
 
 def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP):
@@ -208,60 +215,68 @@ class GGraph:
     positions: tuple      # I_alpha, ascending; infinity is implicit
     heights: tuple        # sgn(alpha) * l_i^J along positions
     h_inf: int            # <wt(J), alpha_p^vee> = height at the right end
-    l_inf: int            # <wt(J), sgn(alpha) alpha^vee>
+    l_inf: int            # <wt(J), |alpha|^vee>
     M: int
     steps: tuple          # slopes of g_{|alpha|} on successive half-steps
+
+
+def _height_profiles(chain, J, fol):
+    """The height profiles of every color p = 0..r for the folding fol of
+    the sorted subset J, from one pass over Gamma(J) that puts each
+    position into the bucket of its |gamma|.  Each distinct |alpha_p| is
+    walked once (in A1, theta = alpha_1): the walk collects I_alpha and
+    its levels and accumulates the slopes of g_{|alpha|} in doubled
+    integers, cross-checking the reflection-computed levels against the
+    defining slope rule.  A color then only applies its sign (p = 0 uses
+    alpha_0 = -theta and the graph reflected in the x-axis)."""
+    gamma, levels = fol.gamma, fol.levels
+    at = {rid: [] for _, _, rid, _ in chain.alphas}
+    for i, g in enumerate(gamma, 1):
+        bucket = at.get(g if g > 0 else -g)
+        if bucket is not None:
+            bucket.append(i)
+    jset = set(J)
+    walks = {}
+    for _, _, rid, cor in chain.alphas:
+        if rid in walks:
+            continue
+        l_inf = sum(c * x for c, x in zip(cor, fol.weight))
+        walked, steps, val2 = [], [], -1
+        for i in at[rid]:
+            level = levels[i - 1]
+            s1 = 1 if gamma[i - 1] > 0 else -1
+            val2 += s1
+            if val2 != 2 * level:
+                raise InvariantError("height/slope mismatch at position %d"
+                                     % i)
+            s2 = -s1 if i in jset else s1
+            val2 += s2
+            walked.append(level)
+            steps += (s1, s2)
+        end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
+        if end_pair == 0:
+            raise InvariantError("gamma_inf orthogonal to alpha")
+        s_end = 1 if end_pair > 0 else -1
+        val2 += s_end
+        steps.append(s_end)
+        if val2 != 2 * l_inf:
+            raise InvariantError("endpoint height mismatch")
+        walks[rid] = (tuple(at[rid]), tuple(walked), l_inf, tuple(steps))
+    out = []
+    for p, (base, sign, rid, _) in enumerate(chain.alphas):
+        positions, walked, l_inf, steps = walks[rid]
+        heights = walked if sign > 0 else tuple(-h for h in walked)
+        h_inf = sign * l_inf
+        out.append(GGraph(p, base, sign, positions, heights, h_inf, l_inf,
+                          max(heights + (h_inf,)), steps))
+    return out
 
 
 def g_graph(chain, J, p):
     """The height profile for color p (p = 0 uses alpha_0 = -theta and the
     graph reflected in the x-axis)."""
     J = tuple(sorted(J))
-    ct = chain.cartan
-    fol = fold(chain, J)
-    if p == 0:
-        base = ct.theta
-        sign = -1
-    else:
-        base = tuple(1 if j == p - 1 else 0 for j in range(ct.rank))
-        sign = 1
-    rid = ct._root_index[base] + 1
-    cor = ct._coroots[rid - 1]
-    l_inf = sum(c * x for c, x in zip(cor, fol.weight))
-    h_inf = sign * l_inf
-
-    # one pass collects I_alpha and its heights and accumulates the slopes
-    # of g_{|alpha|} in doubled integers, cross-checking the
-    # reflection-computed levels against the defining slope rule
-    jset = set(J)
-    positions = [i for i, g in enumerate(fol.gamma, 1)
-                 if g == rid or g == -rid]
-    heights = []
-    steps = []
-    val2 = -1
-    for i in positions:
-        level = fol.levels[i - 1]
-        s1 = 1 if fol.gamma[i - 1] > 0 else -1
-        val2 += s1
-        if val2 != 2 * level:
-            raise InvariantError("height/slope mismatch at position %d" % i)
-        s2 = -s1 if i in jset else s1
-        val2 += s2
-        heights.append(sign * level)
-        steps.append(s1)
-        steps.append(s2)
-    end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
-    if end_pair == 0:
-        raise InvariantError("gamma_inf orthogonal to alpha")
-    s_end = 1 if end_pair > 0 else -1
-    val2 += s_end
-    steps.append(s_end)
-    if val2 != 2 * l_inf:
-        raise InvariantError("endpoint height mismatch")
-
-    M = max(heights + [h_inf])
-    return GGraph(p, base, sign, tuple(positions), tuple(heights), h_inf,
-                  l_inf, M, tuple(steps))
+    return _height_profiles(chain, J, fold(chain, J))[p]
 
 
 def alcove_f(chain, J, p, level=1):
@@ -278,31 +293,30 @@ def _f_on(gg, J, level):
         return None
     if gg.M < 0:
         raise InvariantError("negative maximum on an admissible subset")
-    jset = set(J)
-    m_pos = None  # None encodes infinity
-    for i, h in zip(gg.positions, gg.heights):
-        if h == gg.M:
-            m_pos = i
-            break
-    if m_pos is None:
-        if gg.h_inf != gg.M:
-            raise InvariantError("maximum attained nowhere")
-        if not gg.positions:
-            raise InvariantError(
-                "no predecessor of infinity although M > delta")
-        k_pos = gg.positions[-1]
-    else:
-        if m_pos not in jset:
+    positions = gg.positions
+    if gg.M in gg.heights:
+        idx = gg.heights.index(gg.M)
+        m_pos = positions[idx]
+        if m_pos not in J:
             raise InvariantError(
                 "minimum-position element not a folding position")
-        idx = gg.positions.index(m_pos)
         if idx == 0:
             raise InvariantError("no predecessor although M > delta")
-        k_pos = gg.positions[idx - 1]
-    if k_pos in jset:
+        k_pos = positions[idx - 1]
+    else:  # the maximum is attained at infinity only
+        if gg.h_inf != gg.M:
+            raise InvariantError("maximum attained nowhere")
+        if not positions:
+            raise InvariantError(
+                "no predecessor of infinity although M > delta")
+        m_pos, k_pos = None, positions[-1]
+    if k_pos in J:
         raise InvariantError("predecessor already a folding position")
-    new = jset - {m_pos} | {k_pos}
-    return tuple(sorted(new))
+    new = list(J)
+    if m_pos is not None:
+        new.remove(m_pos)
+    insort(new, k_pos)
+    return tuple(new)
 
 
 def alcove_e(chain, J, p, level=1):
@@ -319,28 +333,26 @@ def _e_on(gg, J, level):
         return None
     if gg.M < 0:
         raise InvariantError("negative maximum on an admissible subset")
-    jset = set(J)
-    k_pos = None
-    for i, h in zip(gg.positions, gg.heights):
-        if h == gg.M:
-            k_pos = i
-    if k_pos is None:
+    positions, heights = gg.positions, gg.heights
+    if gg.M not in heights:
         raise InvariantError("M exceeds the endpoint but is never attained")
-    if k_pos not in jset:
+    idx = len(heights) - 1 - heights[::-1].index(gg.M)
+    k_pos = positions[idx]
+    if k_pos not in J:
         raise InvariantError("maximum-position element not a folding position")
-    idx = gg.positions.index(k_pos)
-    m_pos = gg.positions[idx + 1] if idx + 1 < len(gg.positions) else None
-    if m_pos in jset:
+    m_pos = positions[idx + 1] if idx + 1 < len(positions) else None
+    if m_pos in J:
         raise InvariantError("successor already a folding position")
-    new = jset - {k_pos}
+    new = list(J)
+    new.remove(k_pos)
     if m_pos is not None:
-        new |= {m_pos}
-    return tuple(sorted(new))
+        insort(new, m_pos)
+    return tuple(new)
 
 
 def phi0(chain, J):
     """phi_0(J) = max(M - 1, 0) for the p = 0 height profile."""
-    return max(g_graph(chain, tuple(sorted(J)), 0).M - 1, 0)
+    return max(g_graph(chain, J, 0).M - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +360,9 @@ def phi0(chain, J):
 
 
 class AlcoveCrystal(AbstractCrystal):
-    """A_l(Gamma) over sorted subsets.  explore() asks for f_p and then
-    e_p of the same subset, so the last height profile is kept in one
-    slot and each (J, p) profile is built once."""
+    """A_l(Gamma) over sorted subsets.  explore() asks for f_p and e_p of
+    every color of one subset in a row, so the last subset's height
+    profiles are kept in one slot and each subset's are built once."""
 
     def __init__(self, chain, level):
         self.chain = chain
@@ -358,9 +370,10 @@ class AlcoveCrystal(AbstractCrystal):
         self.colors = tuple(range(0, chain.cartan.rank + 1))
         self._last = (None, None)
 
-    def _profile(self, J, color):
-        if self._last[0] != (J, color):
-            self._last = ((J, color), g_graph(self.chain, J, color))
+    def _profiles(self, J):
+        if self._last[0] != J:
+            self._last = (J, _height_profiles(self.chain, J,
+                                              fold(self.chain, J)))
         return self._last[1]
 
     def weight(self, J):
@@ -370,10 +383,10 @@ class AlcoveCrystal(AbstractCrystal):
         return "[" + ",".join(str(j) for j in J) + "]"
 
     def f(self, J, color):
-        return _f_on(self._profile(J, color), J, self.level)
+        return _f_on(self._profiles(J)[color], J, self.level)
 
     def e(self, J, color):
-        return _e_on(self._profile(J, color), J, self.level)
+        return _e_on(self._profiles(J)[color], J, self.level)
 
 
 def alcove_crystal(cartan, lam, level=1, order="lex",

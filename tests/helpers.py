@@ -12,12 +12,12 @@ is being checked against it.
 import math
 from fractions import Fraction
 
-from krcrystals.alcove import Folding
+from krcrystals.alcove import Folding, GGraph, fold
 from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
                                vec_neg, vec_scale, vec_sub)
 from krcrystals.crystals import (CrystalGraph, components, demazure_subset,
                                  hw_crystal, iso_check)
-from krcrystals.errors import AmbiguousAnchorError
+from krcrystals.errors import AmbiguousAnchorError, InvariantError
 from krcrystals.weyl import build_qbg
 
 
@@ -210,6 +210,66 @@ def fold_oracle(chain, J):
             w = group.elements[group.times_reflection(w.id, idx)]
     return Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho),
                    vec_sub(w.apply_weight(chain.lam), v), w)
+
+
+def is_admissible(chain, J):
+    """Does 1 -> r_{j_1} -> ... walk along quantum Bruhat graph edges?"""
+    qbg = build_qbg(chain.cartan)
+    cur = qbg.group.identity.id
+    for j in sorted(J):
+        edge = qbg.has_edge(cur, chain.root_indices[j - 1])
+        if edge is None:
+            return False
+        cur = edge[0]
+    return True
+
+
+def g_graph_oracle(chain, J, p):
+    """The height profile for color p by its own scan of all m positions
+    of Gamma(J) (the package's fold, which fold_oracle checks), the
+    per-color loop the library used before it built every color's profile
+    from one pass per subset."""
+    J = tuple(sorted(J))
+    ct = chain.cartan
+    fol = fold(chain, J)
+    if p == 0:
+        base = ct.theta
+        sign = -1
+    else:
+        base = tuple(1 if j == p - 1 else 0 for j in range(ct.rank))
+        sign = 1
+    rid = ct._root_index[base] + 1
+    cor = ct._coroots[rid - 1]
+    l_inf = sum(c * x for c, x in zip(cor, fol.weight))
+    h_inf = sign * l_inf
+    jset = set(J)
+    positions = [i for i, g in enumerate(fol.gamma, 1)
+                 if g == rid or g == -rid]
+    heights = []
+    steps = []
+    val2 = -1
+    for i in positions:
+        level = fol.levels[i - 1]
+        s1 = 1 if fol.gamma[i - 1] > 0 else -1
+        val2 += s1
+        if val2 != 2 * level:
+            raise InvariantError("height/slope mismatch at position %d" % i)
+        s2 = -s1 if i in jset else s1
+        val2 += s2
+        heights.append(sign * level)
+        steps.append(s1)
+        steps.append(s2)
+    end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
+    if end_pair == 0:
+        raise InvariantError("gamma_inf orthogonal to alpha")
+    s_end = 1 if end_pair > 0 else -1
+    val2 += s_end
+    steps.append(s_end)
+    if val2 != 2 * l_inf:
+        raise InvariantError("endpoint height mismatch")
+    M = max(heights + [h_inf])
+    return GGraph(p, base, sign, tuple(positions), tuple(heights), h_inf,
+                  l_inf, M, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import (QBG_TYPES, decode_root, fold_oracle,
                      folding_direction_oracle, folding_gamma_oracle,
-                     folding_weight_oracle, validate_chain)
+                     folding_weight_oracle, g_graph_oracle, is_admissible,
+                     validate_chain)
 from krcrystals import alcove
 from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
                                alcove_f, build_lambda_chain,
                                enumerate_admissible, fold, g_graph,
-                               is_admissible, phi0)
+                               phi0)
 from krcrystals.cartan import build_cartan, vec_add, vec_sub
 from krcrystals.crystals import (components, demazure_filter, explore_tensor,
                                  iso_check, match_components, weight_multiset)
-from krcrystals.errors import NonDominantWeightError, ResourceLimitError
+from krcrystals.errors import (InvariantError, NonDominantWeightError,
+                               ResourceLimitError)
 from krcrystals.kr import kr_C_onebox, kr_typeA
 from krcrystals.weyl import build_qbg
 
@@ -217,6 +220,22 @@ def test_fold_of_any_subset_matches_oracle(cartan, lam, order):
         assert fold(chain, J) == fold_oracle(chain, J)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 5])
+def test_positions_outside_the_chain_are_rejected(bad):
+    # m = 4: every public path through fold names the bad position
+    chain = build_lambda_chain(A2, (1, 1))
+    enumerate_admissible(chain)
+    assert chain.m == 4
+    message = "^position %d outside 1..4$" % bad
+    for call in (lambda: fold(chain, (bad,)), lambda: fold(chain, (1, bad)),
+                 lambda: g_graph(chain, (bad,), 1),
+                 lambda: alcove_f(chain, (bad,), 1),
+                 lambda: alcove_e(chain, (bad,), 1),
+                 lambda: phi0(chain, (bad,))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_sign_partition_matches_qbg_tags():
     # J- (folding positions with negative gamma) are the quantum steps
     chain = build_lambda_chain(A2, (1, 1))
@@ -249,6 +268,47 @@ def test_ggraph_a1_basic():
     gg = g_graph(chain, (), 1)
     assert gg.M == 1
     assert alcove_f(chain, (), 1) == (1,)
+
+
+PROFILE_CASES = [(A1, (5,)), (A2, (1, 1)), (C2, (2, 0)), (B3, (1, 1, 0)),
+                 (D4, (1, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+@pytest.mark.parametrize("cartan,lam", PROFILE_CASES, ids=[
+    "%s%d-%s" % (ct.family, ct.rank, "".join(map(str, lam)))
+    for ct, lam in PROFILE_CASES])
+def test_height_profiles_match_per_color_oracle(cartan, lam, order):
+    # every field of every color's profile, from the one-pass builder and
+    # from g_graph, against a separate scan of Gamma(J) per color
+    chain = build_lambda_chain(cartan, lam, order)
+    for J in enumerate_admissible(chain):
+        profiles = alcove._height_profiles(chain, J, fold(chain, J))
+        assert len(profiles) == cartan.rank + 1
+        for p, gg in enumerate(profiles):
+            want = g_graph_oracle(chain, J, p)
+            assert gg == want
+            assert g_graph(chain, J, p) == want
+
+
+@pytest.mark.parametrize("J", [(), (2,), (1, 3)])
+def test_height_profiles_cross_check_the_folding(J):
+    chain = build_lambda_chain(A2, (1, 1))
+    fol = fold(chain, J)
+    build = alcove._height_profiles
+    positions = {i for p in range(3) for i in g_graph(chain, J, p).positions}
+    assert positions
+    for i in positions:
+        levels = list(fol.levels)
+        levels[i - 1] += 1
+        with pytest.raises(InvariantError,
+                           match="^height/slope mismatch at position %d$" % i):
+            build(chain, J, replace(fol, levels=tuple(levels)))
+    with pytest.raises(InvariantError, match="^endpoint height mismatch$"):
+        build(chain, J, replace(fol, weight=vec_add(fol.weight, (1, 0))))
+    with pytest.raises(InvariantError,
+                       match="^gamma_inf orthogonal to alpha$"):
+        build(chain, J, replace(fol, gamma_inf=(0, 0)))
 
 
 @pytest.mark.parametrize("cartan,lam", [(A2, (1, 1)), (A2, (2, 0)),
@@ -318,16 +378,17 @@ def test_phi0_formula_equals_string_length(lam):
 
 
 def test_each_height_profile_is_built_once(monkeypatch):
+    # one builder call per subset makes the profiles of all r + 1 colors
     built = []
-    g_graph = alcove.g_graph
+    build = alcove._height_profiles
 
-    def counted(chain, J, p):
-        built.append((J, p))
-        return g_graph(chain, J, p)
+    def counted(chain, J, fol):
+        built.append(J)
+        return build(chain, J, fol)
 
-    monkeypatch.setattr(alcove, "g_graph", counted)
+    monkeypatch.setattr(alcove, "_height_profiles", counted)
     graph = alcove_crystal(A3, (1, 1, 1))
-    assert len(built) == len(graph) * (A3.rank + 1) == len(set(built))
+    assert len(built) == len(graph) == len(set(built))
 
 
 def test_alcove_crystal_a2_fundamental():

@@ -261,6 +261,10 @@ GOLDEN = [
      "ebcc5a096802467536a443afa0217e3c6d26a79ebf1118e0cbd1ee693fa6e2af"),
     (["alcove", "--type", "B3", "--lambda", "1,1,0"], "json",
      "3584212e2b91272389562d752f5415ade27296a5baf54cf50c2087a8bb81623e"),
+    (["alcove", "--type", "A1", "--lambda", "5", "--level", "2"], "dot",
+     "3ec5bd4d99f81ca7599ca7d4a61669225dad3ccd24f76651a56e52a7099b5b89"),
+    (["alcove", "--type", "D4", "--lambda", "1,0,0,1", "--level", "2"], "dot",
+     "911fff280fc4bb323d2411c82422162384298bfb50fa92fbb6662dad771b84e2"),
     (["qbg", "--type", "A3"], "dot",
      "77297d8185915ba33fe42e1ceb295f2c482962a32c4c74c7b65e706f8beb83d9"),
     (["qbg", "--type", "B3"], "dot",
