@@ -25,7 +25,8 @@ for beta in positive_roots(ct):
 print()
 print("=== the Weyl group and its quantum Bruhat graph ===")
 group = build_weyl_group(ct)
-print("|W| =", len(group), " longest element length =", group.w0.length)
+print("|W| =", len(group), " longest element length =",
+      group.lengths[group.w0])
 qbg = build_qbg(ct)
 ups = sum(1 for (_, down) in qbg.edges.values() if not down)
 downs = qbg.edge_count - ups

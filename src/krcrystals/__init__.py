@@ -5,8 +5,7 @@ operators, plus named verifications of the structural theorems they
 satisfy at desk scale."""
 
 from .cartan import build_cartan, c_value, pairing, parse_type, positive_roots
-from .weyl import (build_qbg, build_weyl_group, bruhat_leq, dominantize,
-                   reflect)
+from .weyl import build_qbg, build_weyl_group, dominantize
 from .crystals import (CrystalGraph, TensorProduct, components,
                        demazure_filter, demazure_subset, explore,
                        explore_tensor, ground_state, hw_census, hw_crystal,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "build_cartan", "c_value", "pairing", "parse_type", "positive_roots",
-    "build_qbg", "build_weyl_group", "bruhat_leq", "dominantize", "reflect",
+    "build_qbg", "build_weyl_group", "dominantize",
     "CrystalGraph", "TensorProduct", "components", "demazure_filter",
     "demazure_subset", "explore", "explore_tensor", "ground_state",
     "hw_census", "hw_crystal", "iso_check", "similarity_check",

@@ -25,9 +25,9 @@ builds them once per subset and reads every f_p and e_p from them.
 
 import math
 from bisect import insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cartan import vec_scale, vec_sub
+from .cartan import mat_vec, vec_scale, vec_sub
 from .crystals import AbstractCrystal, explore, DEFAULT_NODE_CAP
 from .errors import (InvariantError, NonDominantWeightError,
                      ResourceLimitError)
@@ -96,17 +96,16 @@ def build_lambda_chain(cartan, lam, order="lex"):
     return LambdaChain(cartan, lam, order)
 
 
-@dataclass(frozen=True)
-class Folding:
+class Folding(NamedTuple):
     """The folded chain Gamma(J): the signed root ids gamma_k, the
     hyperplane levels, the image of rho under the folding reflections,
     wt(J), and the final direction (the product of the folding
-    reflections, a WeylElement)."""
+    reflections, a Weyl group element id)."""
     gamma: tuple
     levels: tuple
     gamma_inf: tuple
     weight: tuple
-    final_dir: object
+    final_dir: int
 
 
 def _fold_step(chain, group, state, j):
@@ -125,19 +124,19 @@ def _fold_step(chain, group, state, j):
         g = fol.gamma[j - 1]
         sl = chain.l[j - 1] if g > 0 else -chain.l[j - 1]
         v = vec_sub(v, vec_scale(sl, ct._root_weights[abs(g) - 1]))
-        w = group.elements[group.times_reflection(fol.final_dir.id,
-                                                  chain.root_indices[j - 1])]
+        w = group.times_reflection(fol.final_dir, chain.root_indices[j - 1])
         gamma, levels = list(fol.gamma[:j]), list(fol.levels[:j])
-    roots, coroots = w.roots, ct._coroots
+    roots, coroots = group.roots[w], ct._coroots
     for idx, l in zip(chain.root_indices[j:], chain.l[j:]):
         g = roots[idx]
         gamma.append(g)
         sl = l if g > 0 else -l
         levels.append(sl - sum(c * x for c, x in zip(coroots[abs(g) - 1], v)))
-    images = chain._images.get(w.id)
+    images = chain._images.get(w)
     if images is None:
-        images = chain._images[w.id] = (w.apply_weight(ct.rho),
-                                        w.apply_weight(chain.lam))
+        wt = group.wt_mats[w]
+        images = chain._images[w] = (mat_vec(wt, ct.rho),
+                                     mat_vec(wt, chain.lam))
     return (Folding(tuple(gamma), tuple(levels), images[0],
                     vec_sub(images[1], v), w), v)
 
@@ -182,8 +181,8 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP):
     stack = [((), root, 1)]
     while stack:
         J, state, pos = stack[-1]
-        w_id = state[0].final_dir.id
-        while pos <= m and qbg.has_edge(w_id, indices[pos - 1]) is None:
+        w = state[0].final_dir
+        while pos <= m and qbg.has_edge(w, indices[pos - 1]) is None:
             pos += 1
         if pos > m:
             stack.pop()
@@ -204,8 +203,7 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP):
 # the height profile g_alpha and the operators
 
 
-@dataclass(frozen=True)
-class GGraph:
+class GGraph(NamedTuple):
     """Height data of g_{alpha_p} for a folded chain: the positions I_alpha,
     their integer heights sgn(alpha) l_i^J, the endpoint height, the slope
     sequence of the piecewise-linear profile, and the maximum M."""

@@ -152,15 +152,17 @@ def cmd_check(args):
         spec = TensorSpec.parse(args.type, _require(args, "factors"))
         report = experiments.check_bmin(spec.cartan, spec.factors,
                                         args.level, args.node_cap)
-    elif name == "qsystem":
+    elif name in ("qsystem", "qchar"):
         cartan = parse_type(_require(args, "type"))
-        report = experiments.check_qsystem_typeA(
-            cartan.rank, _require(args, "a"), _require(args, "m"),
-            args.level, args.node_cap)
-    elif name == "qchar":
-        cartan = parse_type(_require(args, "type"))
-        report = experiments.check_character_qsystem(
-            cartan.rank, _require(args, "a"), _require(args, "m"))
+        if cartan.family != "A":
+            raise UsageError("check %r runs in type A only, not %s"
+                             % (name, args.type))
+        a, m = _require(args, "a"), _require(args, "m")
+        if name == "qsystem":
+            report = experiments.check_qsystem_typeA(
+                cartan.rank, a, m, args.level, args.node_cap)
+        else:
+            report = experiments.check_character_qsystem(cartan.rank, a, m)
     else:  # alcove
         cartan = parse_type(_require(args, "type"))
         lam = _parse_lambda(_require(args, "lam"), cartan)

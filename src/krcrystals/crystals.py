@@ -16,7 +16,8 @@ import operator
 
 from .cartan import vec_add, vec_sub
 from .errors import (AmbiguousAnchorError, InvariantError,
-                     NonReducedWordError, ResourceLimitError)
+                     NonDominantWeightError, NonReducedWordError,
+                     ResourceLimitError)
 from .weyl import DEFAULT_WEYL_CAP, build_weyl_group
 
 DEFAULT_NODE_CAP = 10 ** 6
@@ -677,7 +678,7 @@ def demazure_subset(graph, word, weyl_cap=DEFAULT_WEYL_CAP):
     """Node ids b with e_{i_1}^max ... e_{i_k}^max b = u_lambda, for a
     reduced word (i_1, ..., i_k)."""
     group = build_weyl_group(graph.cartan, weyl_cap)
-    if group.from_word(word).length != len(word):
+    if group.lengths[group.from_word(word)] != len(word):
         raise NonReducedWordError("word %r is not reduced" % (word,))
     top = highest_weight_node(graph)
     out = []
@@ -759,8 +760,13 @@ def hw_crystal(cartan, lam, fundamentals, node_cap=DEFAULT_NODE_CAP):
     component of the top element in a tensor of fundamental crystals.
 
     fundamentals maps each needed classical node i to an explored crystal
-    whose colors are the classical index set.
+    whose colors are the classical index set.  ValueError for a lambda
+    of the wrong length, NonDominantWeightError for a non-dominant one.
     """
+    if len(lam) != cartan.rank:
+        raise ValueError("lambda needs %d coordinates" % cartan.rank)
+    if not cartan.is_dominant(lam):
+        raise NonDominantWeightError("lambda must be dominant: %r" % (lam,))
     factor_graphs = []
     for i in cartan.classical_index_set:
         factor_graphs.extend([fundamentals[i]] * lam[i - 1])

@@ -5,7 +5,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .cartan import build_cartan, c_value, vec_add, vec_scale
+from .cartan import build_cartan, c_value, mat_vec, vec_add, vec_scale
 from .crystals import (components, demazure_filter, explore_tensor,
                        graphs_equal, hw_census, iso_check, match_components,
                        trivial_crystal, weight_multiset, DEFAULT_NODE_CAP)
@@ -159,7 +159,8 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
     graphs = [build_filtered(cartan, fs, level, mode, node_cap)
               for fs in (factors_b, factors_bp)]
     if mode == "head":
-        anchor_wt = build_weyl_group(cartan, weyl_cap).w0.apply_weight(lam)
+        group = build_weyl_group(cartan, weyl_cap)
+        anchor_wt = mat_vec(group.wt_mats[group.w0], lam)
         anchor_mode = "min"
     else:
         anchor_wt = lam

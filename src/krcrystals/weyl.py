@@ -1,53 +1,17 @@
 """Finite Weyl groups, Bruhat order, the quantum Bruhat graph, and the
-level-l affine dominantization used by the Demazure decomposition checks."""
+level-l affine dominantization used by the Demazure decomposition checks.
+
+A Weyl group element is an integer id into its WeylGroup's tables (signed
+root permutations, weight matrices, lengths and the right-multiplication
+table); the QBG's vertices and edges are keyed on the same ids."""
 
 from functools import lru_cache
 
-from .cartan import (identity_matrix, mat_mul, mat_vec, vec_add, vec_neg,
-                     vec_scale, vec_sub)
+from .cartan import (identity_matrix, mat_mul, vec_add, vec_neg, vec_scale,
+                     vec_sub)
 from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_WEYL_CAP = 10 ** 5
-
-
-class WeylElement:
-    """A finite Weyl group element, canonicalized by its action on the
-    fundamental-weight basis.  Also carries its signed root permutation:
-    roots[k] = +(j + 1) when w(beta_k) = beta_j and -(j + 1) when
-    w(beta_k) = -beta_j, for the positive roots beta_0, beta_1, ... of
-    CartanData.positive_roots_list; and its id, the index into its
-    group's tables."""
-
-    __slots__ = ("wt_mat", "roots", "length", "id", "_hash", "cartan")
-
-    def __init__(self, wt_mat, roots, length, id, cartan):
-        self.wt_mat = wt_mat
-        self.roots = roots
-        self.length = length
-        self.id = id
-        self.cartan = cartan
-        self._hash = hash((cartan, wt_mat))
-
-    def apply_weight(self, weight):
-        return mat_vec(self.wt_mat, weight)
-
-    def apply_root(self, root):
-        """w(beta) for a root beta, read from the signed root permutation."""
-        k = signed_root_id(self.cartan, root)
-        g = self.roots[k - 1] if k > 0 else -self.roots[-k - 1]
-        beta = self.cartan.positive_roots_list[abs(g) - 1]
-        return beta if g > 0 else vec_neg(beta)
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylElement)
-                and self.cartan == other.cartan
-                and self.wt_mat == other.wt_mat)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "W[len=%d]" % self.length
 
 
 def signed_root_id(cartan, root):
@@ -59,16 +23,23 @@ def signed_root_id(cartan, root):
 class WeylGroup:
     """The full finite Weyl group of a CartanData, enumerated once.
 
+    An element is its id, an index 0..|W|-1 into the group's tables:
+    roots[w] is its signed root permutation (roots[w][k] = +(j + 1) when
+    w(beta_k) = beta_j and -(j + 1) when w(beta_k) = -beta_j, for the
+    positive roots beta_0, beta_1, ... of CartanData.positive_roots_list),
+    wt_mats[w] its matrix on the fundamental-weight basis, lengths[w] its
+    length and right[w][i - 1] the id of w s_i.
+
     The breadth-first walk of the Cayley graph keys each element on its
     signed root permutation (faithful: W acts faithfully on the roots), so
     a step w -> w s_i permutes one tuple through the signed table of s_i;
     the weight matrix is multiplied once per element, from its parent.
-    Elements are indexed 0..|W|-1, sorted by (length, weight matrix), so
-    the identity is element 0 and w0 is the last element.  Products are
-    read from the right-multiplication table: right[w][i - 1] is the id of
-    w s_i.  Each positive root beta_k keeps a reduced word of s_beta, so
-    w s_beta is a few table lookups (Bjorner-Brenti, ch. 1-2, 4).
+    Ids are sorted by (length, weight matrix), so the identity is 0 and
+    w0 is the last id.  Each positive root beta_k keeps a reduced word of
+    s_beta, so w s_beta is a few table lookups (Bjorner-Brenti, ch. 1-2, 4).
     """
+
+    identity = 0
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
@@ -109,41 +80,37 @@ class WeylGroup:
         ids = [0] * len(walk)
         for k, d in enumerate(order):
             ids[d] = k
-        self.elements = [WeylElement(walk[d][1], walk[d][0], walk[d][2], k,
-                                     cartan) for k, d in enumerate(order)]
-        self.index = {w.wt_mat: w.id for w in self.elements}
-        self.lengths = [w.length for w in self.elements]
-        self.right = [tuple(ids[x] for x in steps[d]) for d in order]
-        self.identity = self.elements[0]
-        self.simple = {i: self.elements[self.right[0][i - 1]]
-                       for i in range(1, n + 1)}
+        self.roots = tuple(walk[d][0] for d in order)
+        self.wt_mats = tuple(walk[d][1] for d in order)
+        self.lengths = tuple(walk[d][2] for d in order)
+        self.right = tuple(tuple(ids[x] for x in steps[d]) for d in order)
+        self.index = {wt: w for w, wt in enumerate(self.wt_mats)}
         if self.lengths.count(self.lengths[-1]) != 1:
             raise InvariantError("longest element not unique")
-        self.w0 = self.elements[-1]
+        self.w0 = len(order) - 1
         self.reflections = tuple(
             self.index[cartan.reflection_weight_matrix(beta)]
             for beta in pos)
-        self._reflection_words = tuple(self._word(r) for r in self.reflections)
+        self._reflection_words = tuple(self.reduced_word(r)
+                                       for r in self.reflections)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.lengths)
 
     def mul(self, v, w):
         """v w by matrix product: the oracle the table is checked against."""
-        wt = mat_mul(v.wt_mat, w.wt_mat)
-        return self.elements[self.index[wt]]
+        return self.index[mat_mul(self.wt_mats[v], self.wt_mats[w])]
 
     def times_reflection(self, w, k):
-        """The id of w s_beta for the k-th positive root beta."""
+        """w s_beta for the k-th positive root beta."""
         right = self.right
         for i in self._reflection_words[k]:
             w = right[w][i - 1]
         return w
 
     def reflect(self, root):
-        """s_beta as a group element, for any root beta."""
-        k = abs(signed_root_id(self.cartan, root)) - 1
-        return self.elements[self.reflections[k]]
+        """s_beta, for any root beta."""
+        return self.reflections[abs(signed_root_id(self.cartan, root)) - 1]
 
     def _descent(self, w):
         """Smallest 0-based i with l(w s_{i+1}) < l(w); w is not e."""
@@ -151,8 +118,8 @@ class WeylGroup:
         return next(i for i, ws in enumerate(self.right[w])
                     if lengths[ws] < lengths[w])
 
-    def _word(self, w):
-        """The greedy smallest-descent reduced word of the element id w."""
+    def reduced_word(self, w):
+        """The greedy smallest-descent reduced word of w."""
         word = []
         length = self.lengths[w]
         while self.lengths[w] > 0:
@@ -164,15 +131,11 @@ class WeylGroup:
             raise InvariantError("reduced word of the wrong length")
         return tuple(word)
 
-    def reduced_word(self, w):
-        """One reduced word of w, recovered by greedy descent."""
-        return self._word(w.id)
-
     def from_word(self, word):
         w = 0
         for i in word:
             w = self.right[w][i - 1]
-        return self.elements[w]
+        return w
 
     def all_reduced_words(self, w):
         """Every reduced word of w (exhaustive; fine at desk scale)."""
@@ -184,13 +147,12 @@ class WeylGroup:
             return [word + (i + 1,) for i, ws in enumerate(right[w])
                     if lengths[ws] < lengths[w] for word in words(ws)]
 
-        return words(w.id)
+        return words(w)
 
     def bruhat_leq(self, v, w):
         """Strong Bruhat order by the lifting property: for a right
         descent s of w, v <= w iff min(v, vs) <= ws."""
         lengths, right = self.lengths, self.right
-        v, w = v.id, w.id
         while lengths[v] <= lengths[w]:
             if lengths[w] == 0:
                 return True
@@ -204,15 +166,6 @@ class WeylGroup:
 @lru_cache(maxsize=None)
 def build_weyl_group(cartan, cap=DEFAULT_WEYL_CAP):
     return WeylGroup(cartan, cap)
-
-
-def reflect(cartan, root):
-    """The reflection s_beta in the finite Weyl group."""
-    return build_weyl_group(cartan).reflect(root)
-
-
-def bruhat_leq(cartan, v, w):
-    return build_weyl_group(cartan).bruhat_leq(v, w)
 
 
 class QuantumBruhatGraph:
@@ -229,7 +182,7 @@ class QuantumBruhatGraph:
                          for beta in pos]
 
         edges = {}        # (src_id, root_idx) -> (dst_id, is_down)
-        out = [[] for _ in group.elements]
+        out = [[] for _ in range(len(group))]
         for src_id in range(len(group)):
             for root_idx in range(len(pos)):
                 dst_id = group.times_reflection(src_id, root_idx)
@@ -282,8 +235,8 @@ class QuantumBruhatGraph:
     def to_dot(self):
         pos = self.cartan.positive_roots_list
         lines = ["digraph qbg {"]
-        for i, w in enumerate(self.group.elements):
-            word = self.group.reduced_word(w)
+        for i in range(len(self.group)):
+            word = self.group.reduced_word(i)
             label = "e" if not word else "".join("s%d" % j for j in word)
             lines.append('  n%d [label="%s"];' % (i, label))
         for src_id, lst in enumerate(self.out):

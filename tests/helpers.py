@@ -74,10 +74,12 @@ def length_by_inversions(cartan, word):
 def subword_products(group, w):
     """All subword products of one reduced word of w; this set is the
     Bruhat lower interval [e, w]."""
+    n = group.cartan.rank
     word = group.reduced_word(w)
     out = {group.identity}
     for i in word:
-        out |= {group.mul(v, group.simple[i]) for v in out}
+        s = group.reflect(tuple(int(j == i - 1) for j in range(n)))
+        out |= {group.mul(v, s) for v in out}
     return out
 
 
@@ -200,22 +202,23 @@ def fold_oracle(chain, J):
     gamma = []
     levels = []
     for k, (idx, l) in enumerate(zip(chain.root_indices, chain.l), 1):
-        g = w.roots[idx]
+        g = group.roots[w][idx]
         gamma.append(g)
         b = abs(g) - 1
         sl = l if g > 0 else -l
         levels.append(sl - sum(c * x for c, x in zip(ct._coroots[b], v)))
         if k in jset:
             v = vec_sub(v, vec_scale(sl, ct._root_weights[b]))
-            w = group.elements[group.times_reflection(w.id, idx)]
-    return Folding(tuple(gamma), tuple(levels), w.apply_weight(ct.rho),
-                   vec_sub(w.apply_weight(chain.lam), v), w)
+            w = group.times_reflection(w, idx)
+    wt = group.wt_mats[w]
+    return Folding(tuple(gamma), tuple(levels), mat_vec(wt, ct.rho),
+                   vec_sub(mat_vec(wt, chain.lam), v), w)
 
 
 def is_admissible(chain, J):
     """Does 1 -> r_{j_1} -> ... walk along quantum Bruhat graph edges?"""
     qbg = build_qbg(chain.cartan)
-    cur = qbg.group.identity.id
+    cur = qbg.group.identity
     for j in sorted(J):
         edge = qbg.has_edge(cur, chain.root_indices[j - 1])
         if edge is None:
@@ -406,7 +409,7 @@ def decomposes_into_demazure(cartan, funds, group, mu, lam, word):
         if not cartan.is_dominant(kappa):
             return False
         ambient = hw_crystal(cartan, kappa, funds)
-        for v in group.elements:
+        for v in range(len(group)):
             cand = ambient.subgraph(
                 demazure_subset(ambient, group.reduced_word(v)))
             if len(cand) == len(comp) and \

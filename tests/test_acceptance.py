@@ -224,7 +224,7 @@ def test_criterion_8e_demazure_word_independence_suite():
     for cartan in (A2, C2):
         graph = hw_crystal(cartan, (1, 1), fundamentals(cartan))
         group = build_weyl_group(cartan)
-        for w in group.elements:
+        for w in range(len(group)):
             words = group.all_reduced_words(w)
             results = {tuple(demazure_subset(graph, word)) for word in words}
             assert len(results) == 1
@@ -241,7 +241,7 @@ def test_criterion_8f_qbg_suite():
         qbg = build_qbg(ct)
         assert qbg.is_strongly_connected()
         for (src, k), (dst, down) in qbg.edges.items():
-            drop = group.elements[src].length - group.elements[dst].length
+            drop = group.lengths[src] - group.lengths[dst]
             beta = ct.positive_roots_list[k]
             if down:
                 assert drop == 2 * ct.pairing(beta, ct.rho) - 1

@@ -172,6 +172,22 @@ def test_check_qsystem(tmp_path):
                 "--m", "2", "--level", "2"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "qsystem", "--type", "C3", "--a", "1", "--m", "2",
+     "--level", "2"],
+    ["check", "qchar", "--type", "D4", "--a", "1", "--m", "2"],
+], ids=["qsystem-C3", "qchar-D4"])
+def test_check_qsystem_rejects_other_families(tmp_path, capsys, argv):
+    # both checks are type-A statements: another family must not run the
+    # type-A instance of the same rank
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: check %r runs in type A only, not %s\n"
+        % (argv[1], argv[3]))
+    assert not out.exists()
+
+
 def test_check_reduction_cli():
     assert run(["check", "reduction", "--type", "C2",
                 "--factors", "1,1:1,1", "--factors2", "1,2",
@@ -269,6 +285,10 @@ GOLDEN = [
      "77297d8185915ba33fe42e1ceb295f2c482962a32c4c74c7b65e706f8beb83d9"),
     (["qbg", "--type", "B3"], "dot",
      "1214513f126efe51567168b5e1abf8b6e1e8f09e73e4d3a225fe85867c1c3d43"),
+    (["qbg", "--type", "C3"], "dot",
+     "448b7af708b9a13f953829dbe9ef1591e2535266ee721868f4256cb60af361d3"),
+    (["qbg", "--type", "D4"], "dot",
+     "f132771571fb210d0b760daa9ddd264e979bed9e166743f9ed3fd1ce367ad9a6"),
     (["build", "--type", "A3", "--factors", "2,1:1,1:3,1"], "dot",
      "932650013b745ecaed09da97de2c7258c3489fb7b2b9825d31183b1eb572818d"),
     (["build", "--type", "C3", "--factors", "1,1:1,1:1,1",
@@ -277,11 +297,20 @@ GOLDEN = [
     (["build", "--type", "A2", "--factors", "1,2:2,1",
       "--view", "dual", "--level", "2"], "json",
      "e3b89fb07cf430847e1f15e8d4b272538a1694399f6b8373457e3da1ffb58d45"),
+    # the head-mode anchor is w0(lambda), read from the Weyl group; the
+    # second lambda, (1, 1), is regular, so no other element gives its anchor
+    (["check", "reduction", "--type", "A2", "--factors", "1,1:1,1",
+      "--factors2", "1,2", "--level", "2"], "json",
+     "7e179d06e0b590aace6de43e8f457c541eef95dd5094ad0f47cfb9169889c76b"),
+    (["check", "reduction", "--type", "A2", "--factors", "1,1:2,1",
+      "--factors2", "2,1:1,1", "--level", "2"], "json",
+     "5da3b1bbb21157cc9f2c264355c40df398aaae8bc2077b2b302b0c9940e9ce9d"),
 ]
 
 
 @pytest.mark.parametrize("args,ext,digest", GOLDEN, ids=[
-    "-".join(args[:1] + args[2::2]) + "." + ext for args, ext, _ in GOLDEN])
+    "-".join(a for a in args if not a.startswith("--")) + "." + ext
+    for args, ext, _ in GOLDEN])
 def test_golden_output_bytes(tmp_path, args, ext, digest):
     out = tmp_path / ("out." + ext)
     assert run(args + ["--out", str(out)]) == 0

@@ -18,7 +18,8 @@ from krcrystals.crystals import (CrystalGraph, TensorProduct,
                                  weight_multiset, weyl_action)
 from krcrystals.experiments import build_factor, build_filtered
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
-                               NonReducedWordError, ResourceLimitError)
+                               NonDominantWeightError, NonReducedWordError,
+                               ResourceLimitError)
 from krcrystals.kr import (fixture_C2, fundamentals, kr_C_onebox, kr_typeA)
 from krcrystals.weyl import build_weyl_group
 
@@ -417,6 +418,20 @@ def test_demazure_subset_extremes():
     assert len(demazure_subset(graph, (1,))) == 2
 
 
+@pytest.mark.parametrize("lam", [(-1, 0), (0, -1), (2, -1)])
+def test_hw_crystal_rejects_non_dominant_lambda(lam):
+    # (-1, 0) used to give the one-node crystal of weight (0, 0)
+    with pytest.raises(NonDominantWeightError,
+                       match=r"^lambda must be dominant: \(%d, %d\)$" % lam):
+        hw_crystal(A2, lam, fundamentals(A2))
+
+
+@pytest.mark.parametrize("lam", [(), (1,), (1, 0, 0)])
+def test_hw_crystal_rejects_lambda_of_wrong_length(lam):
+    with pytest.raises(ValueError, match="^lambda needs 2 coordinates$"):
+        hw_crystal(A2, lam, fundamentals(A2))
+
+
 def test_demazure_subset_rejects_nonreduced():
     graph = hw_crystal(A2, (1, 0), fundamentals(A2))
     with pytest.raises(NonReducedWordError):
@@ -429,7 +444,7 @@ def test_demazure_subset_word_independence(family, rank, lam):
     ct = build_cartan(family, rank)
     graph = hw_crystal(ct, lam, fundamentals(ct))
     group = build_weyl_group(ct)
-    for w in group.elements:
+    for w in range(len(group)):
         results = {tuple(demazure_subset(graph, word))
                    for word in group.all_reduced_words(w)}
         assert len(results) == 1
@@ -441,11 +456,11 @@ def test_bruhat_order_matches_demazure_containment(family, rank, lam):
     ct = build_cartan(family, rank)
     graph = hw_crystal(ct, lam, fundamentals(ct))
     group = build_weyl_group(ct)
-    subsets = {w.id: set(demazure_subset(graph, group.reduced_word(w)))
-               for w in group.elements}
-    for v in group.elements:
-        for w in group.elements:
-            contained = subsets[v.id] <= subsets[w.id]
+    subsets = {w: set(demazure_subset(graph, group.reduced_word(w)))
+               for w in range(len(group))}
+    for v in range(len(group)):
+        for w in range(len(group)):
+            contained = subsets[v] <= subsets[w]
             assert contained == group.bruhat_leq(v, w)
 
 
@@ -455,7 +470,7 @@ def test_excellent_filtration_a2():
     small = [(1, 0), (0, 1), (1, 1)]
     for mu in small:
         for lam in small:
-            for w in group.elements:
+            for w in range(len(group)):
                 assert decomposes_into_demazure(
                     A2, funds, group, mu, lam, group.reduced_word(w))
 
@@ -466,7 +481,7 @@ def test_excellent_filtration_c2():
     small = [(1, 0), (0, 1)]
     for mu in small:
         for lam in small:
-            for w in group.elements:
+            for w in range(len(group)):
                 assert decomposes_into_demazure(
                     C2, funds, group, mu, lam, group.reduced_word(w))
 

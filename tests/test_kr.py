@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from krcrystals.cartan import build_cartan, vec_add, vec_sub
+from krcrystals.cartan import build_cartan, mat_vec, vec_add, vec_sub
 from krcrystals.crystals import (components, demazure_filter, explore_tensor,
                                  graphs_equal, hw_census, similarity_check)
 from krcrystals.errors import UnsupportedFactorError
@@ -95,8 +95,9 @@ def test_kr_typeA_seminormal_and_irreducible(n, r, s):
     lam = tuple(s if j == r - 1 else 0 for j in range(n))
     assert hw_census(g, g.cartan.classical_index_set) == [lam]
     assert g.weights[g.extremal("max")] == lam
-    w0 = build_weyl_group(g.cartan).w0
-    assert g.weights[g.extremal("min")] == w0.apply_weight(lam)
+    group = build_weyl_group(g.cartan)
+    assert g.weights[g.extremal("min")] == mat_vec(group.wt_mats[group.w0],
+                                                   lam)
 
 
 def test_zero_arrow_weight_rule_picks_orientation():

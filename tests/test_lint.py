@@ -55,3 +55,14 @@ def test_public_names_resolve():
     missing = [name for name in krcrystals.__all__
                if not hasattr(krcrystals, name)]
     assert missing == []
+
+
+# a Weyl group element is an id into its WeylGroup's tables: no second
+# element type, and no module-level wrapper that builds a default-cap group
+# behind the caller's back
+@pytest.mark.parametrize("name", ["WeylElement", "reflect", "bruhat_leq"])
+def test_weyl_has_one_element_representation(name):
+    import krcrystals
+    from krcrystals import weyl
+    assert not hasattr(weyl, name)
+    assert not hasattr(krcrystals, name)

@@ -7,8 +7,7 @@ from helpers import (QBG_TYPES, decode_root, length_by_inversions,
 from krcrystals.cartan import build_cartan, mat_vec, vec_neg
 from krcrystals.errors import ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, build_qbg,
-                             build_weyl_group, bruhat_leq, dominantize,
-                             reflect)
+                             build_weyl_group, dominantize)
 
 
 def test_group_orders():
@@ -19,78 +18,82 @@ def test_group_orders():
 
 def test_reflect_simple_on_weight():
     ct = build_cartan("A", 2)
-    s1 = reflect(ct, (1, 0))
+    group = build_weyl_group(ct)
+    s1 = group.reflect((1, 0))
     # s_1(pi_1) = pi_1 - alpha_1
-    assert s1.apply_weight((1, 0)) == (1 - 2, 0 + 1)
-    assert s1.length == 1
+    assert mat_vec(group.wt_mats[s1], (1, 0)) == (1 - 2, 0 + 1)
+    assert group.lengths[s1] == 1
 
 
 def test_reflect_theta_length():
     ct = build_cartan("A", 2)
-    s_theta = reflect(ct, ct.theta)
+    group = build_weyl_group(ct)
+    s_theta = group.reflect(ct.theta)
     # oracle: count inversions of s_1 s_2 s_1
     assert length_by_inversions(ct, (1, 2, 1)) == 3
-    assert s_theta.length == 3
+    assert group.lengths[s_theta] == 3
 
 
 def test_reflections_are_involutions():
     for family, rank in [("A", 2), ("C", 2)]:
         ct = build_cartan(family, rank)
         group = build_weyl_group(ct)
-        for beta in ct.positive_roots_list:
-            s = reflect(ct, beta)
-            assert group.mul(s, s) is group.identity
-            assert s.apply_root(beta) == vec_neg(beta)
+        for k, beta in enumerate(ct.positive_roots_list):
+            s = group.reflect(beta)
+            assert group.mul(s, s) == group.identity == 0
+            # s_beta(beta_k) = -beta_k
+            assert group.roots[s][k] == -(k + 1)
 
 
 def test_lengths_match_inversion_oracle():
     for family, rank in QBG_TYPES:
         ct = build_cartan(family, rank)
         group = build_weyl_group(ct)
-        for w in group.elements:
+        for w in range(len(group)):
             word = group.reduced_word(w)
-            assert length_by_inversions(ct, word) == w.length == len(word)
+            assert length_by_inversions(ct, word) == group.lengths[w] \
+                == len(word)
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_right_table_matches_matrix_products(family, rank):
     group = build_weyl_group(build_cartan(family, rank))
-    for w in group.elements:
-        for i, ws in enumerate(group.right[w.id], 1):
-            assert group.elements[ws] is group.mul(w, group.simple[i])
+    simple = [group.reflect(tuple(int(j == i) for j in range(rank)))
+              for i in range(rank)]
+    for w in range(len(group)):
+        for i, ws in enumerate(group.right[w]):
+            assert ws == group.mul(w, simple[i])
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_times_reflection_matches_matrix_products(family, rank):
     ct = build_cartan(family, rank)
     group = build_weyl_group(ct)
-    for w in group.elements:
+    for w in range(len(group)):
         for k, beta in enumerate(ct.positive_roots_list):
             expected = group.mul(w, group.reflect(beta))
-            assert group.elements[group.times_reflection(w.id, k)] is expected
-            assert group.reflect(vec_neg(beta)) is group.reflect(beta)
+            assert group.times_reflection(w, k) == expected
+            assert group.reflect(vec_neg(beta)) == group.reflect(beta)
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_signed_roots_match_reflection_matrices(family, rank):
-    # w.roots[k] names w(beta_k), with w multiplied out as simple-root-basis
+    # roots[w][k] names w(beta_k), with w multiplied out as simple-root-basis
     # reflection matrices along a reduced word
     ct = build_cartan(family, rank)
     group = build_weyl_group(ct)
-    for w in group.elements:
+    for w in range(len(group)):
         mat = root_matrix_of_word(ct, group.reduced_word(w))
-        assert tuple(decode_root(ct, g) for g in w.roots) == \
+        assert tuple(decode_root(ct, g) for g in group.roots[w]) == \
             tuple(mat_vec(mat, beta) for beta in ct.positive_roots_list)
-        for beta in ct.positive_roots_list:
-            for root in (beta, vec_neg(beta)):
-                assert w.apply_root(root) == mat_vec(mat, root)
 
 
 def test_w0_maps_positives_to_negatives():
     for family, rank in QBG_TYPES:
         ct = build_cartan(family, rank)
-        w0 = build_weyl_group(ct).w0
-        images = {w0.apply_root(beta) for beta in ct.positive_roots_list}
+        group = build_weyl_group(ct)
+        assert group.w0 == len(group) - 1
+        images = {decode_root(ct, g) for g in group.roots[group.w0]}
         assert images == {vec_neg(beta) for beta in ct.positive_roots_list}
 
 
@@ -118,14 +121,14 @@ def test_qbg_a2_against_brute_force():
     group = build_weyl_group(ct)
     qbg = build_qbg(ct)
     expected = set()
-    for w in group.elements:
+    for w in range(len(group)):
         for k, beta in enumerate(ct.positive_roots_list):
             word_w = group.reduced_word(w)
             ws = group.mul(w, group.reflect(beta))
             lw = length_by_inversions(ct, word_w)
             lws = length_by_inversions(ct, group.reduced_word(ws))
             if lws == lw + 1 or lws == lw - 2 * ct.pairing(beta, ct.rho) + 1:
-                expected.add((w.id, k))
+                expected.add((w, k))
     assert set(qbg.edges) == expected
     assert qbg.edge_count == 15
 
@@ -137,8 +140,8 @@ def test_qbg_strong_connectivity_and_down_identity(family, rank):
     qbg = build_qbg(ct)
     assert qbg.is_strongly_connected()
     for (src, k), (dst, down) in qbg.edges.items():
-        lw = group.elements[src].length
-        lws = group.elements[dst].length
+        lw = group.lengths[src]
+        lws = group.lengths[dst]
         beta = ct.positive_roots_list[k]
         if down:
             assert lw - lws == 2 * ct.pairing(beta, ct.rho) - 1
@@ -167,25 +170,24 @@ def test_qbg_dot_output():
 
 def test_bruhat_extremes():
     group = build_weyl_group(build_cartan("A", 2))
-    for w in group.elements:
+    for w in range(len(group)):
         assert group.bruhat_leq(group.identity, w)
-        assert group.bruhat_leq(group.w0, w) == (w is group.w0)
+        assert group.bruhat_leq(group.w0, w) == (w == group.w0)
 
 
 def test_bruhat_a2_example():
-    ct = build_cartan("A", 2)
-    group = build_weyl_group(ct)
-    s1 = group.simple[1]
-    s2s1 = group.mul(group.simple[2], s1)
-    assert bruhat_leq(ct, s1, s2s1)
+    group = build_weyl_group(build_cartan("A", 2))
+    s1 = group.reflect((1, 0))
+    s2s1 = group.mul(group.reflect((0, 1)), s1)
+    assert group.bruhat_leq(s1, s2s1)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
 def test_bruhat_against_subword_oracle(family, rank):
     group = build_weyl_group(build_cartan(family, rank))
-    for w in group.elements:
+    for w in range(len(group)):
         lower = subword_products(group, w)
-        for v in group.elements:
+        for v in range(len(group)):
             assert group.bruhat_leq(v, w) == (v in lower)
 
 
