@@ -8,7 +8,7 @@ Run:  python3 demos/03_demazure_filtrations.py
 from krcrystals import (build_cartan, check_bmin, check_reduction,
                         fixture_C2, kr_C_onebox)
 from krcrystals.crystals import (components, demazure_filter, explore_tensor,
-                                 graphs_equal, hw_census, iso_check)
+                                 graphs_equal, iso_check)
 
 ct = build_cartan("C", 2)
 box = kr_C_onebox(2)

@@ -47,6 +47,8 @@ class LambdaChain:
 
     def __init__(self, cartan, lam, order="lex"):
         lam = tuple(lam)
+        if len(lam) != cartan.rank:
+            raise ValueError("lambda needs %d coordinates" % cartan.rank)
         if not cartan.is_dominant(lam):
             raise NonDominantWeightError("lambda must be dominant: %r" % (lam,))
         if order not in ("lex", "revlex"):

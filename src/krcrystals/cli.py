@@ -89,11 +89,10 @@ def _check_out(path, suffixes=(".dot", ".json")):
 
 def _write_graph(graph, path, chain=None):
     if path.endswith(".dot"):
-        text = graph.to_dot()
-    elif chain is not None:
-        text = _alcove_json(graph, chain)
-    else:
-        text = graph.to_json()
+        with open(path, "w") as fh:
+            graph.to_dot(fh)
+        return
+    text = graph.to_json() if chain is None else _alcove_json(graph, chain)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -190,7 +189,7 @@ def cmd_qbg(args):
     _check_out(args.out, (".dot",))
     qbg = build_qbg(parse_type(args.type), args.weyl_cap)
     with open(args.out, "w") as fh:
-        fh.write(qbg.to_dot())
+        qbg.to_dot(fh)
     print("wrote %s: %d vertices, %d edges"
           % (args.out, qbg.vertex_count, qbg.edge_count))
     return 0

@@ -18,7 +18,7 @@ from .cartan import vec_add, vec_sub
 from .errors import (AmbiguousAnchorError, InvariantError,
                      NonDominantWeightError, NonReducedWordError,
                      ResourceLimitError)
-from .weyl import DEFAULT_WEYL_CAP, build_weyl_group
+from .weyl import DEFAULT_WEYL_CAP, DOT_BLOCK, build_weyl_group
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -252,21 +252,27 @@ class CrystalGraph:
         }
         return json.dumps(data, separators=(",", ":"), ensure_ascii=False) + "\n"
 
-    def to_dot(self):
-        lines = ["digraph crystal {"]
-        lines += ['  n%d [label="%s"];' % (i, r.replace('"', r'\"'))
-                  for i, r in enumerate(self.reprs)]
+    def to_dot(self, fh):
+        """Write the graph as DOT to the open text file fh: the node lines,
+        then the edge lines by source node, DOT_BLOCK nodes per write."""
+        ids = range(len(self.nodes))
+        reprs = self.reprs
         # each color's edge attributes, formatted once
         tails = []
         for c in sorted(self.colors):
             color = DOT_EDGE_COLORS.get(c)
             attr = ', color=%s' % color if color else ""
-            tails.append((self.fs[c], ' [label="%d"%s];' % (c, attr)))
-        lines += [f"  n{src} -> n{dst}{tail}"
-                  for src in range(len(self.nodes))
-                  for fc, tail in tails if (dst := fc[src]) is not None]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            tails.append((self.fs[c], ' [label="%d"%s];\n' % (c, attr)))
+        fh.write("digraph crystal {\n")
+        for lo in range(0, len(ids), DOT_BLOCK):
+            fh.write("".join([
+                '  n%d [label="%s"];\n' % (i, reprs[i].replace('"', r'\"'))
+                for i in ids[lo:lo + DOT_BLOCK]]))
+        for lo in range(0, len(ids), DOT_BLOCK):
+            fh.write("".join([
+                f"  n{src} -> n{dst}{tail}" for src in ids[lo:lo + DOT_BLOCK]
+                for fc, tail in tails if (dst := fc[src]) is not None]))
+        fh.write("}\n")
 
 
 def graphs_equal(g1, g2):

@@ -13,6 +13,10 @@ from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_WEYL_CAP = 10 ** 5
 
+# vertices (or crystal nodes) per write of the streamed DOT writers: the
+# text held at once is one block's, not the whole graph's
+DOT_BLOCK = 4096
+
 
 def signed_root_id(cartan, root):
     """+(k + 1) for the positive root beta_k, -(k + 1) for -beta_k."""
@@ -232,21 +236,39 @@ class QuantumBruhatGraph:
                 back[dst].append(src)
         return sweep(fwd) and sweep(back)
 
-    def to_dot(self):
-        pos = self.cartan.positive_roots_list
-        lines = ["digraph qbg {"]
-        for i in range(len(self.group)):
-            word = self.group.reduced_word(i)
-            label = "e" if not word else "".join("s%d" % j for j in word)
-            lines.append('  n%d [label="%s"];' % (i, label))
-        for src_id, lst in enumerate(self.out):
-            for root_idx, dst_id, down in lst:
-                beta = ",".join(str(x) for x in pos[root_idx])
-                style = ', style=dashed' if down else ""
-                lines.append('  n%d -> n%d [label="%s"%s];'
-                             % (src_id, dst_id, beta, style))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def to_dot(self, fh):
+        """Write the graph as DOT to the open text file fh: the vertices,
+        labelled by reduced_word, then the edges by source vertex,
+        DOT_BLOCK vertices per write."""
+        group = self.group
+        lengths, right = group.lengths, group.right
+        # the greedy word of w is that of w s_i, for its smallest right
+        # descent s_i, followed by s_i; w s_i is shorter, so has a smaller id
+        words = [""]
+        for w in range(1, len(group)):
+            i = group._descent(w)
+            ws = right[w][i]
+            if lengths[ws] != lengths[w] - 1:
+                raise InvariantError("reduced word of the wrong length")
+            words.append("%ss%d" % (words[ws], i + 1))
+        words[0] = "e"
+        # each root's edge label, plain (up) and dashed (down), formatted once
+        tails = []
+        for beta in self.cartan.positive_roots_list:
+            label = ",".join(map(str, beta))
+            tails.append((' [label="%s"];\n' % label,
+                          ' [label="%s", style=dashed];\n' % label))
+        ids, out = range(len(group)), self.out
+        fh.write("digraph qbg {\n")
+        for lo in range(0, len(ids), DOT_BLOCK):
+            fh.write("".join(['  n%d [label="%s"];\n' % (w, words[w])
+                              for w in ids[lo:lo + DOT_BLOCK]]))
+        for lo in range(0, len(ids), DOT_BLOCK):
+            fh.write("".join([
+                "  n%d -> n%d%s" % (src, dst, tails[root_idx][down])
+                for src in ids[lo:lo + DOT_BLOCK]
+                for root_idx, dst, down in out[src]]))
+        fh.write("}\n")
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,9 @@ deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
 
+import io
 import math
+import re
 from fractions import Fraction
 
 from krcrystals.alcove import Folding, GGraph, fold
@@ -418,3 +420,64 @@ def decomposes_into_demazure(cartan, funds, group, mu, lam, word):
         else:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# DOT text in one piece
+
+
+def dot_text(graph):
+    """What graph.to_dot writes, as one string."""
+    buf = io.StringIO()
+    graph.to_dot(buf)
+    return buf.getvalue()
+
+
+class WriteLog:
+    """A text file that keeps every write as its own string."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def nodes_per_write(self):
+        """For each write, how many nodes it declares or leaves from."""
+        return [len(set(re.findall(r"^  n(\d+) (?:\[|->)", text, re.M)))
+                for text in self.writes]
+
+
+def crystal_dot_oracle(g):
+    """The crystal's DOT text built as one list of lines and one join."""
+    lines = ["digraph crystal {"]
+    lines += ['  n%d [label="%s"];' % (i, r.replace('"', r'\"'))
+              for i, r in enumerate(g.reprs)]
+    colors = {0: ", color=black", 1: ", color=blue", 2: ", color=red"}
+    for src in range(len(g.nodes)):
+        for c in sorted(g.colors):
+            dst = g.fs[c][src]
+            if dst is not None:
+                lines.append('  n%d -> n%d [label="%d"%s];'
+                             % (src, dst, c, colors.get(c, "")))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def qbg_dot_oracle(qbg):
+    """The QBG's DOT text, each vertex labelled by group.reduced_word."""
+    pos = qbg.cartan.positive_roots_list
+    lines = ["digraph qbg {"]
+    for w in range(len(qbg.group)):
+        word = qbg.group.reduced_word(w)
+        label = "e" if not word else "".join("s%d" % j for j in word)
+        lines.append('  n%d [label="%s"];' % (w, label))
+    for src, lst in enumerate(qbg.out):
+        for root_idx, dst, down in lst:
+            beta = ",".join(str(x) for x in pos[root_idx])
+            style = ", style=dashed" if down else ""
+            lines.append('  n%d -> n%d [label="%s"%s];'
+                         % (src, dst, beta, style))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

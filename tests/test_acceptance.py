@@ -6,12 +6,11 @@ import time
 
 import pytest
 
-from helpers import subword_products
 from krcrystals.alcove import build_lambda_chain, enumerate_admissible, phi0
 from krcrystals.cartan import build_cartan
 from krcrystals.crystals import (components, demazure_filter, demazure_subset,
                                  explore_tensor, graphs_equal, hw_crystal,
-                                 iso_check, similarity_check, TensorProduct)
+                                 similarity_check, TensorProduct)
 from krcrystals.errors import LevelBoundError
 from krcrystals.experiments import (check_alcove_correspondence, check_bmin,
                                     check_character_qsystem, check_figure,

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -72,6 +71,15 @@ def test_chain_c2_two_omega1():
 def test_chain_rejects_nondominant():
     with pytest.raises(NonDominantWeightError):
         build_lambda_chain(A2, (1, -1))
+
+
+# (1,) gave a chain with m = 2 and (1, 0, 5) a bare IndexError in the folding
+@pytest.mark.parametrize("lam", [(), (1,), (1, 0, 5)])
+def test_chain_rejects_lambda_of_wrong_length(lam):
+    with pytest.raises(ValueError, match="^lambda needs 2 coordinates$"):
+        build_lambda_chain(A2, lam)
+    with pytest.raises(ValueError, match="^lambda needs 2 coordinates$"):
+        alcove_crystal(A2, lam)
 
 
 @pytest.mark.parametrize("cartan,lam", CHAIN_CASES)

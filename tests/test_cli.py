@@ -291,6 +291,9 @@ GOLDEN = [
      "f132771571fb210d0b760daa9ddd264e979bed9e166743f9ed3fd1ce367ad9a6"),
     (["build", "--type", "A3", "--factors", "2,1:1,1:3,1"], "dot",
      "932650013b745ecaed09da97de2c7258c3489fb7b2b9825d31183b1eb572818d"),
+    # 6,561 nodes: more than one block of the streamed DOT writer
+    (["build", "--type", "A2", "--factors", ":".join(["1,1"] * 8)], "dot",
+     "8105a41453dff434fe2480d1ed00884588960ddab82a679a4144ee7ff12ad6af"),
     (["build", "--type", "C3", "--factors", "1,1:1,1:1,1",
       "--view", "demazure", "--level", "1"], "dot",
      "3a7c9357a36e4882fc194914f22c5da877e141750695af12c82568836b76b485"),

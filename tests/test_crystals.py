@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from helpers import (component_ids_oracle, decomposes_into_demazure,
-                     extremal_oracle, two_factor_e, two_factor_f)
-from krcrystals.cartan import build_cartan, vec_add
+from helpers import (WriteLog, component_ids_oracle, crystal_dot_oracle,
+                     decomposes_into_demazure, dot_text, extremal_oracle,
+                     two_factor_e, two_factor_f)
+from krcrystals.cartan import build_cartan
 from krcrystals.crystals import (CrystalGraph, TensorProduct,
                                  classical_restriction, components,
                                  demazure_filter, demazure_subset, explore,
@@ -21,7 +22,7 @@ from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, NonReducedWordError,
                                ResourceLimitError)
 from krcrystals.kr import (fixture_C2, fundamentals, kr_C_onebox, kr_typeA)
-from krcrystals.weyl import build_weyl_group
+from krcrystals.weyl import DOT_BLOCK, build_weyl_group
 
 A2 = build_cartan("A", 2)
 C2 = build_cartan("C", 2)
@@ -565,11 +566,22 @@ def test_json_schema_and_stability():
 
 def test_dot_styling():
     g = fixture_C2("B12")
-    dot = g.to_dot()
-    assert dot == g.to_dot()
+    dot = dot_text(g)
+    assert dot == dot_text(g)
     assert "color=black" in dot    # the level-1 Demazure 0-edge
     assert "color=blue" in dot and "color=red" in dot
     assert 'label="0"' in dot
+
+
+# the export is written DOT_BLOCK nodes at a time: the text held at once is
+# one block's, and the writes join to the text of the whole graph
+def test_dot_streams_in_blocks():
+    g = explore_tensor(A2, [kr_typeA(2, 1, 1)] * 8)
+    assert len(g) > DOT_BLOCK
+    log = WriteLog()
+    g.to_dot(log)
+    assert "".join(log.writes) == crystal_dot_oracle(g)
+    assert max(log.nodes_per_write()) == DOT_BLOCK
 
 
 def test_graphs_equal_detects_edge_change():

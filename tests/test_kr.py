@@ -1,9 +1,7 @@
-import itertools
-
 import pytest
 
-from krcrystals.cartan import build_cartan, mat_vec, vec_add, vec_sub
-from krcrystals.crystals import (components, demazure_filter, explore_tensor,
+from krcrystals.cartan import build_cartan, mat_vec, vec_sub
+from krcrystals.crystals import (demazure_filter, explore_tensor,
                                  graphs_equal, hw_census, similarity_check)
 from krcrystals.errors import UnsupportedFactorError
 from krcrystals.kr import (column_replication, fixture_C2, is_rect_ssyt,

@@ -1,4 +1,4 @@
-"""Static checks on the library source."""
+"""Static checks on the library source, its tests and its demos."""
 
 import ast
 import pathlib
@@ -66,3 +66,31 @@ def test_weyl_has_one_element_representation(name):
     from krcrystals import weyl
     assert not hasattr(weyl, name)
     assert not hasattr(krcrystals, name)
+
+
+ROOT = SRC.parent.parent
+PY_FILES = sorted(str(path.relative_to(ROOT))
+                  for folder in ("src", "tests", "demos")
+                  for path in (ROOT / folder).rglob("*.py")
+                  if path.name != "__init__.py")   # re-exports
+
+
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that the module never
+    reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", PY_FILES)
+def test_no_unused_imports(path):
+    tree = ast.parse((ROOT / path).read_text(), filename=path)
+    unused = _unused_imports(tree)
+    assert unused == [], "%s: unused imports (line, name) %s" % (path, unused)

@@ -1,11 +1,14 @@
-import math
+import copy
+import io
 
 import pytest
 
-from helpers import (QBG_TYPES, decode_root, length_by_inversions,
+from helpers import (QBG_TYPES, WriteLog, decode_root, dot_text,
+                     length_by_inversions, qbg_dot_oracle,
                      root_matrix_of_word, subword_products)
+from krcrystals import weyl
 from krcrystals.cartan import build_cartan, mat_vec, vec_neg
-from krcrystals.errors import ResourceLimitError
+from krcrystals.errors import InvariantError, ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, build_qbg,
                              build_weyl_group, dominantize)
 
@@ -158,10 +161,34 @@ def test_qbg_at_most_one_edge_per_pair():
 
 
 def test_qbg_dot_output():
-    dot = build_qbg(build_cartan("A", 2)).to_dot()
+    dot = dot_text(build_qbg(build_cartan("A", 2)))
     assert dot.startswith("digraph qbg {")
     assert "style=dashed" in dot
     assert 'label="1,1"' in dot  # the theta-labeled edges
+
+
+# vertex labels are built in one pass (the word of w s_i, then s_i) and the
+# text is written in blocks: against the per-vertex reduced_word, joined
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_qbg_dot_streams_in_blocks(monkeypatch, family, rank):
+    qbg = build_qbg(build_cartan(family, rank))
+    monkeypatch.setattr(weyl, "DOT_BLOCK", 5)
+    log = WriteLog()
+    qbg.to_dot(log)
+    assert "".join(log.writes) == qbg_dot_oracle(qbg)
+    assert max(log.nodes_per_write()) == 5
+
+
+# a length table that disagrees with the right-multiplication table: both
+# word builders check each word's length against it
+def test_word_of_the_wrong_length_is_an_invariant_error():
+    qbg = copy.copy(build_qbg(build_cartan("A", 2)))
+    group = qbg.group = copy.copy(qbg.group)
+    group.lengths = group.lengths[:-1] + (group.lengths[-1] + 1,)
+    with pytest.raises(InvariantError, match="reduced word of the wrong length"):
+        group.reduced_word(group.w0)
+    with pytest.raises(InvariantError, match="reduced word of the wrong length"):
+        qbg.to_dot(io.StringIO())
 
 
 # ---------------------------------------------------------------------------
