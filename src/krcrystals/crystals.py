@@ -18,7 +18,7 @@ from .cartan import vec_add, vec_sub
 from .errors import (AmbiguousAnchorError, InvariantError,
                      NonDominantWeightError, NonReducedWordError,
                      ResourceLimitError)
-from .weyl import DEFAULT_WEYL_CAP, DOT_BLOCK, build_weyl_group
+from .weyl import DEFAULT_WEYL_CAP, build_weyl_group, write_dot
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -254,8 +254,7 @@ class CrystalGraph:
 
     def to_dot(self, fh):
         """Write the graph as DOT to the open text file fh: the node lines,
-        then the edge lines by source node, DOT_BLOCK nodes per write."""
-        ids = range(len(self.nodes))
+        then the edge lines by source node."""
         reprs = self.reprs
         # each color's edge attributes, formatted once
         tails = []
@@ -263,16 +262,16 @@ class CrystalGraph:
             color = DOT_EDGE_COLORS.get(c)
             attr = ', color=%s' % color if color else ""
             tails.append((self.fs[c], ' [label="%d"%s];\n' % (c, attr)))
-        fh.write("digraph crystal {\n")
-        for lo in range(0, len(ids), DOT_BLOCK):
-            fh.write("".join([
-                '  n%d [label="%s"];\n' % (i, reprs[i].replace('"', r'\"'))
-                for i in ids[lo:lo + DOT_BLOCK]]))
-        for lo in range(0, len(ids), DOT_BLOCK):
-            fh.write("".join([
-                f"  n{src} -> n{dst}{tail}" for src in ids[lo:lo + DOT_BLOCK]
-                for fc, tail in tails if (dst := fc[src]) is not None]))
-        fh.write("}\n")
+
+        def node_lines(ids):
+            return ['  n%d [label="%s"];\n' % (i, reprs[i].replace('"', r'\"'))
+                    for i in ids]
+
+        def edge_lines(ids):
+            return [f"  n{src} -> n{dst}{tail}" for src in ids
+                    for fc, tail in tails if (dst := fc[src]) is not None]
+
+        write_dot(fh, "crystal", len(self.nodes), node_lines, edge_lines)
 
 
 def graphs_equal(g1, g2):

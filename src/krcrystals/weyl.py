@@ -18,6 +18,19 @@ DEFAULT_WEYL_CAP = 10 ** 5
 DOT_BLOCK = 4096
 
 
+def write_dot(fh, name, n, node_lines, edge_lines):
+    """Write the DOT digraph `name` on nodes 0..n-1 to the open text file fh:
+    its node lines, then its edge lines by source node, each as one write per
+    DOT_BLOCK nodes. node_lines(ids) and edge_lines(ids) give the lines, each
+    ending in a newline, of a range of node ids as a list."""
+    ids = range(n)
+    fh.write("digraph %s {\n" % name)
+    for lines in (node_lines, edge_lines):
+        for lo in range(0, n, DOT_BLOCK):
+            fh.write("".join(lines(ids[lo:lo + DOT_BLOCK])))
+    fh.write("}\n")
+
+
 def signed_root_id(cartan, root):
     """+(k + 1) for the positive root beta_k, -(k + 1) for -beta_k."""
     sign = cartan.root_sign(root)
@@ -238,37 +251,25 @@ class QuantumBruhatGraph:
 
     def to_dot(self, fh):
         """Write the graph as DOT to the open text file fh: the vertices,
-        labelled by reduced_word, then the edges by source vertex,
-        DOT_BLOCK vertices per write."""
-        group = self.group
-        lengths, right = group.lengths, group.right
-        # the greedy word of w is that of w s_i, for its smallest right
-        # descent s_i, followed by s_i; w s_i is shorter, so has a smaller id
-        words = [""]
-        for w in range(1, len(group)):
-            i = group._descent(w)
-            ws = right[w][i]
-            if lengths[ws] != lengths[w] - 1:
-                raise InvariantError("reduced word of the wrong length")
-            words.append("%ss%d" % (words[ws], i + 1))
-        words[0] = "e"
+        labelled by reduced_word, then the edges by source vertex."""
+        group, out = self.group, self.out
         # each root's edge label, plain (up) and dashed (down), formatted once
         tails = []
         for beta in self.cartan.positive_roots_list:
             label = ",".join(map(str, beta))
             tails.append((' [label="%s"];\n' % label,
                           ' [label="%s", style=dashed];\n' % label))
-        ids, out = range(len(group)), self.out
-        fh.write("digraph qbg {\n")
-        for lo in range(0, len(ids), DOT_BLOCK):
-            fh.write("".join(['  n%d [label="%s"];\n' % (w, words[w])
-                              for w in ids[lo:lo + DOT_BLOCK]]))
-        for lo in range(0, len(ids), DOT_BLOCK):
-            fh.write("".join([
-                "  n%d -> n%d%s" % (src, dst, tails[root_idx][down])
-                for src in ids[lo:lo + DOT_BLOCK]
-                for root_idx, dst, down in out[src]]))
-        fh.write("}\n")
+
+        def node_lines(ids):
+            return ['  n%d [label="%s"];\n'
+                    % (w, "".join(["s%d" % i for i in group.reduced_word(w)])
+                       or "e") for w in ids]
+
+        def edge_lines(ids):
+            return ["  n%d -> n%d%s" % (src, dst, tails[root_idx][down])
+                    for src in ids for root_idx, dst, down in out[src]]
+
+        write_dot(fh, "qbg", len(group), node_lines, edge_lines)
 
 
 @lru_cache(maxsize=None)

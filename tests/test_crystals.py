@@ -22,7 +22,8 @@ from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, NonReducedWordError,
                                ResourceLimitError)
 from krcrystals.kr import (fixture_C2, fundamentals, kr_C_onebox, kr_typeA)
-from krcrystals.weyl import DOT_BLOCK, build_weyl_group
+from krcrystals import weyl
+from krcrystals.weyl import build_weyl_group
 
 A2 = build_cartan("A", 2)
 C2 = build_cartan("C", 2)
@@ -575,13 +576,18 @@ def test_dot_styling():
 
 # the export is written DOT_BLOCK nodes at a time: the text held at once is
 # one block's, and the writes join to the text of the whole graph
-def test_dot_streams_in_blocks():
-    g = explore_tensor(A2, [kr_typeA(2, 1, 1)] * 8)
-    assert len(g) > DOT_BLOCK
+@pytest.mark.parametrize("graph", [
+    lambda: explore_tensor(A2, [kr_typeA(2, 1, 1)] * 3),
+    lambda: fixture_C2("B12"),
+])
+def test_dot_streams_in_blocks(monkeypatch, graph):
+    g = graph()
+    monkeypatch.setattr(weyl, "DOT_BLOCK", 5)
+    assert len(g) > 5
     log = WriteLog()
     g.to_dot(log)
     assert "".join(log.writes) == crystal_dot_oracle(g)
-    assert max(log.nodes_per_write()) == DOT_BLOCK
+    assert max(log.nodes_per_write()) == 5
 
 
 def test_graphs_equal_detects_edge_change():

@@ -167,8 +167,7 @@ def test_qbg_dot_output():
     assert 'label="1,1"' in dot  # the theta-labeled edges
 
 
-# vertex labels are built in one pass (the word of w s_i, then s_i) and the
-# text is written in blocks: against the per-vertex reduced_word, joined
+# the text is written in blocks: its writes join to the one-join text
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_qbg_dot_streams_in_blocks(monkeypatch, family, rank):
     qbg = build_qbg(build_cartan(family, rank))
@@ -179,8 +178,8 @@ def test_qbg_dot_streams_in_blocks(monkeypatch, family, rank):
     assert max(log.nodes_per_write()) == 5
 
 
-# a length table that disagrees with the right-multiplication table: both
-# word builders check each word's length against it
+# a length table that disagrees with the right-multiplication table:
+# reduced_word checks each word's length against it, and so the QBG export
 def test_word_of_the_wrong_length_is_an_invariant_error():
     qbg = copy.copy(build_qbg(build_cartan("A", 2)))
     group = qbg.group = copy.copy(qbg.group)
