@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 import re
 from functools import lru_cache
+from operator import mul
 
 from .errors import InvariantError, UnsupportedRankError
 
@@ -230,8 +231,7 @@ class CartanData:
 
     def weight_root_coords(self, weight):
         """Integer simple-root coordinates of a weight scaled by det: adj·mu."""
-        return tuple(sum(row[j] * weight[j] for j in range(self.rank))
-                     for row in self.adj)
+        return tuple([sum(map(mul, row, weight)) for row in self.adj])
 
     def is_positive_root_coords(self, coords):
         """Do det-scaled root coordinates name an element of Q_0^+?"""

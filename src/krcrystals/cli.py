@@ -161,7 +161,8 @@ def cmd_check(args):
             report = experiments.check_qsystem_typeA(
                 cartan.rank, a, m, args.level, args.node_cap)
         else:
-            report = experiments.check_character_qsystem(cartan.rank, a, m)
+            report = experiments.check_character_qsystem(cartan.rank, a, m,
+                                                         args.node_cap)
     else:  # alcove
         cartan = parse_type(_require(args, "type"))
         lam = _parse_lambda(_require(args, "lam"), cartan)
@@ -234,7 +235,6 @@ def make_parser():
                    default="none")
     b.add_argument("--out", required=True, help=".dot or .json output path")
     _add_common(b)
-    b.set_defaults(func=cmd_build)
 
     c = subs.add_parser("check", help="run a named verification")
     c.add_argument("name", help="one of " + ", ".join(CHECK_NAMES))
@@ -250,13 +250,11 @@ def make_parser():
     c.add_argument("--junit", action="store_true",
                    help="emit a JUnit-style XML report")
     _add_common(c)
-    c.set_defaults(func=cmd_check)
 
     q = subs.add_parser("qbg", help="export the quantum Bruhat graph")
     q.add_argument("--type", required=True)
     q.add_argument("--out", required=True, help=".dot output path")
     _add_common(q)
-    q.set_defaults(func=cmd_qbg)
 
     a = subs.add_parser("alcove", help="export an alcove-model crystal")
     a.add_argument("--type", required=True)
@@ -265,17 +263,22 @@ def make_parser():
     a.add_argument("--level", type=int, default=None)
     a.add_argument("--out", required=True, help=".json or .dot output path")
     _add_common(a)
-    a.set_defaults(func=cmd_alcove)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = make_parser()
+    """Run one command; the parser is built at the first call and kept."""
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _resolve(args)
-        return args.func(args)
+        args = _resolve(_parser.parse_args(argv))
+        # looked up at call time, so a replaced cmd_* is the one run
+        return globals()["cmd_" + args.command](args)
     except (UsageError, KRCrystalError, ValueError, OSError,
             KeyboardInterrupt, RecursionError) as err:
         print("error: %s" % (str(err) or type(err).__name__), file=sys.stderr)

@@ -160,21 +160,23 @@ class CrystalGraph:
     def extremal(self, mode):
         """The unique weight-extremal node id ('max' or 'min'), or an error.
 
-        The height <mu, rho^vee> (the sum of mu's simple-root coordinates)
-        grows strictly along the dominance order, so a qualifying node has
-        the greatest height (least for 'min'), and then every node of that
-        height has its weight: only one weight can qualify, and the first
-        node of that height is the one candidate.  O(n·r) in all."""
+        The height <mu, rho^vee> (the sum of mu's simple-root coordinates,
+        one dot product with the column sums of the adjugate) grows strictly
+        along the dominance order, so a qualifying node has the greatest
+        height (least for 'min'), and then every node of that height has its
+        weight: only one weight can qualify, and the first node of that
+        height is the one candidate.  The Q^+ test runs once per distinct
+        weight."""
         ct = self.cartan
         sign = 1 if mode == "max" else -1
-        coords = [ct.weight_root_coords(w) for w in self.weights]
-        heights = [sign * sum(c) for c in coords]
+        col = [sign * sum(c) for c in zip(*ct.adj)]
+        heights = [sum(map(operator.mul, col, w)) for w in self.weights]
         count = 0
         if heights:
             best = heights.index(max(heights))
-            if all(ct.is_positive_root_coords(
-                    [sign * (x - y) for x, y in zip(coords[best], c)])
-                   for c in coords):
+            top = self.weights[best]
+            if all(ct.dominance_leq(w, top) if sign > 0
+                   else ct.dominance_leq(top, w) for w in set(self.weights)):
                 count = min(2, heights.count(heights[best]))
         if count != 1:
             raise AmbiguousAnchorError(

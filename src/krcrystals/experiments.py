@@ -296,13 +296,6 @@ def check_qsystem_typeA(n, a, m, level, node_cap=DEFAULT_NODE_CAP):
                   status, witnesses, time.perf_counter() - t0)
 
 
-def _char(n, a, m):
-    zero = Counter({(0,) * n: 1})
-    if a == 0 or a == n + 1 or m == 0:
-        return zero
-    return weight_multiset(kr_typeA(n, a, m))
-
-
 def _char_product(c1, c2):
     out = Counter()
     for w1, k1 in c1.items():
@@ -311,13 +304,20 @@ def _char_product(c1, c2):
     return out
 
 
-def check_character_qsystem(n, a, m):
+def check_character_qsystem(n, a, m, node_cap=DEFAULT_NODE_CAP):
     """Monomial-exact classical character identity
     (Q_m^a)^2 = Q_{m+1}^a Q_{m-1}^a + Q_m^{a-1} Q_m^{a+1} in type A_n."""
     t0 = time.perf_counter()
-    lhs = _char_product(_char(n, a, m), _char(n, a, m))
-    rhs = _char_product(_char(n, a, m + 1), _char(n, a, m - 1)) \
-        + _char_product(_char(n, a - 1, m), _char(n, a + 1, m))
+
+    def char(a, m):
+        if a == 0 or a == n + 1 or m == 0:
+            return Counter({(0,) * n: 1})
+        # node_cap positional: the cache key build_factor uses
+        return weight_multiset(kr_typeA(n, a, m, node_cap))
+
+    lhs = _char_product(char(a, m), char(a, m))
+    rhs = _char_product(char(a, m + 1), char(a, m - 1)) \
+        + _char_product(char(a - 1, m), char(a + 1, m))
     status = "pass" if lhs == rhs else "fail"
     witnesses = {"monomials_lhs": sum(lhs.values()),
                  "monomials_rhs": sum(rhs.values())}

@@ -133,13 +133,6 @@ def promotion(t, n):
     return out
 
 
-def promotion_inverse(t, n):
-    """pr^{-1} = pr^n, as pr has order n+1 on rectangles."""
-    for _ in range(n):
-        t = promotion(t, n)
-    return t
-
-
 def tableau_weight(t, n):
     counts = [0] * (n + 2)
     for row in t:
@@ -161,11 +154,16 @@ def column_replication(t, m):
 class TypeAKR(AbstractCrystal):
     """Implicit affine crystal on rectangular tableaux: classical operators
     from the reading word, f_0 = pr^{-1} . f_1 . pr (orientation pinned by
-    the weight rule wt(f_0 b) = wt(b) + theta)."""
+    the weight rule wt(f_0 b) = wt(b) + theta).
+
+    pr is computed once per tableau of B^{r,s}, into a table built at the
+    first 0-arrow query, and pr^{-1} is read from the inverse map."""
 
     def __init__(self, n, r, s):
         self.n, self.r, self.s = n, r, s
         self.colors = tuple(range(0, n + 1))
+        self.tableaux = rect_tableaux(n, r, s)
+        self._pr = self._pr_inv = None
 
     def weight(self, t):
         return tableau_weight(t, self.n)
@@ -173,17 +171,27 @@ class TypeAKR(AbstractCrystal):
     def repr_of(self, t):
         return tableau_repr(t)
 
+    def _conjugate(self, op, t):
+        """pr^{-1} . op_1 . pr at t, or None."""
+        if self._pr is None:
+            pr = {b: promotion(b, self.n) for b in self.tableaux}
+            inv = {img: b for b, img in pr.items()}
+            if len(inv) != len(pr):
+                raise InvariantError("promotion is not a bijection of B^{%d,%d}"
+                                     % (self.r, self.s))
+            self._pr, self._pr_inv = pr, inv
+        img = op(self._pr[t], 1)
+        return None if img is None else self._pr_inv[img]
+
     def f(self, t, color):
         if color != 0:
             return tableau_f(t, color)
-        img = tableau_f(promotion(t, self.n), 1)
-        return None if img is None else promotion_inverse(img, self.n)
+        return self._conjugate(tableau_f, t)
 
     def e(self, t, color):
         if color != 0:
             return tableau_e(t, color)
-        img = tableau_e(promotion(t, self.n), 1)
-        return None if img is None else promotion_inverse(img, self.n)
+        return self._conjugate(tableau_e, t)
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +202,8 @@ def kr_typeA(n, r, s, node_cap=DEFAULT_NODE_CAP):
     if s < 1:
         raise UnsupportedFactorError("B^{r,s} needs s >= 1")
     cartan = build_cartan("A", n)
-    return explore(cartan, TypeAKR(n, r, s), rect_tableaux(n, r, s), node_cap,
+    source = TypeAKR(n, r, s)
+    return explore(cartan, source, source.tableaux, node_cap,
                    affine_complete=True)
 
 

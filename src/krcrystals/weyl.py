@@ -6,6 +6,7 @@ root permutations, weight matrices, lengths and the right-multiplication
 table); the QBG's vertices and edges are keyed on the same ids."""
 
 from functools import lru_cache
+from operator import itemgetter, mul, neg
 
 from .cartan import (identity_matrix, mat_mul, vec_add, vec_neg, vec_scale,
                      vec_sub)
@@ -49,8 +50,9 @@ class WeylGroup:
 
     The breadth-first walk of the Cayley graph keys each element on its
     signed root permutation (faithful: W acts faithfully on the roots), so
-    a step w -> w s_i permutes one tuple through the signed table of s_i;
-    the weight matrix is multiplied once per element, from its parent.
+    a step w -> w s_i is one index lookup of s_i's table into w's roots
+    and their negatives, and the new element's weight matrix is its
+    parent's with one column updated.
     Ids are sorted by (length, weight matrix), so the identity is 0 and
     w0 is the last id.  Each positive root beta_k keeps a reduced word of
     s_beta, so w s_beta is a few table lookups (Bjorner-Brenti, ch. 1-2, 4).
@@ -62,33 +64,43 @@ class WeylGroup:
         self.cartan = cartan
         n = cartan.rank
         pos = cartan.positive_roots_list
-        simple_roots = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        s_wt = [cartan.reflection_weight_matrix(a) for a in simple_roots]
-        # s_perm[i][k]: the signed id of s_{i+1}(beta_k)
-        s_perm = [tuple(signed_root_id(
-                      cartan, cartan.simple_reflection_on_root(i + 1, beta))
-                      for beta in pos) for i in range(n)]
+        # alpha_i on the fundamental weights: w s_i changes only column i of
+        # w's weight matrix M, as M s_i = M - (M alpha_i) e_i^T
+        s_wt = [cartan.simple_root_weight(i + 1) for i in range(n)]
+        # s_get[i] reads (w s_{i+1})(beta_k) = +-w(beta_j) for every k out of
+        # w's signed roots followed by their negatives
+        m = len(pos)
+        s_get = []
+        for i in range(n):
+            at = [signed_root_id(cartan,
+                                 cartan.simple_reflection_on_root(i + 1, beta))
+                  for beta in pos]
+            get = itemgetter(*[t - 1 if t > 0 else m - t - 1 for t in at])
+            # itemgetter of one index returns the item, not a 1-tuple
+            s_get.append(get if m > 1 else lambda ext, get=get: (get(ext),))
 
         # breadth-first walk of the Cayley graph (the loop reads the list it
         # appends to); the depth at which an element is first met is its
-        # length.  (w s_i)(beta_k) = w(s_i beta_k) = +-w(beta_j) is one
-        # signed lookup per root
-        ident = tuple(range(1, len(pos) + 1))
+        # length
+        ident = tuple(range(1, m + 1))
         found = {ident: 0}                  # roots -> discovery number
         walk = [(ident, identity_matrix(n), 0)]   # (roots, wt_mat, length)
         steps = []                          # discovery numbers of w s_i
         for w, wt, length in walk:
+            ext = w + tuple(map(neg, w))
             row = []
             for i in range(n):
-                ws = tuple(w[t - 1] if t > 0 else -w[-t - 1]
-                           for t in s_perm[i])
+                ws = s_get[i](ext)
                 d = found.get(ws)
                 if d is None:
                     if len(found) >= cap:
                         raise ResourceLimitError(
                             "Weyl group larger than cap %d" % cap)
                     d = found[ws] = len(walk)
-                    walk.append((ws, mat_mul(wt, s_wt[i]), length + 1))
+                    a = s_wt[i]
+                    walk.append((ws, tuple(
+                        r[:i] + (r[i] - sum(map(mul, r, a)),) + r[i + 1:]
+                        for r in wt), length + 1))
                 row.append(d)
             steps.append(row)
 

@@ -2,7 +2,7 @@
 
 Everything here recomputes results from first principles (alcove-walk
 geometry with exact Fractions, reflection matrices on simple-root
-coordinates, inversion counting, subword products,
+coordinates, inversion counting, subword products, promotion powers,
 the closed-form two-factor signature rule, the pairwise dominance scan
 over the Fraction inverse Cartan matrix),
 deliberately avoiding the package's own code paths wherever a statement
@@ -20,6 +20,7 @@ from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
 from krcrystals.crystals import (CrystalGraph, components, demazure_subset,
                                  hw_crystal, iso_check)
 from krcrystals.errors import AmbiguousAnchorError, InvariantError
+from krcrystals.kr import promotion
 from krcrystals.weyl import build_qbg
 
 
@@ -275,6 +276,17 @@ def g_graph_oracle(chain, J, p):
     M = max(heights + [h_inf])
     return GGraph(p, base, sign, tuple(positions), tuple(heights), h_inf,
                   l_inf, M, tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# type A promotion
+
+
+def promotion_inverse(t, n):
+    """pr^{-1} = pr^n, as pr has order n+1 on rectangles."""
+    for _ in range(n):
+        t = promotion(t, n)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from krcrystals import cli, experiments
+from krcrystals import cli, experiments, kr
 from krcrystals.cli import TensorSpec, main
 
 
@@ -112,6 +112,25 @@ def test_build_node_cap_bounds_the_tensor_product(tmp_path):
     assert run(["build", "--type", "A3", "--factors",
                 "1,1:1,1:1,1:1,1:1,1", "--node-cap", "100",
                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["qsystem", "qchar"])
+def test_check_node_cap_bounds_the_kr_factors(tmp_path, capsys, name):
+    out = tmp_path / "r.json"
+    assert run(["check", name, "--type", "A3", "--a", "2", "--m", "3",
+                "--level", "3", "--node-cap", "5", "--out", str(out)]) == 2
+    assert "exceed node cap 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_node_cap_stops_a_factor_before_promotion(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(kr, "promotion", lambda t, n: calls.append(t))
+    out = tmp_path / "g.json"
+    assert run(["build", "--type", "A3", "--factors", "2,6",
+                "--node-cap", "10", "--out", str(out)]) == 2
+    assert calls == []
     assert not out.exists()
 
 
@@ -294,6 +313,9 @@ GOLDEN = [
     # 6,561 nodes: more than one block of the streamed DOT writer
     (["build", "--type", "A2", "--factors", ":".join(["1,1"] * 8)], "dot",
      "8105a41453dff434fe2480d1ed00884588960ddab82a679a4144ee7ff12ad6af"),
+    # 23 of its 115 edges are 0-arrows, conjugated through promotion
+    (["build", "--type", "A4", "--factors", "3,2"], "json",
+     "9cfc9a2ecd62140ca6e23cdd2388a3978e7122e5be0c9da7239a5b429ca538b4"),
     (["build", "--type", "C3", "--factors", "1,1:1,1:1,1",
       "--view", "demazure", "--level", "1"], "dot",
      "3a7c9357a36e4882fc194914f22c5da877e141750695af12c82568836b76b485"),
@@ -308,6 +330,10 @@ GOLDEN = [
     (["check", "reduction", "--type", "A2", "--factors", "1,1:2,1",
       "--factors2", "2,1:1,1", "--level", "2"], "json",
      "5da3b1bbb21157cc9f2c264355c40df398aaae8bc2077b2b302b0c9940e9ce9d"),
+    # the minimum anchor of each of 28 components (CrystalGraph.extremal)
+    (["check", "bmin", "--type", "A3", "--factors", "2,1:2,1:2,1:2,1",
+      "--level", "4"], "json",
+     "99ccffd65bdd69e12f6a195edb631ffe73616d0e7c55ec87e3c99e9c493a5308"),
 ]
 
 
@@ -330,6 +356,27 @@ def test_config_preloads_defaults(tmp_path):
     # level 2 head filtration of B^{1,2} keeps no 0-edges
     data = json.loads(out.read_text())
     assert all(e["color"] != 0 for e in data["edges"])
+
+
+def test_parser_is_built_once_and_keeps_no_config(tmp_path, monkeypatch):
+    built, seen = [], []
+
+    def counted():
+        built.append(1)
+        return real()
+    real = cli.make_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "make_parser", counted)
+    monkeypatch.setattr(cli, "cmd_build", lambda args: seen.append(args) or 0)
+    cfg = tmp_path / "conf"
+    cfg.write_text("level=2\nnode-cap=7\n")
+    argv = ["build", "--type", "A2", "--factors", "1,2",
+            "--out", str(tmp_path / "g.json")]
+    assert run(argv + ["--config", str(cfg)]) == 0
+    assert run(argv) == 0
+    assert built == [1]
+    assert [(a.config, a.level, a.node_cap) for a in seen] == [
+        (str(cfg), 2, 7), (None, 1, experiments.DEFAULT_NODE_CAP)]
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

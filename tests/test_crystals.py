@@ -8,7 +8,7 @@ import pytest
 from helpers import (WriteLog, component_ids_oracle, crystal_dot_oracle,
                      decomposes_into_demazure, dot_text, extremal_oracle,
                      two_factor_e, two_factor_f)
-from krcrystals.cartan import build_cartan
+from krcrystals.cartan import CartanData, build_cartan
 from krcrystals.crystals import (CrystalGraph, TensorProduct,
                                  classical_restriction, components,
                                  demazure_filter, demazure_subset, explore,
@@ -377,6 +377,24 @@ def test_extremal_matches_pairwise_scan_on_kr_factors(build, mode):
     g = build()
     assert _anchor_outcome(CrystalGraph.extremal, g, mode) == \
         _anchor_outcome(extremal_oracle, g, mode)
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("cartan,factors,level,filt", FILTERED_CASES)
+def test_extremal_maps_each_distinct_weight_once(monkeypatch, cartan,
+                                                 factors, level, filt, mode):
+    real = CartanData.weight_root_coords
+    calls = []
+
+    def counted(self, weight):
+        calls.append(weight)
+        return real(self, weight)
+    graph = build_filtered(cartan, factors, level, filt)
+    monkeypatch.setattr(CartanData, "weight_root_coords", counted)
+    for comp in components(graph) + [graph]:
+        calls.clear()
+        _anchor_outcome(CrystalGraph.extremal, comp, mode)
+        assert len(calls) <= len(set(comp.weights)) + 1
 
 
 # want_max/want_min: the anchor id, or the "(k candidates)" of the error

@@ -1,12 +1,14 @@
 import pytest
 
+from helpers import promotion_inverse
+from krcrystals import kr
 from krcrystals.cartan import build_cartan, mat_vec, vec_sub
 from krcrystals.crystals import (demazure_filter, explore_tensor,
                                  graphs_equal, hw_census, similarity_check)
-from krcrystals.errors import UnsupportedFactorError
-from krcrystals.kr import (column_replication, fixture_C2, is_rect_ssyt,
-                           kn_letters, kn_weight, kr_C_onebox, kr_typeA,
-                           promotion, promotion_inverse, rect_tableaux,
+from krcrystals.errors import InvariantError, UnsupportedFactorError
+from krcrystals.kr import (TypeAKR, column_replication, fixture_C2,
+                           is_rect_ssyt, kn_letters, kn_weight, kr_C_onebox,
+                           kr_typeA, promotion, rect_tableaux, tableau_e,
                            tableau_f, tableau_weight)
 from krcrystals.weyl import build_weyl_group
 
@@ -111,6 +113,45 @@ def test_zero_arrow_weight_rule_picks_orientation():
     swapped = promotion(img, 2)
     delta = vec_sub(tableau_weight(swapped, 2), tableau_weight(t, 2))
     assert delta != A2.theta_weight
+
+
+@pytest.fixture
+def promotion_calls(monkeypatch):
+    """The tableaux kr.promotion is called on, in call order."""
+    calls = []
+
+    def counted(t, n):
+        calls.append(t)
+        return promotion(t, n)
+    monkeypatch.setattr(kr, "promotion", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 2), (3, 2, 2),
+                                   (3, 1, 4)])
+def test_one_promotion_per_tableau(promotion_calls, n, r, s):
+    g = kr_typeA.__wrapped__(n, r, s)    # bypass the build cache
+    assert sorted(promotion_calls) == sorted(rect_tableaux(n, r, s))
+    assert len(promotion_calls) == len(g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_arrows_match_the_promotion_power_oracle(n):
+    for r, s in all_small_rectangles(n):
+        source = TypeAKR(n, r, s)
+        for t in source.tableaux:
+            for table, op in ((source.f, tableau_f), (source.e, tableau_e)):
+                img = op(promotion(t, n), 1)
+                want = None if img is None else promotion_inverse(img, n)
+                assert table(t, 0) == want
+
+
+def test_promotion_that_is_no_bijection_is_an_invariant_error(monkeypatch):
+    source = TypeAKR(2, 1, 2)
+    first = source.tableaux[0]
+    monkeypatch.setattr(kr, "promotion", lambda t, n: first)
+    with pytest.raises(InvariantError, match="not a bijection of B"):
+        source.f(first, 0)
 
 
 def test_zero_string_lengths_b12():

@@ -7,7 +7,8 @@ from helpers import (QBG_TYPES, WriteLog, decode_root, dot_text,
                      length_by_inversions, qbg_dot_oracle,
                      root_matrix_of_word, subword_products)
 from krcrystals import weyl
-from krcrystals.cartan import build_cartan, mat_vec, vec_neg
+from krcrystals.cartan import (build_cartan, identity_matrix, mat_mul, mat_vec,
+                               vec_neg)
 from krcrystals.errors import InvariantError, ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, build_qbg,
                              build_weyl_group, dominantize)
@@ -46,6 +47,22 @@ def test_reflections_are_involutions():
             assert group.mul(s, s) == group.identity == 0
             # s_beta(beta_k) = -beta_k
             assert group.roots[s][k] == -(k + 1)
+
+
+# the walk updates one column per step; the oracle multiplies the full
+# reflection matrices along a reduced word
+@pytest.mark.parametrize("family,rank", QBG_TYPES + [("A", 1)])
+def test_weight_matrices_match_reflection_products(family, rank):
+    ct = build_cartan(family, rank)
+    group = build_weyl_group(ct)
+    simple = [ct.reflection_weight_matrix(tuple(int(j == i)
+                                                for j in range(rank)))
+              for i in range(rank)]
+    for w in range(len(group)):
+        mat = identity_matrix(rank)
+        for i in group.reduced_word(w):
+            mat = mat_mul(mat, simple[i - 1])
+        assert group.wt_mats[w] == mat
 
 
 def test_lengths_match_inversion_oracle():
