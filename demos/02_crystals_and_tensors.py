@@ -4,7 +4,7 @@ Run:  python3 demos/02_crystals_and_tensors.py
 """
 
 from krcrystals import build_cartan, kr_C_onebox, kr_typeA
-from krcrystals.crystals import TensorProduct, explore_tensor, hw_census
+from krcrystals.crystals import explore_tensor, hw_census
 from krcrystals.kr import promotion
 
 print("=== type A KR crystal B^{1,2} for n = 2 (row tableaux) ===")
@@ -24,13 +24,19 @@ print("=== the C2 one-box crystal and a tensor square ===")
 box = kr_C_onebox(2)
 print("letters:", ", ".join(box.reprs), " (KN order 1 < 2 < -2 < -1)")
 ct = build_cartan("C", 2)
-tensor = TensorProduct([box, box])
-print("signature rule: f_1(1 (x) 1) =", tensor.f((1, 1), 1))
-print("                f_1(1 (x) 2) =", tensor.f((1, 2), 1))
-print("                f_1(2 (x) 1) =", tensor.f((2, 1), 1),
-      " (the '+-' pair cancels)")
-
 graph = explore_tensor(ct, [box, box])
+
+
+def f1(b):
+    """f_1 on a pair of letters, read from the explored graph."""
+    img = graph.f(graph.index[b], 1)
+    return None if img is None else graph.nodes[img]
+
+
+print("signature rule: f_1(1 (x) 1) =", f1((1, 1)))
+print("                f_1(1 (x) 2) =", f1((1, 2)))
+print("                f_1(2 (x) 1) =", f1((2, 1)),
+      " (the '+-' pair cancels)")
 print("explored B^{1,1} (x) B^{1,1}: %d nodes, %d edges"
       % (len(graph), graph.edge_count))
 print("seminormality violations:", graph.seminormal())

@@ -6,10 +6,10 @@ satisfy at desk scale."""
 
 from .cartan import build_cartan, c_value, pairing, parse_type, positive_roots
 from .weyl import build_qbg, build_weyl_group, dominantize
-from .crystals import (CrystalGraph, TensorProduct, components,
-                       demazure_filter, demazure_subset, explore,
-                       explore_tensor, ground_state, hw_census, hw_crystal,
-                       iso_check, similarity_check, weyl_action)
+from .crystals import (CrystalGraph, components, demazure_filter,
+                       demazure_subset, explore, explore_tensor, ground_state,
+                       hw_census, hw_crystal, iso_check, similarity_check,
+                       weyl_action)
 from .alcove import (LambdaChain, alcove_crystal, alcove_e, alcove_f,
                      build_lambda_chain, enumerate_admissible, fold, g_graph,
                      phi0)
@@ -23,10 +23,9 @@ __version__ = "0.1.0"
 __all__ = [
     "build_cartan", "c_value", "pairing", "parse_type", "positive_roots",
     "build_qbg", "build_weyl_group", "dominantize",
-    "CrystalGraph", "TensorProduct", "components", "demazure_filter",
-    "demazure_subset", "explore", "explore_tensor", "ground_state",
-    "hw_census", "hw_crystal", "iso_check", "similarity_check",
-    "weyl_action",
+    "CrystalGraph", "components", "demazure_filter", "demazure_subset",
+    "explore", "explore_tensor", "ground_state", "hw_census", "hw_crystal",
+    "iso_check", "similarity_check", "weyl_action",
     "LambdaChain", "alcove_crystal", "alcove_e", "alcove_f",
     "build_lambda_chain", "enumerate_admissible", "fold", "g_graph", "phi0",
     "fixture_C2", "kr_C_onebox", "kr_typeA", "promotion",

@@ -30,8 +30,11 @@ class TensorSpec:
         factors = []
         if factors_text:
             for part in factors_text.split(":"):
-                r, s = part.split(",")
-                r, s = int(r), int(s)
+                try:
+                    r, s = map(int, part.split(","))
+                except ValueError:
+                    raise UsageError("factor %r is not of the form r,s"
+                                     % part) from None
                 if s < 0:
                     raise ValueError("factor width must be >= 0")
                 factors.append((r, s))

@@ -294,36 +294,24 @@ def graphs_equal(g1, g2):
 
 class AbstractCrystal:
     """Protocol for implicit crystals handed to explore(): subclasses
-    provide colors, f, e, weight, and optionally repr_of."""
-
-    def repr_of(self, b):
-        return str(b)
+    provide colors, f, e, weight and repr_of."""
 
 
 def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
-            affine_complete=False, colors=None):
-    """Close the seeds under all e_i and f_i of the generator set (default:
-    every color of the source); deterministic BFS numbering (seed order
-    first, then discovery order with colors ascending)."""
+            affine_complete=False):
+    """Close the seeds under all e_i and f_i of the source's colors;
+    deterministic BFS numbering (seed order first, then discovery order
+    with colors ascending)."""
     if not seeds:
         raise ValueError("explore needs at least one seed")
-    colors = tuple(source.colors if colors is None else colors)
-    nodes = []
-    index = {}
-    for b in seeds:
-        if b not in index:
-            index[b] = len(nodes)
-            nodes.append(b)
+    colors = tuple(source.colors)
+    nodes = list(dict.fromkeys(seeds))
+    index = {b: i for i, b in enumerate(nodes)}
     if len(nodes) > node_cap:
         raise ResourceLimitError("%d seeds exceed node cap %d"
                                  % (len(nodes), node_cap))
     fs = {c: [None] * len(nodes) for c in colors}
-    queue = list(range(len(nodes)))
-    qpos = 0
-    while qpos < len(queue):
-        cur = queue[qpos]
-        qpos += 1
-        b = nodes[cur]
+    for cur, b in enumerate(nodes):  # grows while it is walked: a BFS
         for c in colors:
             for is_f in (True, False):
                 img = source.f(b, c) if is_f else source.e(b, c)
@@ -337,7 +325,6 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
                     j = len(nodes)
                     index[img] = j
                     nodes.append(img)
-                    queue.append(j)
                     for fc in fs.values():
                         fc.append(None)
                 src, dst = (cur, j) if is_f else (j, cur)
@@ -358,83 +345,6 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
 # tensor products via the signature rule
 
 
-class TensorProduct(AbstractCrystal):
-    """Tensor product of explored crystals, leftmost factor first.
-
-    Elements are tuples (b_L, ..., b_1); signature() takes the tuple of
-    their factor node ids instead.
-    """
-
-    def __init__(self, factors):
-        if not factors:
-            raise ValueError("a tensor product needs at least one factor")
-        self.factors = list(factors)
-        self.colors = self.factors[0].colors
-        if any(g.colors != self.colors for g in self.factors):
-            raise ValueError("factors with different color sets")
-        self._stats = {c: [g._string_stats(c) for g in self.factors]
-                       for c in self.colors}
-
-    def all_elements(self):
-        return list(itertools.product(*(g.nodes for g in self.factors)))
-
-    def _ids(self, b):
-        return [g.index[part] for g, part in zip(self.factors, b)]
-
-    def signature(self, ids, color):
-        """The signature rule: (eps, phi, k_f, k_e), where f_color acts on
-        factor k_f and e_color on factor k_e (None where they give 0).
-        Each factor adds phi '-' then eps '+'; a '-' cancels the nearest
-        surviving '+' to its left.  f acts at the rightmost surviving '-',
-        e at the leftmost surviving '+'.  Only survivor counts are kept."""
-        plus = minus = 0
-        k_f = k_e = None
-        for k, (i, (eps, phi)) in enumerate(zip(ids, self._stats[color])):
-            left = phi[i] - plus
-            if left > 0:
-                minus += left
-                k_f = k
-                plus = 0
-            else:
-                plus = -left
-            if eps[i]:
-                if not plus:
-                    k_e = k
-                plus += eps[i]
-        return plus, minus, k_f, (k_e if plus else None)
-
-    def weight(self, b):
-        total = self.factors[0].weight(self.factors[0].index[b[0]])
-        for g, part in zip(self.factors[1:], b[1:]):
-            total = vec_add(total, g.weight(g.index[part]))
-        return total
-
-    def repr_of(self, b):
-        return " (x) ".join(g.reprs[g.index[part]]
-                            for g, part in zip(self.factors, b))
-
-    def eps(self, b, color):
-        return self.signature(self._ids(b), color)[0]
-
-    def phi(self, b, color):
-        return self.signature(self._ids(b), color)[1]
-
-    def f(self, b, color):
-        return self._step(b, color, True)
-
-    def e(self, b, color):
-        return self._step(b, color, False)
-
-    def _step(self, b, color, is_f):
-        ids = self._ids(b)
-        k = self.signature(ids, color)[2 if is_f else 3]
-        if k is None:
-            return None
-        g = self.factors[k]
-        img = g.f(ids[k], color) if is_f else g.e(ids[k], color)
-        return b[:k] + (g.nodes[img],) + b[k + 1:]
-
-
 def _extend(values, block):
     """The concatenated blocks block(v) for v in values, with block called
     once per distinct v (and equal results shared)."""
@@ -443,13 +353,15 @@ def _extend(values, block):
 
 
 def _signature_block(state, rows):
-    """One level of the signature rule as a left fold: the state of a
-    prefix, (surviving '+' count, f offset, e offset), extended by each row
-    (phi, eps, f offset, e offset) of the next factor, as in signature().
-    An offset of 0 means no edge (an edge never has offset 0).  The e
-    offset is reset to 0 once no '+' survives, so it is nonzero exactly
-    where e acts, and prefixes that agree on where f and e act share one
-    state."""
+    """One level of the signature rule as a left fold.  Each factor adds
+    phi '-' then eps '+', and a '-' cancels the nearest surviving '+' to its
+    left; f acts at the rightmost surviving '-', e at the leftmost
+    surviving '+'.  The state of a prefix, (surviving '+' count, f offset,
+    e offset), is extended by each row (phi, eps, f offset, e offset) of
+    the next factor.  An offset of 0 means no edge (an edge never has
+    offset 0).  The e offset is reset to 0 once no '+' survives, so it is
+    nonzero exactly where e acts, and prefixes that agree on where f and e
+    act share one state."""
     plus, df, de = state
     out = []
     for phi, eps, f_off, e_off in rows:
@@ -467,31 +379,35 @@ def _signature_block(state, rows):
     return out
 
 
-def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP,
-                   affine_complete=None):
-    """The full tensor product of explored factor crystals, over mixed-radix
-    ids (rightmost factor fastest, the all_elements() order).
+def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
+    """The full tensor product of explored factor crystals, leftmost factor
+    first: the library's one implementation of the signature rule.
 
-    For each color the signature rule runs level by level, not once per
-    node: the fold state of a prefix of length k is (surviving '+' count,
-    f offset, e offset), the offset of an operator being stride_j·(f_c(i) −
-    i), or e_c, for the factor j and id i it acts on.  Level k + 1 extends
-    every state by one row (phi_i, eps_i, f offset, e offset) per id i of
-    factor k + 1; prefixes with equal states extend alike, so each
-    distinct state of a level is folded once.  After the last factor,
-    f_c(x) = x + f offset and e_c(x) = x + e offset, where nonzero.
-    Weights and reprs come from a prefix product of the factors' lists.
-    InvariantError if e does not invert f."""
-    tensor = TensorProduct(factors)
-    if affine_complete is None:
-        affine_complete = all(g.affine_complete for g in factors)
+    Node x is the tuple of factor payloads at mixed-radix position x
+    (rightmost factor fastest, the itertools.product order).  For each
+    color the rule runs level by level, not once per node: the fold state
+    of a prefix of length k is (surviving '+' count, f offset, e offset),
+    the offset of an operator being stride_j·(f_c(i) − i), or e_c, for the
+    factor j and id i it acts on.  Level k + 1 extends every state by one
+    row (phi_i, eps_i, f offset, e offset) per id i of factor k + 1;
+    prefixes with equal states extend alike, so each distinct state of a
+    level is folded once.  After the last factor, f_c(x) = x + f offset and
+    e_c(x) = x + e offset, where nonzero.  Weights and reprs come from a
+    prefix product of the factors' lists; the product is affine-complete
+    when every factor is.  ValueError for no factors or mixed color sets,
+    ResourceLimitError above node_cap, InvariantError if e does not invert
+    f."""
+    if not factors:
+        raise ValueError("a tensor product needs at least one factor")
+    colors = factors[0].colors
+    if any(g.colors != colors for g in factors):
+        raise ValueError("factors with different color sets")
     sizes = [len(g) for g in factors]
     total = math.prod(sizes)
     if total > node_cap:
         raise ResourceLimitError("tensor product of %d elements exceeds "
                                  "node cap %d" % (total, node_cap))
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-    colors = tensor.colors
     fs, es = {}, {}
     for c in colors:
         states = [(0, 0, 0)]
@@ -508,8 +424,11 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP,
         weights = _extend(weights, lambda w: [tuple(map(operator.add, w, v))
                                               for v in g.weights])
         reprs = [r + " (x) " + s for r in reprs for s in g.reprs]
-    graph = CrystalGraph(cartan, colors, tensor.all_elements(), fs, weights,
-                         reprs, affine_complete=affine_complete)
+    graph = CrystalGraph(cartan, colors,
+                         itertools.product(*(g.nodes for g in factors)), fs,
+                         weights, reprs,
+                         affine_complete=all(g.affine_complete
+                                             for g in factors))
     for c in colors:
         if graph.es[c] != es[c]:
             x = next(x for x in range(total) if graph.es[c][x] != es[c][x])
@@ -763,11 +682,19 @@ def weight_multiset(graph):
 
 
 def hw_crystal(cartan, lam, fundamentals, node_cap=DEFAULT_NODE_CAP):
-    """The finite-type highest weight crystal B(lambda), realized as the
-    component of the top element in a tensor of fundamental crystals.
+    """The finite-type highest weight crystal B(lambda), folded from
+    two-factor tensor products.
 
     fundamentals maps each needed classical node i to an explored crystal
-    whose colors are the classical index set.  ValueError for a lambda
+    whose colors are the classical index set.  The fundamental crystals are
+    taken lam_1 times B(omega_1), then lam_2 times B(omega_2), and so on.
+    One fundamental is returned as it is; each further B(omega_i) turns
+    B(mu) into B(mu + omega_i), the component of u_mu (x) u_{omega_i} in
+    explore_tensor of B(mu) and B(omega_i).  Nodes are left-nested payload
+    pairs, reprs the flat " (x) " strings, and ids follow the component's
+    sorted order.  Each two-factor product holds |B(mu)|·|B(omega_i)|
+    nodes, polynomial in lambda where the full product would be
+    exponential, and node_cap bounds each of them.  ValueError for a lambda
     of the wrong length, NonDominantWeightError for a non-dominant one.
     """
     if len(lam) != cartan.rank:
@@ -779,9 +706,12 @@ def hw_crystal(cartan, lam, fundamentals, node_cap=DEFAULT_NODE_CAP):
         factor_graphs.extend([fundamentals[i]] * lam[i - 1])
     if not factor_graphs:
         return trivial_crystal(cartan, cartan.classical_index_set)
-    tensor = TensorProduct(factor_graphs)
-    top = tuple(g.nodes[highest_weight_node(g)] for g in factor_graphs)
-    graph = explore(cartan, tensor, [top], node_cap)
+    graph = factor_graphs[0]
+    for fund in factor_graphs[1:]:
+        top = highest_weight_node(graph) * len(fund) \
+            + highest_weight_node(fund)
+        graph = explore_tensor(cartan, [graph, fund],
+                               node_cap).component_of(top)
     hw = highest_weight_node(graph)
     if tuple(graph.weights[hw]) != tuple(lam):
         raise InvariantError("highest weight differs from lambda")

@@ -244,15 +244,21 @@ def _neighbors_typeA(n, a):
     return [b for b in (a - 1, a + 1) if 1 <= b <= n]
 
 
+def _check_node_and_m(n, a, m):
+    """Reject a Q-system instance Q_m^a of type A_n outside 1 <= a <= n,
+    m >= 1."""
+    if not 1 <= a <= n:
+        raise UnsupportedFactorError("node a=%d out of range" % a)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
 def check_qsystem_typeA(n, a, m, level, node_cap=DEFAULT_NODE_CAP):
     """Crystal-level Q-system instance: the filtered (B^{a,m-1})^(x)2 has
     the same component multiset as the filtered B^{a,m} (x) B^{a,m-2}
     together with the filtered product over the neighbors of a."""
     t0 = time.perf_counter()
-    if not 1 <= a <= n:
-        raise UnsupportedFactorError("node a=%d out of range" % a)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_node_and_m(n, a, m)
     if level < m:
         raise LevelBoundError("need level >= m = %d, got %d" % (m, level))
     cartan = build_cartan("A", n)
@@ -308,6 +314,7 @@ def check_character_qsystem(n, a, m, node_cap=DEFAULT_NODE_CAP):
     """Monomial-exact classical character identity
     (Q_m^a)^2 = Q_{m+1}^a Q_{m-1}^a + Q_m^{a-1} Q_m^{a+1} in type A_n."""
     t0 = time.perf_counter()
+    _check_node_and_m(n, a, m)
 
     def char(a, m):
         if a == 0 or a == n + 1 or m == 0:

@@ -7,9 +7,9 @@ promotion.  Type C supplies the one-box crystal B^{1,1} for any rank and
 the two C_2 crystals transcribed from the paper-figure fixtures.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .cartan import build_cartan
+from .cartan import build_cartan, vec_add
 from .crystals import (AbstractCrystal, CrystalGraph, classical_restriction,
                        explore, explore_tensor, highest_weight_node,
                        DEFAULT_NODE_CAP)
@@ -227,53 +227,22 @@ def kn_weight(letter, n):
     return tuple(w)
 
 
-class TypeCOneBox(AbstractCrystal):
-    """B^{1,1} in type C_n: f_i: i -> i+1 and (i+1)bar -> ibar for i < n,
-    f_n: n -> nbar, f_0: 1bar -> 1."""
-
-    def __init__(self, n):
-        self.n = n
-        self.colors = tuple(range(0, n + 1))
-
-    def weight(self, b):
-        return kn_weight(b, self.n)
-
-    def repr_of(self, b):
-        return str(b)
-
-    def f(self, b, color):
-        n = self.n
-        if color == 0:
-            return 1 if b == -1 else None
-        if color == n:
-            return -n if b == n else None
-        if b == color:
-            return color + 1
-        if b == -(color + 1):
-            return -color
-        return None
-
-    def e(self, b, color):
-        n = self.n
-        if color == 0:
-            return -1 if b == 1 else None
-        if color == n:
-            return n if b == -n else None
-        if b == color + 1:
-            return color
-        if b == -color:
-            return -(color + 1)
-        return None
-
-
 @lru_cache(maxsize=None)
 def kr_C_onebox(n):
-    """The type C_n KR crystal B^{1,1} (2n letters)."""
+    """The type C_n KR crystal B^{1,1}: the 2n letters in kn_letters order
+    on one path, with f_i: i -> i+1 and (i+1)bar -> ibar for 0 < i < n,
+    f_n: n -> nbar, and f_0: 1bar -> 1 closing the path."""
     if n < 2:
         raise ValueError("type C_n needs n >= 2")
-    cartan = build_cartan("C", n)
-    return explore(cartan, TypeCOneBox(n), kn_letters(n),
-                   affine_complete=True)
+    letters = kn_letters(n)
+    size = len(letters)
+    fs = {c: [None] * size for c in range(n + 1)}
+    for k in range(size - 1):  # colors 1, ..., n, ..., 1 along the path
+        fs[min(k + 1, size - 1 - k)][k] = k + 1
+    fs[0][size - 1] = 0
+    return CrystalGraph(build_cartan("C", n), range(n + 1), letters, fs,
+                        [kn_weight(b, n) for b in letters], map(str, letters),
+                        affine_complete=True)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +273,6 @@ _B12_EDGES = [
 ]
 
 
-def _kn_row_weight(row, n):
-    w = (0,) * n
-    from .cartan import vec_add
-    for letter in row:
-        w = vec_add(w, kn_weight(letter, n))
-    return w
-
-
 @lru_cache(maxsize=None)
 def fixture_C2(which):
     """The two C_2 crystals of the paper figure, transcribed verbatim:
@@ -321,16 +282,16 @@ def fixture_C2(which):
     if which == "tensor11":
         nodes = list(_TENSOR11_NODES)
         edges = _TENSOR11_EDGES
-        weights = [_kn_row_weight(b, 2) for b in nodes]
         reprs = ["%d (x) %d" % b for b in nodes]
     elif which == "B12":
         nodes = list(_B12_NODES)
         edges = _B12_EDGES
-        weights = [_kn_row_weight(b, 2) for b in nodes]
         reprs = ["[[" + ",".join(str(x) for x in b) + "]]" if b else "[]"
                  for b in nodes]
     else:
         raise ValueError("unknown fixture %r" % (which,))
+    weights = [reduce(vec_add, (kn_weight(x, 2) for x in b), (0, 0))
+               for b in nodes]
     fs = {c: [None] * len(nodes) for c in (0, 1, 2)}
     for src, c, dst in edges:
         fs[c][src] = dst

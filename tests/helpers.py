@@ -3,13 +3,14 @@
 Everything here recomputes results from first principles (alcove-walk
 geometry with exact Fractions, reflection matrices on simple-root
 coordinates, inversion counting, subword products, promotion powers,
-the closed-form two-factor signature rule, the pairwise dominance scan
-over the Fraction inverse Cartan matrix),
-deliberately avoiding the package's own code paths wherever a statement
-is being checked against it.
+the per-node and the closed-form two-factor signature rule, the pairwise
+dominance scan over the Fraction inverse Cartan matrix), deliberately
+avoiding the package's own code paths wherever a statement is being
+checked against it.
 """
 
 import io
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -17,8 +18,8 @@ from fractions import Fraction
 from krcrystals.alcove import Folding, GGraph, fold
 from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
                                vec_neg, vec_scale, vec_sub)
-from krcrystals.crystals import (CrystalGraph, components, demazure_subset,
-                                 hw_crystal, iso_check)
+from krcrystals.crystals import (AbstractCrystal, CrystalGraph, components,
+                                 demazure_subset, hw_crystal, iso_check)
 from krcrystals.errors import AmbiguousAnchorError, InvariantError
 from krcrystals.kr import promotion
 from krcrystals.weyl import build_qbg
@@ -287,6 +288,87 @@ def promotion_inverse(t, n):
     for _ in range(n):
         t = promotion(t, n)
     return t
+
+
+# ---------------------------------------------------------------------------
+# the per-node signature rule
+
+
+class TensorProduct(AbstractCrystal):
+    """Tensor product of explored crystals, leftmost factor first, with the
+    signature rule evaluated once per node and color on payload tuples
+    (b_L, ..., b_1): the rule explore_tensor folds level by level.
+    signature() takes the tuple of their factor node ids instead.
+    """
+
+    def __init__(self, factors):
+        if not factors:
+            raise ValueError("a tensor product needs at least one factor")
+        self.factors = list(factors)
+        self.colors = self.factors[0].colors
+        if any(g.colors != self.colors for g in self.factors):
+            raise ValueError("factors with different color sets")
+        self._stats = {c: [g._string_stats(c) for g in self.factors]
+                       for c in self.colors}
+
+    def all_elements(self):
+        return list(itertools.product(*(g.nodes for g in self.factors)))
+
+    def _ids(self, b):
+        return [g.index[part] for g, part in zip(self.factors, b)]
+
+    def signature(self, ids, color):
+        """The signature rule: (eps, phi, k_f, k_e), where f_color acts on
+        factor k_f and e_color on factor k_e (None where they give 0).
+        Each factor adds phi '-' then eps '+'; a '-' cancels the nearest
+        surviving '+' to its left.  f acts at the rightmost surviving '-',
+        e at the leftmost surviving '+'.  Only survivor counts are kept."""
+        plus = minus = 0
+        k_f = k_e = None
+        for k, (i, (eps, phi)) in enumerate(zip(ids, self._stats[color])):
+            left = phi[i] - plus
+            if left > 0:
+                minus += left
+                k_f = k
+                plus = 0
+            else:
+                plus = -left
+            if eps[i]:
+                if not plus:
+                    k_e = k
+                plus += eps[i]
+        return plus, minus, k_f, (k_e if plus else None)
+
+    def weight(self, b):
+        total = self.factors[0].weight(self.factors[0].index[b[0]])
+        for g, part in zip(self.factors[1:], b[1:]):
+            total = vec_add(total, g.weight(g.index[part]))
+        return total
+
+    def repr_of(self, b):
+        return " (x) ".join(g.reprs[g.index[part]]
+                            for g, part in zip(self.factors, b))
+
+    def eps(self, b, color):
+        return self.signature(self._ids(b), color)[0]
+
+    def phi(self, b, color):
+        return self.signature(self._ids(b), color)[1]
+
+    def f(self, b, color):
+        return self._step(b, color, True)
+
+    def e(self, b, color):
+        return self._step(b, color, False)
+
+    def _step(self, b, color, is_f):
+        ids = self._ids(b)
+        k = self.signature(ids, color)[2 if is_f else 3]
+        if k is None:
+            return None
+        g = self.factors[k]
+        img = g.f(ids[k], color) if is_f else g.e(ids[k], color)
+        return b[:k] + (g.nodes[img],) + b[k + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ import time
 
 import pytest
 
+from helpers import TensorProduct
 from krcrystals.alcove import build_lambda_chain, enumerate_admissible, phi0
 from krcrystals.cartan import build_cartan
 from krcrystals.crystals import (components, demazure_filter, demazure_subset,
                                  explore_tensor, graphs_equal, hw_crystal,
-                                 similarity_check, TensorProduct)
+                                 similarity_check)
 from krcrystals.errors import LevelBoundError
 from krcrystals.experiments import (check_alcove_correspondence, check_bmin,
                                     check_character_qsystem, check_figure,

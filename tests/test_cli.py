@@ -207,6 +207,38 @@ def test_check_qsystem_rejects_other_families(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["qsystem", "qchar"])
+@pytest.mark.parametrize("a,m,expect", [
+    (2, 0, "m must be >= 1"),
+    (0, 1, "node a=0 out of range"),
+    (5, 1, "node a=5 out of range"),
+], ids=["m0", "a0", "a5"])
+def test_check_qsystem_rejects_a_and_m_out_of_range(tmp_path, capsys, name,
+                                                    a, m, expect):
+    # one text for both checks, naming a and m, not a factor B^{a+-1,m-1}
+    # the user never asked for
+    out = tmp_path / "report.json"
+    assert run(["check", name, "--type", "A3", "--a", str(a), "--m", str(m),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % expect)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,part", [
+    (["build", "--factors", "1"], "1"),
+    (["build", "--factors", "1,x"], "1,x"),
+    (["build", "--factors", "1,1:"], ""),
+    (["build", "--factors", "1,2,3"], "1,2,3"),
+    (["check", "reduction", "--factors", "1,1", "--factors2", "2"], "2"),
+], ids=["no-width", "width-x", "empty-part", "three-numbers", "factors2"])
+def test_malformed_factors_are_a_usage_error(tmp_path, capsys, argv, part):
+    out = tmp_path / "g.json"
+    assert run(argv + ["--type", "A2", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: factor %r is not of the form r,s\n" % part)
+    assert not out.exists()
+
+
 def test_check_reduction_cli():
     assert run(["check", "reduction", "--type", "C2",
                 "--factors", "1,1:1,1", "--factors2", "1,2",
@@ -319,6 +351,9 @@ GOLDEN = [
     (["build", "--type", "C3", "--factors", "1,1:1,1:1,1",
       "--view", "demazure", "--level", "1"], "dot",
      "3a7c9357a36e4882fc194914f22c5da877e141750695af12c82568836b76b485"),
+    # every 0-arrow of the C one-box, which the C3 Demazure view drops
+    (["build", "--type", "C4", "--factors", "1,1:1,1"], "json",
+     "619c5b6a8a65db06efa8bd2dcf6814852ab3995946cc81d9f2ccc3136b44323e"),
     (["build", "--type", "A2", "--factors", "1,2:2,1",
       "--view", "dual", "--level", "2"], "json",
      "e3b89fb07cf430847e1f15e8d4b272538a1694399f6b8373457e3da1ffb58d45"),

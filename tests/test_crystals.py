@@ -5,16 +5,15 @@ import random
 
 import pytest
 
-from helpers import (WriteLog, component_ids_oracle, crystal_dot_oracle,
-                     decomposes_into_demazure, dot_text, extremal_oracle,
-                     two_factor_e, two_factor_f)
+from helpers import (TensorProduct, WriteLog, component_ids_oracle,
+                     crystal_dot_oracle, decomposes_into_demazure, dot_text,
+                     extremal_oracle, two_factor_e, two_factor_f)
 from krcrystals.cartan import CartanData, build_cartan
-from krcrystals.crystals import (CrystalGraph, TensorProduct,
-                                 classical_restriction, components,
-                                 demazure_filter, demazure_subset, explore,
-                                 explore_tensor, graphs_equal, ground_state,
-                                 highest_weight_node, hw_census, hw_crystal,
-                                 iso_check, similarity_check,
+from krcrystals.crystals import (CrystalGraph, classical_restriction,
+                                 components, demazure_filter, demazure_subset,
+                                 explore, explore_tensor, graphs_equal,
+                                 ground_state, highest_weight_node, hw_census,
+                                 hw_crystal, iso_check, similarity_check,
                                  trivial_crystal, verify_isomorphism,
                                  weight_multiset, weyl_action)
 from krcrystals.experiments import build_factor, build_filtered
@@ -119,10 +118,6 @@ def test_explore_single_seed_closure():
     # the full affine tensor is the closure of 1 (x) 1 alone
     graph = explore(C2, c2_tensor(), [(1, 1)])
     assert len(graph) == 16
-    # restricting the generator set to the classical colors stays inside
-    # the top classical component
-    classical = explore(C2, c2_tensor(), [(1, 1)], colors=(1, 2))
-    assert len(classical) == 10
 
 
 def test_explore_numbering_is_bfs_colors_ascending():
@@ -175,6 +170,24 @@ def test_explore_tensor_matches_seeded_explore(cartan, factors):
     assert got.edges_sorted() == want.edges_sorted()
     assert got.fs == want.fs
     assert got.affine_complete
+
+
+def test_explore_tensor_checks_its_factors():
+    box = kr_C_onebox(2)
+    with pytest.raises(ValueError,
+                       match="^a tensor product needs at least one factor$"):
+        explore_tensor(C2, [])
+    with pytest.raises(ValueError,
+                       match="^factors with different color sets$"):
+        explore_tensor(C2, [box, classical_restriction(box)])
+
+
+def test_explore_tensor_is_affine_complete_when_every_factor_is():
+    box = kr_C_onebox(2)
+    head = demazure_filter(box, 1, "head")
+    assert explore_tensor(C2, [box, box]).affine_complete
+    assert not explore_tensor(C2, [box, head]).affine_complete
+    assert not explore_tensor(C2, [head, box]).affine_complete
 
 
 def test_explore_tensor_raises_when_e_does_not_mirror_f():
@@ -450,6 +463,80 @@ def test_hw_crystal_rejects_non_dominant_lambda(lam):
 def test_hw_crystal_rejects_lambda_of_wrong_length(lam):
     with pytest.raises(ValueError, match="^lambda needs 2 coordinates$"):
         hw_crystal(A2, lam, fundamentals(A2))
+
+
+HW_CASES = [("A", 2, (1, 1)), ("A", 2, (3, 2)), ("A", 2, (4, 4)),
+            ("A", 3, (1, 1, 1)), ("A", 3, (2, 0, 1)), ("A", 4, (1, 0, 1, 1)),
+            ("C", 2, (2, 0)), ("C", 2, (1, 1)), ("C", 2, (2, 1)),
+            ("C", 2, (0, 3))]
+
+
+def weyl_dimension(cartan, lam):
+    """prod over positive roots beta of <lam + rho, beta^vee> / <rho,
+    beta^vee>, in exact integers: both products are formed before the one
+    division."""
+    num = den = 1
+    for beta in cartan.positive_roots_list:
+        cor = cartan.coroot_coords(beta)
+        num *= sum(c * (x + 1) for c, x in zip(cor, lam))
+        den *= sum(cor)
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("family,rank,lam", HW_CASES)
+def test_hw_crystal_size_is_the_weyl_dimension(family, rank, lam):
+    ct = build_cartan(family, rank)
+    assert len(hw_crystal(ct, lam, fundamentals(ct))) == \
+        weyl_dimension(ct, lam)
+
+
+@pytest.mark.parametrize("family,rank,lam", HW_CASES)
+def test_hw_crystal_matches_the_per_node_signature_rule(family, rank, lam):
+    # the oracle: the top element of the flat product of every fundamental,
+    # closed under e_i and f_i one node at a time
+    ct = build_cartan(family, rank)
+    funds = fundamentals(ct)
+    factors = [funds[i] for i in ct.classical_index_set
+               for _ in range(lam[i - 1])]
+    top = tuple(g.nodes[highest_weight_node(g)] for g in factors)
+    want = explore(ct, TensorProduct(factors), [top])
+    got = hw_crystal(ct, lam, funds)
+    assert iso_check(got, want, "max") is not None
+    assert sorted(got.reprs) == sorted(want.reprs)
+
+
+def reversed_ids(g):
+    """g with its node ids in reverse order."""
+    last = len(g) - 1
+    fs = {c: [None if d is None else last - d for d in reversed(fc)]
+          for c, fc in g.fs.items()}
+    return CrystalGraph(g.cartan, g.colors, g.nodes[::-1], fs,
+                        g.weights[::-1], g.reprs[::-1])
+
+
+def test_hw_crystal_finds_the_top_of_each_factor():
+    # every fundamental's top is node 0; reversed, it is the last node
+    ct = build_cartan("A", 3)
+    lam = (1, 1, 1)
+    funds = {i: reversed_ids(g) for i, g in fundamentals(ct).items()}
+    got = hw_crystal(ct, lam, funds)
+    assert len(got) == weyl_dimension(ct, lam)
+    assert iso_check(got, hw_crystal(ct, lam, fundamentals(ct)),
+                     "max") is not None
+
+
+def test_hw_crystal_node_cap_bounds_each_two_factor_product():
+    # B(omega_1) (x) B(omega_1) has 9 nodes, of which B(2 omega_1) keeps 6
+    funds = fundamentals(A2)
+    with pytest.raises(ResourceLimitError):
+        hw_crystal(A2, (2, 0), funds, node_cap=8)
+    assert len(hw_crystal(A2, (2, 0), funds, node_cap=9)) == 6
+
+
+def test_hw_crystal_returns_one_fundamental_as_it_is():
+    funds = fundamentals(C2)
+    assert hw_crystal(C2, (0, 1), funds) is funds[2]
 
 
 def test_demazure_subset_rejects_nonreduced():

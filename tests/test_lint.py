@@ -68,6 +68,18 @@ def test_weyl_has_one_element_representation(name):
     assert not hasattr(krcrystals, name)
 
 
+# explore_tensor is the one tensor-product path: the per-node signature
+# rule is a test oracle, and the C one-box is written as its graph
+@pytest.mark.parametrize("module,name", [
+    ("krcrystals", "TensorProduct"),
+    ("krcrystals.crystals", "TensorProduct"),
+    ("krcrystals.kr", "TypeCOneBox"),
+])
+def test_one_tensor_product_path(module, name):
+    import importlib
+    assert not hasattr(importlib.import_module(module), name)
+
+
 ROOT = SRC.parent.parent
 PY_FILES = sorted(str(path.relative_to(ROOT))
                   for folder in ("src", "tests", "demos")
