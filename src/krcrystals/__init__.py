@@ -8,11 +8,10 @@ from .cartan import build_cartan, c_value, pairing, parse_type, positive_roots
 from .weyl import build_qbg, build_weyl_group, dominantize
 from .crystals import (CrystalGraph, components, demazure_filter,
                        demazure_subset, explore, explore_tensor, ground_state,
-                       hw_census, hw_crystal, iso_check, similarity_check,
-                       weyl_action)
+                       hw_census, iso_check, similarity_check, weyl_action)
 from .alcove import (LambdaChain, alcove_crystal, alcove_e, alcove_f,
                      build_lambda_chain, enumerate_admissible, fold, g_graph,
-                     phi0)
+                     hw_crystal, phi0)
 from .kr import fixture_C2, kr_C_onebox, kr_typeA, promotion
 from .experiments import (Report, check_alcove_correspondence, check_bmin,
                           check_character_qsystem, check_figure,

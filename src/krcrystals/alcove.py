@@ -1,5 +1,5 @@
-"""The quantum alcove model: lambda-chains, foldings, admissible subsets,
-and the level-l crystal operators.
+"""The quantum alcove model A_l(Gamma) and its Bruhat-only part B(lambda):
+lambda-chains, foldings, admissible subsets, and the crystal operators.
 
 Roots are signed root ids throughout: +(k + 1) names the positive root
 beta_k of CartanData.positive_roots_list and -(k + 1) its negative, so a
@@ -15,7 +15,8 @@ the folding state (w, v, gamma, levels) of a subset J into that of
 J + (j,) for a position j past J: gamma and levels up to j are copied,
 positions j+1..m are recomputed from w s_{beta_j} and the shifted v.
 enumerate_admissible is an iterative DFS over the quantum Bruhat graph
-that applies this step once per admissible subset and keeps each
+(up edges only, for B(lambda)) that applies this step once per
+admissible subset and keeps each
 Folding in the chain's map chain.foldings, whose size the node cap
 bounds; fold() reads that map and folds any other subset by the same
 step from the empty folding.  _height_profiles builds the r+1 height
@@ -163,16 +164,18 @@ def fold(chain, J):
     return state[0]
 
 
-def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP):
+def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
     """All admissible subsets, in DFS preorder with positions ascending.
 
     An iterative DFS over the QBG walks 1 -> w_1 -> w_2 -> ...: each stack
     frame holds a subset, its folding state and the next position to try,
     and a child J + (j,) is made only when its frame is reached, by one
     _fold_step from its parent's state, so the stack holds one frame per
-    level of depth.  Each subset's Folding goes into chain.foldings, which
-    fold() reads.  ResourceLimitError as soon as a subset beyond the
-    first node_cap is found."""
+    level of depth.  quantum=False takes up edges (Bruhat covers) only: a
+    prefix-closed part of the subsets, in the same order.  Each subset's
+    Folding goes into chain.foldings, which fold() reads.
+    ResourceLimitError as soon as a subset beyond the first node_cap is
+    found."""
     qbg = build_qbg(chain.cartan)
     group = qbg.group
     indices = chain.root_indices
@@ -184,7 +187,8 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP):
     while stack:
         J, state, pos = stack[-1]
         w = state[0].final_dir
-        while pos <= m and qbg.has_edge(w, indices[pos - 1]) is None:
+        while pos <= m and ((edge := qbg.has_edge(w, indices[pos - 1]))
+                            is None or edge[1] and not quantum):
             pos += 1
         if pos > m:
             stack.pop()
@@ -360,14 +364,15 @@ def phi0(chain, J):
 
 
 class AlcoveCrystal(AbstractCrystal):
-    """A_l(Gamma) over sorted subsets.  explore() asks for f_p and e_p of
-    every color of one subset in a row, so the last subset's height
-    profiles are kept in one slot and each subset's are built once."""
+    """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) over sorted
+    subsets.  explore() asks for f_p and e_p of every color of one subset
+    in a row, so the last subset's height profiles are kept in one slot and
+    each subset's are built once."""
 
-    def __init__(self, chain, level):
+    def __init__(self, chain, level, colors):
         self.chain = chain
         self.level = level
-        self.colors = tuple(range(0, chain.cartan.rank + 1))
+        self.colors = tuple(colors)
         self._last = (None, None)
 
     def _profiles(self, J):
@@ -395,11 +400,29 @@ def alcove_crystal(cartan, lam, level=1, order="lex",
     lambda-chain, as an explored CrystalGraph."""
     if level < 1:
         raise ValueError("level must be >= 1")
+    return _explored(cartan, lam, order, True, level, node_cap, weyl_cap)
+
+
+def hw_crystal(cartan, lam, node_cap=DEFAULT_NODE_CAP,
+               weyl_cap=DEFAULT_WEYL_CAP):
+    """The highest weight crystal B(lambda) in any type, in Lenart and
+    Postnikov's alcove model: the subsets of the lexicographic lambda-chain
+    whose path takes Bruhat covers only, under the f_p, e_p (p in I_0) of
+    A_l(Gamma).  Nodes are sorted subsets in DFS preorder (the top, (), is
+    node 0), reprs read [j,...], node_cap bounds |B(lambda)|.  ValueError
+    for a lambda of the wrong length, NonDominantWeightError if it is not
+    dominant."""
+    return _explored(cartan, lam, "lex", False, 1, node_cap, weyl_cap)
+
+
+def _explored(cartan, lam, order, quantum, level, node_cap, weyl_cap):
+    """The quantum (colors 0..r) or Bruhat (I_0) subsets, explored."""
     # the cap goes in positionally: the same cache key the QBG's group uses
     build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)
-    subsets = enumerate_admissible(chain, node_cap)
-    source = AlcoveCrystal(chain, level)
+    subsets = enumerate_admissible(chain, node_cap, quantum)
+    colors = range(cartan.rank + 1) if quantum else cartan.classical_index_set
+    source = AlcoveCrystal(chain, level, colors)
     graph = explore(cartan, source, subsets, node_cap)
     if len(graph) != len(subsets):
         raise InvariantError("crystal operators left the admissible family")

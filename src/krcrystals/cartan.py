@@ -284,10 +284,6 @@ class CartanData:
             return -1
         raise ValueError("not a root: %r" % (root,))
 
-    def is_root(self, root):
-        r = root if self.root_sign(root) > 0 else vec_neg(root)
-        return r in self._root_index
-
     # -- reflection matrices --------------------------------------------------
 
     def reflection_weight_matrix(self, root):

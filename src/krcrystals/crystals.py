@@ -16,8 +16,7 @@ import operator
 
 from .cartan import vec_add, vec_sub
 from .errors import (AmbiguousAnchorError, InvariantError,
-                     NonDominantWeightError, NonReducedWordError,
-                     ResourceLimitError)
+                     NonReducedWordError, ResourceLimitError)
 from .weyl import DEFAULT_WEYL_CAP, build_weyl_group, write_dot
 
 DEFAULT_NODE_CAP = 10 ** 6
@@ -208,31 +207,32 @@ class CrystalGraph:
             [self.weights[i] for i in ids], [self.reprs[i] for i in ids],
             affine_complete=False)
 
+    def _component_walk(self, start, seen, steps):
+        """The unseen node ids weakly connected to start, marked seen: a
+        BFS along the successor lists steps."""
+        seen[start] = True
+        comp = [start]
+        for v in comp:  # grows while it is walked
+            for step in steps:
+                w = step[v]
+                if w is not None and not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        return comp
+
     def component_ids(self):
         """The ascending node ids of every weakly connected component, in
         order of their smallest id: one pass over the successor lists."""
         seen = [False] * len(self.nodes)
         steps = [*self.fs.values(), *self.es.values()]
-        out = []
-        for start in range(len(seen)):
-            if not seen[start]:
-                seen[start] = True
-                comp = [start]
-                for v in comp:  # grows while it is walked: a BFS
-                    for step in steps:
-                        w = step[v]
-                        if w is not None and not seen[w]:
-                            seen[w] = True
-                            comp.append(w)
-                out.append(sorted(comp))
-        return out
+        return [sorted(self._component_walk(start, seen, steps))
+                for start in range(len(seen)) if not seen[start]]
 
     def component_of(self, node_id):
-        return self.subgraph(next(ids for ids in self.component_ids()
-                                  if node_id in ids))
-
-    def is_connected(self):
-        return len(self.component_ids()) <= 1
+        """The component holding node_id, walked from it alone."""
+        return self.subgraph(self._component_walk(
+            node_id, [False] * len(self.nodes),
+            [*self.fs.values(), *self.es.values()]))
 
     def node_of_weight(self, weight):
         """The unique node of the given weight, or AmbiguousAnchorError."""
@@ -679,43 +679,6 @@ def weight_multiset(graph):
     """The classical character as a Counter of weight tuples."""
     from collections import Counter
     return Counter(tuple(w) for w in graph.weights)
-
-
-def hw_crystal(cartan, lam, fundamentals, node_cap=DEFAULT_NODE_CAP):
-    """The finite-type highest weight crystal B(lambda), folded from
-    two-factor tensor products.
-
-    fundamentals maps each needed classical node i to an explored crystal
-    whose colors are the classical index set.  The fundamental crystals are
-    taken lam_1 times B(omega_1), then lam_2 times B(omega_2), and so on.
-    One fundamental is returned as it is; each further B(omega_i) turns
-    B(mu) into B(mu + omega_i), the component of u_mu (x) u_{omega_i} in
-    explore_tensor of B(mu) and B(omega_i).  Nodes are left-nested payload
-    pairs, reprs the flat " (x) " strings, and ids follow the component's
-    sorted order.  Each two-factor product holds |B(mu)|·|B(omega_i)|
-    nodes, polynomial in lambda where the full product would be
-    exponential, and node_cap bounds each of them.  ValueError for a lambda
-    of the wrong length, NonDominantWeightError for a non-dominant one.
-    """
-    if len(lam) != cartan.rank:
-        raise ValueError("lambda needs %d coordinates" % cartan.rank)
-    if not cartan.is_dominant(lam):
-        raise NonDominantWeightError("lambda must be dominant: %r" % (lam,))
-    factor_graphs = []
-    for i in cartan.classical_index_set:
-        factor_graphs.extend([fundamentals[i]] * lam[i - 1])
-    if not factor_graphs:
-        return trivial_crystal(cartan, cartan.classical_index_set)
-    graph = factor_graphs[0]
-    for fund in factor_graphs[1:]:
-        top = highest_weight_node(graph) * len(fund) \
-            + highest_weight_node(fund)
-        graph = explore_tensor(cartan, [graph, fund],
-                               node_cap).component_of(top)
-    hw = highest_weight_node(graph)
-    if tuple(graph.weights[hw]) != tuple(lam):
-        raise InvariantError("highest weight differs from lambda")
-    return graph
 
 
 def trivial_crystal(cartan, colors):

@@ -10,9 +10,7 @@ the two C_2 crystals transcribed from the paper-figure fixtures.
 from functools import lru_cache, reduce
 
 from .cartan import build_cartan, vec_add
-from .crystals import (AbstractCrystal, CrystalGraph, classical_restriction,
-                       explore, explore_tensor, highest_weight_node,
-                       DEFAULT_NODE_CAP)
+from .crystals import AbstractCrystal, CrystalGraph, explore, DEFAULT_NODE_CAP
 from .errors import InvariantError, UnsupportedFactorError
 
 # ---------------------------------------------------------------------------
@@ -144,11 +142,6 @@ def tableau_weight(t, n):
 def tableau_repr(t):
     return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]"
                           for row in t) + "]"
-
-
-def column_replication(t, m):
-    """The similarity candidate B^{r,s} -> B^{r,ms}: repeat each column m times."""
-    return tuple(tuple(x for x in row for _ in range(m)) for row in t)
 
 
 class TypeAKR(AbstractCrystal):
@@ -299,36 +292,3 @@ def fixture_C2(which):
                          affine_complete=False)
     graph.prefiltered = ("head", 1)
     return graph
-
-
-# ---------------------------------------------------------------------------
-# classical fundamental crystals, used to assemble finite-type B(lambda)
-
-
-@lru_cache(maxsize=None)
-def classical_fundamental(cartan, i):
-    """B(pi_i) as a classical crystal graph (type A any node; C_2 both)."""
-    if cartan.family == "A":
-        return classical_restriction(kr_typeA(cartan.rank, i, 1))
-    if cartan.family == "C" and i == 1:
-        return classical_restriction(kr_C_onebox(cartan.rank))
-    if cartan.family == "C" and cartan.rank == 2 and i == 2:
-        box = classical_restriction(kr_C_onebox(2))
-        tensor = explore_tensor(cartan, [box, box])
-        hw = [j for j in range(len(tensor))
-              if tensor.weights[j] == (0, 1)
-              and all(tensor.e(j, c) is None for c in tensor.colors)]
-        if len(hw) != 1:
-            raise InvariantError("no unique highest weight (0, 1)")
-        comp = tensor.component_of(hw[0])
-        if comp.weights[highest_weight_node(comp)] != (0, 1):
-            raise InvariantError("component of B(pi_2) has the wrong top")
-        return comp
-    raise UnsupportedFactorError(
-        "no classical fundamental crystal for node %d in %s" %
-        (i, cartan.type_name))
-
-
-def fundamentals(cartan):
-    return {i: classical_fundamental(cartan, i)
-            for i in cartan.classical_index_set}

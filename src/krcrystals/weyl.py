@@ -166,31 +166,6 @@ class WeylGroup:
             w = self.right[w][i - 1]
         return w
 
-    def all_reduced_words(self, w):
-        """Every reduced word of w (exhaustive; fine at desk scale)."""
-        lengths, right = self.lengths, self.right
-
-        def words(w):
-            if lengths[w] == 0:
-                return [()]
-            return [word + (i + 1,) for i, ws in enumerate(right[w])
-                    if lengths[ws] < lengths[w] for word in words(ws)]
-
-        return words(w)
-
-    def bruhat_leq(self, v, w):
-        """Strong Bruhat order by the lifting property: for a right
-        descent s of w, v <= w iff min(v, vs) <= ws."""
-        lengths, right = self.lengths, self.right
-        while lengths[v] <= lengths[w]:
-            if lengths[w] == 0:
-                return True
-            i = self._descent(w)
-            if lengths[right[v][i]] < lengths[v]:
-                v = right[v][i]
-            w = right[w][i]
-        return False
-
 
 @lru_cache(maxsize=None)
 def build_weyl_group(cartan, cap=DEFAULT_WEYL_CAP):

@@ -2,11 +2,12 @@
 
 Everything here recomputes results from first principles (alcove-walk
 geometry with exact Fractions, reflection matrices on simple-root
-coordinates, inversion counting, subword products, promotion powers,
-the per-node and the closed-form two-factor signature rule, the pairwise
-dominance scan over the Fraction inverse Cartan matrix), deliberately
-avoiding the package's own code paths wherever a statement is being
-checked against it.
+coordinates, inversion counting, subword products, the lifting property
+of Bruhat order, promotion powers, the per-node and the closed-form
+two-factor signature rule on the fundamental crystals of types A and C2,
+the pairwise dominance scan over the Fraction inverse Cartan matrix),
+deliberately avoiding the package's own code paths wherever a statement
+is being checked against it.
 """
 
 import io
@@ -14,14 +15,18 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
-from krcrystals.alcove import Folding, GGraph, fold
+from krcrystals.alcove import Folding, GGraph, fold, hw_crystal
 from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
                                vec_neg, vec_scale, vec_sub)
-from krcrystals.crystals import (AbstractCrystal, CrystalGraph, components,
-                                 demazure_subset, hw_crystal, iso_check)
-from krcrystals.errors import AmbiguousAnchorError, InvariantError
-from krcrystals.kr import promotion
+from krcrystals.crystals import (AbstractCrystal, CrystalGraph,
+                                 classical_restriction, components,
+                                 demazure_subset, explore_tensor,
+                                 highest_weight_node, iso_check)
+from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
+                               UnsupportedFactorError)
+from krcrystals.kr import kr_C_onebox, kr_typeA, promotion
 from krcrystals.weyl import build_qbg
 
 
@@ -73,6 +78,38 @@ def length_by_inversions(cartan, word):
         if all(x <= 0 for x in img):
             count += 1
     return count
+
+
+def is_root(cartan, root):
+    r = root if cartan.root_sign(root) > 0 else vec_neg(root)
+    return r in cartan._root_index
+
+
+def all_reduced_words(group, w):
+    """Every reduced word of w (exhaustive; fine at desk scale)."""
+    lengths, right = group.lengths, group.right
+
+    def words(w):
+        if lengths[w] == 0:
+            return [()]
+        return [word + (i + 1,) for i, ws in enumerate(right[w])
+                if lengths[ws] < lengths[w] for word in words(ws)]
+
+    return words(w)
+
+
+def bruhat_leq(group, v, w):
+    """Strong Bruhat order by the lifting property: for a right
+    descent s of w, v <= w iff min(v, vs) <= ws."""
+    lengths, right = group.lengths, group.right
+    while lengths[v] <= lengths[w]:
+        if lengths[w] == 0:
+            return True
+        i = group._descent(w)
+        if lengths[right[v][i]] < lengths[v]:
+            v = right[v][i]
+        w = right[w][i]
+    return False
 
 
 def subword_products(group, w):
@@ -231,6 +268,19 @@ def is_admissible(chain, J):
     return True
 
 
+def is_bruhat_admissible(chain, J):
+    """Does 1 -> r_{j_1} -> ... raise the length by one at every step (a
+    walk of Bruhat covers), read from the group's length table?"""
+    group = build_qbg(chain.cartan).group
+    cur = group.identity
+    for j in sorted(J):
+        nxt = group.times_reflection(cur, chain.root_indices[j - 1])
+        if group.lengths[nxt] != group.lengths[cur] + 1:
+            return False
+        cur = nxt
+    return True
+
+
 def g_graph_oracle(chain, J, p):
     """The height profile for color p by its own scan of all m positions
     of Gamma(J) (the package's fold, which fold_oracle checks), the
@@ -288,6 +338,11 @@ def promotion_inverse(t, n):
     for _ in range(n):
         t = promotion(t, n)
     return t
+
+
+def column_replication(t, m):
+    """The similarity candidate B^{r,s} -> B^{r,ms}: repeat each column m times."""
+    return tuple(tuple(x for x in row for _ in range(m)) for row in t)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +427,39 @@ class TensorProduct(AbstractCrystal):
 
 
 # ---------------------------------------------------------------------------
+# classical fundamental crystals: the signature-rule oracle's factors
+
+
+@lru_cache(maxsize=None)
+def classical_fundamental(cartan, i):
+    """B(pi_i) as a classical crystal graph (type A any node; C_2 both)."""
+    if cartan.family == "A":
+        return classical_restriction(kr_typeA(cartan.rank, i, 1))
+    if cartan.family == "C" and i == 1:
+        return classical_restriction(kr_C_onebox(cartan.rank))
+    if cartan.family == "C" and cartan.rank == 2 and i == 2:
+        box = classical_restriction(kr_C_onebox(2))
+        tensor = explore_tensor(cartan, [box, box])
+        hw = [j for j in range(len(tensor))
+              if tensor.weights[j] == (0, 1)
+              and all(tensor.e(j, c) is None for c in tensor.colors)]
+        if len(hw) != 1:
+            raise InvariantError("no unique highest weight (0, 1)")
+        comp = tensor.component_of(hw[0])
+        if comp.weights[highest_weight_node(comp)] != (0, 1):
+            raise InvariantError("component of B(pi_2) has the wrong top")
+        return comp
+    raise UnsupportedFactorError(
+        "no classical fundamental crystal for node %d in %s" %
+        (i, cartan.type_name))
+
+
+def fundamentals(cartan):
+    return {i: classical_fundamental(cartan, i)
+            for i in cartan.classical_index_set}
+
+
+# ---------------------------------------------------------------------------
 # closed-form two-factor tensor product
 
 
@@ -416,6 +504,10 @@ def component_ids_oracle(graph, start):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def is_connected(graph):
+    return len(graph.component_ids()) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +565,16 @@ def extremal_oracle(graph, mode):
 # the combinatorial excellent filtration
 
 
-def demazure_tensor_object(cartan, funds, mu, lam, word):
+# the filtration oracle asks for the same few B(kappa) over and over
+_hw_crystal = lru_cache(maxsize=None)(hw_crystal)
+
+
+def demazure_tensor_object(cartan, mu, lam, word):
     """The full subcrystal on B_w(mu) (x) u_lambda inside B(mu) (x) B(lambda):
     an f_i-edge survives iff the signature rule keeps the operator on the
     left factor (eps_i(b) >= <alpha_i^vee, lambda>) and the image stays in
     the Demazure subset."""
-    graph = hw_crystal(cartan, mu, funds)
+    graph = _hw_crystal(cartan, mu)
     subset = sorted(demazure_subset(graph, word))
     remap = {b: k for k, b in enumerate(subset)}
     fs = {i: [None] * len(subset) for i in cartan.classical_index_set}
@@ -492,10 +588,10 @@ def demazure_tensor_object(cartan, funds, mu, lam, word):
                         list(range(len(subset))), fs, weights, reprs)
 
 
-def decomposes_into_demazure(cartan, funds, group, mu, lam, word):
+def decomposes_into_demazure(cartan, group, mu, lam, word):
     """Is every component of the filtered object isomorphic to some Demazure
     crystal B_v(kappa), searched over v and with kappa read off the source?"""
-    obj = demazure_tensor_object(cartan, funds, mu, lam, word)
+    obj = demazure_tensor_object(cartan, mu, lam, word)
     for comp in components(obj):
         sources = [i for i in range(len(comp))
                    if all(comp.e(i, c) is None for c in comp.colors)]
@@ -504,7 +600,7 @@ def decomposes_into_demazure(cartan, funds, group, mu, lam, word):
         kappa = comp.weights[sources[0]]
         if not cartan.is_dominant(kappa):
             return False
-        ambient = hw_crystal(cartan, kappa, funds)
+        ambient = _hw_crystal(cartan, kappa)
         for v in range(len(group)):
             cand = ambient.subgraph(
                 demazure_subset(ambient, group.reduced_word(v)))

@@ -6,7 +6,7 @@ import pytest
 from helpers import (QBG_TYPES, decode_root, fold_oracle,
                      folding_direction_oracle, folding_gamma_oracle,
                      folding_weight_oracle, g_graph_oracle, is_admissible,
-                     validate_chain)
+                     is_bruhat_admissible, validate_chain)
 from krcrystals import alcove
 from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
                                alcove_f, build_lambda_chain,
@@ -151,6 +151,18 @@ def test_enumeration_is_dfs_ordered():
     subsets = enumerate_admissible(build_lambda_chain(A2, (2, 0)))
     assert subsets[0] == ()
     assert subsets == sorted(subsets)
+
+
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_bruhat_enumeration_keeps_the_walks_of_covers(family, rank):
+    # the quantum subsets whose walk only goes up, in the same order
+    ct = build_cartan(family, rank)
+    lam = (1,) + (0,) * (rank - 2) + (1,)
+    chain = build_lambda_chain(ct, lam)
+    bruhat = enumerate_admissible(chain, quantum=False)
+    subsets = enumerate_admissible(chain)
+    assert bruhat == [J for J in subsets if is_bruhat_admissible(chain, J)]
+    assert len(bruhat) < len(subsets)
 
 
 def test_enumeration_stops_at_the_node_cap():

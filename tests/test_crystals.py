@@ -5,22 +5,24 @@ import random
 
 import pytest
 
-from helpers import (TensorProduct, WriteLog, component_ids_oracle,
-                     crystal_dot_oracle, decomposes_into_demazure, dot_text,
-                     extremal_oracle, two_factor_e, two_factor_f)
+from helpers import (TensorProduct, WriteLog, all_reduced_words, bruhat_leq,
+                     component_ids_oracle, crystal_dot_oracle,
+                     decomposes_into_demazure, dot_text, extremal_oracle,
+                     fundamentals, is_connected, two_factor_e, two_factor_f)
+from krcrystals.alcove import alcove_crystal, hw_crystal
 from krcrystals.cartan import CartanData, build_cartan
 from krcrystals.crystals import (CrystalGraph, classical_restriction,
                                  components, demazure_filter, demazure_subset,
                                  explore, explore_tensor, graphs_equal,
                                  ground_state, highest_weight_node, hw_census,
-                                 hw_crystal, iso_check, similarity_check,
+                                 iso_check, similarity_check,
                                  trivial_crystal, verify_isomorphism,
                                  weight_multiset, weyl_action)
 from krcrystals.experiments import build_factor, build_filtered
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, NonReducedWordError,
                                ResourceLimitError)
-from krcrystals.kr import (fixture_C2, fundamentals, kr_C_onebox, kr_typeA)
+from krcrystals.kr import fixture_C2, kr_C_onebox, kr_typeA
 from krcrystals import weyl
 from krcrystals.weyl import build_weyl_group
 
@@ -442,8 +444,7 @@ def test_extremal_matches_pairwise_scan_on_hand_built_graphs(
 
 
 def test_demazure_subset_extremes():
-    funds = fundamentals(A2)
-    graph = hw_crystal(A2, (1, 0), funds)
+    graph = hw_crystal(A2, (1, 0))
     group = build_weyl_group(A2)
     assert demazure_subset(graph, ()) == [highest_weight_node(graph)]
     assert len(demazure_subset(graph, group.reduced_word(group.w0))) == \
@@ -456,19 +457,25 @@ def test_hw_crystal_rejects_non_dominant_lambda(lam):
     # (-1, 0) used to give the one-node crystal of weight (0, 0)
     with pytest.raises(NonDominantWeightError,
                        match=r"^lambda must be dominant: \(%d, %d\)$" % lam):
-        hw_crystal(A2, lam, fundamentals(A2))
+        hw_crystal(A2, lam)
 
 
 @pytest.mark.parametrize("lam", [(), (1,), (1, 0, 0)])
 def test_hw_crystal_rejects_lambda_of_wrong_length(lam):
     with pytest.raises(ValueError, match="^lambda needs 2 coordinates$"):
-        hw_crystal(A2, lam, fundamentals(A2))
+        hw_crystal(A2, lam)
 
 
+# the types the fundamental-tensor oracle reaches: A, and C2
 HW_CASES = [("A", 2, (1, 1)), ("A", 2, (3, 2)), ("A", 2, (4, 4)),
             ("A", 3, (1, 1, 1)), ("A", 3, (2, 0, 1)), ("A", 4, (1, 0, 1, 1)),
             ("C", 2, (2, 0)), ("C", 2, (1, 1)), ("C", 2, (2, 1)),
             ("C", 2, (0, 3))]
+
+# B, C and D, which the oracle does not reach, and the one-node B(0)
+BCD_CASES = [("B", 3, (1, 1, 1)), ("B", 3, (0, 2, 0)), ("B", 4, (1, 0, 1, 0)),
+             ("C", 3, (2, 1, 0)), ("C", 4, (0, 1, 0, 1)),
+             ("D", 4, (1, 1, 0, 1)), ("A", 2, (0, 0))]
 
 
 def weyl_dimension(cartan, lam):
@@ -484,11 +491,14 @@ def weyl_dimension(cartan, lam):
     return num // den
 
 
-@pytest.mark.parametrize("family,rank,lam", HW_CASES)
+@pytest.mark.parametrize("family,rank,lam", HW_CASES + BCD_CASES)
 def test_hw_crystal_size_is_the_weyl_dimension(family, rank, lam):
     ct = build_cartan(family, rank)
-    assert len(hw_crystal(ct, lam, fundamentals(ct))) == \
-        weyl_dimension(ct, lam)
+    graph = hw_crystal(ct, lam)
+    assert len(graph) == weyl_dimension(ct, lam)
+    assert is_connected(graph)
+    assert highest_weight_node(graph) == 0
+    assert graph.weights[0] == lam
 
 
 @pytest.mark.parametrize("family,rank,lam", HW_CASES)
@@ -501,46 +511,45 @@ def test_hw_crystal_matches_the_per_node_signature_rule(family, rank, lam):
                for _ in range(lam[i - 1])]
     top = tuple(g.nodes[highest_weight_node(g)] for g in factors)
     want = explore(ct, TensorProduct(factors), [top])
-    got = hw_crystal(ct, lam, funds)
-    assert iso_check(got, want, "max") is not None
-    assert sorted(got.reprs) == sorted(want.reprs)
+    assert iso_check(hw_crystal(ct, lam), want, "max") is not None
 
 
-def reversed_ids(g):
-    """g with its node ids in reverse order."""
-    last = len(g) - 1
-    fs = {c: [None if d is None else last - d for d in reversed(fc)]
-          for c, fc in g.fs.items()}
-    return CrystalGraph(g.cartan, g.colors, g.nodes[::-1], fs,
-                        g.weights[::-1], g.reprs[::-1])
+def numbered(g):
+    """Everything of g that node ids index: equal means node for node and
+    edge for edge."""
+    return g.colors, g.nodes, g.fs, g.weights, g.reprs
 
 
-def test_hw_crystal_finds_the_top_of_each_factor():
-    # every fundamental's top is node 0; reversed, it is the last node
-    ct = build_cartan("A", 3)
-    lam = (1, 1, 1)
-    funds = {i: reversed_ids(g) for i, g in fundamentals(ct).items()}
-    got = hw_crystal(ct, lam, funds)
-    assert len(got) == weyl_dimension(ct, lam)
-    assert iso_check(got, hw_crystal(ct, lam, fundamentals(ct)),
-                     "max") is not None
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 2, (1, 1)), ("A", 3, (2, 0, 1)), ("C", 2, (2, 1)),
+    ("B", 3, (1, 1, 0)), ("C", 3, (1, 0, 1)), ("D", 4, (1, 0, 0, 1)),
+    ("B", 3, (0, 1, 0))])
+def test_hw_crystal_is_the_top_component_of_the_quantum_model(family, rank,
+                                                              lam):
+    # the Bruhat subsets are the classical component of the empty subset
+    # in A_1(Gamma), numbered alike: both DFS preorders ascend positions
+    ct = build_cartan(family, rank)
+    got = hw_crystal(ct, lam)
+    want = classical_restriction(alcove_crystal(ct, lam, 1)).component_of(0)
+    assert want.nodes[0] == ()
+    assert numbered(got) == numbered(want)
 
 
-def test_hw_crystal_node_cap_bounds_each_two_factor_product():
-    # B(omega_1) (x) B(omega_1) has 9 nodes, of which B(2 omega_1) keeps 6
-    funds = fundamentals(A2)
+def test_hw_crystal_node_cap_bounds_the_crystal():
+    # B(2 omega_1) in A2 has 6 elements
     with pytest.raises(ResourceLimitError):
-        hw_crystal(A2, (2, 0), funds, node_cap=8)
-    assert len(hw_crystal(A2, (2, 0), funds, node_cap=9)) == 6
+        hw_crystal(A2, (2, 0), node_cap=5)
+    assert len(hw_crystal(A2, (2, 0), node_cap=6)) == 6
 
 
-def test_hw_crystal_returns_one_fundamental_as_it_is():
-    funds = fundamentals(C2)
-    assert hw_crystal(C2, (0, 1), funds) is funds[2]
+def test_hw_crystal_weyl_cap_bounds_the_weyl_group():
+    with pytest.raises(ResourceLimitError,
+                       match="^Weyl group larger than cap 1$"):
+        hw_crystal(build_cartan("A", 3), (1, 1, 1), weyl_cap=1)
 
 
 def test_demazure_subset_rejects_nonreduced():
-    graph = hw_crystal(A2, (1, 0), fundamentals(A2))
+    graph = hw_crystal(A2, (1, 0))
     with pytest.raises(NonReducedWordError):
         demazure_subset(graph, (1, 1))
 
@@ -549,11 +558,11 @@ def test_demazure_subset_rejects_nonreduced():
                                              ("C", 2, (1, 1))])
 def test_demazure_subset_word_independence(family, rank, lam):
     ct = build_cartan(family, rank)
-    graph = hw_crystal(ct, lam, fundamentals(ct))
+    graph = hw_crystal(ct, lam)
     group = build_weyl_group(ct)
     for w in range(len(group)):
         results = {tuple(demazure_subset(graph, word))
-                   for word in group.all_reduced_words(w)}
+                   for word in all_reduced_words(group, w)}
         assert len(results) == 1
 
 
@@ -561,36 +570,46 @@ def test_demazure_subset_word_independence(family, rank, lam):
                                              ("C", 2, (1, 1))])
 def test_bruhat_order_matches_demazure_containment(family, rank, lam):
     ct = build_cartan(family, rank)
-    graph = hw_crystal(ct, lam, fundamentals(ct))
+    graph = hw_crystal(ct, lam)
     group = build_weyl_group(ct)
     subsets = {w: set(demazure_subset(graph, group.reduced_word(w)))
                for w in range(len(group))}
     for v in range(len(group)):
         for w in range(len(group)):
             contained = subsets[v] <= subsets[w]
-            assert contained == group.bruhat_leq(v, w)
+            assert contained == bruhat_leq(group, v, w)
 
 
 def test_excellent_filtration_a2():
-    funds = fundamentals(A2)
     group = build_weyl_group(A2)
     small = [(1, 0), (0, 1), (1, 1)]
     for mu in small:
         for lam in small:
             for w in range(len(group)):
                 assert decomposes_into_demazure(
-                    A2, funds, group, mu, lam, group.reduced_word(w))
+                    A2, group, mu, lam, group.reduced_word(w))
 
 
 def test_excellent_filtration_c2():
-    funds = fundamentals(C2)
     group = build_weyl_group(C2)
     small = [(1, 0), (0, 1)]
     for mu in small:
         for lam in small:
             for w in range(len(group)):
                 assert decomposes_into_demazure(
-                    C2, funds, group, mu, lam, group.reduced_word(w))
+                    C2, group, mu, lam, group.reduced_word(w))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4)])
+def test_excellent_filtration_beyond_a_and_c2(family, rank):
+    ct = build_cartan(family, rank)
+    group = build_weyl_group(ct)
+    ends = [tuple(int(j == i) for j in range(rank)) for i in (0, rank - 1)]
+    for mu in ends:
+        for lam in ends:
+            for w in range(len(group)):
+                assert decomposes_into_demazure(
+                    ct, group, mu, lam, group.reduced_word(w))
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +776,20 @@ def test_components_match_per_start_bfs(cartan, factors, level, mode):
     assert len(got) > 1
     assert sorted(got) == sorted(want)
     for comp in components(graph):
-        assert comp.is_connected()
+        assert is_connected(comp)
         assert comp.edge_count == sum(
             1 for s, _, d in graph.edges_sorted()
             if graph.nodes[s] in comp.index)
+
+
+@pytest.mark.parametrize("cartan,factors,level,mode", FILTERED_CASES)
+def test_component_of_is_the_component_holding_the_node(cartan, factors,
+                                                        level, mode):
+    graph = build_filtered(cartan, factors, level, mode)
+    holding = {v: ids for ids in graph.component_ids() for v in ids}
+    for v in range(len(graph)):
+        assert numbered(graph.component_of(v)) == \
+            numbered(graph.subgraph(holding[v]))
 
 
 def test_constructor_rejects_duplicate_payloads():

@@ -1,15 +1,15 @@
 import pytest
 
-from helpers import promotion_inverse
+from helpers import column_replication, promotion_inverse
 from krcrystals import kr
 from krcrystals.cartan import build_cartan, mat_vec, vec_sub
 from krcrystals.crystals import (demazure_filter, explore_tensor,
                                  graphs_equal, hw_census, similarity_check)
 from krcrystals.errors import InvariantError, UnsupportedFactorError
-from krcrystals.kr import (TypeAKR, column_replication, fixture_C2,
-                           is_rect_ssyt, kn_letters, kn_weight, kr_C_onebox,
-                           kr_typeA, promotion, rect_tableaux, tableau_e,
-                           tableau_f, tableau_weight)
+from krcrystals.kr import (TypeAKR, fixture_C2, is_rect_ssyt, kn_letters,
+                           kn_weight, kr_C_onebox, kr_typeA, promotion,
+                           rect_tableaux, tableau_e, tableau_f,
+                           tableau_weight)
 from krcrystals.weyl import build_weyl_group
 
 A2 = build_cartan("A", 2)

@@ -80,6 +80,18 @@ def test_one_tensor_product_path(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+# hw_crystal is the alcove model's one B(lambda) in every type: the
+# fundamental crystals it used to fold are a test oracle
+@pytest.mark.parametrize("module,name", [
+    ("krcrystals.kr", "classical_fundamental"),
+    ("krcrystals.kr", "fundamentals"),
+    ("krcrystals.crystals", "hw_crystal"),
+])
+def test_one_highest_weight_crystal_construction(module, name):
+    import importlib
+    assert not hasattr(importlib.import_module(module), name)
+
+
 ROOT = SRC.parent.parent
 PY_FILES = sorted(str(path.relative_to(ROOT))
                   for folder in ("src", "tests", "demos")
