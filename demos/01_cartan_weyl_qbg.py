@@ -4,7 +4,7 @@ roots, the finite Weyl group, and the quantum Bruhat graph.
 Run:  python3 demos/01_cartan_weyl_qbg.py
 """
 
-from krcrystals import build_cartan, c_value, pairing, positive_roots
+from krcrystals import build_cartan, c_value
 from krcrystals.weyl import build_qbg, build_weyl_group, dominantize
 
 print("=== Cartan data for C2~ ===")
@@ -19,8 +19,8 @@ print("highest root theta =", ct.theta, "(simple-root coordinates)")
 
 print()
 print("=== positive roots (simple-root coordinates) ===")
-for beta in positive_roots(ct):
-    print("   ", beta, " <beta^vee, rho> =", pairing(ct, beta, ct.rho))
+for beta in ct.positive_roots_list:
+    print("   ", beta, " <beta^vee, rho> =", ct.pairing(beta, ct.rho))
 
 print()
 print("=== the Weyl group and its quantum Bruhat graph ===")
@@ -28,7 +28,7 @@ group = build_weyl_group(ct)
 print("|W| =", len(group), " longest element length =",
       group.lengths[group.w0])
 qbg = build_qbg(ct)
-ups = sum(1 for (_, down) in qbg.edges.values() if not down)
+ups = sum(not down for row in qbg.out for (_, _, down) in row)
 downs = qbg.edge_count - ups
 print("QBG: %d vertices, %d edges (%d covers, %d quantum)"
       % (qbg.vertex_count, qbg.edge_count, ups, downs))

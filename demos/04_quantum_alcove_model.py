@@ -18,7 +18,7 @@ chain = build_lambda_chain(a2, lam)
 print("lambda =", lam, " lexicographic chain:", chain.roots)
 print("initial levels l_i:", chain.l)
 
-subsets = enumerate_admissible(chain)
+subsets = list(enumerate_admissible(chain))
 print("admissible subsets (%d):" % len(subsets), subsets)
 
 

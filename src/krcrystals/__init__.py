@@ -4,7 +4,7 @@ the quantum Bruhat graph, and the quantum alcove model with level-l
 operators, plus named verifications of the structural theorems they
 satisfy at desk scale."""
 
-from .cartan import build_cartan, c_value, pairing, parse_type, positive_roots
+from .cartan import build_cartan, c_value, parse_type
 from .weyl import build_qbg, build_weyl_group, dominantize
 from .crystals import (CrystalGraph, components, demazure_filter,
                        demazure_subset, explore, explore_tensor, ground_state,
@@ -20,7 +20,7 @@ from .experiments import (Report, check_alcove_correspondence, check_bmin,
 __version__ = "0.1.0"
 
 __all__ = [
-    "build_cartan", "c_value", "pairing", "parse_type", "positive_roots",
+    "build_cartan", "c_value", "parse_type",
     "build_qbg", "build_weyl_group", "dominantize",
     "CrystalGraph", "components", "demazure_filter", "demazure_subset",
     "explore", "explore_tensor", "ground_state", "hw_census", "hw_crystal",

@@ -12,16 +12,17 @@ hyperplane levels at every evaluation, so the two routes to the heights
 
 Foldings are built incrementally.  One step function, _fold_step, turns
 the folding state (w, v, gamma, levels) of a subset J into that of
-J + (j,) for a position j past J: gamma and levels up to j are copied,
-positions j+1..m are recomputed from w s_{beta_j} and the shifted v.
-enumerate_admissible is an iterative DFS over the quantum Bruhat graph
-(up edges only, for B(lambda)) that applies this step once per
-admissible subset and keeps each
-Folding in the chain's map chain.foldings, whose size the node cap
-bounds; fold() reads that map and folds any other subset by the same
-step from the empty folding.  _height_profiles builds the r+1 height
-profiles of a subset in one pass over its folding, and AlcoveCrystal
-builds them once per subset and reads every f_p and e_p from them.
+J + (j,) for a position j past J, given the new element w s_{beta_j}:
+gamma and levels up to j are copied, positions j+1..m are recomputed
+from the new element and the shifted v.  enumerate_admissible is an
+iterative DFS over the quantum Bruhat graph (up edges only, for
+B(lambda)) that takes each new element from the QBG edge it follows,
+applies the step once per admissible subset and returns the map from
+each subset to its Folding, whose size the node cap bounds.  fold()
+folds any subset by the same step from the empty folding.
+_height_profiles builds the r+1 height profiles of a subset in one pass
+over its folding, and AlcoveCrystal reads the DFS's map, builds the
+profiles once per subset and reads every f_p and e_p from them.
 """
 
 import math
@@ -91,7 +92,6 @@ class LambdaChain:
             for base, sign in [(cartan.theta, -1)] + [
                 (tuple(int(j == p) for j in range(cartan.rank)), 1)
                 for p in range(cartan.rank)])
-        self.foldings = {}
         self._images = {}     # Weyl element id -> (w(rho), w(lambda))
 
 
@@ -111,23 +111,23 @@ class Folding(NamedTuple):
     final_dir: int
 
 
-def _fold_step(chain, group, state, j):
+def _fold_step(chain, group, state, j, w):
     """The one folding step.  From the state (Folding, weight shift v) of
-    a subset J and a position j past every position of J, the state of
-    J + (j,): the shift v - l_j gamma_j, the element w s_{beta_j}, the
-    entries of gamma and levels at positions 1..j copied from J's folding
-    (they only see foldings before them) and positions j+1..m recomputed
-    from the new w and v.  state None with j = 0 gives the empty folding,
-    every position computed from the identity."""
+    a subset J, a position j past every position of J and the element
+    w = final_dir s_{beta_j}, the state of J + (j,): the shift
+    v - l_j gamma_j, the entries of gamma and levels at positions 1..j
+    copied from J's folding (they only see foldings before them) and
+    positions j+1..m recomputed from w and the new v.  state None with
+    j = 0 and w the identity gives the empty folding, every position
+    computed from the identity."""
     ct = chain.cartan
     if state is None:
-        w, v, gamma, levels = group.identity, (0,) * ct.rank, [], []
+        v, gamma, levels = (0,) * ct.rank, [], []
     else:
         fol, v = state
         g = fol.gamma[j - 1]
         sl = chain.l[j - 1] if g > 0 else -chain.l[j - 1]
         v = vec_sub(v, vec_scale(sl, ct._root_weights[abs(g) - 1]))
-        w = group.times_reflection(fol.final_dir, chain.root_indices[j - 1])
         gamma, levels = list(fol.gamma[:j]), list(fol.levels[:j])
     roots, coroots = group.roots[w], ct._coroots
     for idx, l in zip(chain.root_indices[j:], chain.l[j:]):
@@ -145,44 +145,40 @@ def _fold_step(chain, group, state, j):
 
 
 def fold(chain, J):
-    """The folding Gamma(J) (admissibility not required).  A subset that
-    enumerate_admissible reached is read from chain.foldings; any other J
-    is folded from the empty folding by _fold_step at each of its
-    positions in ascending order, and is not stored.  ValueError for a
-    position outside 1..m."""
+    """The folding Gamma(J) (admissibility not required), folded from the
+    empty folding by _fold_step at each position of J in ascending order.
+    ValueError for a position outside 1..m."""
     J = tuple(sorted(set(J)))
-    fol = chain.foldings.get(J)
-    if fol is not None:
-        return fol
     for j in J:
         if not 1 <= j <= chain.m:
             raise ValueError("position %d outside 1..%d" % (j, chain.m))
     group = build_qbg(chain.cartan).group
-    state = _fold_step(chain, group, None, 0)
+    state = _fold_step(chain, group, None, 0, group.identity)
     for j in J:
-        state = _fold_step(chain, group, state, j)
+        w = group.times_reflection(state[0].final_dir,
+                                   chain.root_indices[j - 1])
+        state = _fold_step(chain, group, state, j, w)
     return state[0]
 
 
 def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
-    """All admissible subsets, in DFS preorder with positions ascending.
+    """The map from each admissible subset to its Folding, in DFS preorder
+    with positions ascending.
 
     An iterative DFS over the QBG walks 1 -> w_1 -> w_2 -> ...: each stack
     frame holds a subset, its folding state and the next position to try,
     and a child J + (j,) is made only when its frame is reached, by one
-    _fold_step from its parent's state, so the stack holds one frame per
-    level of depth.  quantum=False takes up edges (Bruhat covers) only: a
-    prefix-closed part of the subsets, in the same order.  Each subset's
-    Folding goes into chain.foldings, which fold() reads.
-    ResourceLimitError as soon as a subset beyond the first node_cap is
-    found."""
+    _fold_step from its parent's state with the element of the QBG edge
+    just tested, so the stack holds one frame per level of depth.
+    quantum=False takes up edges (Bruhat covers) only: a prefix-closed
+    part of the subsets, in the same order.  ResourceLimitError as soon
+    as a subset beyond the first node_cap is found."""
     qbg = build_qbg(chain.cartan)
     group = qbg.group
     indices = chain.root_indices
     m = chain.m
-    root = _fold_step(chain, group, None, 0)
-    chain.foldings = {(): root[0]}
-    out = [()]
+    root = _fold_step(chain, group, None, 0, group.identity)
+    out = {(): root[0]}
     stack = [((), root, 1)]
     while stack:
         J, state, pos = stack[-1]
@@ -198,9 +194,8 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
             raise ResourceLimitError("admissible subsets exceed node cap %d"
                                      % node_cap)
         child = J + (pos,)
-        child_state = _fold_step(chain, group, state, pos)
-        chain.foldings[child] = child_state[0]
-        out.append(child)
+        child_state = _fold_step(chain, group, state, pos, edge[0])
+        out[child] = child_state[0]
         stack.append((child, child_state, pos + 1))
     return out
 
@@ -364,25 +359,34 @@ def phi0(chain, J):
 
 
 class AlcoveCrystal(AbstractCrystal):
-    """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) over sorted
-    subsets.  explore() asks for f_p and e_p of every color of one subset
-    in a row, so the last subset's height profiles are kept in one slot and
-    each subset's are built once."""
+    """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) over the sorted
+    subsets of foldings, enumerate_admissible's map.  explore() asks for
+    f_p and e_p of every color of one subset in a row, so the last
+    subset's height profiles are kept in one slot and each subset's are
+    built once.  InvariantError at the first subset outside the map."""
 
-    def __init__(self, chain, level, colors):
+    def __init__(self, chain, foldings, level, colors):
         self.chain = chain
+        self.foldings = foldings
         self.level = level
         self.colors = tuple(colors)
         self._last = (None, None)
 
+    def _folding(self, J):
+        fol = self.foldings.get(J)
+        if fol is None:
+            raise InvariantError("crystal operators left the admissible "
+                                 "family")
+        return fol
+
     def _profiles(self, J):
         if self._last[0] != J:
             self._last = (J, _height_profiles(self.chain, J,
-                                              fold(self.chain, J)))
+                                              self._folding(J)))
         return self._last[1]
 
     def weight(self, J):
-        return fold(self.chain, J).weight
+        return self._folding(J).weight
 
     def repr_of(self, J):
         return "[" + ",".join(str(j) for j in J) + "]"
@@ -420,11 +424,9 @@ def _explored(cartan, lam, order, quantum, level, node_cap, weyl_cap):
     # the cap goes in positionally: the same cache key the QBG's group uses
     build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)
-    subsets = enumerate_admissible(chain, node_cap, quantum)
+    foldings = enumerate_admissible(chain, node_cap, quantum)
     colors = range(cartan.rank + 1) if quantum else cartan.classical_index_set
-    source = AlcoveCrystal(chain, level, colors)
-    graph = explore(cartan, source, subsets, node_cap)
-    if len(graph) != len(subsets):
-        raise InvariantError("crystal operators left the admissible family")
+    source = AlcoveCrystal(chain, foldings, level, colors)
+    graph = explore(cartan, source, foldings, node_cap)
     graph.chain = chain
     return graph

@@ -237,11 +237,9 @@ class CartanData:
         """Do det-scaled root coordinates name an element of Q_0^+?"""
         return all(c >= 0 and c % self.det == 0 for c in coords)
 
-    def in_positive_root_lattice(self, weight, strict=False):
-        """Is the weight in Q_0^+ (strictly nonzero when strict)?"""
-        coords = self.weight_root_coords(weight)
-        return self.is_positive_root_coords(coords) and not (
-            strict and not any(coords))
+    def in_positive_root_lattice(self, weight):
+        """Is the weight in Q_0^+?"""
+        return self.is_positive_root_coords(self.weight_root_coords(weight))
 
     def dominance_leq(self, mu, nu):
         """mu <= nu in dominance order: nu - mu in Q_0^+."""
@@ -352,13 +350,3 @@ def c_value(cartan, r):
     if a % av:
         raise InvariantError("a_r not divisible by a_r^vee")
     return a // av
-
-
-def positive_roots(cartan):
-    """All positive roots of the finite root system, sorted by height."""
-    return list(cartan.positive_roots_list)
-
-
-def pairing(cartan, root, weight):
-    """<beta^vee, mu>; linear in mu, with <alpha_i^vee, pi_j> = delta_ij."""
-    return cartan.pairing(root, weight)

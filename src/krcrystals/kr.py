@@ -239,8 +239,7 @@ def kr_C_onebox(n):
 
 
 # ---------------------------------------------------------------------------
-# the two C_2 crystals transcribed from the paper figure; both are the
-# level-1 Demazure-filtered objects, so they carry prefiltered = ("head", 1)
+# the two C_2 crystals transcribed from the paper figure
 
 _TENSOR11_NODES = [
     (1, 1), (1, 2), (1, -2), (1, -1),
@@ -290,5 +289,4 @@ def fixture_C2(which):
         fs[c][src] = dst
     graph = CrystalGraph(cartan, (0, 1, 2), nodes, fs, weights, reprs,
                          affine_complete=False)
-    graph.prefiltered = ("head", 1)
     return graph

@@ -3,9 +3,10 @@ level-l affine dominantization used by the Demazure decomposition checks.
 
 A Weyl group element is an integer id into its WeylGroup's tables (signed
 root permutations, weight matrices, lengths and the right-multiplication
-table); the QBG's vertices and edges are keyed on the same ids."""
+table); the QBG's vertices are the same ids, and its edge rule reads the
+group's length table."""
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter, mul, neg
 
 from .cartan import (identity_matrix, mat_mul, vec_add, vec_neg, vec_scale,
@@ -174,35 +175,18 @@ def build_weyl_group(cartan, cap=DEFAULT_WEYL_CAP):
 
 class QuantumBruhatGraph:
     """Directed graph on W_0 with up (Bruhat cover) and down (quantum) edges,
-    each labeled by the positive root of its reflection."""
+    each labeled by the positive root of its reflection: w -> w s_beta is an
+    edge when l(w s_beta) - l(w) is 1 (up) or 1 - 2 <rho, beta^vee> (down)
+    (Brenti-Fomin-Postnikov).  The graph is that rule over its group's
+    tables: has_edge tests one pair, and the adjacency lists out are built
+    from it on first use (the DOT export, edge_count, strong connectivity),
+    so a walk that only asks has_edge never builds them."""
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
-        group = self.group = build_weyl_group(cartan, cap)
-        lengths = group.lengths
-        pos = cartan.positive_roots_list
-        # l(w s_beta) - l(w) on a quantum edge: 1 - 2 <rho, beta^vee>
-        quantum_delta = [1 - 2 * cartan.pairing(beta, cartan.rho)
-                         for beta in pos]
-
-        edges = {}        # (src_id, root_idx) -> (dst_id, is_down)
-        out = [[] for _ in range(len(group))]
-        for src_id in range(len(group)):
-            for root_idx in range(len(pos)):
-                dst_id = group.times_reflection(src_id, root_idx)
-                delta = lengths[dst_id] - lengths[src_id]
-                if delta == 1:
-                    down = False
-                elif delta == quantum_delta[root_idx]:
-                    down = True
-                else:
-                    continue
-                edges[(src_id, root_idx)] = (dst_id, down)
-                out[src_id].append((root_idx, dst_id, down))
-        for lst in out:
-            lst.sort(key=lambda t: pos[t[0]])
-        self.edges = edges
-        self.out = out
+        self.group = build_weyl_group(cartan, cap)
+        self._quantum_delta = tuple(1 - 2 * cartan.pairing(beta, cartan.rho)
+                                    for beta in cartan.positive_roots_list)
 
     @property
     def vertex_count(self):
@@ -210,10 +194,29 @@ class QuantumBruhatGraph:
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return sum(map(len, self.out))
 
     def has_edge(self, src_id, root_idx):
-        return self.edges.get((src_id, root_idx))
+        """(w s_beta, is_down) for the edge w -> w s_beta of the root_idx-th
+        positive root beta, or None when there is none."""
+        group = self.group
+        dst_id = group.times_reflection(src_id, root_idx)
+        delta = group.lengths[dst_id] - group.lengths[src_id]
+        if delta == 1:
+            return dst_id, False
+        if delta == self._quantum_delta[root_idx]:
+            return dst_id, True
+        return None
+
+    @cached_property
+    def out(self):
+        """out[w]: the (root_idx, dst_id, is_down) of w's edges, by root."""
+        pos = self.cartan.positive_roots_list
+        order = sorted(range(len(pos)), key=pos.__getitem__)
+        has_edge = self.has_edge
+        return [[(k,) + edge for k in order
+                 if (edge := has_edge(w, k)) is not None]
+                for w in range(len(self.group))]
 
     def is_strongly_connected(self):
         n = len(self.group)

@@ -655,6 +655,12 @@ def crystal_dot_oracle(g):
     return "\n".join(lines) + "\n"
 
 
+def qbg_edges(qbg):
+    """{(src, root_idx): (dst, is_down)} read from the adjacency lists."""
+    return {(src, k): (dst, down) for src, row in enumerate(qbg.out)
+            for k, dst, down in row}
+
+
 def qbg_dot_oracle(qbg):
     """The QBG's DOT text, each vertex labelled by group.reduced_word."""
     pos = qbg.cartan.positive_roots_list

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from helpers import (TensorProduct, all_reduced_words, column_replication,
-                     is_connected)
+                     is_connected, qbg_edges)
 from krcrystals.alcove import (build_lambda_chain, enumerate_admissible,
                                hw_crystal, phi0)
 from krcrystals.cartan import build_cartan
@@ -241,7 +241,7 @@ def test_criterion_8f_qbg_suite():
         group = build_weyl_group(ct)
         qbg = build_qbg(ct)
         assert qbg.is_strongly_connected()
-        for (src, k), (dst, down) in qbg.edges.items():
+        for (src, k), (dst, down) in qbg_edges(qbg).items():
             drop = group.lengths[src] - group.lengths[dst]
             beta = ct.positive_roots_list[k]
             if down:

@@ -8,17 +8,18 @@ from helpers import (QBG_TYPES, decode_root, fold_oracle,
                      folding_weight_oracle, g_graph_oracle, is_admissible,
                      is_bruhat_admissible, validate_chain)
 from krcrystals import alcove
-from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
-                               alcove_f, build_lambda_chain,
+from krcrystals.alcove import (AlcoveCrystal, LambdaChain, alcove_crystal,
+                               alcove_e, alcove_f, build_lambda_chain,
                                enumerate_admissible, fold, g_graph,
-                               phi0)
+                               hw_crystal, phi0)
 from krcrystals.cartan import build_cartan, vec_add, vec_sub
-from krcrystals.crystals import (components, demazure_filter, explore_tensor,
-                                 iso_check, match_components, weight_multiset)
+from krcrystals.crystals import (components, demazure_filter, explore,
+                                 explore_tensor, iso_check, match_components,
+                                 weight_multiset)
 from krcrystals.errors import (InvariantError, NonDominantWeightError,
                                ResourceLimitError)
 from krcrystals.kr import kr_C_onebox, kr_typeA
-from krcrystals.weyl import build_qbg, build_weyl_group
+from krcrystals.weyl import QuantumBruhatGraph, build_qbg, build_weyl_group
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -52,7 +53,7 @@ ORACLE_IDS = ["%s%d-%s-%s" % (ct.family, ct.rank, "".join(map(str, lam)),
 def test_chain_empty_for_zero_weight():
     chain = build_lambda_chain(A2, (0, 0))
     assert chain.m == 0
-    assert enumerate_admissible(chain) == [()]
+    assert list(enumerate_admissible(chain)) == [()]
 
 
 def test_chain_a1_double():
@@ -148,7 +149,7 @@ def test_admissible_counts_match_kr_sizes():
 
 
 def test_enumeration_is_dfs_ordered():
-    subsets = enumerate_admissible(build_lambda_chain(A2, (2, 0)))
+    subsets = list(enumerate_admissible(build_lambda_chain(A2, (2, 0))))
     assert subsets[0] == ()
     assert subsets == sorted(subsets)
 
@@ -161,25 +162,42 @@ def test_bruhat_enumeration_keeps_the_walks_of_covers(family, rank):
     chain = build_lambda_chain(ct, lam)
     bruhat = enumerate_admissible(chain, quantum=False)
     subsets = enumerate_admissible(chain)
-    assert bruhat == [J for J in subsets if is_bruhat_admissible(chain, J)]
+    assert list(bruhat) == [J for J in subsets
+                            if is_bruhat_admissible(chain, J)]
     assert len(bruhat) < len(subsets)
 
 
-def test_enumeration_stops_at_the_node_cap():
+def fold_step_log(monkeypatch):
+    """The position j of every _fold_step call, in call order."""
+    log = []
+    step = alcove._fold_step
+
+    def logged(chain, group, state, j, w):
+        log.append(j)
+        return step(chain, group, state, j, w)
+
+    monkeypatch.setattr(alcove, "_fold_step", logged)
+    return log
+
+
+def test_enumeration_stops_at_the_node_cap(monkeypatch):
     chain = build_lambda_chain(A2, (1, 1))
     assert len(enumerate_admissible(chain, node_cap=9)) == 9
+    folded = fold_step_log(monkeypatch)
     with pytest.raises(ResourceLimitError, match="node cap 8"):
         enumerate_admissible(chain, node_cap=8)
-    assert len(chain.foldings) == 8
+    assert len(folded) == 8
 
 
-def test_enumeration_is_not_recursive():
+def test_enumeration_is_not_recursive(monkeypatch):
     # every subset of the 1100 positions is admissible, and the first DFS
     # path goes 1100 levels deep before the cap is reached
     chain = build_lambda_chain(A1, (1100,))
+    folded = fold_step_log(monkeypatch)
     with pytest.raises(ResourceLimitError):
         enumerate_admissible(chain, node_cap=1200)
-    assert len(chain.foldings) == 1200
+    assert len(folded) == 1200
+    assert folded[:1101] == list(range(1101))
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +233,14 @@ def test_fold_weight_matches_reflection_oracle(cartan, lam):
 
 @pytest.mark.parametrize("cartan,lam,order", ORACLE_CASES, ids=ORACLE_IDS)
 def test_fold_matches_from_scratch_oracle(cartan, lam, order):
-    # the DFS's foldings, and the step applied from the empty folding on a
-    # chain the DFS has not filled, against the one-pass loop
+    # the DFS's foldings, and the step applied from the empty folding,
+    # against the one-pass loop
     chain = build_lambda_chain(cartan, lam, order)
-    fresh = build_lambda_chain(cartan, lam, order)
-    for J in enumerate_admissible(chain):
+    for J, fol in enumerate_admissible(chain).items():
         want = fold_oracle(chain, J)
+        assert fol == want
         assert fold(chain, J) == want
-        assert fold(fresh, J) == want
-    assert fresh.foldings == {}
+    assert not hasattr(chain, "foldings")
 
 
 @pytest.mark.parametrize("cartan,lam,order", ORACLE_CASES, ids=ORACLE_IDS)
@@ -408,6 +425,33 @@ def test_each_height_profile_is_built_once(monkeypatch):
     monkeypatch.setattr(alcove, "_height_profiles", counted)
     graph = alcove_crystal(A3, (1, 1, 1))
     assert len(built) == len(graph) == len(set(built))
+
+
+# the DFS asks the QBG one edge at a time: a use of the adjacency lists on
+# the alcove path would build the whole graph; a data descriptor on the
+# class wins over a value cached on an instance by an earlier test
+def test_alcove_path_never_builds_the_qbg_adjacency(monkeypatch):
+    def unused(qbg):
+        pytest.fail("QuantumBruhatGraph.out read on the alcove path")
+
+    monkeypatch.setattr(QuantumBruhatGraph, "out", property(unused))
+    assert len(alcove_crystal(D4, (1, 0, 0, 1))) == 64  # |B^{1,1}| |B^{4,1}|
+    assert len(hw_crystal(D4, (1, 0, 0, 1))) == 56      # dim V(w1 + w4)
+
+
+@pytest.mark.parametrize("quantum", [True, False])
+def test_operators_leaving_the_admissible_family(quantum):
+    # drop one subset from the DFS's map: explore reaches it from a
+    # neighbour, and the crystal refuses to fold it afresh
+    chain = build_lambda_chain(A2, (1, 1))
+    foldings = enumerate_admissible(chain, quantum=quantum)
+    colors = range(3) if quantum else A2.classical_index_set
+    for J in list(foldings)[1:]:
+        kept = {K: fol for K, fol in foldings.items() if K != J}
+        source = AlcoveCrystal(chain, kept, 1, colors)
+        with pytest.raises(InvariantError, match="^crystal operators left "
+                           "the admissible family$"):
+            explore(A2, source, kept)
 
 
 def test_alcove_crystal_a2_fundamental():

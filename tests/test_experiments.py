@@ -146,7 +146,6 @@ def test_report_serialization():
     data = json.loads(rep.to_json())
     assert set(data) == {"name", "parameters", "status", "witnesses"}
     assert rep.to_json() == rep.to_json()
-    assert "elapsed_sec" in json.loads(rep.to_json(include_elapsed=True))
     assert rep.elapsed >= 0
 
 

@@ -231,10 +231,6 @@ def test_fixtures_pass_seminormality():
     assert fixture_C2("B12").seminormal() == []
 
 
-def test_fixture_marked_prefiltered():
-    assert fixture_C2("B12").prefiltered == ("head", 1)
-
-
 # ---------------------------------------------------------------------------
 # similarity
 

@@ -68,6 +68,16 @@ def test_weyl_has_one_element_representation(name):
     assert not hasattr(krcrystals, name)
 
 
+# the root data are read off CartanData: no module-level one-line wrapper
+# around its positive_roots_list or pairing
+@pytest.mark.parametrize("name", ["positive_roots", "pairing"])
+def test_cartan_has_no_root_data_wrappers(name):
+    import krcrystals
+    from krcrystals import cartan
+    assert not hasattr(cartan, name)
+    assert not hasattr(krcrystals, name)
+
+
 # explore_tensor is the one tensor-product path: the per-node signature
 # rule is a test oracle, and the C one-box is written as its graph
 @pytest.mark.parametrize("module,name", [

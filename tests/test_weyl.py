@@ -4,7 +4,7 @@ import io
 import pytest
 
 from helpers import (QBG_TYPES, WriteLog, bruhat_leq, decode_root, dot_text,
-                     length_by_inversions, qbg_dot_oracle,
+                     length_by_inversions, qbg_dot_oracle, qbg_edges,
                      root_matrix_of_word, subword_products)
 from krcrystals import weyl
 from krcrystals.cartan import (build_cartan, identity_matrix, mat_mul, mat_vec,
@@ -131,26 +131,35 @@ def test_qbg_rank_one():
     qbg = build_qbg(ct)
     assert qbg.vertex_count == 2
     assert qbg.edge_count == 2
-    (up,) = [e for e, (_, down) in qbg.edges.items() if not down]
-    (dn,) = [e for e, (_, down) in qbg.edges.items() if down]
-    assert up[0] == 0 and dn[0] == 1  # identity up, s_1 down
+    # identity up to s_1, s_1 down to the identity
+    assert qbg.out == [[(0, 1, False)], [(0, 0, True)]]
 
 
-def test_qbg_a2_against_brute_force():
-    ct = build_cartan("A", 2)
+@pytest.mark.parametrize("family,rank,count", [
+    ("A", 2, 15), ("A", 3, 104), ("B", 3, 240), ("C", 3, 238),
+    ("D", 4, 1336)])
+def test_qbg_against_brute_force(family, rank, count):
+    # the edge rule from matrix products and inversion counts, against the
+    # adjacency lists and against has_edge on every (w, k)
+    ct = build_cartan(family, rank)
     group = build_weyl_group(ct)
     qbg = build_qbg(ct)
-    expected = set()
+    expected = {}
     for w in range(len(group)):
+        lw = length_by_inversions(ct, group.reduced_word(w))
         for k, beta in enumerate(ct.positive_roots_list):
-            word_w = group.reduced_word(w)
             ws = group.mul(w, group.reflect(beta))
-            lw = length_by_inversions(ct, word_w)
             lws = length_by_inversions(ct, group.reduced_word(ws))
-            if lws == lw + 1 or lws == lw - 2 * ct.pairing(beta, ct.rho) + 1:
-                expected.add((w, k))
-    assert set(qbg.edges) == expected
-    assert qbg.edge_count == 15
+            if lws == lw + 1:
+                expected[(w, k)] = (ws, False)
+            elif lws == lw - 2 * ct.pairing(beta, ct.rho) + 1:
+                expected[(w, k)] = (ws, True)
+    assert len(expected) == count
+    assert qbg_edges(qbg) == expected
+    assert qbg.edge_count == count
+    for w in range(len(group)):
+        for k in range(len(ct.positive_roots_list)):
+            assert qbg.has_edge(w, k) == expected.get((w, k))
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
@@ -159,7 +168,7 @@ def test_qbg_strong_connectivity_and_down_identity(family, rank):
     group = build_weyl_group(ct)
     qbg = build_qbg(ct)
     assert qbg.is_strongly_connected()
-    for (src, k), (dst, down) in qbg.edges.items():
+    for (src, k), (dst, down) in qbg_edges(qbg).items():
         lw = group.lengths[src]
         lws = group.lengths[dst]
         beta = ct.positive_roots_list[k]
@@ -170,11 +179,13 @@ def test_qbg_strong_connectivity_and_down_identity(family, rank):
 
 
 def test_qbg_at_most_one_edge_per_pair():
-    qbg = build_qbg(build_cartan("C", 2))
-    seen = set()
-    for (src, k) in qbg.edges:
-        assert (src, k) not in seen
-        seen.add((src, k))
+    # no root repeats within a row, and a row lists its roots in order
+    for family, rank in QBG_TYPES:
+        qbg = build_qbg(build_cartan(family, rank))
+        pos = qbg.cartan.positive_roots_list
+        for row in qbg.out:
+            roots = [pos[k] for k, _, _ in row]
+            assert roots == sorted(set(roots))
 
 
 def test_qbg_dot_output():
