@@ -16,11 +16,10 @@ from operator import mul
 
 from .errors import InvariantError, UnsupportedRankError
 
-FAMILIES = ("A", "B", "C", "D")
-
+# the families and their least ranks: the one table the others come from
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
-
-_TYPE_RE = re.compile(r"^([ABCD])(\d+)~?$")
+FAMILIES = tuple(_MIN_RANK)
+_TYPE_RE = re.compile(r"^([%s])(\d+)~?$" % "".join(FAMILIES))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ carries a one-line human summary.  Exit codes: 0 pass, 1 failing check,
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import experiments
 from .alcove import alcove_crystal
@@ -17,32 +16,6 @@ from .errors import KRCrystalError
 from .weyl import build_qbg, DEFAULT_WEYL_CAP
 
 CHECK_NAMES = ("reduction", "bmin", "qsystem", "qchar", "alcove", "figure")
-
-
-@dataclass
-class TensorSpec:
-    """A Cartan type plus an ordered factor list, leftmost factor first."""
-    type_name: str
-    factors: list
-
-    @classmethod
-    def parse(cls, type_name, factors_text):
-        factors = []
-        if factors_text:
-            for part in factors_text.split(":"):
-                try:
-                    r, s = map(int, part.split(","))
-                except ValueError:
-                    raise UsageError("factor %r is not of the form r,s"
-                                     % part) from None
-                if s < 0:
-                    raise ValueError("factor width must be >= 0")
-                factors.append((r, s))
-        return cls(type_name, factors)
-
-    @property
-    def cartan(self):
-        return parse_type(self.type_name)
 
 
 class UsageError(Exception):
@@ -64,22 +37,33 @@ def _load_config(path):
 
 
 def _resolve(args):
-    """Fill unset options from --config, then from the documented defaults."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    """Fill unset options from --config, then from the documented defaults.
+    Each config value is checked as its flag's would be: a switch takes
+    true or false, any other flag its type, then its choices."""
+    cfg = _load_config(args.config) if args.config else {}
+    actions = {a.dest: a for a in _parser.commands[args.command]._actions
+               if a.option_strings and hasattr(args, a.dest)}
     for key, value in cfg.items():
-        if not hasattr(args, key):
+        if key not in actions:
             raise UsageError("config key %r is not an option of %s"
                              % (key, args.command))
+        action = actions[key]
+        convert = ({"true": True, "false": False}.__getitem__
+                   if action.nargs == 0 else action.type or str)
+        try:
+            value = convert(value)
+        except (KeyError, ValueError):
+            raise UsageError("config key %r: bad value %r"
+                             % (key, value)) from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError("config key %r: %r is not one of %s"
+                             % (key, value, ", ".join(action.choices)))
         if getattr(args, key) is None:
-            if key in ("level", "node_cap", "weyl_cap", "a", "m"):
-                value = int(value)
             setattr(args, key, value)
-    if getattr(args, "level", None) is None:
-        args.level = 1
-    if getattr(args, "node_cap", None) is None:
-        args.node_cap = DEFAULT_NODE_CAP
-    if getattr(args, "weyl_cap", None) is None:
-        args.weyl_cap = DEFAULT_WEYL_CAP
+    for key, default in (("level", 1), ("node_cap", DEFAULT_NODE_CAP),
+                         ("weyl_cap", DEFAULT_WEYL_CAP)):
+        if getattr(args, key, None) is None:
+            setattr(args, key, default)
     return args
 
 
@@ -109,6 +93,22 @@ def _alcove_json(graph, chain):
     return json.dumps(data, separators=(",", ":")) + "\n"
 
 
+def parse_factors(text):
+    """A colon-separated list of r,s pairs, leftmost factor first; empty or
+    None for no factor."""
+    factors = []
+    for part in text.split(":") if text else ():
+        try:
+            r, s = map(int, part.split(","))
+        except ValueError:
+            raise UsageError("factor %r is not of the form r,s"
+                             % part) from None
+        if s < 0:
+            raise ValueError("factor width must be >= 0")
+        factors.append((r, s))
+    return factors
+
+
 def _parse_lambda(text, cartan):
     coords = tuple(int(x) for x in text.split(","))
     if len(coords) != cartan.rank:
@@ -122,14 +122,13 @@ def _parse_lambda(text, cartan):
 
 def cmd_build(args):
     _check_out(args.out)
-    spec = TensorSpec.parse(args.type, args.factors)
-    cartan = spec.cartan
-    view = args.view or "none"
-    if view == "none":
-        graph = experiments.build_tensor(cartan, spec.factors, args.node_cap)
+    cartan = parse_type(args.type)
+    factors = parse_factors(args.factors)
+    if args.view in (None, "none"):
+        graph = experiments.build_tensor(cartan, factors, args.node_cap)
     else:
-        mode = "head" if view == "demazure" else "tail"
-        graph = experiments.build_filtered(cartan, spec.factors, args.level,
+        mode = "head" if args.view == "demazure" else "tail"
+        graph = experiments.build_filtered(cartan, factors, args.level,
                                            mode, args.node_cap)
     _write_graph(graph, args.out)
     print("wrote %s: %d nodes, %d edges" %
@@ -145,15 +144,16 @@ def cmd_check(args):
     if name == "figure":
         report = experiments.check_figure(args.node_cap)
     elif name == "reduction":
-        spec = TensorSpec.parse(args.type, _require(args, "factors"))
-        spec2 = TensorSpec.parse(args.type, _require(args, "factors2"))
         report = experiments.check_reduction(
-            spec.cartan, spec.factors, spec2.factors, args.level,
-            args.mode or "head", args.node_cap, args.weyl_cap)
+            parse_type(_require(args, "type")),
+            parse_factors(_require(args, "factors")),
+            parse_factors(_require(args, "factors2")), args.level,
+            args.mode or "head", args.node_cap)
     elif name == "bmin":
-        spec = TensorSpec.parse(args.type, _require(args, "factors"))
-        report = experiments.check_bmin(spec.cartan, spec.factors,
-                                        args.level, args.node_cap)
+        report = experiments.check_bmin(
+            parse_type(_require(args, "type")),
+            parse_factors(_require(args, "factors")), args.level,
+            args.node_cap)
     elif name in ("qsystem", "qchar"):
         cartan = parse_type(_require(args, "type"))
         if cartan.family != "A":
@@ -216,10 +216,10 @@ def cmd_alcove(args):
 
 def _add_common(sub):
     sub.add_argument("--config", help="key=value file preloading defaults")
-    sub.add_argument("--node-cap", dest="node_cap", type=int, default=None,
-                     help="exploration node cap (default 10^6)")
-    sub.add_argument("--weyl-cap", dest="weyl_cap", type=int, default=None,
-                     help="Weyl group enumeration cap (default 10^5)")
+    sub.add_argument("--node-cap", type=int, help="exploration node cap "
+                     "(default %d)" % DEFAULT_NODE_CAP)
+    sub.add_argument("--weyl-cap", type=int, help="Weyl group enumeration "
+                     "cap (default %d)" % DEFAULT_WEYL_CAP)
 
 
 def make_parser():
@@ -231,11 +231,10 @@ def make_parser():
 
     b = subs.add_parser("build", help="build a (filtered) tensor product")
     b.add_argument("--type", required=True, help='Cartan type, e.g. "C2~"')
-    b.add_argument("--factors", default="",
+    b.add_argument("--factors",
                    help="colon-separated r,s pairs, leftmost factor first")
-    b.add_argument("--level", type=int, default=None)
-    b.add_argument("--view", choices=("none", "demazure", "dual"),
-                   default="none")
+    b.add_argument("--level", type=int)
+    b.add_argument("--view", choices=("none", "demazure", "dual"))
     b.add_argument("--out", required=True, help=".dot or .json output path")
     _add_common(b)
 
@@ -244,13 +243,13 @@ def make_parser():
     c.add_argument("--type")
     c.add_argument("--factors")
     c.add_argument("--factors2")
-    c.add_argument("--level", type=int, default=None)
+    c.add_argument("--level", type=int)
     c.add_argument("--mode", choices=("head", "tail"))
     c.add_argument("--a", type=int)
     c.add_argument("--m", type=int)
     c.add_argument("--lambda", dest="lam")
     c.add_argument("--out", help="report path (.json, or XML with --junit)")
-    c.add_argument("--junit", action="store_true",
+    c.add_argument("--junit", action="store_true", default=None,
                    help="emit a JUnit-style XML report")
     _add_common(c)
 
@@ -263,10 +262,11 @@ def make_parser():
     a.add_argument("--type", required=True)
     a.add_argument("--lambda", dest="lam", required=True,
                    help="comma-separated fundamental-weight coordinates")
-    a.add_argument("--level", type=int, default=None)
+    a.add_argument("--level", type=int)
     a.add_argument("--out", required=True, help=".json or .dot output path")
     _add_common(a)
 
+    parser.commands = subs.choices   # name -> subparser, read by _resolve
     return parser
 
 

@@ -17,7 +17,7 @@ import operator
 from .cartan import vec_add, vec_sub
 from .errors import (AmbiguousAnchorError, InvariantError,
                      NonReducedWordError, ResourceLimitError)
-from .weyl import DEFAULT_WEYL_CAP, build_weyl_group, write_dot
+from .weyl import affine_simple_reflection, write_dot
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -600,12 +600,19 @@ def highest_weight_node(graph):
     return hits[0]
 
 
-def demazure_subset(graph, word, weyl_cap=DEFAULT_WEYL_CAP):
+def demazure_subset(graph, word):
     """Node ids b with e_{i_1}^max ... e_{i_k}^max b = u_lambda, for a
-    reduced word (i_1, ..., i_k)."""
-    group = build_weyl_group(graph.cartan, weyl_cap)
-    if group.lengths[group.from_word(word)] != len(word):
-        raise NonReducedWordError("word %r is not reduced" % (word,))
+    reduced word (i_1, ..., i_k) over I_0: read from the right, each s_i
+    lengthens the suffix u after it, l(s_i u) > l(u), which holds exactly
+    when <u(rho), alpha_i^vee> > 0 (Bjorner-Brenti, ch. 4)."""
+    cartan = graph.cartan
+    if not set(word) <= set(cartan.classical_index_set):
+        raise ValueError("word %r has a letter outside I_0" % (word,))
+    mu = cartan.rho
+    for i in reversed(word):
+        if mu[i - 1] <= 0:
+            raise NonReducedWordError("word %r is not reduced" % (word,))
+        mu = affine_simple_reflection(cartan, i, mu, 0)
     top = highest_weight_node(graph)
     out = []
     for b in range(len(graph)):

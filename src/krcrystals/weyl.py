@@ -1,5 +1,6 @@
 """Finite Weyl groups, Bruhat order, the quantum Bruhat graph, and the
-level-l affine dominantization used by the Demazure decomposition checks.
+weight walks used by the Demazure decomposition checks: the level-l affine
+dominantization and the classical antidominant walk.
 
 A Weyl group element is an integer id into its WeylGroup's tables (signed
 root permutations, weight matrices, lengths and the right-multiplication
@@ -9,8 +10,7 @@ group's length table."""
 from functools import cached_property, lru_cache
 from operator import itemgetter, mul, neg
 
-from .cartan import (identity_matrix, mat_mul, vec_add, vec_neg, vec_scale,
-                     vec_sub)
+from .cartan import identity_matrix, vec_add, vec_neg, vec_scale, vec_sub
 from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_WEYL_CAP = 10 ** 5
@@ -118,18 +118,12 @@ class WeylGroup:
         if self.lengths.count(self.lengths[-1]) != 1:
             raise InvariantError("longest element not unique")
         self.w0 = len(order) - 1
-        self.reflections = tuple(
-            self.index[cartan.reflection_weight_matrix(beta)]
-            for beta in pos)
-        self._reflection_words = tuple(self.reduced_word(r)
-                                       for r in self.reflections)
+        mats = map(cartan.reflection_weight_matrix, pos)
+        self._reflection_words = tuple(self.reduced_word(self.index[m])
+                                       for m in mats)
 
     def __len__(self):
         return len(self.lengths)
-
-    def mul(self, v, w):
-        """v w by matrix product: the oracle the table is checked against."""
-        return self.index[mat_mul(self.wt_mats[v], self.wt_mats[w])]
 
     def times_reflection(self, w, k):
         """w s_beta for the k-th positive root beta."""
@@ -137,10 +131,6 @@ class WeylGroup:
         for i in self._reflection_words[k]:
             w = right[w][i - 1]
         return w
-
-    def reflect(self, root):
-        """s_beta, for any root beta."""
-        return self.reflections[abs(signed_root_id(self.cartan, root)) - 1]
 
     def _descent(self, w):
         """Smallest 0-based i with l(w s_{i+1}) < l(w); w is not e."""
@@ -160,12 +150,6 @@ class WeylGroup:
         if len(word) != length:
             raise InvariantError("reduced word of the wrong length")
         return tuple(word)
-
-    def from_word(self, word):
-        w = 0
-        for i in word:
-            w = self.right[w][i - 1]
-        return w
 
 
 @lru_cache(maxsize=None)
@@ -298,6 +282,15 @@ def dominantize(cartan, mu, level):
         guard += 1
         if guard > 10 ** 6:
             raise ResourceLimitError("dominantize failed to terminate")
+
+
+def antidominant(cartan, mu):
+    """The antidominant weight of mu's W_0-orbit, w0(mu) for a dominant mu:
+    apply any s_i (i in I_0) whose coordinate is positive until none is."""
+    mu = tuple(mu)
+    while (i := next((i for i, c in enumerate(mu, 1) if c > 0), 0)):
+        mu = affine_simple_reflection(cartan, i, mu, 0)
+    return mu
 
 
 def affine_simple_reflection(cartan, i, mu, level):

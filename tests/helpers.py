@@ -112,6 +112,17 @@ def bruhat_leq(group, v, w):
     return False
 
 
+def group_mul(group, v, w):
+    """v w by matrix product: the oracle the right table is checked
+    against."""
+    return group.index[mat_mul(group.wt_mats[v], group.wt_mats[w])]
+
+
+def reflection(group, root):
+    """s_beta in the group, for any root beta, found by its weight matrix."""
+    return group.index[group.cartan.reflection_weight_matrix(root)]
+
+
 def subword_products(group, w):
     """All subword products of one reduced word of w; this set is the
     Bruhat lower interval [e, w]."""
@@ -119,8 +130,8 @@ def subword_products(group, w):
     word = group.reduced_word(w)
     out = {group.identity}
     for i in word:
-        s = group.reflect(tuple(int(j == i - 1) for j in range(n)))
-        out |= {group.mul(v, s) for v in out}
+        s = reflection(group, tuple(int(j == i - 1) for j in range(n)))
+        out |= {group_mul(group, v, s) for v in out}
     return out
 
 

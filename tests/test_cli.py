@@ -5,7 +5,7 @@ import time
 import pytest
 
 from krcrystals import cli, experiments, kr
-from krcrystals.cli import TensorSpec, main
+from krcrystals.cli import main, parse_factors
 
 
 def run(args):
@@ -250,10 +250,23 @@ def test_check_alcove_cli():
                 "--level", "1"]) == 0
 
 
-def test_check_reduction_weyl_cap_bounds_the_group():
-    assert run(["check", "reduction", "--type", "C2",
-                "--factors", "1,1:1,1", "--factors2", "1,2",
-                "--level", "1", "--mode", "head", "--weyl-cap", "1"]) == 2
+# the head-mode anchor w0(lambda) is read off lambda by the antidominant
+# walk, not off the Weyl group, whose A8 order 362,880 is above the cap
+def test_check_reduction_head_mode_builds_no_weyl_group(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["check", "reduction", "--type", "A8",
+                "--factors", "1,1:1,1", "--factors2", "1,2", "--level", "2",
+                "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["witnesses"]["anchor_weight"] == [0] * 7 + [-2]
+
+
+@pytest.mark.parametrize("name", ["reduction", "bmin"])
+def test_check_without_type_is_a_usage_error(capsys, name):
+    assert run(["check", name, "--factors", "1,1",
+                "--factors2", "1,1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: check %r needs --type\n" % name)
 
 
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, RecursionError])
@@ -357,8 +370,9 @@ GOLDEN = [
     (["build", "--type", "A2", "--factors", "1,2:2,1",
       "--view", "dual", "--level", "2"], "json",
      "e3b89fb07cf430847e1f15e8d4b272538a1694399f6b8373457e3da1ffb58d45"),
-    # the head-mode anchor is w0(lambda), read from the Weyl group; the
-    # second lambda, (1, 1), is regular, so no other element gives its anchor
+    # the head-mode anchor is w0(lambda), read off lambda by the antidominant
+    # walk; the second lambda, (1, 1), is regular, so a wrong walk would
+    # give another anchor
     (["check", "reduction", "--type", "A2", "--factors", "1,1:1,1",
       "--factors2", "1,2", "--level", "2"], "json",
      "7e179d06e0b590aace6de43e8f457c541eef95dd5094ad0f47cfb9169889c76b"),
@@ -414,6 +428,75 @@ def test_parser_is_built_once_and_keeps_no_config(tmp_path, monkeypatch):
         (str(cfg), 2, 7), (None, 1, experiments.DEFAULT_NODE_CAP)]
 
 
+# --factors and --view default to None like every other option, so that a
+# config key fills them: the file gives the bytes the flags give
+def test_config_applies_factors_and_view(tmp_path):
+    cfg = tmp_path / "conf"
+    cfg.write_text("factors=1,1:1,1\nview=demazure\n")
+    paths = [tmp_path / name for name in ("config.json", "flags.json",
+                                          "plain.json")]
+    assert run(["build", "--type", "A2", "--config", str(cfg),
+                "--out", str(paths[0])]) == 0
+    assert run(["build", "--type", "A2", "--factors", "1,1:1,1",
+                "--view", "demazure", "--out", str(paths[1])]) == 0
+    assert run(["build", "--type", "A2", "--factors", "1,1:1,1",
+                "--out", str(paths[2])]) == 0
+    config, flags, plain = (path.read_bytes() for path in paths)
+    assert config == flags != plain
+    assert len(json.loads(config)["nodes"]) == 9
+
+
+# a flag given on the command line wins over its config key
+@pytest.mark.parametrize("line,flags,xml", [
+    ("junit=true", [], True),
+    ("junit=false", [], False),
+    ("junit=false", ["--junit"], True),
+], ids=["true", "false", "flag-wins"])
+def test_config_applies_junit(tmp_path, line, flags, xml):
+    cfg = tmp_path / "conf"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "report"
+    assert run(["check", "figure", "--config", str(cfg), "--out", str(out)]
+               + flags) == 0
+    assert out.read_text().startswith('<?xml version="1.0"') == xml
+
+
+def test_command_line_flags_win_over_config(tmp_path):
+    cfg = tmp_path / "conf"
+    cfg.write_text("factors=2,1\nview=demazure\n")
+    paths = [tmp_path / name for name in ("flags.json", "plain.json")]
+    assert run(["build", "--type", "A2", "--factors", "1,1:1,1",
+                "--view", "none", "--config", str(cfg),
+                "--out", str(paths[0])]) == 0
+    assert run(["build", "--type", "A2", "--factors", "1,1:1,1",
+                "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# a config value gets its flag's type and choices checks, and exits 2
+# before anything is built when it fails them
+@pytest.mark.parametrize("command,line,expect", [
+    ("build", "view=sideways",
+     "config key 'view': 'sideways' is not one of none, demazure, dual"),
+    ("build", "level=two", "config key 'level': bad value 'two'"),
+    ("check", "mode=middle",
+     "config key 'mode': 'middle' is not one of head, tail"),
+    ("check", "junit=yes", "config key 'junit': bad value 'yes'"),
+    ("check", "node_cap=1e6", "config key 'node_cap': bad value '1e6'"),
+], ids=["view", "level", "mode", "junit", "node_cap"])
+def test_config_value_failing_its_flag_checks_exits_two(tmp_path, capsys,
+                                                        command, line,
+                                                        expect):
+    cfg = tmp_path / "conf"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "g.json"
+    argv = (["build", "--type", "A2", "--factors", "1,1"]
+            if command == "build" else ["check", "figure"])
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % expect)
+    assert not out.exists()
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "conf"
     cfg.write_text("frobnicate=1\n")
@@ -422,9 +505,8 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
-def test_tensor_spec_parse():
-    spec = TensorSpec.parse("C2~", "1,1:1,2")
-    assert spec.factors == [(1, 1), (1, 2)]
-    assert spec.cartan.family == "C"
+def test_parse_factors():
+    assert parse_factors("1,1:1,2") == [(1, 1), (1, 2)]
+    assert parse_factors("") == parse_factors(None) == []
     with pytest.raises(ValueError):
-        TensorSpec.parse("A2", "1,-2")
+        parse_factors("1,-2")

@@ -554,6 +554,38 @@ def test_demazure_subset_rejects_nonreduced():
         demazure_subset(graph, (1, 1))
 
 
+# the rho walk against the enumerated group: a word is reduced when the
+# length of its product is its own length
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3),
+                                         ("C", 3)])
+def test_demazure_subset_reducedness_against_group_lengths(family, rank):
+    ct = build_cartan(family, rank)
+    graph = hw_crystal(ct, (1,) + (0,) * (rank - 1))
+    group = build_weyl_group(ct)
+    for k in range(5):
+        for word in itertools.product(ct.classical_index_set, repeat=k):
+            w = group.identity
+            for i in word:
+                w = group.right[w][i - 1]
+            try:
+                demazure_subset(graph, word)
+                reduced = True
+            except NonReducedWordError:
+                reduced = False
+            assert reduced == (group.lengths[w] == k), word
+
+
+# a letter outside I_0 = {1, 2} is no simple reflection: 0 would read the
+# last coordinate of the walk's weight and 3 none at all
+@pytest.mark.parametrize("word", [(0,), (3,), (1, 0), (2, 3)])
+def test_demazure_subset_rejects_letters_outside_I0(word):
+    graph = hw_crystal(A2, (1, 0))
+    with pytest.raises(ValueError) as err:
+        demazure_subset(graph, word)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "word %r has a letter outside I_0" % (word,)
+
+
 @pytest.mark.parametrize("family,rank,lam", [("A", 2, (1, 1)),
                                              ("C", 2, (1, 1))])
 def test_demazure_subset_word_independence(family, rank, lam):

@@ -102,6 +102,23 @@ def test_one_highest_weight_crystal_construction(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+# the Weyl-group facts of one weight come from weight walks: the antidominant
+# walk gives the head-mode anchor w0(lambda), the rho walk tests a word for
+# reducedness, and only the QBG path enumerates W
+@pytest.mark.parametrize("module,name", [
+    ("krcrystals.crystals", "build_weyl_group"),
+    ("krcrystals.experiments", "build_weyl_group"),
+    ("krcrystals.weyl", "WeylGroup.from_word"),
+])
+def test_weight_walks_replace_weyl_group_enumeration(module, name):
+    import importlib
+    owner = importlib.import_module(module)
+    *path, last = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)
+
+
 ROOT = SRC.parent.parent
 PY_FILES = sorted(str(path.relative_to(ROOT))
                   for folder in ("src", "tests", "demos")

@@ -1,17 +1,19 @@
 import copy
 import io
+import itertools
 
 import pytest
 
 from helpers import (QBG_TYPES, WriteLog, bruhat_leq, decode_root, dot_text,
-                     length_by_inversions, qbg_dot_oracle, qbg_edges,
-                     root_matrix_of_word, subword_products)
+                     group_mul, length_by_inversions, qbg_dot_oracle,
+                     qbg_edges, reflection, root_matrix_of_word,
+                     subword_products)
 from krcrystals import weyl
 from krcrystals.cartan import (build_cartan, identity_matrix, mat_mul, mat_vec,
                                vec_neg)
 from krcrystals.errors import InvariantError, ResourceLimitError
-from krcrystals.weyl import (WeylGroup, affine_simple_reflection, build_qbg,
-                             build_weyl_group, dominantize)
+from krcrystals.weyl import (WeylGroup, affine_simple_reflection, antidominant,
+                             build_qbg, build_weyl_group, dominantize)
 
 
 def test_group_orders():
@@ -23,7 +25,7 @@ def test_group_orders():
 def test_reflect_simple_on_weight():
     ct = build_cartan("A", 2)
     group = build_weyl_group(ct)
-    s1 = group.reflect((1, 0))
+    s1 = reflection(group, (1, 0))
     # s_1(pi_1) = pi_1 - alpha_1
     assert mat_vec(group.wt_mats[s1], (1, 0)) == (1 - 2, 0 + 1)
     assert group.lengths[s1] == 1
@@ -32,7 +34,7 @@ def test_reflect_simple_on_weight():
 def test_reflect_theta_length():
     ct = build_cartan("A", 2)
     group = build_weyl_group(ct)
-    s_theta = group.reflect(ct.theta)
+    s_theta = reflection(group, ct.theta)
     # oracle: count inversions of s_1 s_2 s_1
     assert length_by_inversions(ct, (1, 2, 1)) == 3
     assert group.lengths[s_theta] == 3
@@ -43,8 +45,8 @@ def test_reflections_are_involutions():
         ct = build_cartan(family, rank)
         group = build_weyl_group(ct)
         for k, beta in enumerate(ct.positive_roots_list):
-            s = group.reflect(beta)
-            assert group.mul(s, s) == group.identity == 0
+            s = reflection(group, beta)
+            assert group_mul(group, s, s) == group.identity == 0
             # s_beta(beta_k) = -beta_k
             assert group.roots[s][k] == -(k + 1)
 
@@ -78,11 +80,11 @@ def test_lengths_match_inversion_oracle():
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_right_table_matches_matrix_products(family, rank):
     group = build_weyl_group(build_cartan(family, rank))
-    simple = [group.reflect(tuple(int(j == i) for j in range(rank)))
+    simple = [reflection(group, tuple(int(j == i) for j in range(rank)))
               for i in range(rank)]
     for w in range(len(group)):
         for i, ws in enumerate(group.right[w]):
-            assert ws == group.mul(w, simple[i])
+            assert ws == group_mul(group, w, simple[i])
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
@@ -91,9 +93,9 @@ def test_times_reflection_matches_matrix_products(family, rank):
     group = build_weyl_group(ct)
     for w in range(len(group)):
         for k, beta in enumerate(ct.positive_roots_list):
-            expected = group.mul(w, group.reflect(beta))
+            expected = group_mul(group, w, reflection(group, beta))
             assert group.times_reflection(w, k) == expected
-            assert group.reflect(vec_neg(beta)) == group.reflect(beta)
+            assert reflection(group, vec_neg(beta)) == reflection(group, beta)
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
@@ -115,6 +117,19 @@ def test_w0_maps_positives_to_negatives():
         assert group.w0 == len(group) - 1
         images = {decode_root(ct, g) for g in group.roots[group.w0]}
         assert images == {vec_neg(beta) for beta in ct.positive_roots_list}
+
+
+# the antidominant walk reads w0(lambda) off lambda; the oracle applies the
+# matrix of the enumerated group's longest element
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5)])
+def test_antidominant_is_w0_of_lambda(family, rank):
+    ct = build_cartan(family, rank)
+    group = build_weyl_group(ct)
+    w0 = group.wt_mats[group.w0]
+    for lam in itertools.product(range(3), repeat=rank):
+        assert antidominant(ct, lam) == mat_vec(w0, lam)
 
 
 def test_weyl_cap():
@@ -148,7 +163,7 @@ def test_qbg_against_brute_force(family, rank, count):
     for w in range(len(group)):
         lw = length_by_inversions(ct, group.reduced_word(w))
         for k, beta in enumerate(ct.positive_roots_list):
-            ws = group.mul(w, group.reflect(beta))
+            ws = group_mul(group, w, reflection(group, beta))
             lws = length_by_inversions(ct, group.reduced_word(ws))
             if lws == lw + 1:
                 expected[(w, k)] = (ws, False)
@@ -231,8 +246,8 @@ def test_bruhat_extremes():
 
 def test_bruhat_a2_example():
     group = build_weyl_group(build_cartan("A", 2))
-    s1 = group.reflect((1, 0))
-    s2s1 = group.mul(group.reflect((0, 1)), s1)
+    s1 = reflection(group, (1, 0))
+    s2s1 = group_mul(group, reflection(group, (0, 1)), s1)
     assert bruhat_leq(group, s1, s2s1)
 
 
