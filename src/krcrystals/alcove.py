@@ -84,11 +84,10 @@ class LambdaChain:
         for beta, total in counts.items():
             if total != cartan.pairing(beta, lam):
                 raise InvariantError("multiplicity invariant")
-        # per color p: alpha_p's base root, its sign, its root id and its
-        # coroot; alpha_0 = -theta has base theta and sign -1
+        # per color p: the sign of alpha_p, the root id and coroot of
+        # |alpha_p|; alpha_0 = -theta has base theta and sign -1
         self.alphas = tuple(
-            (base, sign, cartan._root_index[base] + 1,
-             cartan.coroot_coords(base))
+            (sign, cartan._root_index[base] + 1, cartan.coroot_coords(base))
             for base, sign in [(cartan.theta, -1)] + [
                 (tuple(int(j == p) for j in range(cartan.rank)), 1)
                 for p in range(cartan.rank)])
@@ -205,18 +204,14 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
 
 
 class GGraph(NamedTuple):
-    """Height data of g_{alpha_p} for a folded chain: the positions I_alpha,
-    their integer heights sgn(alpha) l_i^J, the endpoint height, the slope
-    sequence of the piecewise-linear profile, and the maximum M."""
+    """Height data of g_{alpha_p} for a folded chain, as the operators
+    read it: the positions I_alpha, their integer heights sgn(alpha) l_i^J,
+    the endpoint height, and the maximum M."""
     p: int
-    base_root: tuple
-    sign: int
     positions: tuple      # I_alpha, ascending; infinity is implicit
     heights: tuple        # sgn(alpha) * l_i^J along positions
     h_inf: int            # <wt(J), alpha_p^vee> = height at the right end
-    l_inf: int            # <wt(J), |alpha|^vee>
     M: int
-    steps: tuple          # slopes of g_{|alpha|} on successive half-steps
 
 
 def _height_profiles(chain, J, fol):
@@ -229,18 +224,18 @@ def _height_profiles(chain, J, fol):
     defining slope rule.  A color then only applies its sign (p = 0 uses
     alpha_0 = -theta and the graph reflected in the x-axis)."""
     gamma, levels = fol.gamma, fol.levels
-    at = {rid: [] for _, _, rid, _ in chain.alphas}
+    at = {rid: [] for _, rid, _ in chain.alphas}
     for i, g in enumerate(gamma, 1):
         bucket = at.get(g if g > 0 else -g)
         if bucket is not None:
             bucket.append(i)
     jset = set(J)
     walks = {}
-    for _, _, rid, cor in chain.alphas:
+    for _, rid, cor in chain.alphas:
         if rid in walks:
             continue
         l_inf = sum(c * x for c, x in zip(cor, fol.weight))
-        walked, steps, val2 = [], [], -1
+        walked, val2 = [], -1
         for i in at[rid]:
             level = levels[i - 1]
             s1 = 1 if gamma[i - 1] > 0 else -1
@@ -248,26 +243,22 @@ def _height_profiles(chain, J, fol):
             if val2 != 2 * level:
                 raise InvariantError("height/slope mismatch at position %d"
                                      % i)
-            s2 = -s1 if i in jset else s1
-            val2 += s2
+            val2 += -s1 if i in jset else s1
             walked.append(level)
-            steps += (s1, s2)
         end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
         if end_pair == 0:
             raise InvariantError("gamma_inf orthogonal to alpha")
-        s_end = 1 if end_pair > 0 else -1
-        val2 += s_end
-        steps.append(s_end)
+        val2 += 1 if end_pair > 0 else -1
         if val2 != 2 * l_inf:
             raise InvariantError("endpoint height mismatch")
-        walks[rid] = (tuple(at[rid]), tuple(walked), l_inf, tuple(steps))
+        walks[rid] = (tuple(at[rid]), tuple(walked), l_inf)
     out = []
-    for p, (base, sign, rid, _) in enumerate(chain.alphas):
-        positions, walked, l_inf, steps = walks[rid]
+    for p, (sign, rid, _) in enumerate(chain.alphas):
+        positions, walked, l_inf = walks[rid]
         heights = walked if sign > 0 else tuple(-h for h in walked)
         h_inf = sign * l_inf
-        out.append(GGraph(p, base, sign, positions, heights, h_inf, l_inf,
-                          max(heights + (h_inf,)), steps))
+        out.append(GGraph(p, positions, heights, h_inf,
+                          max(heights + (h_inf,))))
     return out
 
 

@@ -86,10 +86,10 @@ def _write_graph(graph, path, chain=None):
 
 def _alcove_json(graph, chain):
     import json
-    data = json.loads(graph.to_json())
+    data = graph.json_data()
+    for node, J in zip(data["nodes"], graph.nodes):
+        node["J"] = list(J)
     data["chain"] = [list(beta) for beta in chain.roots]
-    for node in data["nodes"]:
-        node["J"] = list(graph.nodes[node["id"]])
     return json.dumps(data, separators=(",", ":")) + "\n"
 
 

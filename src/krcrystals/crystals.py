@@ -244,15 +244,19 @@ class CrystalGraph:
 
     # -- serialization ---------------------------------------------------------------
 
-    def to_json(self):
-        data = {
+    def json_data(self):
+        """The nodes, edges and anchors as the dict to_json dumps."""
+        return {
             "nodes": [{"id": i, "repr": self.reprs[i], "wt": list(self.weights[i])}
                       for i in range(len(self.nodes))],
             "edges": [{"src": s, "dst": d, "color": c}
                       for (s, c, d) in self.edges_sorted()],
             "anchors": self.anchors(),
         }
-        return json.dumps(data, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+    def to_json(self):
+        return json.dumps(self.json_data(), separators=(",", ":"),
+                          ensure_ascii=False) + "\n"
 
     def to_dot(self, fh):
         """Write the graph as DOT to the open text file fh: the node lines,
@@ -277,15 +281,10 @@ class CrystalGraph:
 
 
 def graphs_equal(g1, g2):
-    """Node-for-node equality: same payloads, weights, and colored edges."""
-    if set(g1.nodes) != set(g2.nodes):
-        return False
-    for b in g1.nodes:
-        if g1.weights[g1.index[b]] != g2.weights[g2.index[b]]:
-            return False
-    e1 = {(g1.nodes[s], c, g1.nodes[d]) for (s, c, d) in g1.edges_sorted()}
-    e2 = {(g2.nodes[s], c, g2.nodes[d]) for (s, c, d) in g2.edges_sorted()}
-    return e1 == e2
+    """Node-for-node equality: same payloads, colors, weights and colored
+    edges, i.e. the payload-identity map passes verify_isomorphism."""
+    return set(g1.nodes) == set(g2.nodes) and verify_isomorphism(
+        g1, g2, {i: g2.index[b] for i, b in enumerate(g1.nodes)})
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +475,8 @@ def components(graph):
 
 
 def verify_isomorphism(g1, g2, mapping):
-    """Second-pass audit: mapping is a bijection commuting with every f_i
-    and e_i and preserving weights."""
+    """The one audit behind every comparison of crystals: mapping is a
+    bijection commuting with every f_i and e_i and preserving weights."""
     if g1.colors != g2.colors or len(mapping) != len(g1) \
             or len(set(mapping.values())) != len(g2):
         return False
@@ -496,49 +495,39 @@ def iso_check(g1, g2, anchor_mode="min"):
     """Forced-map isomorphism between connected crystals.
 
     The unique extremal-weight anchors are matched and the map is grown
-    edge-by-edge (at most one i-edge leaves a node, so it is forced).
-    Returns the id-level bijection, or None if the graphs differ.
-    Ambiguous anchors raise AmbiguousAnchorError.
-    """
-    a1 = g1.extremal(anchor_mode)
-    a2 = g2.extremal(anchor_mode)
+    edge-by-edge (at most one i-edge leaves a node, so it is forced),
+    stopping early only at a forced edge with no partner; the audit
+    verify_isomorphism rejects every other difference.  Returns the
+    id-level bijection, or None if the graphs differ.  Ambiguous anchors
+    raise AmbiguousAnchorError."""
+    a1, a2 = g1.extremal(anchor_mode), g2.extremal(anchor_mode)
     if len(g1) != len(g2) or g1.colors != g2.colors:
         return None
     mapping = {a1: a2}
-    reverse = {a2: a1}
     queue = [(a1, a2)]
     while queue:
         x, y = queue.pop()
         for c in g1.colors:
             for x1, y1 in ((g1.fs[c][x], g2.fs[c][y]),
                            (g1.es[c][x], g2.es[c][y])):
-                if (x1 is None) != (y1 is None):
-                    return None
-                if x1 is None:
-                    continue
-                if x1 in mapping:
-                    if mapping[x1] != y1:
+                if x1 is not None and x1 not in mapping:
+                    if y1 is None:
                         return None
-                elif y1 in reverse:
-                    return None
-                else:
                     mapping[x1] = y1
-                    reverse[y1] = x1
                     queue.append((x1, y1))
-    if not verify_isomorphism(g1, g2, mapping):
-        return None
-    return mapping
+    return mapping if verify_isomorphism(g1, g2, mapping) else None
 
 
 def match_components(comps1, comps2, anchor_mode):
     """Pair up two lists of components by forced-map isomorphism.
 
-    Candidates are grouped by (size, anchor weight, weight multiset),
-    which almost always separates components at desk scale; inside each
-    group a full bipartite matching over the isomorphism relation removes
-    any false negatives a greedy pairing could produce.  Returns the list
-    of index pairs, or None when no perfect matching exists.
-    """
+    Components are grouped by (size, anchor weight, weight multiset), and
+    each group is sorted into isomorphism classes by comparing a component
+    with one representative per class.  On this equivalence relation a
+    class's comps1 members (ascending) pair with its comps2 members
+    (descending), as the augmenting-path matching over all pairs it
+    replaces did, so reported pairs stay the same.  Returns the sorted
+    index pairs, or None when no perfect matching exists."""
     if len(comps1) != len(comps2):
         return None
 
@@ -549,42 +538,30 @@ def match_components(comps1, comps2, anchor_mode):
             anchor = None
         return (len(g), anchor, tuple(sorted(g.weights)))
 
-    groups1 = {}
-    for idx, g in enumerate(comps1):
-        groups1.setdefault(key(g), []).append(idx)
-    groups2 = {}
-    for idx, g in enumerate(comps2):
-        groups2.setdefault(key(g), []).append(idx)
-    if set(groups1) != set(groups2):
+    groups = ({}, {})
+    for comps, out in zip((comps1, comps2), groups):
+        for idx, g in enumerate(comps):
+            out.setdefault(key(g), []).append(idx)
+    if set(groups[0]) != set(groups[1]):
         return None
-
     pairs = []
-    for k in sorted(groups1, key=repr):
-        left, right = groups1[k], groups2[k]
-        if len(left) != len(right):
+    for k in sorted(groups[0], key=repr):
+        if len(groups[0][k]) != len(groups[1][k]):
             return None
-        compat = {i: [j for j in right
-                      if iso_check(comps1[i], comps2[j], anchor_mode)
-                      is not None]
-                  for i in left}
-        assignment = {}
-
-        def augment(i, seen):
-            for j in compat[i]:
-                if j in seen:
-                    continue
-                seen.add(j)
-                if j not in assignment or augment(assignment[j], seen):
-                    assignment[j] = i
-                    return True
-            return False
-
-        for i in left:
-            if not augment(i, set()):
+        classes = []  # (representative, (comps1 ids, comps2 ids)) per class
+        for side, comps in enumerate((comps1, comps2)):
+            for i in groups[side][k]:
+                cls = next((cls for cls in classes if iso_check(
+                    cls[0], comps[i], anchor_mode) is not None), None)
+                if cls is None:
+                    cls = (comps[i], ([], []))
+                    classes.append(cls)
+                cls[1][side].append(i)
+        for _, (left, right) in classes:
+            if len(left) != len(right):
                 return None
-        pairs.extend(sorted((i, j) for j, i in assignment.items()))
-    pairs.sort()
-    return pairs
+            pairs.extend(zip(left, reversed(right)))
+    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +652,8 @@ def similarity_check(sigma, m, small, big):
 
 def hw_census(graph, index_set):
     """Sorted multiset of weights of nodes killed by e_i for all i given."""
-    out = []
-    for i in range(len(graph)):
-        if all(graph.e(i, c) is None for c in index_set):
-            out.append(tuple(graph.weights[i]))
-    return sorted(out)
+    return sorted(tuple(graph.weights[i]) for i in range(len(graph))
+                  if all(graph.e(i, c) is None for c in index_set))
 
 
 def weight_multiset(graph):

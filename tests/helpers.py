@@ -314,7 +314,6 @@ def g_graph_oracle(chain, J, p):
     positions = [i for i, g in enumerate(fol.gamma, 1)
                  if g == rid or g == -rid]
     heights = []
-    steps = []
     val2 = -1
     for i in positions:
         level = fol.levels[i - 1]
@@ -325,19 +324,14 @@ def g_graph_oracle(chain, J, p):
         s2 = -s1 if i in jset else s1
         val2 += s2
         heights.append(sign * level)
-        steps.append(s1)
-        steps.append(s2)
     end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
     if end_pair == 0:
         raise InvariantError("gamma_inf orthogonal to alpha")
-    s_end = 1 if end_pair > 0 else -1
-    val2 += s_end
-    steps.append(s_end)
+    val2 += 1 if end_pair > 0 else -1
     if val2 != 2 * l_inf:
         raise InvariantError("endpoint height mismatch")
     M = max(heights + [h_inf])
-    return GGraph(p, base, sign, tuple(positions), tuple(heights), h_inf,
-                  l_inf, M, tuple(steps))
+    return GGraph(p, tuple(positions), tuple(heights), h_inf, M)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +513,59 @@ def component_ids_oracle(graph, start):
 
 def is_connected(graph):
     return len(graph.component_ids()) <= 1
+
+
+def match_components_oracle(comps1, comps2, anchor_mode):
+    """The component matching by a bipartite augmenting-path search over
+    all iso_check pairs of each (size, anchor weight, weight multiset)
+    group: the matcher the library used before it sorted each group into
+    isomorphism classes."""
+    if len(comps1) != len(comps2):
+        return None
+
+    def key(g):
+        try:
+            anchor = tuple(g.weight(g.extremal(anchor_mode)))
+        except AmbiguousAnchorError:
+            anchor = None
+        return (len(g), anchor, tuple(sorted(g.weights)))
+
+    groups1 = {}
+    for idx, g in enumerate(comps1):
+        groups1.setdefault(key(g), []).append(idx)
+    groups2 = {}
+    for idx, g in enumerate(comps2):
+        groups2.setdefault(key(g), []).append(idx)
+    if set(groups1) != set(groups2):
+        return None
+
+    pairs = []
+    for k in sorted(groups1, key=repr):
+        left, right = groups1[k], groups2[k]
+        if len(left) != len(right):
+            return None
+        compat = {i: [j for j in right
+                      if iso_check(comps1[i], comps2[j], anchor_mode)
+                      is not None]
+                  for i in left}
+        assignment = {}
+
+        def augment(i, seen):
+            for j in compat[i]:
+                if j in seen:
+                    continue
+                seen.add(j)
+                if j not in assignment or augment(assignment[j], seen):
+                    assignment[j] = i
+                    return True
+            return False
+
+        for i in left:
+            if not augment(i, set()):
+                return None
+        pairs.extend(sorted((i, j) for j, i in assignment.items()))
+    pairs.sort()
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ import pytest
 from helpers import (TensorProduct, WriteLog, all_reduced_words, bruhat_leq,
                      component_ids_oracle, crystal_dot_oracle,
                      decomposes_into_demazure, dot_text, extremal_oracle,
-                     fundamentals, is_connected, two_factor_e, two_factor_f)
+                     fundamentals, is_connected, match_components_oracle,
+                     two_factor_e, two_factor_f)
 from krcrystals.alcove import alcove_crystal, hw_crystal
 from krcrystals.cartan import CartanData, build_cartan
 from krcrystals.crystals import (CrystalGraph, classical_restriction,
                                  components, demazure_filter, demazure_subset,
                                  explore, explore_tensor, graphs_equal,
                                  ground_state, highest_weight_node, hw_census,
-                                 iso_check, similarity_check,
+                                 iso_check, match_components, similarity_check,
                                  trivial_crystal, verify_isomorphism,
                                  weight_multiset, weyl_action)
 from krcrystals.experiments import build_factor, build_filtered
@@ -23,7 +24,7 @@ from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, NonReducedWordError,
                                ResourceLimitError)
 from krcrystals.kr import fixture_C2, kr_C_onebox, kr_typeA
-from krcrystals import weyl
+from krcrystals import crystals, weyl
 from krcrystals.weyl import build_weyl_group
 
 A2 = build_cartan("A", 2)
@@ -340,6 +341,148 @@ def test_iso_ambiguous_anchor_error():
                        [(1, 0), (0, 1)], ["a", "b"])
     with pytest.raises(AmbiguousAnchorError):
         iso_check(bad, bad, "max")
+
+
+def _toy(edges, top=(4, 4), n=3):
+    """An A2 graph on nodes 0..n-1 with the given (src, color, dst)
+    f-edges; node 0 has weight top, the unique maximal one, and every
+    other node weight 0."""
+    fs = {1: [None] * n, 2: [None] * n}
+    for src, c, dst in edges:
+        fs[c][src] = dst
+    names = [str(i) for i in range(n)]
+    return CrystalGraph(A2, (1, 2), names, fs,
+                        [top] + [(0, 0)] * (n - 1), names)
+
+
+# each pair differs in one way that the forced walk does not stop at (no
+# forced edge lacks a partner): verify_isomorphism, the audit at its end,
+# must reject it
+ISO_FAILURES = {
+    # g2 also has 1 -1-> 2, where g1 has no 1-edge
+    "edge_on_one_side": ([(0, 1, 1), (0, 2, 2)],
+                         [(0, 1, 1), (0, 2, 2), (1, 1, 2)]),
+    # f_1 and f_2 of the anchor force nodes 1 and 2 onto g2's node 1
+    "two_nodes_onto_one": ([(0, 1, 1), (0, 2, 2)],
+                           [(0, 1, 1), (0, 2, 1), (1, 1, 2)]),
+    # f_1 of the anchor forces node 1 onto 1, and f_2 of it onto 2
+    "conflicting_edge": ([(0, 1, 1), (0, 2, 1), (1, 1, 2)],
+                         [(0, 1, 1), (0, 2, 2), (1, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISO_FAILURES))
+def test_iso_audit_rejects_structural_differences(case):
+    edges1, edges2 = ISO_FAILURES[case]
+    g1, g2 = _toy(edges1), _toy(edges2)
+    assert is_connected(g1) and is_connected(g2)
+    assert iso_check(g1, g2, "max") is None
+    assert iso_check(g1, g1, "max") is not None
+
+
+def test_iso_audit_rejects_anchors_of_different_weight():
+    edges = [(0, 1, 1), (0, 2, 2)]
+    assert iso_check(_toy(edges), _toy(edges, top=(1, 1)), "max") is None
+
+
+def test_iso_audit_rejects_a_disconnected_g1():
+    # node 2 is isolated in both, so the walk from the anchor misses it
+    g = _toy([(0, 1, 1)])
+    assert not is_connected(g)
+    assert iso_check(g, g, "max") is None
+
+
+def _relabelled(g, order, weights=None, nodes=None):
+    """g with its node ids in the given order (and optionally other
+    weights or payloads, listed by old id)."""
+    new = {old: i for i, old in enumerate(order)}
+    fs = {c: [None if fc[old] is None else new[fc[old]] for old in order]
+          for c, fc in g.fs.items()}
+    weights = weights or g.weights
+    nodes = nodes or g.nodes
+    return CrystalGraph(g.cartan, g.colors, [nodes[i] for i in order], fs,
+                        [weights[i] for i in order],
+                        [g.reprs[i] for i in order],
+                        affine_complete=g.affine_complete)
+
+
+@pytest.mark.parametrize("change", ["none", "payload", "weight", "edge"])
+def test_graphs_equal_maps_payloads_and_detects_each_difference(change):
+    # the ids are reversed, so only the payload map lines the nodes up
+    g = kr_typeA(2, 1, 2)
+    order = list(reversed(range(len(g))))
+    if change == "payload":
+        h = _relabelled(g, order, nodes=g.nodes[:-1] + [("other",)])
+    elif change == "weight":
+        h = _relabelled(g, order, weights=g.weights[:-1] + [(9, 9)])
+    elif change == "edge":
+        h = _relabelled(demazure_filter(g, 1, "head"), order)
+    else:
+        h = _relabelled(g, order)
+    assert graphs_equal(g, h) == graphs_equal(h, g) == (change == "none")
+
+
+# ---------------------------------------------------------------------------
+# component matching: isomorphism classes against the augmenting-path oracle
+
+
+def _alcove_and_dual(cartan, lam, level):
+    """The components check_alcove_correspondence matches: those of the
+    quantum alcove model and of the dual filtration of its columns."""
+    cols = [i for i in cartan.classical_index_set for _ in range(lam[i - 1])]
+    dual = build_filtered(cartan, [(p, 1) for p in cols], level, "tail")
+    return components(alcove_crystal(cartan, lam, level)), components(dual)
+
+
+# classes of up to four isomorphic components under one key
+MATCH_CASES = [(cartan, lam, level) for cartan, lams in (
+    (build_cartan("A", 1), [(5,), (6,)]), (A2, [(2, 2), (3, 1), (4, 0)]))
+    for lam in lams for level in (2, 3)]
+
+
+@pytest.mark.parametrize("cartan,lam,level", MATCH_CASES, ids=[
+    "%s-%s-l%d" % (ct.type_name, "".join(map(str, lam)), level)
+    for ct, lam, level in MATCH_CASES])
+def test_match_components_pairs_equal_the_oracle(cartan, lam, level):
+    comps_a, comps_b = _alcove_and_dual(cartan, lam, level)
+    rng = random.Random(repr((lam, level)))
+    for _ in range(3):
+        want = match_components_oracle(comps_a, comps_b, "max")
+        assert want is not None
+        assert match_components(comps_a, comps_b, "max") == want
+        rng.shuffle(comps_a)
+        rng.shuffle(comps_b)
+
+
+def test_match_components_unmatched_isomorphism_classes():
+    # same key (size, anchor weight, weight multiset), different classes
+    x = _toy([(0, 1, 1), (0, 2, 2)])
+    y = _toy([(0, 1, 1), (1, 2, 2)])
+    assert iso_check(x, y, "max") is None
+    for comps1, comps2 in (([x, y], [x, x]), ([x, x], [y, x])):
+        assert match_components_oracle(comps1, comps2, "max") is None
+        assert match_components(comps1, comps2, "max") is None
+    assert match_components([y, x], [x, y], "max") == [(0, 1), (1, 0)]
+
+
+def test_match_components_one_iso_check_per_component_and_class(monkeypatch):
+    comps_a, comps_b = _alcove_and_dual(build_cartan("A", 1), (6,), 3)
+    reps = []  # one component per isomorphism class
+    for g in comps_a:
+        if all(iso_check(r, g, "max") is None for r in reps
+               if len(r) == len(g)):
+            reps.append(g)
+    # a class can hold only components of its size and weight multiset
+    bound = sum(len(r) == len(g) and sorted(r.weights) == sorted(g.weights)
+                for g in comps_a + comps_b for r in reps)
+    calls = []
+
+    def counted(g1, g2, anchor_mode):
+        calls.append(len(g1))
+        return iso_check(g1, g2, anchor_mode)
+    monkeypatch.setattr(crystals, "iso_check", counted)
+    assert match_components(comps_a, comps_b, "max") is not None
+    assert 0 < len(calls) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,31 @@ def test_weight_walks_replace_weyl_group_enumeration(module, name):
 
 
 ROOT = SRC.parent.parent
+
+# names the benchmark tracer wraps or reads cache counts from that the
+# library removed on purpose; the tracer skips a missing name, so any other
+# missing name would turn its metric to 0 without a word
+TRACED_ABSENT = {"crystals.build_weyl_group", "experiments.build_weyl_group",
+                 "kr.classical_fundamental"}
+
+
+def test_traced_names_resolve():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    points = [(owner, name) for owner, name, _, _
+              in tracing._wrap_points(None)]
+    points += [pair for pairs in tracing.CACHES.values() for pair in pairs]
+    missing = set()
+    for owner, name in points:
+        label = getattr(owner, "__qualname__", owner.__name__)
+        if not hasattr(owner, name):
+            missing.add("%s.%s" % (label.replace("krcrystals.", ""), name))
+    assert missing == TRACED_ABSENT
+
+
 PY_FILES = sorted(str(path.relative_to(ROOT))
                   for folder in ("src", "tests", "demos")
                   for path in (ROOT / folder).rglob("*.py")
