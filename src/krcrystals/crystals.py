@@ -29,11 +29,16 @@ class CrystalGraph:
 
     fs[c][b] is f_c(b) and es[c][b] is e_c(b), None where there is no edge.
     The constructor keeps the f lists it is given (a color it lacks gets no
-    edges) and derives es from them.
+    edges) and derives es from them over one list of node ids, so the
+    e-entries of every color share one int object per node.  explore_tensor
+    hands in its signature rule's e lists instead, one per color.  They are
+    kept if every f-edge src -> dst has es[dst] == src and each color has
+    as many e-edges as f-edges, which holds exactly when es is the inverse
+    of fs, the table derivation would give.
     """
 
     def __init__(self, cartan, colors, nodes, fs, weights, reprs,
-                 affine_complete=False):
+                 affine_complete=False, es=None):
         self.cartan = cartan
         self.colors = tuple(colors)
         self.nodes = list(nodes)
@@ -41,15 +46,25 @@ class CrystalGraph:
         if len(set(self.nodes)) != n:
             raise InvariantError("duplicate payloads")
         self.fs = {c: fs[c] if c in fs else [None] * n for c in self.colors}
-        self.es = {}
-        for c, fc in self.fs.items():
-            ec = self.es[c] = [None] * n
-            for src, dst in enumerate(fc):
-                if dst is not None:
-                    if ec[dst] is not None:
-                        raise InvariantError(
-                            "two f_%d-edges into one node" % c)
-                    ec[dst] = src
+        if es is None or not all(_inverts(fc, es[c], n)
+                                 for c, fc in self.fs.items()):
+            es, given = {}, es
+            ids = list(range(n))
+            for c, fc in self.fs.items():
+                ec = es[c] = [None] * n
+                for src, dst in zip(ids, fc):
+                    if dst is not None:
+                        if ec[dst] is not None:
+                            raise InvariantError(
+                                "two f_%d-edges into one node" % c)
+                        ec[dst] = src
+            if given is not None:  # fs is injective, so some color differs
+                c = next(c for c in self.colors if es[c] != given[c])
+                x = next((x for x, (a, b) in enumerate(zip(es[c], given[c]))
+                          if a != b), min(n, len(given[c])))
+                raise InvariantError("e_%d is not the inverse of f_%d at "
+                                     "tensor node %d" % (c, c, x))
+        self.es = {c: es[c] for c in self.colors}
         self.weights = list(weights)
         self.reprs = list(reprs)
         self.affine_complete = affine_complete
@@ -280,6 +295,17 @@ class CrystalGraph:
         write_dot(fh, "crystal", len(self.nodes), node_lines, edge_lines)
 
 
+def _inverts(fc, ec, n):
+    """Does ec invert fc: n entries, ec[dst] == src on every f-edge src ->
+    dst, and as many e-edges as f-edges, so no other e-edge?"""
+    if len(ec) != n or ec.count(None) != fc.count(None):
+        return False
+    for src, dst in enumerate(fc):
+        if dst is not None and ec[dst] != src:
+            return False
+    return True
+
+
 def graphs_equal(g1, g2):
     """Node-for-node equality: same payloads, colors, weights and colored
     edges, i.e. the payload-identity map passes verify_isomorphism."""
@@ -391,11 +417,15 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
     row (phi_i, eps_i, f offset, e offset) per id i of factor k + 1;
     prefixes with equal states extend alike, so each distinct state of a
     level is folded once.  After the last factor, f_c(x) = x + f offset and
-    e_c(x) = x + e offset, where nonzero.  Weights and reprs come from a
-    prefix product of the factors' lists; the product is affine-complete
-    when every factor is.  ValueError for no factors or mixed color sets,
-    ResourceLimitError above node_cap, InvariantError if e does not invert
-    f."""
+    e_c(x) = x + e offset, where nonzero, each written as the element of
+    one list of node ids, so the product holds one int object per node, not
+    one per edge.  The e lists go to CrystalGraph, which keeps them only if
+    they invert the f lists, as deriving them would.  Weights and reprs
+    come from a prefix product of the factors' lists; the product is
+    affine-complete when every factor is.  ValueError for no factors or
+    mixed color sets, ResourceLimitError above node_cap, InvariantError,
+    naming the first node where the two tables differ, if e does not
+    invert f."""
     if not factors:
         raise ValueError("a tensor product needs at least one factor")
     colors = factors[0].colors
@@ -407,6 +437,7 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
         raise ResourceLimitError("tensor product of %d elements exceeds "
                                  "node cap %d" % (total, node_cap))
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    ids = list(range(total))  # every edge entry is one of these
     fs, es = {}, {}
     for c in colors:
         states = [(0, 0, 0)]
@@ -416,24 +447,20 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
                      0 if e is None else stride * (e - i))
                     for i, (f, e) in enumerate(zip(g.fs[c], g.es[c]))]
             states = _extend(states, lambda s: _signature_block(s, rows))
-        fs[c] = [x + f if f else None for x, (_, f, _) in enumerate(states)]
-        es[c] = [x + e if e else None for x, (_, _, e) in enumerate(states)]
+        fs[c] = [ids[x + f] if f else None
+                 for x, (_, f, _) in zip(ids, states)]
+        es[c] = [ids[x + e] if e else None
+                 for x, (_, _, e) in zip(ids, states)]
     weights, reprs = factors[0].weights, factors[0].reprs
     for g in factors[1:]:
         weights = _extend(weights, lambda w: [tuple(map(operator.add, w, v))
                                               for v in g.weights])
         reprs = [r + " (x) " + s for r in reprs for s in g.reprs]
-    graph = CrystalGraph(cartan, colors,
-                         itertools.product(*(g.nodes for g in factors)), fs,
-                         weights, reprs,
-                         affine_complete=all(g.affine_complete
-                                             for g in factors))
-    for c in colors:
-        if graph.es[c] != es[c]:
-            x = next(x for x in range(total) if graph.es[c][x] != es[c][x])
-            raise InvariantError("e_%d is not the inverse of f_%d at tensor "
-                                 "node %d" % (c, c, x))
-    return graph
+    return CrystalGraph(cartan, colors,
+                        itertools.product(*(g.nodes for g in factors)), fs,
+                        weights, reprs,
+                        affine_complete=all(g.affine_complete
+                                            for g in factors), es=es)
 
 
 # ---------------------------------------------------------------------------

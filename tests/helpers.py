@@ -5,7 +5,8 @@ geometry with exact Fractions, reflection matrices on simple-root
 coordinates, inversion counting, subword products, the lifting property
 of Bruhat order, promotion powers, the per-node and the closed-form
 two-factor signature rule on the fundamental crystals of types A and C2,
-the pairwise dominance scan over the Fraction inverse Cartan matrix),
+Stembridge's local axioms, the pairwise dominance scan over the Fraction
+inverse Cartan matrix),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -566,6 +567,98 @@ def match_components_oracle(comps1, comps2, anchor_mode):
         pairs.extend(sorted((i, j) for j, i in assignment.items()))
     pairs.sort()
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Stembridge's local axioms
+
+
+def stembridge_violations(graph):
+    """Witnesses (axiom, node, i, j) against Stembridge's local axioms
+    (Trans. AMS 355 (2003), P1-P6, P5', P6') on the classical restriction
+    of a simply-laced crystal graph; empty iff all hold.  Only the colors
+    of I_0 are read, and only their raw successor lists: eps and phi are
+    string lengths walked here.  For an edge x = f_i y, Delta_i g(x) =
+    g(y) - g(x) and nabla_i g(y) = Delta_i g(x), with delta = -eps."""
+    ct = graph.cartan
+    colors = ct.classical_index_set
+    a = {(i, j): ct.cartan[i - 1][j - 1] for i in colors for j in colors}
+    assert all(a[i, j] in (0, -1) for i in colors for j in colors if i != j)
+    n = len(graph)
+    fs = {i: graph.fs[i] for i in colors}
+    es = {i: graph.es[i] for i in colors}
+    bad = []
+    # P1, P2: e_i and f_i are inverse partial maps with finite strings
+    for i in colors:
+        for x in range(n):
+            if (y := fs[i][x]) is not None and es[i][y] != x:
+                bad.append(("P2", x, i, i))
+            if (y := es[i][x]) is not None and fs[i][y] != x:
+                bad.append(("P2", x, i, i))
+    if bad:
+        return bad
+
+    def length(step, x):
+        k = 0
+        while (x := step[x]) is not None and k <= n:
+            k += 1
+        return k
+    eps = {i: [length(es[i], x) for x in range(n)] for i in colors}
+    phi = {i: [length(fs[i], x) for x in range(n)] for i in colors}
+    bad = [("P1", x, i, i) for i in colors for x in range(n)
+           if eps[i][x] > n or phi[i][x] > n]
+    if bad:
+        return bad
+
+    def word(steps, x, letters):
+        """steps[i_k] ... steps[i_1] x for letters (i_1, ..., i_k)."""
+        for i in letters:
+            if x is None:
+                return None
+            x = steps[i][x]
+        return x
+
+    def d_delta(i, j, x):  # Delta_i delta_j at x, e_i x defined
+        return eps[j][x] - eps[j][es[i][x]]
+
+    def d_phi(i, j, x):  # Delta_i phi_j at x, e_i x defined
+        return phi[j][es[i][x]] - phi[j][x]
+
+    def n_phi(i, j, y):  # nabla_i phi_j at y, f_i y defined
+        return phi[j][y] - phi[j][fs[i][y]]
+
+    for x in range(n):
+        for i, j in itertools.permutations(colors, 2):
+            if es[i][x] is not None:
+                if d_delta(i, j, x) + d_phi(i, j, x) != a[i, j]:
+                    bad.append(("P3", x, i, j))
+                if d_delta(i, j, x) > 0 or d_phi(i, j, x) > 0:
+                    bad.append(("P4", x, i, j))
+                if es[j][x] is not None:
+                    if d_delta(i, j, x) == 0:
+                        y = word(es, x, (j, i))
+                        if y is None or y != word(es, x, (i, j)) \
+                                or n_phi(j, i, y) != 0:
+                            bad.append(("P5", x, i, j))
+                    elif d_delta(i, j, x) == d_delta(j, i, x) == -1:
+                        y = word(es, x, (i, j, j, i))
+                        if y is None or y != word(es, x, (j, i, i, j)) \
+                                or n_phi(i, j, y) != -1 \
+                                or n_phi(j, i, y) != -1:
+                            bad.append(("P6", x, i, j))
+            if fs[i][x] is not None and fs[j][x] is not None:
+                if n_phi(i, j, x) == 0:
+                    y = word(fs, x, (j, i))
+                    if y is None or y != word(fs, x, (i, j)) \
+                            or d_delta(j, i, y) != 0:
+                        bad.append(("P5'", x, i, j))
+                elif n_phi(i, j, x) == n_phi(j, i, x) == -1:
+                    y = word(fs, x, (i, j, j, i))
+                    if y is None or y != word(fs, x, (j, i, i, j)) \
+                            or d_delta(i, j, y) != -1 \
+                            or d_delta(j, i, y) != -1:
+                        bad.append(("P6'", x, i, j))
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from helpers import (TensorProduct, WriteLog, all_reduced_words, bruhat_leq,
                      component_ids_oracle, crystal_dot_oracle,
                      decomposes_into_demazure, dot_text, extremal_oracle,
                      fundamentals, is_connected, match_components_oracle,
-                     two_factor_e, two_factor_f)
+                     stembridge_violations, two_factor_e, two_factor_f)
 from krcrystals.alcove import alcove_crystal, hw_crystal
 from krcrystals.cartan import CartanData, build_cartan
 from krcrystals.crystals import (CrystalGraph, classical_restriction,
@@ -28,7 +28,9 @@ from krcrystals import crystals, weyl
 from krcrystals.weyl import build_weyl_group
 
 A2 = build_cartan("A", 2)
+A3 = build_cartan("A", 3)
 C2 = build_cartan("C", 2)
+D4 = build_cartan("D", 4)
 
 
 def c2_tensor():
@@ -251,6 +253,83 @@ def test_explore_tensor_edges_match_the_signature_rule(cartan, factors):
                     want = list(b)
                     want[k] = getattr(graphs[k], step)[c][b[k]]
                     assert ids[out] == tuple(want)
+
+
+def entry_objects(tables):
+    """The distinct int objects among the non-None entries of the lists."""
+    return {id(v) for table in tables for v in table if v is not None}
+
+
+def test_edge_entries_share_one_int_object_per_node():
+    # 729 nodes: ids above 256 are not cached, so each entry written as a
+    # fresh sum or enumerate index would be its own object
+    graph = explore_tensor(A2, [kr_typeA(2, 1, 1)] * 6)
+    assert len(graph) > 257
+    assert len(entry_objects([*graph.fs.values(), *graph.es.values()])) \
+        <= len(graph)
+    derived = demazure_filter(graph, 1, "head")
+    assert len(entry_objects(derived.es.values())) <= len(graph)
+
+
+def test_constructor_keeps_e_lists_that_invert_f():
+    es = {1: [None, 0, None], 2: [None] * 3}
+    g = CrystalGraph(A2, (1, 2), "abc", {1: [1, None, None]}, [(0, 0)] * 3,
+                     list("abc"), es=es)
+    assert g.es[1] is es[1] and g.es[2] is es[2]
+
+
+@pytest.mark.parametrize("fs,es,message", [
+    # e_1 names the wrong source of the f_1-edge 0 -> 1
+    ({1: [1, None, None]}, {1: [None, 2, None], 2: [None] * 3},
+     "e_1 is not the inverse of f_1 at tensor node 1"),
+    # an e_1-edge 2 -> 0 with no f_1-edge: only the edge count sees it
+    ({1: [1, None, None]}, {1: [None, 0, 0], 2: [None] * 3},
+     "e_1 is not the inverse of f_1 at tensor node 2"),
+    ({2: [2, 2, None]}, {1: [None] * 3, 2: [None, None, 0]},
+     "two f_2-edges into one node"),
+], ids=["wrong-source", "e-edge-without-f-edge", "two-f-edges-into-one"])
+def test_constructor_rejects_e_lists_that_do_not_invert_f(fs, es, message):
+    with pytest.raises(InvariantError, match=message):
+        CrystalGraph(A2, (1, 2), "abc", fs, [(0, 0)] * 3, list("abc"), es=es)
+
+
+TYPE_A_RANDOM_CASES = [case for case in RANDOM_CASES
+                       if case[0].family == "A"]
+
+
+@pytest.mark.parametrize("cartan,factors", TYPE_A_RANDOM_CASES, ids=[
+    "%s-%s" % (ct.type_name, ":".join("%d,%d" % rs for rs in factors))
+    for ct, factors in TYPE_A_RANDOM_CASES])
+def test_type_a_products_satisfy_stembridge_axioms(cartan, factors):
+    graph = explore_tensor(cartan, [build_factor(cartan, r, s)
+                                    for r, s in factors])
+    assert stembridge_violations(graph) == []
+
+
+@pytest.mark.parametrize("cartan,lam", [
+    (A3, (1, 1, 1)), (A3, (0, 2, 0)), (A3, (2, 0, 1)),
+    (D4, (1, 0, 0, 1)), (D4, (0, 1, 0, 0)), (D4, (1, 0, 1, 1))])
+def test_alcove_crystals_satisfy_stembridge_axioms(cartan, lam):
+    assert stembridge_violations(alcove_crystal(cartan, lam)) == []
+
+
+def test_stembridge_oracle_names_its_witnesses():
+    # the commuting square a -> b -> d, a -> c -> d (f_1 then f_2, or f_2
+    # then f_1) is an A1 x A1 crystal, but in A2 (a_12 = -1) moving up a
+    # 1-edge must change phi_2 or eps_2
+    square = CrystalGraph(A2, (0, 1, 2), "abcd",
+                          {1: [1, None, 3, None], 2: [2, 3, None, None]},
+                          [(0, 0)] * 4, list("abcd"))
+    bad = stembridge_violations(square)
+    assert ("P3", 3, 1, 2) in bad and ("P3", 3, 2, 1) in bad
+    # in D4 (a_13 = 0) e_1 and e_3 must commute, but from x = 0 the words
+    # e_1 e_3 and e_3 e_1 end at different nodes
+    fork = CrystalGraph(D4, range(5), "xpqyz",
+                        {1: [None, 0, None, None, 2],
+                         3: [None, None, 0, 1, None]},
+                        [(0,) * 4] * 5, list("xpqyz"))
+    bad = stembridge_violations(fork)
+    assert ("P5", 0, 1, 3) in bad and ("P5", 0, 3, 1) in bad
 
 
 def test_seminormality_of_constructed_crystals():
