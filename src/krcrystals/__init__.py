@@ -8,7 +8,7 @@ from .cartan import build_cartan, c_value, parse_type
 from .weyl import build_qbg, build_weyl_group, dominantize
 from .crystals import (CrystalGraph, components, demazure_filter,
                        demazure_subset, explore, explore_tensor, ground_state,
-                       hw_census, iso_check, similarity_check, weyl_action)
+                       hw_census, iso_check, similarity_check)
 from .alcove import (LambdaChain, alcove_crystal, alcove_e, alcove_f,
                      build_lambda_chain, enumerate_admissible, fold, g_graph,
                      hw_crystal, phi0)
@@ -24,7 +24,7 @@ __all__ = [
     "build_qbg", "build_weyl_group", "dominantize",
     "CrystalGraph", "components", "demazure_filter", "demazure_subset",
     "explore", "explore_tensor", "ground_state", "hw_census", "hw_crystal",
-    "iso_check", "similarity_check", "weyl_action",
+    "iso_check", "similarity_check",
     "LambdaChain", "alcove_crystal", "alcove_e", "alcove_f",
     "build_lambda_chain", "enumerate_admissible", "fold", "g_graph", "phi0",
     "fixture_C2", "kr_C_onebox", "kr_typeA", "promotion",

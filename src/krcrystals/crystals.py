@@ -1,6 +1,7 @@
 """Abstract crystal graphs: exploration, the signature rule for tensor
-products, Demazure-edge filtrations, components, isomorphism checking,
-finite-type Demazure subsets, and the Kashiwara Weyl-group action.
+products (their payloads and reprs kept as mixed-radix views),
+Demazure-edge filtrations, components, isomorphism checking, finite-type
+Demazure subsets and the highest-weight census.
 
 A crystal graph is an edge-colored weighted digraph; an f_i-edge b -> b'
 means f_i(b) = b'.  Colors are 0..n with 0 the affine node.  Weights are
@@ -24,10 +25,75 @@ DEFAULT_NODE_CAP = 10 ** 6
 DOT_EDGE_COLORS = {0: "black", 1: "blue", 2: "red"}
 
 
+class ProductView:
+    """A read-only sequence over the mixed-radix product of some lists,
+    which it keeps in place of its elements: element x joins the entries
+    lists[k][d_k] at the digits d_k of x, rightmost list fastest (the
+    itertools.product order).  explore_tensor joins payloads with tuple and
+    reprs with " (x) ".join, the string the left fold r + " (x) " + s
+    gives.  Int indexing follows list semantics; iteration, == with a list
+    or a view, and pick never index element by element."""
+
+    __slots__ = ("lists", "join", "_len", "_strides")
+
+    def __init__(self, lists, join):
+        self.lists = tuple(lists)
+        self.join = join
+        sizes = [len(lst) for lst in self.lists]
+        self._len = math.prod(sizes)
+        self._strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, x):
+        x = operator.index(x)
+        if x < 0:
+            x += self._len
+        if not 0 <= x < self._len:
+            raise IndexError("product index out of range")
+        return self.pick((x,))[0]
+
+    def __iter__(self):
+        return map(self.join, itertools.product(*self.lists))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, ProductView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def pick(self, ids):
+        """[self[x] for x in ids], for ids in range: one list comprehension
+        per factor list, then one join per element."""
+        cols = []
+        for lst, stride in zip(self.lists, self._strides):
+            size = len(lst)
+            cols.append([lst[x // stride % size] for x in ids])
+        return list(map(self.join, zip(*cols)))
+
+
+def _pick(seq, ids):
+    """The elements of a list or a ProductView at the given ids."""
+    if isinstance(seq, ProductView):
+        return seq.pick(ids)
+    return [seq[i] for i in ids]
+
+
+def _kept(seq):
+    """A ProductView as it is, any other iterable as a new list."""
+    return seq if isinstance(seq, ProductView) else list(seq)
+
+
 class CrystalGraph:
     """A fully explored crystal: nodes, per-color successor lists, weights.
 
     fs[c][b] is f_c(b) and es[c][b] is e_c(b), None where there is no edge.
+    The payloads (nodes) and reprs are kept as given when they are
+    ProductViews, as explore_tensor and demazure_filter hand them in, and
+    copied into lists otherwise; weights are always a list.  Payloads must
+    be distinct.  A list is checked for duplicates, a view is not: each of
+    its factor graphs passed the check, and a mixed-radix product of
+    distinct lists is distinct.
     The constructor keeps the f lists it is given (a color it lacks gets no
     edges) and derives es from them over one list of node ids, so the
     e-entries of every color share one int object per node.  explore_tensor
@@ -41,9 +107,10 @@ class CrystalGraph:
                  affine_complete=False, es=None):
         self.cartan = cartan
         self.colors = tuple(colors)
-        self.nodes = list(nodes)
+        self.nodes = _kept(nodes)
         n = len(self.nodes)
-        if len(set(self.nodes)) != n:
+        if not isinstance(self.nodes, ProductView) \
+                and len(set(self.nodes)) != n:
             raise InvariantError("duplicate payloads")
         self.fs = {c: fs[c] if c in fs else [None] * n for c in self.colors}
         if es is None or not all(_inverts(fc, es[c], n)
@@ -66,7 +133,7 @@ class CrystalGraph:
                                      "tensor node %d" % (c, c, x))
         self.es = {c: es[c] for c in self.colors}
         self.weights = list(weights)
-        self.reprs = list(reprs)
+        self.reprs = _kept(reprs)
         self.affine_complete = affine_complete
         self._stats = {}
 
@@ -217,9 +284,8 @@ class CrystalGraph:
                   for dst in map(fc.__getitem__, ids)]
               for c, fc in self.fs.items()}
         return CrystalGraph(
-            self.cartan, self.colors,
-            [self.nodes[i] for i in ids], fs,
-            [self.weights[i] for i in ids], [self.reprs[i] for i in ids],
+            self.cartan, self.colors, _pick(self.nodes, ids), fs,
+            [self.weights[i] for i in ids], _pick(self.reprs, ids),
             affine_complete=False)
 
     def _component_walk(self, start, seen, steps):
@@ -262,8 +328,9 @@ class CrystalGraph:
     def json_data(self):
         """The nodes, edges and anchors as the dict to_json dumps."""
         return {
-            "nodes": [{"id": i, "repr": self.reprs[i], "wt": list(self.weights[i])}
-                      for i in range(len(self.nodes))],
+            "nodes": [{"id": i, "repr": r, "wt": list(w)}
+                      for i, (r, w) in enumerate(zip(self.reprs,
+                                                     self.weights))],
             "edges": [{"src": s, "dst": d, "color": c}
                       for (s, c, d) in self.edges_sorted()],
             "anchors": self.anchors(),
@@ -276,7 +343,7 @@ class CrystalGraph:
     def to_dot(self, fh):
         """Write the graph as DOT to the open text file fh: the node lines,
         then the edge lines by source node."""
-        reprs = self.reprs
+        reprs = iter(self.reprs)  # node_lines takes the ids block by block
         # each color's edge attributes, formatted once
         tails = []
         for c in sorted(self.colors):
@@ -285,8 +352,8 @@ class CrystalGraph:
             tails.append((self.fs[c], ' [label="%d"%s];\n' % (c, attr)))
 
         def node_lines(ids):
-            return ['  n%d [label="%s"];\n' % (i, reprs[i].replace('"', r'\"'))
-                    for i in ids]
+            return ['  n%d [label="%s"];\n' % (i, r.replace('"', r'\"'))
+                    for i, r in zip(ids, reprs)]
 
         def edge_lines(ids):
             return [f"  n{src} -> n{dst}{tail}" for src in ids
@@ -420,12 +487,13 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
     e_c(x) = x + e offset, where nonzero, each written as the element of
     one list of node ids, so the product holds one int object per node, not
     one per edge.  The e lists go to CrystalGraph, which keeps them only if
-    they invert the f lists, as deriving them would.  Weights and reprs
-    come from a prefix product of the factors' lists; the product is
-    affine-complete when every factor is.  ValueError for no factors or
-    mixed color sets, ResourceLimitError above node_cap, InvariantError,
-    naming the first node where the two tables differ, if e does not
-    invert f."""
+    they invert the f lists, as deriving them would.  Weights come from a
+    prefix product of the factors' lists.  Payloads and reprs are two
+    ProductViews over the factors' lists, made as they are read, never one
+    object per node up front.  The product is affine-complete when every
+    factor is.  ValueError for no factors or mixed color sets,
+    ResourceLimitError above node_cap, InvariantError, naming the first
+    node where the two tables differ, if e does not invert f."""
     if not factors:
         raise ValueError("a tensor product needs at least one factor")
     colors = factors[0].colors
@@ -451,14 +519,14 @@ def explore_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
                  for x, (_, f, _) in zip(ids, states)]
         es[c] = [ids[x + e] if e else None
                  for x, (_, _, e) in zip(ids, states)]
-    weights, reprs = factors[0].weights, factors[0].reprs
+    weights = factors[0].weights
     for g in factors[1:]:
         weights = _extend(weights, lambda w: [tuple(map(operator.add, w, v))
                                               for v in g.weights])
-        reprs = [r + " (x) " + s for r in reprs for s in g.reprs]
     return CrystalGraph(cartan, colors,
-                        itertools.product(*(g.nodes for g in factors)), fs,
-                        weights, reprs,
+                        ProductView([g.nodes for g in factors], tuple), fs,
+                        weights,
+                        ProductView([g.reprs for g in factors], " (x) ".join),
                         affine_complete=all(g.affine_complete
                                             for g in factors), es=es)
 
@@ -595,10 +663,19 @@ def match_components(comps1, comps2, anchor_mode):
 # Demazure subsets of finite-type highest weight crystals
 
 
+def _e_free(graph, colors):
+    """The ascending ids of the nodes with no e_c-edge for any c in colors:
+    each color's e list filters the ids the colors before it kept."""
+    ids = range(len(graph))
+    for c in colors:
+        ec = graph.es[c]
+        ids = [i for i in ids if ec[i] is None]
+    return list(ids)
+
+
 def highest_weight_node(graph):
     """The unique node annihilated by every e_i of the graph's colors."""
-    hits = [i for i in range(len(graph))
-            if all(graph.e(i, c) is None for c in graph.colors)]
+    hits = _e_free(graph, graph.colors)
     if len(hits) != 1:
         raise AmbiguousAnchorError("%d highest weight nodes" % len(hits))
     return hits[0]
@@ -630,15 +707,6 @@ def demazure_subset(graph, word):
 
 # ---------------------------------------------------------------------------
 # miscellaneous crystal operations
-
-
-def weyl_action(graph, node_id, color):
-    """Kashiwara's s_i: reflect the node within its i-string."""
-    k = graph.phi(node_id, color) - graph.eps(node_id, color)
-    step = graph.fs[color] if k > 0 else graph.es[color]
-    for _ in range(abs(k)):
-        node_id = step[node_id]
-    return node_id
 
 
 def similarity_check(sigma, m, small, big):
@@ -679,8 +747,7 @@ def similarity_check(sigma, m, small, big):
 
 def hw_census(graph, index_set):
     """Sorted multiset of weights of nodes killed by e_i for all i given."""
-    return sorted(tuple(graph.weights[i]) for i in range(len(graph))
-                  if all(graph.e(i, c) is None for c in index_set))
+    return sorted(tuple(graph.weights[i]) for i in _e_free(graph, index_set))
 
 
 def weight_multiset(graph):
@@ -693,13 +760,6 @@ def trivial_crystal(cartan, colors):
     """The one-node crystal of weight 0."""
     return CrystalGraph(cartan, colors, [()], {}, [(0,) * cartan.rank],
                         ["[]"], affine_complete=False)
-
-
-def classical_restriction(graph):
-    """The same nodes with all 0-edges dropped and colors I_0 only."""
-    return CrystalGraph(graph.cartan, graph.cartan.classical_index_set,
-                        graph.nodes, graph.fs, graph.weights, graph.reprs,
-                        affine_complete=False)
 
 
 def ground_state(factors):

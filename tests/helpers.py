@@ -21,8 +21,7 @@ from functools import lru_cache
 from krcrystals.alcove import Folding, GGraph, fold, hw_crystal
 from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
                                vec_neg, vec_scale, vec_sub)
-from krcrystals.crystals import (AbstractCrystal, CrystalGraph,
-                                 classical_restriction, components,
+from krcrystals.crystals import (AbstractCrystal, CrystalGraph, components,
                                  demazure_subset, explore_tensor,
                                  highest_weight_node, iso_check)
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
@@ -430,6 +429,26 @@ class TensorProduct(AbstractCrystal):
         g = self.factors[k]
         img = g.f(ids[k], color) if is_f else g.e(ids[k], color)
         return b[:k] + (g.nodes[img],) + b[k + 1:]
+
+
+# ---------------------------------------------------------------------------
+# crystal operations no command runs
+
+
+def classical_restriction(graph):
+    """The same nodes with all 0-edges dropped and colors I_0 only."""
+    return CrystalGraph(graph.cartan, graph.cartan.classical_index_set,
+                        graph.nodes, graph.fs, graph.weights, graph.reprs,
+                        affine_complete=False)
+
+
+def weyl_action(graph, node_id, color):
+    """Kashiwara's s_i: reflect the node within its i-string."""
+    k = graph.phi(node_id, color) - graph.eps(node_id, color)
+    step = graph.fs[color] if k > 0 else graph.es[color]
+    for _ in range(abs(k)):
+        node_id = step[node_id]
+    return node_id
 
 
 # ---------------------------------------------------------------------------

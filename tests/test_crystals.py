@@ -6,19 +6,20 @@ import random
 import pytest
 
 from helpers import (TensorProduct, WriteLog, all_reduced_words, bruhat_leq,
-                     component_ids_oracle, crystal_dot_oracle,
-                     decomposes_into_demazure, dot_text, extremal_oracle,
-                     fundamentals, is_connected, match_components_oracle,
-                     stembridge_violations, two_factor_e, two_factor_f)
+                     classical_restriction, component_ids_oracle,
+                     crystal_dot_oracle, decomposes_into_demazure, dot_text,
+                     extremal_oracle, fundamentals, is_connected,
+                     match_components_oracle, stembridge_violations,
+                     two_factor_e, two_factor_f, weyl_action)
 from krcrystals.alcove import alcove_crystal, hw_crystal
 from krcrystals.cartan import CartanData, build_cartan
-from krcrystals.crystals import (CrystalGraph, classical_restriction,
-                                 components, demazure_filter, demazure_subset,
-                                 explore, explore_tensor, graphs_equal,
-                                 ground_state, highest_weight_node, hw_census,
-                                 iso_check, match_components, similarity_check,
+from krcrystals.crystals import (CrystalGraph, components, demazure_filter,
+                                 demazure_subset, explore, explore_tensor,
+                                 graphs_equal, ground_state,
+                                 highest_weight_node, hw_census, iso_check,
+                                 match_components, similarity_check,
                                  trivial_crystal, verify_isomorphism,
-                                 weight_multiset, weyl_action)
+                                 weight_multiset)
 from krcrystals.experiments import build_factor, build_filtered
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, NonReducedWordError,
@@ -912,6 +913,27 @@ def test_census_examples():
     # a fully 0-string-closed crystal has no affine highest weights
     assert hw_census(kr_typeA(2, 1, 1), (0, 1, 2)) == []
     assert hw_census(fixture_C2("B12"), (1, 2)) == sorted([(2, 0), (0, 0)])
+
+
+def _e_free_per_node(graph, colors):
+    """The census's definition, one e call per node and color."""
+    return [i for i in range(len(graph))
+            if all(graph.e(i, c) is None for c in colors)]
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: build_filtered(A3, [(2, 1), (1, 1), (2, 1)], 1, "head"),
+    lambda: alcove_crystal(A3, (1, 0, 1), 2),
+], ids=["A3-head-filtered", "A3-alcove"])
+def test_census_matches_the_per_node_definition(graph):
+    g = graph()
+    ct = g.cartan
+    for colors in (g.colors, ct.classical_index_set, (2,), ()):
+        want = _e_free_per_node(g, colors)
+        assert hw_census(g, colors) == sorted(g.weights[i] for i in want)
+    top = classical_restriction(g).component_of(
+        _e_free_per_node(g, ct.classical_index_set)[0])
+    assert highest_weight_node(top) == _e_free_per_node(top, top.colors)[0]
 
 
 def test_ground_state_diagnostic():

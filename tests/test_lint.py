@@ -119,6 +119,61 @@ def test_weight_walks_replace_weyl_group_enumeration(module, name):
     assert not hasattr(owner, last)
 
 
+# crystal operations no command runs are test oracles in tests/helpers.py
+@pytest.mark.parametrize("module,name", [
+    ("krcrystals", "weyl_action"),
+    ("krcrystals.crystals", "weyl_action"),
+    ("krcrystals", "classical_restriction"),
+    ("krcrystals.crystals", "classical_restriction"),
+])
+def test_test_only_crystal_operations_stay_out(module, name):
+    import importlib
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def _mentions(node, names):
+    """Does the expression read one of the names, as a name or an
+    attribute?"""
+    return any(isinstance(sub, ast.Name) and sub.id in names
+               or isinstance(sub, ast.Attribute) and sub.attr in names
+               for sub in ast.walk(node))
+
+
+def _per_node_lines(func, names):
+    """Lines in func that build a product or a sequence element by element
+    from one of the names: itertools.product, a comprehension over them, or
+    list/tuple of them."""
+    lines = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                             ast.GeneratorExp)):
+            if any(_mentions(gen.iter, names) for gen in node.generators):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            if _mentions(node.func, {"product"}) \
+                    or isinstance(node.func, ast.Name) \
+                    and node.func.id in ("list", "tuple") \
+                    and any(_mentions(arg, names) for arg in node.args):
+                lines.append(node.lineno)
+    return lines
+
+
+# a tensor product's payloads and reprs are ProductViews over its factors'
+# lists: explore_tensor makes no object per node for them, and the
+# constructor keeps a view as it is, so no edit brings the per-node lists
+# back without a test failing
+def test_tensor_payloads_and_reprs_stay_views():
+    tree = ast.parse((SRC / "crystals.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    init = next(node for node in defs["CrystalGraph"].body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    names = {"nodes", "reprs"}
+    assert _per_node_lines(defs["explore_tensor"], names) == []
+    assert _per_node_lines(init, names) == []
+
+
 ROOT = SRC.parent.parent
 
 # names the benchmark tracer wraps or reads cache counts from that the
