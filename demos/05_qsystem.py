@@ -4,12 +4,13 @@ refinement via level-bounded Demazure filtrations.
 Run:  python3 demos/05_qsystem.py
 """
 
+from collections import Counter
+
 from krcrystals import check_character_qsystem, check_qsystem_typeA
-from krcrystals.crystals import weight_multiset
 from krcrystals.kr import kr_typeA
 
 print("=== character level: (Q_1^(1))^2 = Q_2^(1) Q_0^(1) + Q_1^(2) in A2 ===")
-lhs = weight_multiset(kr_typeA(2, 1, 1))
+lhs = Counter(kr_typeA(2, 1, 1).weights)
 print("ch B^{1,1} has %d monomials; squared: %d"
       % (sum(lhs.values()), sum(lhs.values()) ** 2))
 rep = check_character_qsystem(2, 1, 1)

@@ -30,7 +30,7 @@ from bisect import insort
 from typing import NamedTuple
 
 from .cartan import mat_vec, vec_scale, vec_sub
-from .crystals import AbstractCrystal, explore, DEFAULT_NODE_CAP
+from .crystals import explore, DEFAULT_NODE_CAP
 from .errors import (InvariantError, NonDominantWeightError,
                      ResourceLimitError)
 from .weyl import DEFAULT_WEYL_CAP, build_qbg, build_weyl_group
@@ -349,7 +349,7 @@ def phi0(chain, J):
 # the crystal A_l(Gamma)
 
 
-class AlcoveCrystal(AbstractCrystal):
+class AlcoveCrystal:
     """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) over the sorted
     subsets of foldings, enumerate_admissible's map.  explore() asks for
     f_p and e_p of every color of one subset in a row, so the last

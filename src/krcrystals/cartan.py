@@ -26,14 +26,6 @@ _TYPE_RE = re.compile(r"^([%s])(\d+)~?$" % "".join(FAMILIES))
 # small exact linear algebra on tuples
 
 
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 

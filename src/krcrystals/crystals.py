@@ -1,7 +1,7 @@
 """Abstract crystal graphs: exploration, the signature rule for tensor
 products (their payloads and reprs kept as mixed-radix views),
-Demazure-edge filtrations, components, isomorphism checking, finite-type
-Demazure subsets and the highest-weight census.
+Demazure-edge filtrations, components, isomorphism checking and the
+highest-weight census.
 
 A crystal graph is an edge-colored weighted digraph; an f_i-edge b -> b'
 means f_i(b) = b'.  Colors are 0..n with 0 the affine node.  Weights are
@@ -16,9 +16,8 @@ import math
 import operator
 
 from .cartan import vec_add, vec_sub
-from .errors import (AmbiguousAnchorError, InvariantError,
-                     NonReducedWordError, ResourceLimitError)
-from .weyl import affine_simple_reflection, write_dot
+from .errors import AmbiguousAnchorError, InvariantError, ResourceLimitError
+from .weyl import write_dot
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -96,8 +95,9 @@ class CrystalGraph:
     distinct lists is distinct.
     The constructor keeps the f lists it is given (a color it lacks gets no
     edges) and derives es from them over one list of node ids, so the
-    e-entries of every color share one int object per node.  explore_tensor
-    hands in its signature rule's e lists instead, one per color.  They are
+    e-entries of every color share one int object per node.  explore and
+    explore_tensor hand in the e lists they read off their source or
+    signature rule instead, one per color.  They are
     kept if every f-edge src -> dst has es[dst] == src and each color has
     as many e-edges as f-edges, which holds exactly when es is the inverse
     of fs, the table derivation would give.
@@ -197,12 +197,6 @@ class CrystalGraph:
 
     def phi(self, node_id, color):
         return self._string_stats(color)[1][node_id]
-
-    def e_max(self, node_id, color):
-        ec = self.es[color]
-        while (nxt := ec[node_id]) is not None:
-            node_id = nxt
-        return node_id
 
     # -- structural checks -------------------------------------------------------
 
@@ -384,16 +378,17 @@ def graphs_equal(g1, g2):
 # exploration
 
 
-class AbstractCrystal:
-    """Protocol for implicit crystals handed to explore(): subclasses
-    provide colors, f, e, weight and repr_of."""
-
-
 def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
             affine_complete=False):
     """Close the seeds under all e_i and f_i of the source's colors;
     deterministic BFS numbering (seed order first, then discovery order
-    with colors ascending)."""
+    with colors ascending, f before e).
+
+    The source provides colors, f(b, c) and e(b, c) (a payload or None),
+    weight(b) and repr_of(b).  Each node's f- and e-images go into one
+    list per color and operator, and CrystalGraph checks that every e list
+    inverts its f list, so an f and an e that disagree raise
+    InvariantError."""
     if not seeds:
         raise ValueError("explore needs at least one seed")
     colors = tuple(source.colors)
@@ -402,33 +397,28 @@ def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
     if len(nodes) > node_cap:
         raise ResourceLimitError("%d seeds exceed node cap %d"
                                  % (len(nodes), node_cap))
-    fs = {c: [None] * len(nodes) for c in colors}
-    for cur, b in enumerate(nodes):  # grows while it is walked: a BFS
-        for c in colors:
-            for is_f in (True, False):
-                img = source.f(b, c) if is_f else source.e(b, c)
-                if img is None:
-                    continue
+    fs = {c: [] for c in colors}
+    es = {c: [] for c in colors}
+    # each list gets one entry per node, in node order
+    steps = [(c, op, table[c]) for c in colors
+             for op, table in ((source.f, fs), (source.e, es))]
+    for b in nodes:  # grows while it is walked: a BFS
+        for c, op, out in steps:
+            img = op(b, c)
+            if img is not None:
                 j = index.get(img)
                 if j is None:
                     if len(nodes) >= node_cap:
                         raise ResourceLimitError(
                             "exploration exceeded node cap %d" % node_cap)
-                    j = len(nodes)
-                    index[img] = j
+                    j = index[img] = len(nodes)
                     nodes.append(img)
-                    for fc in fs.values():
-                        fc.append(None)
-                src, dst = (cur, j) if is_f else (j, cur)
-                old = fs[c][src]
-                if old is not None and old != dst:
-                    raise InvariantError("source violates f/e inverse at "
-                                         "node %d color %d" % (src, c))
-                fs[c][src] = dst
+                img = j
+            out.append(img)
     weights = [source.weight(b) for b in nodes]
     reprs = [source.repr_of(b) for b in nodes]
     graph = CrystalGraph(cartan, colors, nodes, fs, weights, reprs,
-                         affine_complete=affine_complete)
+                         affine_complete=affine_complete, es=es)
     graph.index = index
     return graph
 
@@ -660,128 +650,21 @@ def match_components(comps1, comps2, anchor_mode):
 
 
 # ---------------------------------------------------------------------------
-# Demazure subsets of finite-type highest weight crystals
-
-
-def _e_free(graph, colors):
-    """The ascending ids of the nodes with no e_c-edge for any c in colors:
-    each color's e list filters the ids the colors before it kept."""
-    ids = range(len(graph))
-    for c in colors:
-        ec = graph.es[c]
-        ids = [i for i in ids if ec[i] is None]
-    return list(ids)
-
-
-def highest_weight_node(graph):
-    """The unique node annihilated by every e_i of the graph's colors."""
-    hits = _e_free(graph, graph.colors)
-    if len(hits) != 1:
-        raise AmbiguousAnchorError("%d highest weight nodes" % len(hits))
-    return hits[0]
-
-
-def demazure_subset(graph, word):
-    """Node ids b with e_{i_1}^max ... e_{i_k}^max b = u_lambda, for a
-    reduced word (i_1, ..., i_k) over I_0: read from the right, each s_i
-    lengthens the suffix u after it, l(s_i u) > l(u), which holds exactly
-    when <u(rho), alpha_i^vee> > 0 (Bjorner-Brenti, ch. 4)."""
-    cartan = graph.cartan
-    if not set(word) <= set(cartan.classical_index_set):
-        raise ValueError("word %r has a letter outside I_0" % (word,))
-    mu = cartan.rho
-    for i in reversed(word):
-        if mu[i - 1] <= 0:
-            raise NonReducedWordError("word %r is not reduced" % (word,))
-        mu = affine_simple_reflection(cartan, i, mu, 0)
-    top = highest_weight_node(graph)
-    out = []
-    for b in range(len(graph)):
-        cur = b
-        for i in reversed(word):
-            cur = graph.e_max(cur, i)
-        if cur == top:
-            out.append(b)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # miscellaneous crystal operations
 
 
-def similarity_check(sigma, m, small, big):
-    """Do the five similarity-map conditions hold for sigma: small -> big?
-
-    e_i maps to e_i^m, f_i to f_i^m, and eps, phi, wt all scale by m.
-    """
-    def power(step, node, count):
-        for _ in range(count):
-            if node is None:
-                return None
-            node = step[node]
-        return node
-
-    for b in small.nodes:
-        ib = small.index[b]
-        img = sigma(b)
-        if img not in big.index:
-            return False
-        jb = big.index[img]
-        if tuple(big.weights[jb]) != tuple(x * m for x in small.weights[ib]):
-            return False
-        for c in small.colors:
-            if big.eps(jb, c) != m * small.eps(ib, c):
-                return False
-            if big.phi(jb, c) != m * small.phi(ib, c):
-                return False
-            for small_step, big_step in ((small.fs[c], big.fs[c]),
-                                         (small.es[c], big.es[c])):
-                nb = small_step[ib]
-                img = power(big_step, jb, m)
-                if (nb is None) != (img is None):
-                    return False
-                if nb is not None and big.index[sigma(small.nodes[nb])] != img:
-                    return False
-    return True
-
-
 def hw_census(graph, index_set):
-    """Sorted multiset of weights of nodes killed by e_i for all i given."""
-    return sorted(tuple(graph.weights[i]) for i in _e_free(graph, index_set))
-
-
-def weight_multiset(graph):
-    """The classical character as a Counter of weight tuples."""
-    from collections import Counter
-    return Counter(tuple(w) for w in graph.weights)
+    """Sorted multiset of weights of nodes killed by e_i for all i given:
+    each color's e list filters the ids the colors before it kept."""
+    ids = range(len(graph))
+    for c in index_set:
+        ec = graph.es[c]
+        ids = [i for i in ids if ec[i] is None]
+    return sorted(tuple(graph.weights[i]) for i in ids)
 
 
 def trivial_crystal(cartan, colors):
-    """The one-node crystal of weight 0."""
+    """The one-node crystal of weight 0, affine-complete: phi_i - eps_i = 0
+    = <alpha_i^vee, 0> for every color."""
     return CrystalGraph(cartan, colors, [()], {}, [(0,) * cartan.rank],
-                        ["[]"], affine_complete=False)
-
-
-def ground_state(factors):
-    """Diagnostic: the candidate ground-state tensor element, found by
-    matching eps of each factor element to phi of its right neighbor;
-    None when it does not exist or is not unique."""
-    if not factors:
-        return None
-    colors = factors[0].colors
-    right = factors[-1]
-    try:
-        cur = right.extremal("max")
-    except AmbiguousAnchorError:
-        return None
-    chosen = [right.nodes[cur]]
-    target = [right.phi(cur, c) for c in colors]
-    for g in reversed(factors[:-1]):
-        hits = [i for i in range(len(g))
-                if [g.eps(i, c) for c in colors] == target]
-        if len(hits) != 1:
-            return None
-        chosen.append(g.nodes[hits[0]])
-        target = [g.phi(hits[0], c) for c in colors]
-    chosen.reverse()
-    return tuple(chosen)
+                        ["[]"], affine_complete=True)

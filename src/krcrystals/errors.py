@@ -17,10 +17,6 @@ class ResourceLimitError(KRCrystalError, RuntimeError):
     """An enumeration exceeded its configured cap."""
 
 
-class NonReducedWordError(KRCrystalError, ValueError):
-    """A word that was required to be reduced is not."""
-
-
 class AmbiguousAnchorError(KRCrystalError, ValueError):
     """No unique weight-extremal element exists in a crystal graph."""
 

@@ -7,9 +7,10 @@ from collections import Counter
 from .cartan import build_cartan, c_value, vec_add, vec_scale
 from .crystals import (components, demazure_filter, explore_tensor,
                        graphs_equal, hw_census, iso_check, match_components,
-                       trivial_crystal, weight_multiset, DEFAULT_NODE_CAP)
+                       trivial_crystal, DEFAULT_NODE_CAP)
 from .errors import (AmbiguousAnchorError, LevelBoundError,
-                     MaxWeightMismatchError, UnsupportedFactorError)
+                     MaxWeightMismatchError, ResourceLimitError,
+                     UnsupportedFactorError)
 from .kr import fixture_C2, kr_C_onebox, kr_typeA
 from .weyl import DEFAULT_WEYL_CAP, antidominant, dominantize
 
@@ -85,30 +86,38 @@ def check_level_bound(cartan, factors, level):
                 % (factor_name(r, s), s, c, need, level))
 
 
+def _check_node_cap(graph, what, node_cap):
+    """The graph, or ResourceLimitError if it has more than node_cap nodes.
+    The cached builders keep their cache keys: this runs on their result."""
+    if len(graph) > node_cap:
+        raise ResourceLimitError("%s of %d elements exceeds node cap %d"
+                                 % (what, len(graph), node_cap))
+    return graph
+
+
 def build_factor(cartan, r, s, node_cap=DEFAULT_NODE_CAP):
-    """One KR factor as an explored affine crystal graph."""
+    """One KR factor as an explored affine crystal graph of at most
+    node_cap nodes."""
     if s == 0:
         g = trivial_crystal(cartan, cartan.index_set)
-        g.affine_complete = True
-        return g
-    if r not in cartan.classical_index_set or s < 0:
+    elif r not in cartan.classical_index_set or s < 0:
         raise UnsupportedFactorError("no factor %s in type %s"
                                      % (factor_name(r, s), cartan.type_name))
-    if cartan.family == "A":
-        return kr_typeA(cartan.rank, r, s, node_cap)
-    if cartan.family == "C" and (r, s) == (1, 1):
-        return kr_C_onebox(cartan.rank)
-    raise UnsupportedFactorError(
-        "factor %s is not constructible in type %s"
-        % (factor_name(r, s), cartan.type_name))
+    elif cartan.family == "A":
+        g = kr_typeA(cartan.rank, r, s, node_cap)
+    elif cartan.family == "C" and (r, s) == (1, 1):
+        g = kr_C_onebox(cartan.rank)
+    else:
+        raise UnsupportedFactorError(
+            "factor %s is not constructible in type %s"
+            % (factor_name(r, s), cartan.type_name))
+    return _check_node_cap(g, "factor " + factor_name(r, s), node_cap)
 
 
 def build_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
     """The unfiltered tensor product of KR factors, leftmost factor first."""
     if not factors:
-        g = trivial_crystal(cartan, cartan.index_set)
-        g.affine_complete = True
-        return g
+        return trivial_crystal(cartan, cartan.index_set)
     graphs = [build_factor(cartan, r, s, node_cap) for r, s in factors]
     if len(graphs) == 1:
         return graphs[0]
@@ -122,7 +131,8 @@ def build_filtered(cartan, factors, level, mode,
     factors = list(factors)
     if (cartan.family, cartan.rank) == ("C", 2) and (1, 2) in factors:
         if factors == [(1, 2)] and level == 1 and mode == "head":
-            return fixture_C2("B12")
+            return _check_node_cap(fixture_C2("B12"), "factor B^{1,2}",
+                                   node_cap)
         raise UnsupportedFactorError(
             "C2 B^{1,2} exists only as the level-1 Demazure fixture "
             "(single factor, level 1, head mode)")
@@ -314,7 +324,7 @@ def check_character_qsystem(n, a, m, node_cap=DEFAULT_NODE_CAP):
         if a == 0 or a == n + 1 or m == 0:
             return Counter({(0,) * n: 1})
         # node_cap positional: the cache key build_factor uses
-        return weight_multiset(kr_typeA(n, a, m, node_cap))
+        return Counter(kr_typeA(n, a, m, node_cap).weights)
 
     lhs = _char_product(char(a, m), char(a, m))
     rhs = _char_product(char(a, m + 1), char(a, m - 1)) \
@@ -376,8 +386,9 @@ def check_figure(node_cap=DEFAULT_NODE_CAP):
     edge, and 0-edge data."""
     t0 = time.perf_counter()
     cartan = build_cartan("C", 2)
-    box = kr_C_onebox(2)
-    computed = demazure_filter(explore_tensor(cartan, [box, box]), 1, "head")
+    box = build_factor(cartan, 1, 1, node_cap)
+    computed = demazure_filter(explore_tensor(cartan, [box, box], node_cap),
+                               1, "head")
     fix_t = fixture_C2("tensor11")
     fix_b = fixture_C2("B12")
 

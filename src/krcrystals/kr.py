@@ -10,7 +10,7 @@ the two C_2 crystals transcribed from the paper-figure fixtures.
 from functools import lru_cache, reduce
 
 from .cartan import build_cartan, vec_add
-from .crystals import AbstractCrystal, CrystalGraph, explore, DEFAULT_NODE_CAP
+from .crystals import CrystalGraph, explore, DEFAULT_NODE_CAP
 from .errors import InvariantError, UnsupportedFactorError
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def tableau_repr(t):
                           for row in t) + "]"
 
 
-class TypeAKR(AbstractCrystal):
+class TypeAKR:
     """Implicit affine crystal on rectangular tableaux: classical operators
     from the reading word, f_0 = pr^{-1} . f_1 . pr (orientation pinned by
     the weight rule wt(f_0 b) = wt(b) + theta).

@@ -6,7 +6,10 @@ coordinates, inversion counting, subword products, the lifting property
 of Bruhat order, promotion powers, the per-node and the closed-form
 two-factor signature rule on the fundamental crystals of types A and C2,
 Stembridge's local axioms, the pairwise dominance scan over the Fraction
-inverse Cartan matrix),
+inverse Cartan matrix, the similarity-map conditions of column
+replication, Demazure subsets of B(lambda) by strings of e_i^max read off
+a reduced word, with the highest weight node found one e call per node
+and color),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -19,15 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from krcrystals.alcove import Folding, GGraph, fold, hw_crystal
-from krcrystals.cartan import (identity_matrix, mat_mul, mat_vec, vec_add,
-                               vec_neg, vec_scale, vec_sub)
-from krcrystals.crystals import (AbstractCrystal, CrystalGraph, components,
-                                 demazure_subset, explore_tensor,
-                                 highest_weight_node, iso_check)
+from krcrystals.cartan import (identity_matrix, mat_vec, vec_add, vec_neg,
+                               vec_scale, vec_sub)
+from krcrystals.crystals import (CrystalGraph, components, explore_tensor,
+                                 iso_check)
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                UnsupportedFactorError)
 from krcrystals.kr import kr_C_onebox, kr_typeA, promotion
-from krcrystals.weyl import build_qbg
+from krcrystals.weyl import affine_simple_reflection, build_qbg
 
 
 # the types every QBG/Weyl/alcove test runs over
@@ -36,6 +38,14 @@ QBG_TYPES = [("A", 2), ("A", 3), ("C", 2), ("C", 3), ("B", 3), ("D", 4)]
 
 # ---------------------------------------------------------------------------
 # Weyl-group oracles
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
 
 
 def reflection_root_matrix(cartan, root):
@@ -354,7 +364,7 @@ def column_replication(t, m):
 # the per-node signature rule
 
 
-class TensorProduct(AbstractCrystal):
+class TensorProduct:
     """Tensor product of explored crystals, leftmost factor first, with the
     signature rule evaluated once per node and color on payload tuples
     (b_L, ..., b_1): the rule explore_tensor folds level by level.
@@ -449,6 +459,42 @@ def weyl_action(graph, node_id, color):
     for _ in range(abs(k)):
         node_id = step[node_id]
     return node_id
+
+
+def similarity_check(sigma, m, small, big):
+    """Do the five similarity-map conditions hold for sigma: small -> big?
+
+    e_i maps to e_i^m, f_i to f_i^m, and eps, phi, wt all scale by m.
+    """
+    def power(step, node, count):
+        for _ in range(count):
+            if node is None:
+                return None
+            node = step[node]
+        return node
+
+    for b in small.nodes:
+        ib = small.index[b]
+        img = sigma(b)
+        if img not in big.index:
+            return False
+        jb = big.index[img]
+        if tuple(big.weights[jb]) != tuple(x * m for x in small.weights[ib]):
+            return False
+        for c in small.colors:
+            if big.eps(jb, c) != m * small.eps(ib, c):
+                return False
+            if big.phi(jb, c) != m * small.phi(ib, c):
+                return False
+            for small_step, big_step in ((small.fs[c], big.fs[c]),
+                                         (small.es[c], big.es[c])):
+                nb = small_step[ib]
+                img = power(big_step, jb, m)
+                if (nb is None) != (img is None):
+                    return False
+                if nb is not None and big.index[sigma(small.nodes[nb])] != img:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +779,45 @@ def extremal_oracle(graph, mode):
 
 # ---------------------------------------------------------------------------
 # the combinatorial excellent filtration
+
+
+class NonReducedWordError(ValueError):
+    """A word that was required to be reduced is not."""
+
+
+def highest_weight_node(graph):
+    """The unique node annihilated by every e_i of the graph's colors, by
+    one e call per node and color."""
+    hits = [i for i in range(len(graph))
+            if all(graph.e(i, c) is None for c in graph.colors)]
+    if len(hits) != 1:
+        raise AmbiguousAnchorError("%d highest weight nodes" % len(hits))
+    return hits[0]
+
+
+def demazure_subset(graph, word):
+    """Node ids b with e_{i_1}^max ... e_{i_k}^max b = u_lambda, for a
+    reduced word (i_1, ..., i_k) over I_0: read from the right, each s_i
+    lengthens the suffix u after it, l(s_i u) > l(u), which holds exactly
+    when <u(rho), alpha_i^vee> > 0 (Bjorner-Brenti, ch. 4)."""
+    cartan = graph.cartan
+    if not set(word) <= set(cartan.classical_index_set):
+        raise ValueError("word %r has a letter outside I_0" % (word,))
+    mu = cartan.rho
+    for i in reversed(word):
+        if mu[i - 1] <= 0:
+            raise NonReducedWordError("word %r is not reduced" % (word,))
+        mu = affine_simple_reflection(cartan, i, mu, 0)
+    top = highest_weight_node(graph)
+    out = []
+    for b in range(len(graph)):
+        cur = b
+        for i in reversed(word):
+            while (nxt := graph.es[i][cur]) is not None:
+                cur = nxt
+        if cur == top:
+            out.append(b)
+    return out
 
 
 # the filtration oracle asks for the same few B(kappa) over and over

@@ -7,13 +7,13 @@ import time
 import pytest
 
 from helpers import (TensorProduct, all_reduced_words, column_replication,
-                     is_connected, qbg_edges)
+                     demazure_subset, is_connected, qbg_edges,
+                     similarity_check)
 from krcrystals.alcove import (build_lambda_chain, enumerate_admissible,
                                hw_crystal, phi0)
 from krcrystals.cartan import build_cartan
-from krcrystals.crystals import (components, demazure_filter, demazure_subset,
-                                 explore_tensor, graphs_equal,
-                                 similarity_check)
+from krcrystals.crystals import (components, demazure_filter, explore_tensor,
+                                 graphs_equal)
 from krcrystals.errors import LevelBoundError
 from krcrystals.experiments import (check_alcove_correspondence, check_bmin,
                                     check_character_qsystem, check_figure,

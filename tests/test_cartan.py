@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fraction_inverse, is_root
-from krcrystals.cartan import (_MIN_RANK, build_cartan, c_value, mat_mul,
-                               parse_type)
+from helpers import fraction_inverse, is_root, mat_mul
+from krcrystals.cartan import _MIN_RANK, build_cartan, c_value, parse_type
 from krcrystals.errors import UnsupportedRankError
 
 # every family from its smallest supported rank up to rank 8

@@ -124,6 +124,25 @@ def test_check_node_cap_bounds_the_kr_factors(tmp_path, capsys, name):
     assert not out.exists()
 
 
+# the cap bounds every factor, the cached ones and the C2 B^{1,2} fixture
+# included, and check figure's factor and tensor product
+@pytest.mark.parametrize("argv", [
+    ["build", "--type", "C3", "--factors", "1,1", "--node-cap", "2"],
+    ["build", "--type", "C2", "--factors", "1,2", "--view", "demazure",
+     "--level", "1", "--node-cap", "5"],
+    ["check", "figure", "--node-cap", "-1"],
+], ids=["C-one-box", "C2-B12-fixture", "check-figure"])
+def test_node_cap_bounds_every_factor(tmp_path, capsys, argv):
+    out = tmp_path / "g.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "node cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_figure_fits_its_tensor_product_node_cap():
+    assert run(["check", "figure", "--node-cap", "16"]) == 0
+
+
 def test_node_cap_stops_a_factor_before_promotion(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(kr, "promotion", lambda t, n: calls.append(t))

@@ -2,28 +2,27 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import (TensorProduct, WriteLog, all_reduced_words, bruhat_leq,
-                     classical_restriction, component_ids_oracle,
-                     crystal_dot_oracle, decomposes_into_demazure, dot_text,
-                     extremal_oracle, fundamentals, is_connected,
-                     match_components_oracle, stembridge_violations,
-                     two_factor_e, two_factor_f, weyl_action)
+from helpers import (NonReducedWordError, TensorProduct, WriteLog,
+                     all_reduced_words, bruhat_leq, classical_restriction,
+                     component_ids_oracle, crystal_dot_oracle,
+                     decomposes_into_demazure, demazure_subset, dot_text,
+                     extremal_oracle, fundamentals, highest_weight_node,
+                     is_connected, match_components_oracle,
+                     similarity_check, stembridge_violations, two_factor_e,
+                     two_factor_f, weyl_action)
 from krcrystals.alcove import alcove_crystal, hw_crystal
 from krcrystals.cartan import CartanData, build_cartan
 from krcrystals.crystals import (CrystalGraph, components, demazure_filter,
-                                 demazure_subset, explore, explore_tensor,
-                                 graphs_equal, ground_state,
-                                 highest_weight_node, hw_census, iso_check,
-                                 match_components, similarity_check,
-                                 trivial_crystal, verify_isomorphism,
-                                 weight_multiset)
+                                 explore, explore_tensor, graphs_equal,
+                                 hw_census, iso_check, match_components,
+                                 trivial_crystal, verify_isomorphism)
 from krcrystals.experiments import build_factor, build_filtered
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
-                               NonDominantWeightError, NonReducedWordError,
-                               ResourceLimitError)
+                               NonDominantWeightError, ResourceLimitError)
 from krcrystals.kr import fixture_C2, kr_C_onebox, kr_typeA
 from krcrystals import crystals, weyl
 from krcrystals.weyl import build_weyl_group
@@ -131,6 +130,36 @@ def test_explore_numbering_is_bfs_colors_ascending():
     graph = explore(A2, TypeAKR(2, 1, 1), [((1,),)], affine_complete=True)
     # from [[1]]: color 0 gives e_0 -> [[3]] first, then color 1 f_1 -> [[2]]
     assert [graph.reprs[i] for i in range(3)] == ["[[1]]", "[[3]]", "[[2]]"]
+
+
+class OneColorSource:
+    """A source with the one color 1, whose f and e are the given dicts."""
+
+    colors = (1,)
+
+    def __init__(self, f, e):
+        self._f, self._e = f, e
+
+    def f(self, b, color):
+        return self._f.get(b)
+
+    def e(self, b, color):
+        return self._e.get(b)
+
+    def weight(self, b):
+        return (0, 0)
+
+    def repr_of(self, b):
+        return b
+
+
+# an f_1-edge a -> b needs e_1(b) = a, and an e_1-edge b -> a needs
+# f_1(a) = b: the constructor checks the e lists explore reads off
+@pytest.mark.parametrize("f,e", [({"a": "b"}, {}), ({}, {"b": "a"})],
+                         ids=["f-without-e", "e-without-f"])
+def test_explore_rejects_f_and_e_that_are_not_inverse(f, e):
+    with pytest.raises(InvariantError, match="e_1 is not the inverse"):
+        explore(A2, OneColorSource(f, e), ["a", "b"])
 
 
 def test_explore_a2_mixed_tensor_size():
@@ -936,16 +965,8 @@ def test_census_matches_the_per_node_definition(graph):
     assert highest_weight_node(top) == _e_free_per_node(top, top.colors)[0]
 
 
-def test_ground_state_diagnostic():
-    g = kr_typeA(2, 1, 1)
-    assert ground_state([g, g]) == (((2,),), ((1,),))
-    # the C2 one-box factor is not perfect; no unique ground state
-    box = kr_C_onebox(2)
-    assert ground_state([box, box]) is None
-
-
 def test_weight_multiset_is_character():
-    counts = weight_multiset(kr_typeA(2, 1, 2))
+    counts = Counter(kr_typeA(2, 1, 2).weights)
     assert sum(counts.values()) == 6
     assert counts[(2, 0)] == 1
 

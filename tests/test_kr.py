@@ -1,10 +1,10 @@
 import pytest
 
-from helpers import column_replication, promotion_inverse
+from helpers import column_replication, promotion_inverse, similarity_check
 from krcrystals import kr
 from krcrystals.cartan import build_cartan, mat_vec, vec_sub
 from krcrystals.crystals import (demazure_filter, explore_tensor,
-                                 graphs_equal, hw_census, similarity_check)
+                                 graphs_equal, hw_census)
 from krcrystals.errors import InvariantError, UnsupportedFactorError
 from krcrystals.kr import (TypeAKR, fixture_C2, is_rect_ssyt, kn_letters,
                            kn_weight, kr_C_onebox, kr_typeA, promotion,

@@ -5,12 +5,11 @@ import itertools
 import pytest
 
 from helpers import (QBG_TYPES, WriteLog, bruhat_leq, decode_root, dot_text,
-                     group_mul, length_by_inversions, qbg_dot_oracle,
-                     qbg_edges, reflection, root_matrix_of_word,
-                     subword_products)
+                     group_mul, length_by_inversions, mat_mul,
+                     qbg_dot_oracle, qbg_edges, reflection,
+                     root_matrix_of_word, subword_products)
 from krcrystals import weyl
-from krcrystals.cartan import (build_cartan, identity_matrix, mat_mul, mat_vec,
-                               vec_neg)
+from krcrystals.cartan import build_cartan, identity_matrix, mat_vec, vec_neg
 from krcrystals.errors import InvariantError, ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, antidominant,
                              build_qbg, build_weyl_group, dominantize)
