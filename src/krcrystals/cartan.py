@@ -220,21 +220,13 @@ class CartanData:
     def fundamental_weight(self, i):
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
-    def weight_root_coords(self, weight):
-        """Integer simple-root coordinates of a weight scaled by det: adj·mu."""
-        return tuple([sum(map(mul, row, weight)) for row in self.adj])
-
-    def is_positive_root_coords(self, coords):
-        """Do det-scaled root coordinates name an element of Q_0^+?"""
-        return all(c >= 0 and c % self.det == 0 for c in coords)
-
-    def in_positive_root_lattice(self, weight):
-        """Is the weight in Q_0^+?"""
-        return self.is_positive_root_coords(self.weight_root_coords(weight))
-
     def dominance_leq(self, mu, nu):
-        """mu <= nu in dominance order: nu - mu in Q_0^+."""
-        return self.in_positive_root_lattice(vec_sub(nu, mu))
+        """mu <= nu in dominance order: nu - mu in Q_0^+, that is, its
+        det-scaled simple-root coordinates adj·(nu - mu) are nonnegative
+        multiples of det."""
+        diff = vec_sub(nu, mu)
+        return all(c >= 0 and c % self.det == 0
+                   for c in (sum(map(mul, row, diff)) for row in self.adj))
 
     def is_dominant(self, weight):
         return all(x >= 0 for x in weight)

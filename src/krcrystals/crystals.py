@@ -95,9 +95,9 @@ class CrystalGraph:
     distinct lists is distinct.
     The constructor keeps the f lists it is given (a color it lacks gets no
     edges) and derives es from them over one list of node ids, so the
-    e-entries of every color share one int object per node.  explore and
-    explore_tensor hand in the e lists they read off their source or
-    signature rule instead, one per color.  They are
+    e-entries of every color share one int object per node.  explore,
+    explore_tensor and kr_typeA hand in the e lists they read off their
+    source, signature rule or tableaux instead, one per color.  They are
     kept if every f-edge src -> dst has es[dst] == src and each color has
     as many e-edges as f-edges, which holds exactly when es is the inverse
     of fs, the table derivation would give.
@@ -130,7 +130,7 @@ class CrystalGraph:
                 x = next((x for x, (a, b) in enumerate(zip(es[c], given[c]))
                           if a != b), min(n, len(given[c])))
                 raise InvariantError("e_%d is not the inverse of f_%d at "
-                                     "tensor node %d" % (c, c, x))
+                                     "node %d" % (c, c, x))
         self.es = {c: es[c] for c in self.colors}
         self.weights = list(weights)
         self.reprs = _kept(reprs)

@@ -117,7 +117,8 @@ def build_factor(cartan, r, s, node_cap=DEFAULT_NODE_CAP):
 def build_tensor(cartan, factors, node_cap=DEFAULT_NODE_CAP):
     """The unfiltered tensor product of KR factors, leftmost factor first."""
     if not factors:
-        return trivial_crystal(cartan, cartan.index_set)
+        return _check_node_cap(trivial_crystal(cartan, cartan.index_set),
+                               "empty tensor product", node_cap)
     graphs = [build_factor(cartan, r, s, node_cap) for r, s in factors]
     if len(graphs) == 1:
         return graphs[0]

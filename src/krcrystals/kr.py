@@ -1,17 +1,19 @@
 """Concrete Kirillov-Reshetikhin crystals.
 
-Type A B^{r,s} is realized on rectangular semistandard tableaux with the
-classical operators given by the signature rule on the column reading
-word and the affine operators conjugated through Schutzenberger
-promotion.  Type C supplies the one-box crystal B^{1,1} for any rank and
-the two C_2 crystals transcribed from the paper-figure fixtures.
+Type A B^{r,s} is tabulated over the rectangular semistandard tableaux:
+one signature pass on the column reading word per tableau and classical
+color gives both f_i and e_i, and the affine operators are read off the
+color-1 tables through Schutzenberger promotion.  Type C supplies the
+one-box crystal B^{1,1} for any rank and the two C_2 crystals transcribed
+from the paper-figure fixtures.
 """
 
 from functools import lru_cache, reduce
 
 from .cartan import build_cartan, vec_add
-from .crystals import CrystalGraph, explore, DEFAULT_NODE_CAP
-from .errors import InvariantError, UnsupportedFactorError
+from .crystals import CrystalGraph, DEFAULT_NODE_CAP
+from .errors import (InvariantError, ResourceLimitError,
+                     UnsupportedFactorError)
 
 # ---------------------------------------------------------------------------
 # rectangular semistandard tableaux (tuples of row tuples)
@@ -54,45 +56,36 @@ def is_rect_ssyt(t, n):
     return True
 
 
-def reading_order(r, s):
-    """Column reading: bottom-to-top within a column, columns left to right."""
-    return [(i, j) for j in range(s) for i in range(r - 1, -1, -1)]
+@lru_cache(maxsize=None)
+def _column_reading(r, s):
+    """The cells of an r x s rectangle in column reading order: bottom to
+    top within a column, columns left to right."""
+    return tuple((a, b) for b in range(s) for a in range(r - 1, -1, -1))
 
 
-def _tableau_signature(t, i):
-    """Surviving '-' and '+' cell positions for color i on the reading word."""
-    r, s = len(t), len(t[0])
+def _replaced(t, cell, x):
+    """The tableau t with the entry at cell set to x."""
+    a, b = cell
+    return t[:a] + (t[a][:b] + (x,) + t[a][b + 1:],) + t[a + 1:]
+
+
+def tableau_ops(t, i):
+    """(f_i(t), e_i(t)), None where an operator vanishes, from one signature
+    pass on the column reading word: an i after an unpaired i+1 pairs with
+    it, f_i changes the rightmost unpaired i and e_i the leftmost unpaired
+    i+1."""
     minus, plus = [], []
-    for pos in reading_order(r, s):
-        x = t[pos[0]][pos[1]]
+    for cell in _column_reading(len(t), len(t[0])):
+        x = t[cell[0]][cell[1]]
         if x == i:
             if plus:
                 plus.pop()
             else:
-                minus.append(pos)
+                minus.append(cell)
         elif x == i + 1:
-            plus.append(pos)
-    return minus, plus
-
-
-def tableau_f(t, i):
-    minus, _ = _tableau_signature(t, i)
-    if not minus:
-        return None
-    a, b = minus[-1]
-    rows = [list(row) for row in t]
-    rows[a][b] = i + 1
-    return tuple(tuple(row) for row in rows)
-
-
-def tableau_e(t, i):
-    _, plus = _tableau_signature(t, i)
-    if not plus:
-        return None
-    a, b = plus[0]
-    rows = [list(row) for row in t]
-    rows[a][b] = i
-    return tuple(tuple(row) for row in rows)
+            plus.append(cell)
+    return (_replaced(t, minus[-1], i + 1) if minus else None,
+            _replaced(t, plus[0], i) if plus else None)
 
 
 def promotion(t, n):
@@ -144,60 +137,47 @@ def tableau_repr(t):
                           for row in t) + "]"
 
 
-class TypeAKR:
-    """Implicit affine crystal on rectangular tableaux: classical operators
-    from the reading word, f_0 = pr^{-1} . f_1 . pr (orientation pinned by
-    the weight rule wt(f_0 b) = wt(b) + theta).
-
-    pr is computed once per tableau of B^{r,s}, into a table built at the
-    first 0-arrow query, and pr^{-1} is read from the inverse map."""
-
-    def __init__(self, n, r, s):
-        self.n, self.r, self.s = n, r, s
-        self.colors = tuple(range(0, n + 1))
-        self.tableaux = rect_tableaux(n, r, s)
-        self._pr = self._pr_inv = None
-
-    def weight(self, t):
-        return tableau_weight(t, self.n)
-
-    def repr_of(self, t):
-        return tableau_repr(t)
-
-    def _conjugate(self, op, t):
-        """pr^{-1} . op_1 . pr at t, or None."""
-        if self._pr is None:
-            pr = {b: promotion(b, self.n) for b in self.tableaux}
-            inv = {img: b for b, img in pr.items()}
-            if len(inv) != len(pr):
-                raise InvariantError("promotion is not a bijection of B^{%d,%d}"
-                                     % (self.r, self.s))
-            self._pr, self._pr_inv = pr, inv
-        img = op(self._pr[t], 1)
-        return None if img is None else self._pr_inv[img]
-
-    def f(self, t, color):
-        if color != 0:
-            return tableau_f(t, color)
-        return self._conjugate(tableau_f, t)
-
-    def e(self, t, color):
-        if color != 0:
-            return tableau_e(t, color)
-        return self._conjugate(tableau_e, t)
-
-
 @lru_cache(maxsize=None)
 def kr_typeA(n, r, s, node_cap=DEFAULT_NODE_CAP):
-    """The type A_n KR crystal B^{r,s} as an explored graph."""
+    """The type A_n KR crystal B^{r,s}, its nodes rect_tableaux(n, r, s) in
+    order.  f_i and e_i for i >= 1 come from one tableau_ops call per
+    tableau and color; f_0 = pr^{-1} . f_1 . pr and e_0 likewise are read
+    off the color-1 tables through one promotion per tableau (orientation
+    pinned by the weight rule wt(f_0 b) = wt(b) + theta).  CrystalGraph
+    checks that every e table inverts its f table."""
     if not 1 <= r <= n:
         raise UnsupportedFactorError("type A%d has no node r=%d" % (n, r))
     if s < 1:
         raise UnsupportedFactorError("B^{r,s} needs s >= 1")
-    cartan = build_cartan("A", n)
-    source = TypeAKR(n, r, s)
-    return explore(cartan, source, source.tableaux, node_cap,
-                   affine_complete=True)
+    tableaux = rect_tableaux(n, r, s)
+    if len(tableaux) > node_cap:
+        raise ResourceLimitError("%d tableaux exceed node cap %d"
+                                 % (len(tableaux), node_cap))
+    ids = list(range(len(tableaux)))  # every edge entry is one of these
+    index = dict(zip(tableaux, ids))
+    fs, es = {}, {}
+    for i in range(1, n + 1):
+        fc, ec = fs[i], es[i] = [], []
+        for t in tableaux:
+            f, e = tableau_ops(t, i)
+            fc.append(None if f is None else index[f])
+            ec.append(None if e is None else index[e])
+    pr = [index[promotion(t, n)] for t in tableaux]
+    inv = [None] * len(pr)
+    for k, img in zip(ids, pr):
+        inv[img] = k
+    if None in inv:
+        raise InvariantError("promotion is not a bijection of B^{%d,%d}"
+                             % (r, s))
+    for table in (fs, es):
+        one = table[1]
+        table[0] = [None if (x := one[p]) is None else inv[x] for p in pr]
+    graph = CrystalGraph(build_cartan("A", n), range(n + 1), tableaux, fs,
+                         [tableau_weight(t, n) for t in tableaux],
+                         map(tableau_repr, tableaux), affine_complete=True,
+                         es=es)
+    graph.index = index
+    return graph
 
 
 # ---------------------------------------------------------------------------

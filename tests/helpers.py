@@ -441,6 +441,31 @@ class TensorProduct:
         return b[:k] + (g.nodes[img],) + b[k + 1:]
 
 
+class GraphSource:
+    """A CrystalGraph as an explore source: colors, f, e, weight and
+    repr_of by payload."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.colors = graph.colors
+
+    def _image(self, table, b):
+        img = table[self.graph.index[b]]
+        return None if img is None else self.graph.nodes[img]
+
+    def f(self, b, color):
+        return self._image(self.graph.fs[color], b)
+
+    def e(self, b, color):
+        return self._image(self.graph.es[color], b)
+
+    def weight(self, b):
+        return self.graph.weights[self.graph.index[b]]
+
+    def repr_of(self, b):
+        return self.graph.reprs[self.graph.index[b]]
+
+
 # ---------------------------------------------------------------------------
 # crystal operations no command runs
 

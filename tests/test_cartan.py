@@ -179,7 +179,7 @@ def test_dominanceutilities():
     assert not ct.dominance_leq((1, 1), (-1, -1))
     # incomparable: difference not in the root lattice
     assert not ct.dominance_leq((0, 0), (1, 0))
-    assert ct.in_positive_root_lattice((1, 1))          # theta
+    assert ct.dominance_leq((0, 0), (1, 1))             # theta
 
 
 @pytest.mark.parametrize("family,rank", RANKS_UP_TO_8)

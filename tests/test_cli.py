@@ -125,13 +125,15 @@ def test_check_node_cap_bounds_the_kr_factors(tmp_path, capsys, name):
 
 
 # the cap bounds every factor, the cached ones and the C2 B^{1,2} fixture
-# included, and check figure's factor and tensor product
+# included, check figure's factor and tensor product, and the one-node
+# empty product
 @pytest.mark.parametrize("argv", [
     ["build", "--type", "C3", "--factors", "1,1", "--node-cap", "2"],
     ["build", "--type", "C2", "--factors", "1,2", "--view", "demazure",
      "--level", "1", "--node-cap", "5"],
     ["check", "figure", "--node-cap", "-1"],
-], ids=["C-one-box", "C2-B12-fixture", "check-figure"])
+    ["build", "--type", "A2", "--factors", "", "--node-cap", "0"],
+], ids=["C-one-box", "C2-B12-fixture", "check-figure", "empty-product"])
 def test_node_cap_bounds_every_factor(tmp_path, capsys, argv):
     out = tmp_path / "g.json"
     assert run(argv + ["--out", str(out)]) == 2

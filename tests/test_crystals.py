@@ -6,14 +6,15 @@ from collections import Counter
 
 import pytest
 
-from helpers import (NonReducedWordError, TensorProduct, WriteLog,
-                     all_reduced_words, bruhat_leq, classical_restriction,
-                     component_ids_oracle, crystal_dot_oracle,
-                     decomposes_into_demazure, demazure_subset, dot_text,
-                     extremal_oracle, fundamentals, highest_weight_node,
-                     is_connected, match_components_oracle,
-                     similarity_check, stembridge_violations, two_factor_e,
-                     two_factor_f, weyl_action)
+from helpers import (GraphSource, NonReducedWordError, TensorProduct,
+                     WriteLog, all_reduced_words, bruhat_leq,
+                     classical_restriction, component_ids_oracle,
+                     crystal_dot_oracle, decomposes_into_demazure,
+                     demazure_subset, dot_text, extremal_oracle,
+                     fundamentals, highest_weight_node, is_connected,
+                     match_components_oracle, similarity_check,
+                     stembridge_violations, two_factor_e, two_factor_f,
+                     weyl_action)
 from krcrystals.alcove import alcove_crystal, hw_crystal
 from krcrystals.cartan import CartanData, build_cartan
 from krcrystals.crystals import (CrystalGraph, components, demazure_filter,
@@ -126,8 +127,8 @@ def test_explore_single_seed_closure():
 
 
 def test_explore_numbering_is_bfs_colors_ascending():
-    from krcrystals.kr import TypeAKR
-    graph = explore(A2, TypeAKR(2, 1, 1), [((1,),)], affine_complete=True)
+    graph = explore(A2, GraphSource(kr_typeA(2, 1, 1)), [((1,),)],
+                    affine_complete=True)
     # from [[1]]: color 0 gives e_0 -> [[3]] first, then color 1 f_1 -> [[2]]
     assert [graph.reprs[i] for i in range(3)] == ["[[1]]", "[[3]]", "[[2]]"]
 
@@ -311,10 +312,10 @@ def test_constructor_keeps_e_lists_that_invert_f():
 @pytest.mark.parametrize("fs,es,message", [
     # e_1 names the wrong source of the f_1-edge 0 -> 1
     ({1: [1, None, None]}, {1: [None, 2, None], 2: [None] * 3},
-     "e_1 is not the inverse of f_1 at tensor node 1"),
+     "e_1 is not the inverse of f_1 at node 1"),
     # an e_1-edge 2 -> 0 with no f_1-edge: only the edge count sees it
     ({1: [1, None, None]}, {1: [None, 0, 0], 2: [None] * 3},
-     "e_1 is not the inverse of f_1 at tensor node 2"),
+     "e_1 is not the inverse of f_1 at node 2"),
     ({2: [2, 2, None]}, {1: [None] * 3, 2: [None, None, 0]},
      "two f_2-edges into one node"),
 ], ids=["wrong-source", "e-edge-without-f-edge", "two-f-edges-into-one"])
@@ -574,6 +575,19 @@ def test_match_components_unmatched_isomorphism_classes():
     assert match_components([y, x], [x, y], "max") == [(0, 1), (1, 0)]
 
 
+# the early None returns: the lists differ in length, in their key sets, or
+# in the size of one key's group (A2's B^{1,1} and B^{2,1} differ in key)
+@pytest.mark.parametrize("ids1,ids2", [([0], []), ([0], [1]),
+                                       ([0, 0, 1], [0, 1, 1])],
+                         ids=["lengths", "key-sets", "group-sizes"])
+def test_match_components_rejects_unequal_key_groups(ids1, ids2):
+    boxes = [kr_typeA(2, 1, 1), kr_typeA(2, 2, 1)]
+    comps1 = [boxes[k] for k in ids1]
+    comps2 = [boxes[k] for k in ids2]
+    assert match_components_oracle(comps1, comps2, "min") is None
+    assert match_components(comps1, comps2, "min") is None
+
+
 def test_match_components_one_iso_check_per_component_and_class(monkeypatch):
     comps_a, comps_b = _alcove_and_dual(build_cartan("A", 1), (6,), 3)
     reps = []  # one component per isomorphism class
@@ -650,14 +664,14 @@ def test_extremal_matches_pairwise_scan_on_kr_factors(build, mode):
 @pytest.mark.parametrize("cartan,factors,level,filt", FILTERED_CASES)
 def test_extremal_maps_each_distinct_weight_once(monkeypatch, cartan,
                                                  factors, level, filt, mode):
-    real = CartanData.weight_root_coords
+    real = CartanData.dominance_leq
     calls = []
 
-    def counted(self, weight):
-        calls.append(weight)
-        return real(self, weight)
+    def counted(self, mu, nu):
+        calls.append((mu, nu))
+        return real(self, mu, nu)
     graph = build_filtered(cartan, factors, level, filt)
-    monkeypatch.setattr(CartanData, "weight_root_coords", counted)
+    monkeypatch.setattr(CartanData, "dominance_leq", counted)
     for comp in components(graph) + [graph]:
         calls.clear()
         _anchor_outcome(CrystalGraph.extremal, comp, mode)
@@ -962,7 +976,8 @@ def test_census_matches_the_per_node_definition(graph):
         assert hw_census(g, colors) == sorted(g.weights[i] for i in want)
     top = classical_restriction(g).component_of(
         _e_free_per_node(g, ct.classical_index_set)[0])
-    assert highest_weight_node(top) == _e_free_per_node(top, top.colors)[0]
+    assert hw_census(top, top.colors) == \
+        [top.weights[highest_weight_node(top)]]
 
 
 def test_weight_multiset_is_character():
@@ -1012,11 +1027,10 @@ def test_dot_streams_in_blocks(monkeypatch, graph):
 
 
 def test_graphs_equal_detects_edge_change():
-    from krcrystals.kr import TypeAKR
     g = kr_typeA(2, 1, 1)
     h = demazure_filter(g, 1, "head")
     assert not graphs_equal(g, h)
-    rebuilt = explore(A2, TypeAKR(2, 1, 1), [((1,),), ((2,),), ((3,),)],
+    rebuilt = explore(A2, GraphSource(g), [((1,),), ((2,),), ((3,),)],
                       affine_complete=True)
     assert graphs_equal(g, rebuilt)
 

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from krcrystals import experiments
 from krcrystals.cartan import build_cartan
-from krcrystals.errors import (LevelBoundError, MaxWeightMismatchError,
-                               UnsupportedFactorError)
+from krcrystals.cli import main
+from krcrystals.crystals import CrystalGraph, trivial_crystal
+from krcrystals.errors import (AmbiguousAnchorError, LevelBoundError,
+                               MaxWeightMismatchError, UnsupportedFactorError)
 from krcrystals.experiments import (Report, build_factor, build_filtered,
                                     build_tensor, check_alcove_correspondence,
                                     check_bmin, check_character_qsystem,
@@ -157,3 +160,67 @@ def test_junit_output():
     assert xml.startswith('<?xml version="1.0"')
     assert 'tests="2" failures="1"' in xml
     assert "<failure" in xml
+
+
+# ---------------------------------------------------------------------------
+# failing reports: each check's failure branch, forced in-process
+
+
+def _no_anchor(self, mode):
+    raise AmbiguousAnchorError("forced")
+
+
+def _trivial_factor(n, a, m, node_cap):
+    return trivial_crystal(build_cartan("A", n), range(n + 1))
+
+
+# (patched owner, name, replacement), the check, and its counterexample:
+# the whole witness where it is small, else its keys
+FAILING_CASES = [
+    ((experiments, "hw_census", lambda graph, colors: []),
+     lambda: check_bmin(A2, [(1, 1), (2, 1)], 1),
+     {"reason": "census mismatch", "from_dominantize": [[0, 0]],
+      "census": []}),
+    ((CrystalGraph, "extremal", _no_anchor),
+     lambda: check_bmin(A2, [(1, 1), (2, 1)], 1),
+     {"component": 0, "reason": "forced"}),
+    ((experiments, "iso_check", lambda g1, g2, mode: None),
+     lambda: check_reduction(A2, [(1, 1), (2, 1)], [(2, 1), (1, 1)], 1),
+     {"weights_b", "weights_bp"}),
+    ((experiments, "match_components", lambda c1, c2, mode: None),
+     lambda: check_qsystem_typeA(2, 1, 2, 2),
+     {"unmatched": "no perfect component matching"}),
+    # every factor one node of weight 0: Q^2 = 1, but Q Q + Q Q = 2
+    ((experiments, "kr_typeA", _trivial_factor),
+     lambda: check_character_qsystem(2, 1, 1),
+     {"weight": [0, 0], "lhs": 1, "rhs": 2}),
+    ((experiments, "match_components", lambda c1, c2, mode: None),
+     lambda: check_alcove_correspondence(A2, (1, 0), 1),
+     {"alcove_weights", "tensor_weights"}),
+    ((experiments, "iso_check", lambda g1, g2, mode: None),
+     check_figure,
+     ["11-node component not isomorphic to B12 fixture"]),
+]
+
+
+@pytest.mark.parametrize("patch,check,want", FAILING_CASES, ids=[
+    "bmin-census", "bmin-anchor", "reduction", "qsystem", "qchar", "alcove",
+    "figure"])
+def test_failing_check_reports_its_counterexample(monkeypatch, patch, check,
+                                                   want):
+    monkeypatch.setattr(*patch)
+    rep = check()
+    assert rep.status == "fail" and not rep.passed
+    got = rep.witnesses["counterexample"]
+    assert (set(got) if isinstance(want, set) else got) == want
+    assert json.loads(rep.to_json())["status"] == "fail"
+
+
+def test_failing_check_exits_one_with_its_report(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "iso_check", lambda g1, g2, mode: None)
+    out = tmp_path / "r.json"
+    assert main(["check", "figure", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["witnesses"]["counterexample"] == [
+        "11-node component not isomorphic to B12 fixture"]

@@ -6,10 +6,9 @@ from krcrystals.cartan import build_cartan, mat_vec, vec_sub
 from krcrystals.crystals import (demazure_filter, explore_tensor,
                                  graphs_equal, hw_census)
 from krcrystals.errors import InvariantError, UnsupportedFactorError
-from krcrystals.kr import (TypeAKR, fixture_C2, is_rect_ssyt, kn_letters,
-                           kn_weight, kr_C_onebox, kr_typeA, promotion,
-                           rect_tableaux, tableau_e, tableau_f,
-                           tableau_weight)
+from krcrystals.kr import (fixture_C2, is_rect_ssyt, kn_letters, kn_weight,
+                           kr_C_onebox, kr_typeA, promotion, rect_tableaux,
+                           tableau_ops, tableau_weight)
 from krcrystals.weyl import build_weyl_group
 
 A2 = build_cartan("A", 2)
@@ -108,7 +107,7 @@ def test_zero_arrow_weight_rule_picks_orientation():
     assert vec_sub(g.weights[dst], g.weights[src]) == A2.theta_weight
     # the swapped orientation pr . f_1 . pr^{-1} breaks the weight rule here
     t = ((1,), (2,))
-    img = tableau_f(promotion_inverse(t, 2), 1)
+    img, _ = tableau_ops(promotion_inverse(t, 2), 1)
     assert img is not None
     swapped = promotion(img, 2)
     delta = vec_sub(tableau_weight(swapped, 2), tableau_weight(t, 2))
@@ -135,23 +134,38 @@ def test_one_promotion_per_tableau(promotion_calls, n, r, s):
     assert len(promotion_calls) == len(g)
 
 
+@pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 2), (3, 2, 2),
+                                   (3, 1, 4)])
+def test_one_signature_pass_per_tableau_and_color(monkeypatch, n, r, s):
+    calls = []
+
+    def counted(t, i):
+        calls.append((t, i))
+        return tableau_ops(t, i)
+    monkeypatch.setattr(kr, "tableau_ops", counted)
+    g = kr_typeA.__wrapped__(n, r, s)    # bypass the build cache
+    assert len(calls) == n * len(g)
+    assert sorted(calls) == sorted((t, i) for t in rect_tableaux(n, r, s)
+                                   for i in range(1, n + 1))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_zero_arrows_match_the_promotion_power_oracle(n):
     for r, s in all_small_rectangles(n):
-        source = TypeAKR(n, r, s)
-        for t in source.tableaux:
-            for table, op in ((source.f, tableau_f), (source.e, tableau_e)):
-                img = op(promotion(t, n), 1)
-                want = None if img is None else promotion_inverse(img, n)
-                assert table(t, 0) == want
+        g = kr_typeA(n, r, s)
+        for k, t in enumerate(g.nodes):
+            for table, img in zip((g.fs[0], g.es[0]),
+                                  tableau_ops(promotion(t, n), 1)):
+                want = None if img is None \
+                    else g.index[promotion_inverse(img, n)]
+                assert table[k] == want
 
 
 def test_promotion_that_is_no_bijection_is_an_invariant_error(monkeypatch):
-    source = TypeAKR(2, 1, 2)
-    first = source.tableaux[0]
+    first = rect_tableaux(2, 1, 2)[0]
     monkeypatch.setattr(kr, "promotion", lambda t, n: first)
     with pytest.raises(InvariantError, match="not a bijection of B"):
-        source.f(first, 0)
+        kr_typeA.__wrapped__(2, 1, 2)
 
 
 def test_zero_string_lengths_b12():

@@ -78,6 +78,26 @@ def test_cartan_has_no_root_data_wrappers(name):
     assert not hasattr(krcrystals, name)
 
 
+# dominance_leq reads the det-scaled root coordinates adj·(nu - mu) itself:
+# no chain of one-line CartanData wrappers under it
+@pytest.mark.parametrize("name", ["weight_root_coords",
+                                  "is_positive_root_coords",
+                                  "in_positive_root_lattice"])
+def test_dominance_has_no_wrapper_chain(name):
+    from krcrystals.cartan import CartanData
+    assert not hasattr(CartanData, name)
+
+
+# type-A factors are tables over the tableaux, one signature pass per
+# tableau and color: no payload-level source, no per-operator tableau
+# functions, and no explore behind them
+@pytest.mark.parametrize("name", ["TypeAKR", "tableau_f", "tableau_e",
+                                  "explore"])
+def test_type_a_factors_are_tables(name):
+    from krcrystals import kr
+    assert not hasattr(kr, name)
+
+
 # explore_tensor is the one tensor-product path: the per-node signature
 # rule is a test oracle, and the C one-box is written as its graph
 @pytest.mark.parametrize("module,name", [
