@@ -6,7 +6,7 @@ satisfy at desk scale."""
 
 from .cartan import build_cartan, c_value, parse_type
 from .weyl import build_qbg, build_weyl_group, dominantize
-from .crystals import (CrystalGraph, components, demazure_filter, explore,
+from .crystals import (CrystalGraph, components, demazure_filter,
                        explore_tensor, hw_census, iso_check)
 from .alcove import (LambdaChain, alcove_crystal, alcove_e, alcove_f,
                      build_lambda_chain, enumerate_admissible, fold, g_graph,
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "build_cartan", "c_value", "parse_type",
     "build_qbg", "build_weyl_group", "dominantize",
-    "CrystalGraph", "components", "demazure_filter", "explore",
-    "explore_tensor", "hw_census", "hw_crystal", "iso_check",
+    "CrystalGraph", "components", "demazure_filter", "explore_tensor",
+    "hw_census", "hw_crystal", "iso_check",
     "LambdaChain", "alcove_crystal", "alcove_e", "alcove_f",
     "build_lambda_chain", "enumerate_admissible", "fold", "g_graph", "phi0",
     "fixture_C2", "kr_C_onebox", "kr_typeA", "promotion",

@@ -21,8 +21,9 @@ applies the step once per admissible subset and returns the map from
 each subset to its Folding, whose size the node cap bounds.  fold()
 folds any subset by the same step from the empty folding.
 _height_profiles builds the r+1 height profiles of a subset in one pass
-over its folding, and AlcoveCrystal reads the DFS's map, builds the
-profiles once per subset and reads every f_p and e_p from them.
+over its folding, and explore tabulates A_l(Gamma) and B(lambda) over the
+DFS's map: node k is its k-th subset, whose profiles are built once and
+give every f_p and e_p as node ids.
 """
 
 import math
@@ -30,7 +31,7 @@ from bisect import insort
 from typing import NamedTuple
 
 from .cartan import mat_vec, vec_scale, vec_sub
-from .crystals import explore, DEFAULT_NODE_CAP
+from .crystals import CrystalGraph, DEFAULT_NODE_CAP
 from .errors import (InvariantError, NonDominantWeightError,
                      ResourceLimitError)
 from .weyl import DEFAULT_WEYL_CAP, build_qbg, build_weyl_group
@@ -170,8 +171,12 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
     _fold_step from its parent's state with the element of the QBG edge
     just tested, so the stack holds one frame per level of depth.
     quantum=False takes up edges (Bruhat covers) only: a prefix-closed
-    part of the subsets, in the same order.  ResourceLimitError as soon
-    as a subset beyond the first node_cap is found."""
+    part of the subsets, in the same order.  ResourceLimitError before
+    folding a subset that would take the map past node_cap subsets, the
+    empty subset () included."""
+    if node_cap < 1:
+        raise ResourceLimitError("the empty subset exceeds node cap %d"
+                                 % node_cap)
     qbg = build_qbg(chain.cartan)
     group = qbg.group
     indices = chain.root_indices
@@ -349,50 +354,42 @@ def phi0(chain, J):
 # the crystal A_l(Gamma)
 
 
-class AlcoveCrystal:
-    """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) over the sorted
-    subsets of foldings, enumerate_admissible's map.  explore() asks for
-    f_p and e_p of every color of one subset in a row, so the last
-    subset's height profiles are kept in one slot and each subset's are
-    built once.  InvariantError at the first subset outside the map."""
-
-    def __init__(self, chain, foldings, level, colors):
-        self.chain = chain
-        self.foldings = foldings
-        self.level = level
-        self.colors = tuple(colors)
-        self._last = (None, None)
-
-    def _folding(self, J):
-        fol = self.foldings.get(J)
-        if fol is None:
-            raise InvariantError("crystal operators left the admissible "
-                                 "family")
-        return fol
-
-    def _profiles(self, J):
-        if self._last[0] != J:
-            self._last = (J, _height_profiles(self.chain, J,
-                                              self._folding(J)))
-        return self._last[1]
-
-    def weight(self, J):
-        return self._folding(J).weight
-
-    def repr_of(self, J):
-        return "[" + ",".join(str(j) for j in J) + "]"
-
-    def f(self, J, color):
-        return _f_on(self._profiles(J)[color], J, self.level)
-
-    def e(self, J, color):
-        return _e_on(self._profiles(J)[color], J, self.level)
+def explore(chain, foldings, level, colors):
+    """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) as a
+    CrystalGraph over the sorted subsets of foldings, enumerate_admissible's
+    map: node k is its k-th subset, each subset's height profiles are built
+    once and every f_p and e_p is read from them, and the e lists go to the
+    constructor to be checked against the f lists.  InvariantError when an
+    operator leaves the map."""
+    colors = tuple(colors)
+    index = {J: k for k, J in enumerate(foldings)}
+    fs = {c: [] for c in colors}
+    es = {c: [] for c in colors}
+    steps = [(c, op, table[c]) for c in colors
+             for op, table in ((_f_on, fs), (_e_on, es))]
+    for J, fol in foldings.items():
+        profiles = _height_profiles(chain, J, fol)
+        for c, op, out in steps:
+            img = op(profiles[c], J, level)
+            if img is not None:
+                img = index.get(img)
+                if img is None:
+                    raise InvariantError("crystal operators left the "
+                                         "admissible family")
+            out.append(img)
+    graph = CrystalGraph(chain.cartan, colors, list(foldings), fs,
+                         [fol.weight for fol in foldings.values()],
+                         ["[" + ",".join(map(str, J)) + "]"
+                          for J in foldings], es=es)
+    graph.index = index
+    graph.chain = chain
+    return graph
 
 
 def alcove_crystal(cartan, lam, level=1, order="lex",
                    node_cap=DEFAULT_NODE_CAP, weyl_cap=DEFAULT_WEYL_CAP):
     """The crystal A_l(Gamma) on all admissible subsets of the lexicographic
-    lambda-chain, as an explored CrystalGraph."""
+    lambda-chain, as a CrystalGraph tabulated by explore."""
     if level < 1:
         raise ValueError("level must be >= 1")
     return _explored(cartan, lam, order, True, level, node_cap, weyl_cap)
@@ -403,21 +400,18 @@ def hw_crystal(cartan, lam, node_cap=DEFAULT_NODE_CAP,
     """The highest weight crystal B(lambda) in any type, in Lenart and
     Postnikov's alcove model: the subsets of the lexicographic lambda-chain
     whose path takes Bruhat covers only, under the f_p, e_p (p in I_0) of
-    A_l(Gamma).  Nodes are sorted subsets in DFS preorder (the top, (), is
-    node 0), reprs read [j,...], node_cap bounds |B(lambda)|.  ValueError
-    for a lambda of the wrong length, NonDominantWeightError if it is not
-    dominant."""
+    A_l(Gamma), tabulated by explore.  Nodes are sorted subsets in DFS
+    preorder (the top, (), is node 0), reprs read [j,...], node_cap bounds
+    |B(lambda)|, the top included.  ValueError for a lambda of the wrong
+    length, NonDominantWeightError if it is not dominant."""
     return _explored(cartan, lam, "lex", False, 1, node_cap, weyl_cap)
 
 
 def _explored(cartan, lam, order, quantum, level, node_cap, weyl_cap):
-    """The quantum (colors 0..r) or Bruhat (I_0) subsets, explored."""
+    """The quantum (colors 0..r) or Bruhat (I_0) subsets, tabulated."""
     # the cap goes in positionally: the same cache key the QBG's group uses
     build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)
     foldings = enumerate_admissible(chain, node_cap, quantum)
     colors = range(cartan.rank + 1) if quantum else cartan.classical_index_set
-    source = AlcoveCrystal(chain, foldings, level, colors)
-    graph = explore(cartan, source, foldings, node_cap)
-    graph.chain = chain
-    return graph
+    return explore(chain, foldings, level, colors)

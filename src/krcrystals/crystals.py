@@ -1,7 +1,6 @@
-"""Abstract crystal graphs: exploration, the signature rule for tensor
-products (their payloads and reprs kept as mixed-radix views),
-Demazure-edge filtrations, components, isomorphism checking and the
-highest-weight census.
+"""Abstract crystal graphs: the signature rule for tensor products (their
+payloads and reprs kept as mixed-radix views), Demazure-edge filtrations,
+components, isomorphism checking and the highest-weight census.
 
 A crystal graph is an edge-colored weighted digraph; an f_i-edge b -> b'
 means f_i(b) = b'.  Colors are 0..n with 0 the affine node.  Weights are
@@ -95,9 +94,10 @@ class CrystalGraph:
     distinct lists is distinct.
     The constructor keeps the f lists it is given (a color it lacks gets no
     edges) and derives es from them over one list of node ids, so the
-    e-entries of every color share one int object per node.  explore,
-    explore_tensor and kr_typeA hand in the e lists they read off their
-    source, signature rule or tableaux instead, one per color.  They are
+    e-entries of every color share one int object per node.
+    explore_tensor, kr_typeA and alcove.explore hand in the e lists they
+    read off their signature rule, tableaux or height profiles instead,
+    one per color.  They are
     kept if every f-edge src -> dst has es[dst] == src and each color has
     as many e-edges as f-edges, which holds exactly when es is the inverse
     of fs, the table derivation would give.
@@ -372,55 +372,6 @@ def graphs_equal(g1, g2):
     edges, i.e. the payload-identity map passes verify_isomorphism."""
     return set(g1.nodes) == set(g2.nodes) and verify_isomorphism(
         g1, g2, {i: g2.index[b] for i, b in enumerate(g1.nodes)})
-
-
-# ---------------------------------------------------------------------------
-# exploration
-
-
-def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
-            affine_complete=False):
-    """Close the seeds under all e_i and f_i of the source's colors;
-    deterministic BFS numbering (seed order first, then discovery order
-    with colors ascending, f before e).
-
-    The source provides colors, f(b, c) and e(b, c) (a payload or None),
-    weight(b) and repr_of(b).  Each node's f- and e-images go into one
-    list per color and operator, and CrystalGraph checks that every e list
-    inverts its f list, so an f and an e that disagree raise
-    InvariantError."""
-    if not seeds:
-        raise ValueError("explore needs at least one seed")
-    colors = tuple(source.colors)
-    nodes = list(dict.fromkeys(seeds))
-    index = {b: i for i, b in enumerate(nodes)}
-    if len(nodes) > node_cap:
-        raise ResourceLimitError("%d seeds exceed node cap %d"
-                                 % (len(nodes), node_cap))
-    fs = {c: [] for c in colors}
-    es = {c: [] for c in colors}
-    # each list gets one entry per node, in node order
-    steps = [(c, op, table[c]) for c in colors
-             for op, table in ((source.f, fs), (source.e, es))]
-    for b in nodes:  # grows while it is walked: a BFS
-        for c, op, out in steps:
-            img = op(b, c)
-            if img is not None:
-                j = index.get(img)
-                if j is None:
-                    if len(nodes) >= node_cap:
-                        raise ResourceLimitError(
-                            "exploration exceeded node cap %d" % node_cap)
-                    j = index[img] = len(nodes)
-                    nodes.append(img)
-                img = j
-            out.append(img)
-    weights = [source.weight(b) for b in nodes]
-    reprs = [source.repr_of(b) for b in nodes]
-    graph = CrystalGraph(cartan, colors, nodes, fs, weights, reprs,
-                         affine_complete=affine_complete, es=es)
-    graph.index = index
-    return graph
 
 
 # ---------------------------------------------------------------------------

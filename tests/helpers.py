@@ -7,7 +7,8 @@ of Bruhat order, promotion powers, the per-node and the closed-form
 two-factor signature rule on the fundamental crystals of types A and C2,
 Stembridge's local axioms, the pairwise dominance scan over the Fraction
 inverse Cartan matrix, the similarity-map conditions of column
-replication, Demazure subsets of B(lambda) by strings of e_i^max read off
+replication, the per-node BFS closure of seeds under a payload-level
+source, Demazure subsets of B(lambda) by strings of e_i^max read off
 a reduced word, with the highest weight node found one e call per node
 and color),
 deliberately avoiding the package's own code paths wherever a statement
@@ -24,10 +25,10 @@ from functools import lru_cache
 from krcrystals.alcove import Folding, GGraph, fold, hw_crystal
 from krcrystals.cartan import (identity_matrix, mat_vec, vec_add, vec_neg,
                                vec_scale, vec_sub)
-from krcrystals.crystals import (CrystalGraph, components, explore_tensor,
-                                 iso_check)
+from krcrystals.crystals import (DEFAULT_NODE_CAP, CrystalGraph, components,
+                                 explore_tensor, iso_check)
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
-                               UnsupportedFactorError)
+                               ResourceLimitError, UnsupportedFactorError)
 from krcrystals.kr import kr_C_onebox, kr_typeA, promotion
 from krcrystals.weyl import affine_simple_reflection, build_qbg
 
@@ -358,6 +359,55 @@ def promotion_inverse(t, n):
 def column_replication(t, m):
     """The similarity candidate B^{r,s} -> B^{r,ms}: repeat each column m times."""
     return tuple(tuple(x for x in row for _ in range(m)) for row in t)
+
+
+# ---------------------------------------------------------------------------
+# closure of seeds under a payload-level source
+
+
+def explore(cartan, source, seeds, node_cap=DEFAULT_NODE_CAP,
+            affine_complete=False):
+    """Close the seeds under all e_i and f_i of the source's colors;
+    deterministic BFS numbering (seed order first, then discovery order
+    with colors ascending, f before e).
+
+    The source provides colors, f(b, c) and e(b, c) (a payload or None),
+    weight(b) and repr_of(b).  Each node's f- and e-images go into one
+    list per color and operator, and CrystalGraph checks that every e list
+    inverts its f list, so an f and an e that disagree raise
+    InvariantError."""
+    if not seeds:
+        raise ValueError("explore needs at least one seed")
+    colors = tuple(source.colors)
+    nodes = list(dict.fromkeys(seeds))
+    index = {b: i for i, b in enumerate(nodes)}
+    if len(nodes) > node_cap:
+        raise ResourceLimitError("%d seeds exceed node cap %d"
+                                 % (len(nodes), node_cap))
+    fs = {c: [] for c in colors}
+    es = {c: [] for c in colors}
+    # each list gets one entry per node, in node order
+    steps = [(c, op, table[c]) for c in colors
+             for op, table in ((source.f, fs), (source.e, es))]
+    for b in nodes:  # grows while it is walked: a BFS
+        for c, op, out in steps:
+            img = op(b, c)
+            if img is not None:
+                j = index.get(img)
+                if j is None:
+                    if len(nodes) >= node_cap:
+                        raise ResourceLimitError(
+                            "exploration exceeded node cap %d" % node_cap)
+                    j = index[img] = len(nodes)
+                    nodes.append(img)
+                img = j
+            out.append(img)
+    weights = [source.weight(b) for b in nodes]
+    reprs = [source.repr_of(b) for b in nodes]
+    graph = CrystalGraph(cartan, colors, nodes, fs, weights, reprs,
+                         affine_complete=affine_complete, es=es)
+    graph.index = index
+    return graph
 
 
 # ---------------------------------------------------------------------------

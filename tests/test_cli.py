@@ -155,10 +155,16 @@ def test_node_cap_stops_a_factor_before_promotion(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_alcove_node_cap_bounds_the_subsets(tmp_path):
+# the cap counts the empty subset too: lambda = 0 has no other
+@pytest.mark.parametrize("ctype,lam,cap", [
+    ("A1", "8", "100"), ("A2", "0,0", "0"), ("A2", "0,0", "-1")],
+    ids=["A1-8-cap100", "A2-0-cap0", "A2-0-cap-1"])
+def test_alcove_node_cap_bounds_the_subsets(tmp_path, capsys, ctype, lam,
+                                            cap):
     out = tmp_path / "a.dot"
-    assert run(["alcove", "--type", "A1", "--lambda", "8",
-                "--node-cap", "100", "--out", str(out)]) == 2
+    assert run(["alcove", "--type", ctype, "--lambda", lam,
+                "--node-cap", cap, "--out", str(out)]) == 2
+    assert "node cap" in capsys.readouterr().err
     assert not out.exists()
 
 

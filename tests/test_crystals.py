@@ -10,7 +10,7 @@ from helpers import (GraphSource, NonReducedWordError, TensorProduct,
                      WriteLog, all_reduced_words, bruhat_leq,
                      classical_restriction, component_ids_oracle,
                      crystal_dot_oracle, decomposes_into_demazure,
-                     demazure_subset, dot_text, extremal_oracle,
+                     demazure_subset, dot_text, explore, extremal_oracle,
                      fundamentals, highest_weight_node, is_connected,
                      match_components_oracle, similarity_check,
                      stembridge_violations, two_factor_e, two_factor_f,
@@ -18,7 +18,7 @@ from helpers import (GraphSource, NonReducedWordError, TensorProduct,
 from krcrystals.alcove import alcove_crystal, hw_crystal
 from krcrystals.cartan import CartanData, build_cartan
 from krcrystals.crystals import (CrystalGraph, components, demazure_filter,
-                                 explore, explore_tensor, graphs_equal,
+                                 explore_tensor, graphs_equal,
                                  hw_census, iso_check, match_components,
                                  trivial_crystal, verify_isomorphism)
 from krcrystals.experiments import build_factor, build_filtered
@@ -32,6 +32,8 @@ A2 = build_cartan("A", 2)
 A3 = build_cartan("A", 3)
 C2 = build_cartan("C", 2)
 D4 = build_cartan("D", 4)
+A4 = build_cartan("A", 4)
+D5 = build_cartan("D", 5)
 
 
 def c2_tensor():
@@ -339,9 +341,14 @@ def test_type_a_products_satisfy_stembridge_axioms(cartan, factors):
 
 @pytest.mark.parametrize("cartan,lam", [
     (A3, (1, 1, 1)), (A3, (0, 2, 0)), (A3, (2, 0, 1)),
-    (D4, (1, 0, 0, 1)), (D4, (0, 1, 0, 0)), (D4, (1, 0, 1, 1))])
+    (D4, (1, 0, 0, 1)), (D4, (0, 1, 0, 0)), (D4, (1, 0, 1, 1)),
+    (A4, (1, 0, 1, 0)), (A4, (0, 1, 0, 1)),
+    (D5, (0, 1, 0, 0, 0)), (D5, (1, 0, 0, 1, 0))])
 def test_alcove_crystals_satisfy_stembridge_axioms(cartan, lam):
+    # A_1(Gamma) and its Bruhat-only part B(lambda), each built by its own
+    # DFS over the QBG
     assert stembridge_violations(alcove_crystal(cartan, lam)) == []
+    assert stembridge_violations(hw_crystal(cartan, lam)) == []
 
 
 def test_stembridge_oracle_names_its_witnesses():
@@ -802,10 +809,13 @@ def test_hw_crystal_is_the_top_component_of_the_quantum_model(family, rank,
 
 
 def test_hw_crystal_node_cap_bounds_the_crystal():
-    # B(2 omega_1) in A2 has 6 elements
-    with pytest.raises(ResourceLimitError):
-        hw_crystal(A2, (2, 0), node_cap=5)
-    assert len(hw_crystal(A2, (2, 0), node_cap=6)) == 6
+    # B(2 omega_1) in A2 has 6 elements, B(0) only its top, which the cap
+    # counts too
+    for lam, size in [((2, 0), 6), ((0, 0), 1)]:
+        with pytest.raises(ResourceLimitError, match="node cap %d$"
+                           % (size - 1)):
+            hw_crystal(A2, lam, node_cap=size - 1)
+        assert len(hw_crystal(A2, lam, node_cap=size)) == size
 
 
 def test_hw_crystal_weyl_cap_bounds_the_weyl_group():
@@ -1056,10 +1066,13 @@ def _c2_tensor_graph():
     lambda: fixture_C2("tensor11"),
     lambda: fixture_C2("B12"),
     lambda: trivial_crystal(A2, (0, 1, 2)),
+    lambda: alcove_crystal(A2, (1, 1), 2),
+    lambda: hw_crystal(build_cartan("C", 3), (1, 0, 1)),
 ], ids=["explore", "explore-tensor-product", "explore_tensor-C2",
         "explore_tensor-A2", "subgraph", "component", "demazure_filter-head",
         "demazure_filter-tail", "classical_restriction", "fixture-tensor11",
-        "fixture-B12", "trivial"])
+        "fixture-B12", "trivial", "alcove_crystal-A2-level2",
+        "hw_crystal-C3"])
 def test_e_lists_invert_f_lists(build):
     g = build()
     n = len(g)

@@ -122,6 +122,19 @@ def test_one_highest_weight_crystal_construction(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+# one builder per crystal kind, each writing integer tables: explore_tensor
+# for products, kr_typeA for type-A factors and alcove.explore for the
+# alcove model; the BFS over a payload-level source is a test oracle
+@pytest.mark.parametrize("module,name", [
+    ("krcrystals", "explore"),
+    ("krcrystals.crystals", "explore"),
+    ("krcrystals.alcove", "AlcoveCrystal"),
+])
+def test_one_builder_per_crystal_kind(module, name):
+    import importlib
+    assert not hasattr(importlib.import_module(module), name)
+
+
 # the Weyl-group facts of one weight come from weight walks: the antidominant
 # walk gives the head-mode anchor w0(lambda), the rho walk tests a word for
 # reducedness, and only the QBG path enumerates W
