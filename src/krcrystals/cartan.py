@@ -1,4 +1,5 @@
-"""Cartan data for the untwisted affine families A, B, C, D.
+"""Cartan data for the untwisted affine families A, B, C, D, all read off
+the finite Cartan matrix, the only per-family table.
 
 Conventions used throughout the package:
 
@@ -6,7 +7,9 @@ Conventions used throughout the package:
 * classical weights are integer vectors in the fundamental-weight basis,
   stored as plain tuples, with position i-1 holding the coefficient of
   the i-th fundamental weight;
-* roots are integer vectors in the simple-root basis, also tuples;
+* row i of the Cartan matrix holds <alpha_i^vee, alpha_j>;
+* roots are integer vectors in the simple-root basis, coroots in the
+  simple-coroot basis, also tuples;
 * all arithmetic is exact integer arithmetic, never floats.
 """
 
@@ -90,33 +93,15 @@ def _finite_cartan(family, n):
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizers(family, n):
-    # (alpha_i, alpha_i)/2 up to overall scale; D*A is then symmetric.
-    if family == "B":
-        return (2,) * (n - 1) + (1,)
-    if family == "C":
-        return (1,) * (n - 1) + (2,)
-    return (1,) * n
-
-
-def _highest_root(family, n):
-    if family == "A":
-        return (1,) * n
-    if family == "B":
-        if n == 2:
-            return (1, 2)
-        return (1,) + (2,) * (n - 1)
-    if family == "C":
-        return (2,) * (n - 1) + (1,)
-    # D
-    return (1,) + (2,) * (n - 3) + (1, 1)
-
-
 class CartanData:
     """Affine Cartan datum for one of A_n~, B_n~, C_n~, D_n~.
 
-    Immutable after construction; shared freely.  Instances are obtained
-    through :func:`build_cartan`, which memoizes per (family, rank).
+    One walk over the roots of the finite Cartan matrix gives each root
+    with its coroot; theta is the root of greatest height, the Kac labels
+    are (1,) + theta and (1,) + theta^vee, and ``_check_labels`` checks
+    them against the affine matrix.  Immutable after construction; shared
+    freely.  Instances are obtained through :func:`build_cartan`, which
+    memoizes per (family, rank).
     """
 
     def __init__(self, family, rank):
@@ -130,29 +115,22 @@ class CartanData:
         self.rank = rank
         n = rank
         self.cartan = _finite_cartan(family, n)
-        self.d = _symmetrizers(family, n)
         self.det, self.adj = _adjugate(self.cartan)
-        self.theta = _highest_root(family, n)
         self.rho = (1,) * n
 
-        # coroot coordinates of every root are integral; cache the scale of theta
-        self._d_theta = self._half_norm(self.theta)
+        self._coroot_of = self._roots_and_coroots()
+        self.positive_roots_list = tuple(sorted(
+            (r for r in self._coroot_of if all(x >= 0 for x in r)),
+            key=lambda r: (sum(r), r)))
+        self.theta = self.positive_roots_list[-1]
         self.theta_weight = self.root_to_weight(self.theta)
+        self.kac_labels = (1,) + self.theta
+        # theta^vee = sum a_i^vee alpha_i^vee (Kac, section 6.1)
+        self.dual_kac_labels = (1,) + self.coroot_coords(self.theta)
 
-        # Kac labels: a_0 = 1 and theta = sum a_i alpha_i;
-        # dual labels: a_i^vee = a_i d_i / d_theta with a_0^vee = 1.
-        marks = (1,) + self.theta
-        comarks = (1,) + tuple(
-            a * d // self._d_theta for a, d in zip(self.theta, self.d))
-        for a, d in zip(self.theta, self.d):
-            if (a * d) % self._d_theta:
-                raise InvariantError("non-integral dual Kac label")
-        self.kac_labels = marks
-        self.dual_kac_labels = comarks
-
-        self.positive_roots_list = self._positive_roots()
         self._root_index = {r: i for i, r in enumerate(self.positive_roots_list)}
-        self._coroots = tuple(self.coroot_coords(r) for r in self.positive_roots_list)
+        self._coroots = tuple(map(self.coroot_coords,
+                                  self.positive_roots_list))
         self._root_weights = tuple(self.root_to_weight(r)
                                    for r in self.positive_roots_list)
         self.affine_cartan = self._affine_cartan()
@@ -184,30 +162,13 @@ class CartanData:
 
     # -- root/weight arithmetic --------------------------------------------
 
-    def _half_norm(self, root):
-        # (beta, beta)/2 in the scaled invariant form.
-        av = mat_vec(self.cartan, root)
-        tot = sum(b * d * x for b, d, x in zip(root, self.d, av))
-        if tot % 2:
-            raise InvariantError("odd squared root length")
-        return tot // 2
-
     def coroot_coords(self, root):
         """Coordinates of beta^vee in the simple-coroot basis."""
-        db = self._half_norm(root)
-        out = []
-        for b, d in zip(root, self.d):
-            num = b * d
-            if num % db:
-                raise InvariantError("non-integral coroot coordinate")
-            out.append(num // db)
-        return tuple(out)
+        return self._coroot_of[root]
 
     def pairing(self, root, weight):
         """<beta^vee, mu> for a root beta (alpha-basis) and weight mu (pi-basis)."""
-        k = self._root_index.get(root)
-        cor = self.coroot_coords(root) if k is None else self._coroots[k]
-        return sum(c * m for c, m in zip(cor, weight))
+        return sum(map(mul, self._coroot_of[root], weight))
 
     def root_to_weight(self, root):
         """Rewrite a root-basis vector in fundamental-weight coordinates."""
@@ -233,23 +194,26 @@ class CartanData:
 
     # -- root system --------------------------------------------------------
 
-    def _positive_roots(self):
-        n = self.rank
-        simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        seen = set(simples)
-        frontier = list(simples)
+    def _roots_and_coroots(self):
+        """{root: coroot} over every root, negatives included: the orbit of
+        the simple roots and coroots under the s_i, which act on a root
+        through row i of the Cartan matrix and on a coroot through column
+        i, since (s_i beta)^vee = s_i(beta^vee)."""
+        a, n = self.cartan, self.rank
+        coroot_of = {e: e for e in identity_matrix(n)}
+        frontier = list(coroot_of)
         while frontier:
             new = []
             for beta in frontier:
-                for i in range(1, n + 1):
-                    img = self.simple_reflection_on_root(i, beta)
-                    if img not in seen:
-                        seen.add(img)
+                cor = coroot_of[beta]
+                for i in range(n):
+                    img = self.simple_reflection_on_root(i + 1, beta)
+                    if img not in coroot_of:
+                        c = sum(cor[j] * a[j][i] for j in range(n))
+                        coroot_of[img] = cor[:i] + (cor[i] - c,) + cor[i + 1:]
                         new.append(img)
             frontier = new
-        pos = [r for r in seen if all(x >= 0 for x in r)]
-        pos.sort(key=lambda r: (sum(r), r))
-        return tuple(pos)
+        return coroot_of
 
     def simple_reflection_on_root(self, i, root):
         """s_i acting on a root-basis vector."""

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -192,3 +193,26 @@ def test_adjugate_is_det_times_inverse(family, rank):
     assert ct.det == {"A": rank + 1, "B": 2, "C": 2, "D": 4}[family]
     inv = fraction_inverse(ct.cartan)
     assert ct.adj == tuple(tuple(ct.det * x for x in row) for row in inv)
+
+
+# the root data are read off the Cartan matrix alone; these check them with
+# no symmetrizer, through <beta^vee, x> = beta^vee . A . x for roots x
+@pytest.mark.parametrize("family,rank", RANKS_UP_TO_8)
+def test_root_data_from_the_cartan_matrix(family, rank):
+    ct = build_cartan(family, rank)
+    positive = ct.positive_roots_list
+    roots = set(positive) | {tuple(-x for x in beta) for beta in positive}
+    for beta in roots:
+        row = [sum(map(mul, ct.coroot_coords(beta), col))
+               for col in zip(*ct.cartan)]
+        assert sum(map(mul, row, beta)) == 2
+        # s_beta is linear and s_beta(-x) = -s_beta(x): it permutes the
+        # roots if it maps the positive ones to distinct roots
+        images = {tuple(x - c * b for x, b in zip(gamma, beta))
+                  for gamma in positive for c in [sum(map(mul, row, gamma))]}
+        assert len(images) == len(positive) and images <= roots
+    theta = ct.theta
+    assert ct.is_dominant(ct.root_to_weight(theta))
+    for i in range(rank):
+        assert tuple(x + (j == i) for j, x in enumerate(theta)) not in roots
+    assert ct.dual_kac_labels == (1,) + ct.coroot_coords(theta)

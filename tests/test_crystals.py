@@ -190,26 +190,6 @@ def test_explore_tensor_node_cap_is_checked_up_front():
     assert len(explore_tensor(C2, [box, box], node_cap=16)) == 16
 
 
-@pytest.mark.parametrize("cartan,factors", [
-    (C2, lambda: [kr_C_onebox(2), kr_C_onebox(2)]),
-    (A2, lambda: [kr_typeA(2, 1, 1), kr_typeA(2, 2, 1), kr_typeA(2, 1, 2)]),
-    (build_cartan("A", 3),
-     lambda: [kr_typeA(3, 3, 1), kr_typeA(3, 1, 1), kr_typeA(3, 2, 1)]),
-])
-def test_explore_tensor_matches_seeded_explore(cartan, factors):
-    fs = factors()
-    tensor = TensorProduct(fs)
-    want = explore(cartan, tensor, tensor.all_elements(),
-                   affine_complete=True)
-    got = explore_tensor(cartan, fs)
-    assert got.nodes == want.nodes
-    assert got.weights == want.weights
-    assert got.reprs == want.reprs
-    assert got.edges_sorted() == want.edges_sorted()
-    assert got.fs == want.fs
-    assert got.affine_complete
-
-
 def test_explore_tensor_checks_its_factors():
     box = kr_C_onebox(2)
     with pytest.raises(ValueError,
@@ -267,9 +247,38 @@ def random_factor_lists(seed, per_type=4, max_nodes=1500):
 RANDOM_CASES = random_factor_lists(10)
 
 
-@pytest.mark.parametrize("cartan,factors", RANDOM_CASES, ids=[
-    "%s-%s" % (ct.type_name, ":".join("%d,%d" % rs for rs in factors))
-    for ct, factors in RANDOM_CASES])
+def case_id(cartan, factors):
+    return "%s-%s" % (cartan.type_name,
+                      ":".join("%d,%d" % rs for rs in factors))
+
+
+def factor_thunk(cartan, factors):
+    return lambda: [build_factor(cartan, r, s) for r, s in factors]
+
+
+@pytest.mark.parametrize("cartan,factors", [
+    (C2, lambda: [kr_C_onebox(2), kr_C_onebox(2)]),
+    (A2, lambda: [kr_typeA(2, 1, 1), kr_typeA(2, 2, 1), kr_typeA(2, 1, 2)]),
+    (build_cartan("A", 3),
+     lambda: [kr_typeA(3, 3, 1), kr_typeA(3, 1, 1), kr_typeA(3, 2, 1)]),
+] + [pytest.param(ct, factor_thunk(ct, factors), id=case_id(ct, factors))
+     for ct, factors in RANDOM_CASES])
+def test_explore_tensor_matches_seeded_explore(cartan, factors):
+    fs = factors()
+    tensor = TensorProduct(fs)
+    want = explore(cartan, tensor, tensor.all_elements(),
+                   affine_complete=True)
+    got = explore_tensor(cartan, fs)
+    assert got.nodes == want.nodes
+    assert got.weights == want.weights
+    assert got.reprs == want.reprs
+    assert got.edges_sorted() == want.edges_sorted()
+    assert got.fs == want.fs
+    assert got.affine_complete
+
+
+@pytest.mark.parametrize("cartan,factors", RANDOM_CASES,
+                         ids=[case_id(*case) for case in RANDOM_CASES])
 def test_explore_tensor_edges_match_the_signature_rule(cartan, factors):
     graphs = [build_factor(cartan, r, s) for r, s in factors]
     tensor = TensorProduct(graphs)
@@ -330,9 +339,8 @@ TYPE_A_RANDOM_CASES = [case for case in RANDOM_CASES
                        if case[0].family == "A"]
 
 
-@pytest.mark.parametrize("cartan,factors", TYPE_A_RANDOM_CASES, ids=[
-    "%s-%s" % (ct.type_name, ":".join("%d,%d" % rs for rs in factors))
-    for ct, factors in TYPE_A_RANDOM_CASES])
+@pytest.mark.parametrize("cartan,factors", TYPE_A_RANDOM_CASES,
+                         ids=[case_id(*case) for case in TYPE_A_RANDOM_CASES])
 def test_type_a_products_satisfy_stembridge_axioms(cartan, factors):
     graph = explore_tensor(cartan, [build_factor(cartan, r, s)
                                     for r, s in factors])

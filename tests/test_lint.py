@@ -78,6 +78,17 @@ def test_cartan_has_no_root_data_wrappers(name):
     assert not hasattr(krcrystals, name)
 
 
+# the finite Cartan matrix is the only per-family table: theta, the coroots
+# and both Kac label sets are read off it, with no symmetrizer d, no
+# hand-entered highest root and no root length to divide by
+@pytest.mark.parametrize("name", ["_symmetrizers", "_highest_root",
+                                  "_half_norm", "d"])
+def test_cartan_matrix_is_the_only_table(name):
+    from krcrystals import cartan
+    assert not hasattr(cartan, name)
+    assert not hasattr(cartan.build_cartan("B", 3), name)
+
+
 # dominance_leq reads the det-scaled root coordinates adj·(nu - mu) itself:
 # no chain of one-line CartanData wrappers under it
 @pytest.mark.parametrize("name", ["weight_root_coords",
