@@ -5,10 +5,9 @@ Roots are signed root ids throughout: +(k + 1) names the positive root
 beta_k of CartanData.positive_roots_list and -(k + 1) its negative, so a
 folded root is read from a Weyl element's signed root permutation, its
 sign is the sign of the id, and |gamma| = alpha_p is an integer compare.
-Heights are exact integers; the piecewise-linear height profile is kept
-in doubled integer arithmetic and cross-checked against the folded
-hyperplane levels at every evaluation, so the two routes to the heights
-(affine reflections vs slope accumulation) must always agree.
+Heights are exact integers, and every walk of a height profile checks the
+folded hyperplane levels against its slopes, so the two routes to the
+heights (affine reflections vs slope accumulation) must always agree.
 
 Foldings are built incrementally.  One step function, _fold_step, turns
 the folding state (w, v, gamma, levels) of a subset J into that of
@@ -20,17 +19,17 @@ B(lambda)) that takes each new element from the QBG edge it follows,
 applies the step once per admissible subset and returns the map from
 each subset to its Folding, whose size the node cap bounds.  fold()
 folds any subset by the same step from the empty folding.
-_height_profiles builds the r+1 height profiles of a subset in one pass
-over its folding, and explore tabulates A_l(Gamma) and B(lambda) over the
-DFS's map: node k is its k-th subset, whose profiles are built once and
-give every f_p and e_p as node ids.
+_height_walks walks each distinct |alpha_p| of a subset once and _rule
+reads M, f_p and e_p of a color off its walk: explore does so once per
+subset of the DFS's map, alcove_f, alcove_e, phi0 and g_graph for any J.
 """
 
 import math
 from bisect import insort
+from operator import mul, sub
 from typing import NamedTuple
 
-from .cartan import mat_vec, vec_scale, vec_sub
+from .cartan import identity_matrix, mat_vec
 from .crystals import CrystalGraph, DEFAULT_NODE_CAP
 from .errors import (InvariantError, NonDominantWeightError,
                      ResourceLimitError)
@@ -85,13 +84,12 @@ class LambdaChain:
         for beta, total in counts.items():
             if total != cartan.pairing(beta, lam):
                 raise InvariantError("multiplicity invariant")
-        # per color p: the sign of alpha_p, the root id and coroot of
-        # |alpha_p|; alpha_0 = -theta has base theta and sign -1
-        self.alphas = tuple(
-            (sign, cartan._root_index[base] + 1, cartan.coroot_coords(base))
-            for base, sign in [(cartan.theta, -1)] + [
-                (tuple(int(j == p) for j in range(cartan.rank)), 1)
-                for p in range(cartan.rank)])
+        # per color p: the sign of alpha_p (alpha_0 = -theta) and the root
+        # id of |alpha_p|; walked: the coroot of each distinct |alpha_p|
+        bases = (cartan.theta,) + identity_matrix(cartan.rank)
+        self.alphas = tuple((-1 if p == 0 else 1, cartan._root_index[b] + 1)
+                            for p, b in enumerate(bases))
+        self.walked = {rid: cartan._coroots[rid - 1] for _, rid in self.alphas}
         self._images = {}     # Weyl element id -> (w(rho), w(lambda))
 
 
@@ -127,21 +125,22 @@ def _fold_step(chain, group, state, j, w):
         fol, v = state
         g = fol.gamma[j - 1]
         sl = chain.l[j - 1] if g > 0 else -chain.l[j - 1]
-        v = vec_sub(v, vec_scale(sl, ct._root_weights[abs(g) - 1]))
+        v = tuple([x - sl * y
+                   for x, y in zip(v, ct._root_weights[abs(g) - 1])])
         gamma, levels = list(fol.gamma[:j]), list(fol.levels[:j])
     roots, coroots = group.roots[w], ct._coroots
     for idx, l in zip(chain.root_indices[j:], chain.l[j:]):
         g = roots[idx]
         gamma.append(g)
         sl = l if g > 0 else -l
-        levels.append(sl - sum(c * x for c, x in zip(coroots[abs(g) - 1], v)))
+        levels.append(sl - sum(map(mul, coroots[abs(g) - 1], v)))
     images = chain._images.get(w)
     if images is None:
         wt = group.wt_mats[w]
         images = chain._images[w] = (mat_vec(wt, ct.rho),
                                      mat_vec(wt, chain.lam))
     return (Folding(tuple(gamma), tuple(levels), images[0],
-                    vec_sub(images[1], v), w), v)
+                    tuple(map(sub, images[1], v)), w), v)
 
 
 def fold(chain, J):
@@ -205,13 +204,11 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
 
 
 # ---------------------------------------------------------------------------
-# the height profile g_alpha and the operators
+# the height walks and the operators
 
 
 class GGraph(NamedTuple):
-    """Height data of g_{alpha_p} for a folded chain, as the operators
-    read it: the positions I_alpha, their integer heights sgn(alpha) l_i^J,
-    the endpoint height, and the maximum M."""
+    """The height profile g_{alpha_p} of a folded chain, read by g_graph."""
     p: int
     positions: tuple      # I_alpha, ascending; infinity is implicit
     heights: tuple        # sgn(alpha) * l_i^J along positions
@@ -219,135 +216,134 @@ class GGraph(NamedTuple):
     M: int
 
 
-def _height_profiles(chain, J, fol):
-    """The height profiles of every color p = 0..r for the folding fol of
-    the sorted subset J, from one pass over Gamma(J) that puts each
-    position into the bucket of its |gamma|.  Each distinct |alpha_p| is
-    walked once (in A1, theta = alpha_1): the walk collects I_alpha and
-    its levels and accumulates the slopes of g_{|alpha|} in doubled
-    integers, cross-checking the reflection-computed levels against the
-    defining slope rule.  A color then only applies its sign (p = 0 uses
-    alpha_0 = -theta and the graph reflected in the x-axis)."""
+def _height_walks(chain, J, fol):
+    """The walk of each distinct |alpha_p| (in A1, theta = alpha_1) over
+    the folding fol of the sorted subset J: root id -> (I_alpha ascending,
+    the levels l_i^J along it, <wt(J), |alpha_p|^vee>).  g_{|alpha|} lies at
+    h - 1/2 between positions; position i rises to h (falls to h - 1 when
+    gamma_i < 0) and the slope turns back at a folding position, so each
+    level, and the endpoint, is checked against the slopes."""
     gamma, levels = fol.gamma, fol.levels
-    at = {rid: [] for _, rid, _ in chain.alphas}
+    at = {rid: [] for rid in chain.walked}
     for i, g in enumerate(gamma, 1):
         bucket = at.get(g if g > 0 else -g)
         if bucket is not None:
             bucket.append(i)
-    jset = set(J)
     walks = {}
-    for _, rid, cor in chain.alphas:
-        if rid in walks:
-            continue
-        l_inf = sum(c * x for c, x in zip(cor, fol.weight))
-        walked, val2 = [], -1
-        for i in at[rid]:
-            level = levels[i - 1]
-            s1 = 1 if gamma[i - 1] > 0 else -1
-            val2 += s1
-            if val2 != 2 * level:
+    for rid, cor in chain.walked.items():
+        positions, walked, h = at[rid], [], 0
+        for i in positions:
+            level, up = levels[i - 1], gamma[i - 1] > 0
+            if level != (h if up else h - 1):
                 raise InvariantError("height/slope mismatch at position %d"
                                      % i)
-            val2 += -s1 if i in jset else s1
             walked.append(level)
-        end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
+            if i not in J:
+                h += 1 if up else -1
+        end_pair = sum(map(mul, cor, fol.gamma_inf))
         if end_pair == 0:
             raise InvariantError("gamma_inf orthogonal to alpha")
-        val2 += 1 if end_pair > 0 else -1
-        if val2 != 2 * l_inf:
+        l_inf = sum(map(mul, cor, fol.weight))
+        if l_inf != (h if end_pair > 0 else h - 1):
             raise InvariantError("endpoint height mismatch")
-        walks[rid] = (tuple(at[rid]), tuple(walked), l_inf)
-    out = []
-    for p, (sign, rid, _) in enumerate(chain.alphas):
-        positions, walked, l_inf = walks[rid]
-        heights = walked if sign > 0 else tuple(-h for h in walked)
-        h_inf = sign * l_inf
-        out.append(GGraph(p, positions, heights, h_inf,
-                          max(heights + (h_inf,))))
-    return out
+        walks[rid] = positions, walked, l_inf
+    return walks
+
+
+def _rule(walk, sign, J, threshold):
+    """(M, f_p(J), e_p(J)) of a color p from the walk of |alpha_p|, sign
+    sgn(alpha_p), the sorted J and threshold l * delta_{p,0} (None where an
+    operator vanishes).  The heights are sign times the levels: for sign -1
+    the highest positions are those of least level.  f_p needs M > threshold:
+    the first position reaching M (or infinity) leaves J and its predecessor
+    in I_alpha joins.  e_p needs M > the endpoint height and M >= threshold:
+    the last position reaching M leaves J and its successor joins."""
+    positions, levels, l_inf = walk
+    h_inf = sign * l_inf
+    peak = (max(levels) if sign > 0 else min(levels)) if levels else l_inf
+    top = sign * peak
+    M = top if top > h_inf else h_inf
+    f_img = e_img = None
+    f_on, e_on = M > threshold, M > h_inf and M >= threshold
+    if M < 0 and (f_on or e_on):
+        raise InvariantError("negative maximum on an admissible subset")
+    if f_on:
+        if levels and top == M:
+            idx = levels.index(peak)
+            m_pos = positions[idx]
+            if m_pos not in J:
+                raise InvariantError(
+                    "minimum-position element not a folding position")
+            if idx == 0:
+                raise InvariantError("no predecessor although M > delta")
+            k_pos = positions[idx - 1]
+        elif not positions:  # the maximum is attained at infinity only
+            raise InvariantError(
+                "no predecessor of infinity although M > delta")
+        else:
+            m_pos, k_pos = None, positions[-1]
+        if k_pos in J:
+            raise InvariantError("predecessor already a folding position")
+        new = list(J)
+        if m_pos is not None:
+            new.remove(m_pos)
+        insort(new, k_pos)
+        f_img = tuple(new)
+    if e_on:
+        idx = len(levels) - 1 - levels[::-1].index(peak)
+        k_pos = positions[idx]
+        if k_pos not in J:
+            raise InvariantError(
+                "maximum-position element not a folding position")
+        m_pos = positions[idx + 1] if idx + 1 < len(positions) else None
+        if m_pos in J:
+            raise InvariantError("successor already a folding position")
+        new = list(J)
+        new.remove(k_pos)
+        if m_pos is not None:
+            insort(new, m_pos)
+        e_img = tuple(new)
+    return M, f_img, e_img
+
+
+def _rule_args(chain, J, p, level=1):
+    """The arguments of _rule for color p of any subset J at level l, read
+    from fold(chain, J).  ValueError for a color outside 0..r or a level
+    below 1."""
+    if not 0 <= p <= chain.cartan.rank:
+        raise ValueError("color %r outside 0..%d" % (p, chain.cartan.rank))
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    J = tuple(sorted(J))
+    sign, rid = chain.alphas[p]
+    return (_height_walks(chain, J, fold(chain, J))[rid], sign, J,
+            level if p == 0 else 0)
 
 
 def g_graph(chain, J, p):
-    """The height profile for color p (p = 0 uses alpha_0 = -theta and the
-    graph reflected in the x-axis)."""
-    J = tuple(sorted(J))
-    return _height_profiles(chain, J, fold(chain, J))[p]
+    """The height profile for color p, read from its walk (p = 0 uses
+    alpha_0 = -theta and the graph reflected in the x-axis)."""
+    (positions, levels, l_inf), sign, _, _ = _rule_args(chain, J, p)
+    heights = tuple(sign * h for h in levels)
+    return GGraph(p, tuple(positions), heights, sign * l_inf,
+                  max(heights + (sign * l_inf,)))
 
 
 def alcove_f(chain, J, p, level=1):
     """The level-l lowering operator f_p on an admissible subset; None when
     the maximum M fails M > l * delta_{p,0}."""
-    J = tuple(sorted(J))
-    return _f_on(g_graph(chain, J, p), J, level)
-
-
-def _f_on(gg, J, level):
-    """f_p of the sorted subset J, read from its height profile gg."""
-    threshold = level if gg.p == 0 else 0
-    if not gg.M > threshold:
-        return None
-    if gg.M < 0:
-        raise InvariantError("negative maximum on an admissible subset")
-    positions = gg.positions
-    if gg.M in gg.heights:
-        idx = gg.heights.index(gg.M)
-        m_pos = positions[idx]
-        if m_pos not in J:
-            raise InvariantError(
-                "minimum-position element not a folding position")
-        if idx == 0:
-            raise InvariantError("no predecessor although M > delta")
-        k_pos = positions[idx - 1]
-    else:  # the maximum is attained at infinity only
-        if gg.h_inf != gg.M:
-            raise InvariantError("maximum attained nowhere")
-        if not positions:
-            raise InvariantError(
-                "no predecessor of infinity although M > delta")
-        m_pos, k_pos = None, positions[-1]
-    if k_pos in J:
-        raise InvariantError("predecessor already a folding position")
-    new = list(J)
-    if m_pos is not None:
-        new.remove(m_pos)
-    insort(new, k_pos)
-    return tuple(new)
+    return _rule(*_rule_args(chain, J, p, level))[1]
 
 
 def alcove_e(chain, J, p, level=1):
     """The level-l raising operator e_p; None unless M > <wt(J), alpha_p^vee>
     and M >= l * delta_{p,0}."""
-    J = tuple(sorted(J))
-    return _e_on(g_graph(chain, J, p), J, level)
-
-
-def _e_on(gg, J, level):
-    """e_p of the sorted subset J, read from its height profile gg."""
-    threshold = level if gg.p == 0 else 0
-    if not (gg.M > gg.h_inf and gg.M >= threshold):
-        return None
-    if gg.M < 0:
-        raise InvariantError("negative maximum on an admissible subset")
-    positions, heights = gg.positions, gg.heights
-    if gg.M not in heights:
-        raise InvariantError("M exceeds the endpoint but is never attained")
-    idx = len(heights) - 1 - heights[::-1].index(gg.M)
-    k_pos = positions[idx]
-    if k_pos not in J:
-        raise InvariantError("maximum-position element not a folding position")
-    m_pos = positions[idx + 1] if idx + 1 < len(positions) else None
-    if m_pos in J:
-        raise InvariantError("successor already a folding position")
-    new = list(J)
-    new.remove(k_pos)
-    if m_pos is not None:
-        insort(new, m_pos)
-    return tuple(new)
+    return _rule(*_rule_args(chain, J, p, level))[2]
 
 
 def phi0(chain, J):
     """phi_0(J) = max(M - 1, 0) for the p = 0 height profile."""
-    return max(g_graph(chain, J, 0).M - 1, 0)
+    return max(_rule(*_rule_args(chain, J, 0))[0] - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +353,27 @@ def phi0(chain, J):
 def explore(chain, foldings, level, colors):
     """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) as a
     CrystalGraph over the sorted subsets of foldings, enumerate_admissible's
-    map: node k is its k-th subset, each subset's height profiles are built
-    once and every f_p and e_p is read from them, and the e lists go to the
-    constructor to be checked against the f lists.  InvariantError when an
-    operator leaves the map."""
+    map: node k is its k-th subset, walked once, and _rule reads every f_p
+    and e_p off the walks as node ids; the e lists go to the constructor to
+    be checked against the f lists.  InvariantError when an operator leaves
+    the map."""
     colors = tuple(colors)
     index = {J: k for k, J in enumerate(foldings)}
+    ids = {None: None, **index}     # an image -> its node id, None -> None
     fs = {c: [] for c in colors}
     es = {c: [] for c in colors}
-    steps = [(c, op, table[c]) for c in colors
-             for op, table in ((_f_on, fs), (_e_on, es))]
+    steps = [(*chain.alphas[c], level if c == 0 else 0, fs[c].append,
+              es[c].append) for c in colors]
     for J, fol in foldings.items():
-        profiles = _height_profiles(chain, J, fol)
-        for c, op, out in steps:
-            img = op(profiles[c], J, level)
-            if img is not None:
-                img = index.get(img)
-                if img is None:
-                    raise InvariantError("crystal operators left the "
-                                         "admissible family")
-            out.append(img)
+        walks = _height_walks(chain, J, fol)
+        for sign, rid, threshold, f_out, e_out in steps:
+            _, f_img, e_img = _rule(walks[rid], sign, J, threshold)
+            try:
+                f_out(ids[f_img])
+                e_out(ids[e_img])
+            except KeyError:
+                raise InvariantError("crystal operators left the "
+                                     "admissible family") from None
     graph = CrystalGraph(chain.cartan, colors, list(foldings), fs,
                          [fol.weight for fol in foldings.values()],
                          ["[" + ",".join(map(str, J)) + "]"

@@ -10,7 +10,8 @@ inverse Cartan matrix, the similarity-map conditions of column
 replication, the per-node BFS closure of seeds under a payload-level
 source, Demazure subsets of B(lambda) by strings of e_i^max read off
 a reduced word, with the highest weight node found one e call per node
-and color),
+and color, the height profile of one color by its own scan of the folded
+chain, and f and e read off that profile),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -19,6 +20,7 @@ import io
 import itertools
 import math
 import re
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 
@@ -343,6 +345,66 @@ def g_graph_oracle(chain, J, p):
         raise InvariantError("endpoint height mismatch")
     M = max(heights + [h_inf])
     return GGraph(p, tuple(positions), tuple(heights), h_inf, M)
+
+
+def f_on_oracle(gg, J, level):
+    """f_p of the sorted subset J, read from its height profile gg (a
+    g_graph_oracle GGraph): the per-profile rule the library used before it
+    read every operator off one walk per subset."""
+    threshold = level if gg.p == 0 else 0
+    if not gg.M > threshold:
+        return None
+    if gg.M < 0:
+        raise InvariantError("negative maximum on an admissible subset")
+    positions = gg.positions
+    if gg.M in gg.heights:
+        idx = gg.heights.index(gg.M)
+        m_pos = positions[idx]
+        if m_pos not in J:
+            raise InvariantError(
+                "minimum-position element not a folding position")
+        if idx == 0:
+            raise InvariantError("no predecessor although M > delta")
+        k_pos = positions[idx - 1]
+    else:  # the maximum is attained at infinity only
+        if gg.h_inf != gg.M:
+            raise InvariantError("maximum attained nowhere")
+        if not positions:
+            raise InvariantError(
+                "no predecessor of infinity although M > delta")
+        m_pos, k_pos = None, positions[-1]
+    if k_pos in J:
+        raise InvariantError("predecessor already a folding position")
+    new = list(J)
+    if m_pos is not None:
+        new.remove(m_pos)
+    insort(new, k_pos)
+    return tuple(new)
+
+
+def e_on_oracle(gg, J, level):
+    """e_p of the sorted subset J, read from its height profile gg, by the
+    same per-profile rule as f_on_oracle."""
+    threshold = level if gg.p == 0 else 0
+    if not (gg.M > gg.h_inf and gg.M >= threshold):
+        return None
+    if gg.M < 0:
+        raise InvariantError("negative maximum on an admissible subset")
+    positions, heights = gg.positions, gg.heights
+    if gg.M not in heights:
+        raise InvariantError("M exceeds the endpoint but is never attained")
+    idx = len(heights) - 1 - heights[::-1].index(gg.M)
+    k_pos = positions[idx]
+    if k_pos not in J:
+        raise InvariantError("maximum-position element not a folding position")
+    m_pos = positions[idx + 1] if idx + 1 < len(positions) else None
+    if m_pos in J:
+        raise InvariantError("successor already a folding position")
+    new = list(J)
+    new.remove(k_pos)
+    if m_pos is not None:
+        insort(new, m_pos)
+    return tuple(new)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (QBG_TYPES, decode_root, fold_oracle,
-                     folding_direction_oracle, folding_gamma_oracle,
-                     folding_weight_oracle, g_graph_oracle, is_admissible,
-                     is_bruhat_admissible, validate_chain)
+from helpers import (QBG_TYPES, decode_root, e_on_oracle, f_on_oracle,
+                     fold_oracle, folding_direction_oracle,
+                     folding_gamma_oracle, folding_weight_oracle,
+                     g_graph_oracle, is_admissible, is_bruhat_admissible,
+                     validate_chain)
 from krcrystals import alcove
 from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
                                alcove_f, build_lambda_chain,
@@ -315,15 +316,20 @@ PROFILE_CASES = [(A1, (5,)), (A2, (1, 1)), (C2, (2, 0)), (B3, (1, 1, 0)),
     "%s%d-%s" % (ct.family, ct.rank, "".join(map(str, lam)))
     for ct, lam in PROFILE_CASES])
 def test_height_profiles_match_per_color_oracle(cartan, lam, order):
-    # every field of every color's profile, from the one-pass builder and
-    # from g_graph, against a separate scan of Gamma(J) per color
+    # every color's walk from the one-pass builder, read with the color's
+    # sign, the rule's maximum, and every field of g_graph's profile,
+    # against a separate scan of Gamma(J) per color
     chain = build_lambda_chain(cartan, lam, order)
     for J in enumerate_admissible(chain):
-        profiles = alcove._height_profiles(chain, J, fold(chain, J))
-        assert len(profiles) == cartan.rank + 1
-        for p, gg in enumerate(profiles):
+        walks = alcove._height_walks(chain, J, fold(chain, J))
+        assert set(walks) == {rid for _, rid in chain.alphas}
+        for p, (sign, rid) in enumerate(chain.alphas):
             want = g_graph_oracle(chain, J, p)
-            assert gg == want
+            positions, levels, l_inf = walks[rid]
+            assert tuple(positions) == want.positions
+            assert tuple(sign * h for h in levels) == want.heights
+            assert sign * l_inf == want.h_inf
+            assert alcove._rule(walks[rid], sign, J, int(p == 0))[0] == want.M
             assert g_graph(chain, J, p) == want
 
 
@@ -331,7 +337,7 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
 def test_height_profiles_cross_check_the_folding(J):
     chain = build_lambda_chain(A2, (1, 1))
     fol = fold(chain, J)
-    build = alcove._height_profiles
+    build = alcove._height_walks
     positions = {i for p in range(3) for i in g_graph(chain, J, p).positions}
     assert positions
     for i in positions:
@@ -398,6 +404,55 @@ def test_e_kills_empty_subset_classically():
             assert alcove_e(chain, (), p) is None
 
 
+# colors run over 0..r and levels from 1, as in alcove_crystal: a color
+# -1 must not index alpha_r from the end, a color r + 1 must not end in an
+# IndexError, and a level 0 is a user error, not a broken invariant
+@pytest.mark.parametrize("p", [-1, 3])
+def test_colors_outside_0_to_r_are_rejected(p):
+    chain = build_lambda_chain(A2, (1, 1))
+    for call in (lambda: g_graph(chain, (), p),
+                 lambda: alcove_f(chain, (), p),
+                 lambda: alcove_e(chain, (), p)):
+        with pytest.raises(ValueError, match=r"^color %d outside 0\.\.2$" % p):
+            call()
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_levels_below_1_are_rejected(level):
+    chain = build_lambda_chain(A2, (1, 1))
+    for op in (alcove_f, alcove_e):
+        for p in range(3):
+            with pytest.raises(ValueError, match="^level must be >= 1$"):
+                op(chain, (), p, level)
+
+
+OPERATOR_CASES = [(A2, (1, 1)), (A3, (1, 2, 0)), (C3, (1, 1, 0)),
+                  (D4, (1, 0, 0, 1)), (B3, (0, 1, 1))]
+
+
+@pytest.mark.parametrize("build", ["level1", "level2", "hw"])
+@pytest.mark.parametrize("cartan,lam", OPERATOR_CASES, ids=[
+    "%s%d-%s" % (ct.family, ct.rank, "".join(map(str, lam)))
+    for ct, lam in OPERATOR_CASES])
+def test_operator_tables_match_the_profile_oracle(cartan, lam, build):
+    # every color's f and e table, read off one walk per subset, against
+    # the per-profile rule on a separate scan of Gamma(J) per color
+    if build == "hw":
+        graph, level = hw_crystal(cartan, lam), 1
+    else:
+        level = int(build[-1])
+        graph = alcove_crystal(cartan, lam, level)
+    nodes = graph.nodes
+    for k, J in enumerate(nodes):
+        for p in graph.colors:
+            gg = g_graph_oracle(graph.chain, J, p)
+            for table, oracle in ((graph.fs, f_on_oracle),
+                                  (graph.es, e_on_oracle)):
+                img = table[p][k]
+                assert (None if img is None else nodes[img]) == \
+                    oracle(gg, J, level)
+
+
 # ---------------------------------------------------------------------------
 # phi_0 and the assembled crystal
 
@@ -412,15 +467,15 @@ def test_phi0_formula_equals_string_length(lam):
 
 
 def test_each_height_profile_is_built_once(monkeypatch):
-    # one builder call per subset makes the profiles of all r + 1 colors
+    # one builder call per subset makes the walks all r + 1 colors read
     built = []
-    build = alcove._height_profiles
+    build = alcove._height_walks
 
     def counted(chain, J, fol):
         built.append(J)
         return build(chain, J, fol)
 
-    monkeypatch.setattr(alcove, "_height_profiles", counted)
+    monkeypatch.setattr(alcove, "_height_walks", counted)
     graph = alcove_crystal(A3, (1, 1, 1))
     assert len(built) == len(graph) == len(set(built))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -537,3 +538,58 @@ def test_parse_factors():
     assert parse_factors("") == parse_factors(None) == []
     with pytest.raises(ValueError):
         parse_factors("1,-2")
+
+
+# a seeded slice of the exit-code fuzz: argv lists that mix valid and
+# invalid types, factor strings, lambdas, levels, caps and output suffixes
+# go through main, and each ends in 0 or 2 (argparse's own errors leave by
+# SystemExit(2)), never in a traceback or another code.  Each option is
+# left out one time in ten and takes an invalid value one time in ten.
+FUZZ_POOLS = {
+    "--type": (["A1", "A2", "A3", "C2", "C2~", "C3", "B3", "D4"],
+               ["A0", "E6", "X2", "A", "", "a2", "D2"]),
+    "--factors": (["1,1", "1,1:2,1", "2,1:1,2", "1,2:2,2:1,1", "2,2", ""],
+                  ["x", "1", "1,1,1", "0,1", "1,0", "1,-1", "9,1", ":"]),
+    "--lambda": (["1", "2", "1,1", "1,0", "0,1", "2,1,0", "1,0,1",
+                  "0,0,0,1"], ["1,1,1,1", "-1,1", "x", "", "1,,1"]),
+    "--level": (["1", "2", "3"], ["-1", "0", "x", "1.5"]),
+    "--node-cap": (["50", "400", "100000"], ["-3", "0", "1", "x"]),
+    "--weyl-cap": (["50", "400", "100000"], ["-3", "0", "5", "x"]),
+    "--view": (["none", "demazure", "dual"], ["both"]),
+    "--out": ([".json", ".dot"], [".txt", ""]),
+    "name": (["alcove", "figure"], ["nosuch", "qsystem"]),
+}
+FUZZ_OPTIONS = {
+    "build": ["--type", "--factors", "--level", "--view"],
+    "alcove": ["--type", "--lambda", "--level"],
+    "qbg": ["--type"],
+    "check": ["--type", "--factors", "--lambda", "--level"],
+}
+
+
+def _fuzz_argv(rng, out):
+    def pick(key):
+        valid, invalid = FUZZ_POOLS[key]
+        return rng.choice(valid if rng.random() < 0.9 else invalid)
+
+    command = rng.choice(sorted(FUZZ_OPTIONS))
+    argv = [command] + ([pick("name")] if command == "check" else [])
+    for flag in FUZZ_OPTIONS[command] + ["--node-cap", "--weyl-cap", "--out"]:
+        if rng.random() < 0.9:
+            value = pick(flag)
+            argv += [flag, out + value if flag == "--out" else value]
+    return argv
+
+
+def test_exit_codes_of_random_argv_lists(tmp_path):
+    rng = random.Random(0)
+    codes = {}
+    for k in range(150):
+        argv = _fuzz_argv(rng, str(tmp_path / ("out%d" % k)))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2), argv
+        codes[code] = codes.get(code, 0) + 1
+    assert codes[0] >= 20 and codes[2] >= 20

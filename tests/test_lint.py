@@ -187,6 +187,14 @@ def test_test_only_crystal_operations_stay_out(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+# the alcove operators are one rule over one walk per subset: the
+# per-color height profiles and the per-profile operators are test oracles
+@pytest.mark.parametrize("name", ["_height_profiles", "_f_on", "_e_on"])
+def test_alcove_operators_have_one_path(name):
+    from krcrystals import alcove
+    assert not hasattr(alcove, name)
+
+
 def _mentions(node, names):
     """Does the expression read one of the names, as a name or an
     attribute?"""
@@ -234,17 +242,26 @@ ROOT = SRC.parent.parent
 
 # names the benchmark tracer wraps or reads cache counts from that the
 # library removed on purpose; the tracer skips a missing name, so any other
-# missing name would turn its metric to 0 without a word
+# missing name would turn its metric to 0 without a word.  The set may grow
+# only in a change to the benchmark itself: a span metric whose wrapped
+# names are all missing drops out of the traced result, which then lacks a
+# metric BENCHMARK.json declares
 TRACED_ABSENT = {"crystals.build_weyl_group", "experiments.build_weyl_group",
                  "kr.classical_fundamental"}
 
 
-def test_traced_names_resolve():
+def _tracing():
+    """bench/tracing.py, loaded without changing it."""
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    tracing = _tracing()
     points = [(owner, name) for owner, name, _, _
               in tracing._wrap_points(None)]
     points += [pair for pairs in tracing.CACHES.values() for pair in pairs]
@@ -254,6 +271,30 @@ def test_traced_names_resolve():
         if not hasattr(owner, name):
             missing.add("%s.%s" % (label.replace("krcrystals.", ""), name))
     assert missing == TRACED_ABSENT
+
+
+# every per-layer metric BENCHMARK.json declares that is read from a span
+# (its self time, or a count derived from it) keeps at least one wrapped
+# name that resolves to a callable, as Tracer.install tests it: a span with
+# none is never recorded, and its metrics drop out of a traced run (a name
+# set to None would pass test_traced_names_resolve and still drop them)
+def test_declared_span_metrics_keep_a_traced_name():
+    import json
+    tracing = _tracing()
+    declared = {metric["name"] for metric in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    points = tracing._wrap_points(None)
+    spans = {metric for _, _, metric, _ in points}
+    found = {metric for owner, name, metric, _ in points
+             if getattr(owner, name, None) is not None}
+    needed = {name: name[:-2] for name in declared
+              if name.endswith("_s") and name[:-2] in spans}
+    needed.update((name, span) for name, span in tracing.DERIVED.items()
+                  if name in declared)
+    assert {"alcove.fold_s", "alcove.fold_calls",
+            "alcove.explore_s"} <= set(needed)
+    assert sorted(name for name, span in needed.items()
+                  if span not in found) == []
 
 
 PY_FILES = sorted(str(path.relative_to(ROOT))
