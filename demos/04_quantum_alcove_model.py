@@ -6,8 +6,8 @@ Run:  python3 demos/04_quantum_alcove_model.py
 """
 
 from krcrystals import build_cartan
-from krcrystals.alcove import (alcove_crystal, alcove_f, build_lambda_chain,
-                               enumerate_admissible, fold, g_graph, phi0)
+from krcrystals.alcove import (alcove_crystal, build_lambda_chain,
+                               enumerate_admissible, g_graph)
 from krcrystals.crystals import components, demazure_filter, explore_tensor, \
     match_components
 from krcrystals.kr import kr_typeA
@@ -18,7 +18,8 @@ chain = build_lambda_chain(a2, lam)
 print("lambda =", lam, " lexicographic chain:", chain.roots)
 print("initial levels l_i:", chain.l)
 
-subsets = list(enumerate_admissible(chain))
+foldings = enumerate_admissible(chain)   # each subset -> its folding
+subsets = list(foldings)
 print("admissible subsets (%d):" % len(subsets), subsets)
 
 
@@ -32,22 +33,23 @@ def root_of(g):
 print()
 print("=== foldings and weights ===")
 for J in subsets[:4]:
-    fol = fold(chain, J)
+    fol = foldings[J]
     print("J =", J, " gamma =", tuple(map(root_of, fol.gamma)),
           " wt(J) =", fol.weight)
 
 print()
 print("=== a height profile and one operator application ===")
-gg = g_graph(chain, (), 1)
+gg = g_graph(chain, (), foldings[()], 1)
 print("g_{alpha_1} of the empty subset: positions", gg.positions,
       "heights", gg.heights, "endpoint", gg.h_inf, "M =", gg.M)
-print("f_1(emptyset) =", alcove_f(chain, (), 1))
+# the operators are read off the crystal's tables, node ids over its subsets
+alc = alcove_crystal(a2, lam, 1)
+print("f_1(emptyset) =", alc.nodes[alc.fs[1][alc.index[()]]])
 print("phi_0 of every subset:",
-      {J: phi0(chain, J) for J in subsets})
+      {J: alc.phi(alc.index[J], 0) for J in subsets})
 
 print()
 print("=== the assembled crystal vs the dual filtration ===")
-alc = alcove_crystal(a2, lam, 1)
 dual = demazure_filter(
     explore_tensor(a2, [kr_typeA(2, 1, 1), kr_typeA(2, 2, 1)]), 1, "tail")
 print("A_1(Gamma): %d nodes; dual-filtered B^{1,1} (x) B^{2,1}: %d nodes"

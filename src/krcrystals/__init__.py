@@ -8,9 +8,8 @@ from .cartan import build_cartan, c_value, parse_type
 from .weyl import build_qbg, build_weyl_group, dominantize
 from .crystals import (CrystalGraph, components, demazure_filter,
                        explore_tensor, hw_census, iso_check)
-from .alcove import (LambdaChain, alcove_crystal, alcove_e, alcove_f,
-                     build_lambda_chain, enumerate_admissible, fold, g_graph,
-                     hw_crystal, phi0)
+from .alcove import (LambdaChain, alcove_crystal, build_lambda_chain,
+                     enumerate_admissible, fold, g_graph, hw_crystal)
 from .kr import fixture_C2, kr_C_onebox, kr_typeA, promotion
 from .experiments import (Report, check_alcove_correspondence, check_bmin,
                           check_character_qsystem, check_figure,
@@ -23,8 +22,8 @@ __all__ = [
     "build_qbg", "build_weyl_group", "dominantize",
     "CrystalGraph", "components", "demazure_filter", "explore_tensor",
     "hw_census", "hw_crystal", "iso_check",
-    "LambdaChain", "alcove_crystal", "alcove_e", "alcove_f",
-    "build_lambda_chain", "enumerate_admissible", "fold", "g_graph", "phi0",
+    "LambdaChain", "alcove_crystal", "build_lambda_chain",
+    "enumerate_admissible", "fold", "g_graph",
     "fixture_C2", "kr_C_onebox", "kr_typeA", "promotion",
     "Report", "check_alcove_correspondence", "check_bmin",
     "check_character_qsystem", "check_figure", "check_qsystem_typeA",

@@ -19,9 +19,12 @@ B(lambda)) that takes each new element from the QBG edge it follows,
 applies the step once per admissible subset and returns the map from
 each subset to its Folding, whose size the node cap bounds.  fold()
 folds any subset by the same step from the empty folding.
-_height_walks walks each distinct |alpha_p| of a subset once and _rule
-reads M, f_p and e_p of a color off its walk: explore does so once per
-subset of the DFS's map, alcove_f, alcove_e, phi0 and g_graph for any J.
+
+The crystal table is the only operator path: _height_walks walks each
+distinct |alpha_p| of a subset's folding once and _rule reads M, f_p and
+e_p of a color off its walk, once per subset of the DFS's map, in
+explore.  g_graph reads one color's height profile off the same walk of
+a folding from that map.
 """
 
 import math
@@ -146,7 +149,12 @@ def _fold_step(chain, group, state, j, w):
 def fold(chain, J):
     """The folding Gamma(J) (admissibility not required), folded from the
     empty folding by _fold_step at each position of J in ascending order.
-    ValueError for a position outside 1..m."""
+    ValueError for a position outside 1..m.
+
+    No library function calls it.  It stays because the benchmark's tracer
+    (bench/tracing.py) wraps alcove.fold: without it a traced run drops
+    alcove.fold_s, alcove.fold_calls and alcove.fold_distinct, three
+    per-layer metrics that BENCHMARK.json declares."""
     J = tuple(sorted(set(J)))
     for j in J:
         if not 1 <= j <= chain.m:
@@ -306,44 +314,18 @@ def _rule(walk, sign, J, threshold):
     return M, f_img, e_img
 
 
-def _rule_args(chain, J, p, level=1):
-    """The arguments of _rule for color p of any subset J at level l, read
-    from fold(chain, J).  ValueError for a color outside 0..r or a level
-    below 1."""
+def g_graph(chain, J, fol, p):
+    """The height profile for color p of the subset J with folding fol (its
+    entry in enumerate_admissible's map), read from its walk (p = 0 uses
+    alpha_0 = -theta and the graph reflected in the x-axis).  ValueError
+    for a color outside 0..r."""
     if not 0 <= p <= chain.cartan.rank:
         raise ValueError("color %r outside 0..%d" % (p, chain.cartan.rank))
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    J = tuple(sorted(J))
     sign, rid = chain.alphas[p]
-    return (_height_walks(chain, J, fold(chain, J))[rid], sign, J,
-            level if p == 0 else 0)
-
-
-def g_graph(chain, J, p):
-    """The height profile for color p, read from its walk (p = 0 uses
-    alpha_0 = -theta and the graph reflected in the x-axis)."""
-    (positions, levels, l_inf), sign, _, _ = _rule_args(chain, J, p)
+    positions, levels, l_inf = _height_walks(chain, J, fol)[rid]
     heights = tuple(sign * h for h in levels)
     return GGraph(p, tuple(positions), heights, sign * l_inf,
                   max(heights + (sign * l_inf,)))
-
-
-def alcove_f(chain, J, p, level=1):
-    """The level-l lowering operator f_p on an admissible subset; None when
-    the maximum M fails M > l * delta_{p,0}."""
-    return _rule(*_rule_args(chain, J, p, level))[1]
-
-
-def alcove_e(chain, J, p, level=1):
-    """The level-l raising operator e_p; None unless M > <wt(J), alpha_p^vee>
-    and M >= l * delta_{p,0}."""
-    return _rule(*_rule_args(chain, J, p, level))[2]
-
-
-def phi0(chain, J):
-    """phi_0(J) = max(M - 1, 0) for the p = 0 height profile."""
-    return max(_rule(*_rule_args(chain, J, 0))[0] - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +338,9 @@ def explore(chain, foldings, level, colors):
     map: node k is its k-th subset, walked once, and _rule reads every f_p
     and e_p off the walks as node ids; the e lists go to the constructor to
     be checked against the f lists.  InvariantError when an operator leaves
-    the map."""
+    the map, ValueError for a level below 1."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
     colors = tuple(colors)
     index = {J: k for k, J in enumerate(foldings)}
     ids = {None: None, **index}     # an image -> its node id, None -> None

@@ -110,7 +110,11 @@ def parse_factors(text):
 
 
 def _parse_lambda(text, cartan):
-    coords = tuple(int(x) for x in text.split(","))
+    try:
+        coords = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError("lambda %r is not a comma-separated list of "
+                         "integers" % text) from None
     if len(coords) != cartan.rank:
         raise UsageError("lambda needs %d coordinates" % cartan.rank)
     return coords

@@ -11,7 +11,8 @@ replication, the per-node BFS closure of seeds under a payload-level
 source, Demazure subsets of B(lambda) by strings of e_i^max read off
 a reduced word, with the highest weight node found one e call per node
 and color, the height profile of one color by its own scan of the folded
-chain, and f and e read off that profile),
+chain, and f and e read off that profile, and f_p, e_p and phi_0 of any
+subset, folded afresh and read by the library's rule),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -24,6 +25,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 
+from krcrystals import alcove
 from krcrystals.alcove import Folding, GGraph, fold, hw_crystal
 from krcrystals.cartan import (identity_matrix, mat_vec, vec_add, vec_neg,
                                vec_scale, vec_sub)
@@ -405,6 +407,39 @@ def e_on_oracle(gg, J, level):
     if m_pos is not None:
         insort(new, m_pos)
     return tuple(new)
+
+
+def _rule_args(chain, J, p, level=1):
+    """The arguments of the library's rule for color p of any subset J at
+    level l, read from a fresh fold of J.  ValueError for a color outside
+    0..r or a level below 1."""
+    if not 0 <= p <= chain.cartan.rank:
+        raise ValueError("color %r outside 0..%d" % (p, chain.cartan.rank))
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    J = tuple(sorted(J))
+    sign, rid = chain.alphas[p]
+    walks = alcove._height_walks(chain, J, alcove.fold(chain, J))
+    return walks[rid], sign, J, level if p == 0 else 0
+
+
+def alcove_f(chain, J, p, level=1):
+    """The level-l lowering operator f_p on an admissible subset, folded
+    afresh; None when the maximum M fails M > l * delta_{p,0}: the
+    per-subset path the library used before it read every operator off
+    its crystal table."""
+    return alcove._rule(*_rule_args(chain, J, p, level))[1]
+
+
+def alcove_e(chain, J, p, level=1):
+    """The level-l raising operator e_p, as alcove_f; None unless
+    M > <wt(J), alpha_p^vee> and M >= l * delta_{p,0}."""
+    return alcove._rule(*_rule_args(chain, J, p, level))[2]
+
+
+def phi0(chain, J):
+    """phi_0(J) = max(M - 1, 0) for the p = 0 height profile."""
+    return max(alcove._rule(*_rule_args(chain, J, 0))[0] - 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ import time
 import pytest
 
 from helpers import (TensorProduct, all_reduced_words, column_replication,
-                     demazure_subset, is_connected, qbg_edges,
+                     demazure_subset, is_connected, phi0, qbg_edges,
                      similarity_check)
 from krcrystals.alcove import (build_lambda_chain, enumerate_admissible,
-                               hw_crystal, phi0)
+                               hw_crystal)
 from krcrystals.cartan import build_cartan
 from krcrystals.crystals import (components, demazure_filter, explore_tensor,
                                  graphs_equal)

@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (QBG_TYPES, decode_root, e_on_oracle, f_on_oracle,
-                     fold_oracle, folding_direction_oracle,
-                     folding_gamma_oracle, folding_weight_oracle,
-                     g_graph_oracle, is_admissible, is_bruhat_admissible,
-                     validate_chain)
+from helpers import (QBG_TYPES, alcove_e, alcove_f, decode_root,
+                     e_on_oracle, f_on_oracle, fold_oracle,
+                     folding_direction_oracle, folding_gamma_oracle,
+                     folding_weight_oracle, g_graph_oracle, is_admissible,
+                     is_bruhat_admissible, phi0, validate_chain)
 from krcrystals import alcove
-from krcrystals.alcove import (LambdaChain, alcove_crystal, alcove_e,
-                               alcove_f, build_lambda_chain,
-                               enumerate_admissible, fold, g_graph,
-                               hw_crystal, phi0)
+from krcrystals.alcove import (LambdaChain, alcove_crystal,
+                               build_lambda_chain, enumerate_admissible, fold,
+                               g_graph, hw_crystal)
 from krcrystals.cartan import build_cartan, vec_add, vec_sub
 from krcrystals.crystals import (components, demazure_filter, explore_tensor,
                                  iso_check, match_components)
@@ -260,13 +259,13 @@ def test_fold_of_any_subset_matches_oracle(cartan, lam, order):
 
 @pytest.mark.parametrize("bad", [0, -1, 5])
 def test_positions_outside_the_chain_are_rejected(bad):
-    # m = 4: every public path through fold names the bad position
+    # m = 4: fold, and every operator that folds afresh, names the bad
+    # position
     chain = build_lambda_chain(A2, (1, 1))
     enumerate_admissible(chain)
     assert chain.m == 4
     message = "^position %d outside 1..4$" % bad
     for call in (lambda: fold(chain, (bad,)), lambda: fold(chain, (1, bad)),
-                 lambda: g_graph(chain, (bad,), 1),
                  lambda: alcove_f(chain, (bad,), 1),
                  lambda: alcove_e(chain, (bad,), 1),
                  lambda: phi0(chain, (bad,))):
@@ -295,14 +294,14 @@ def test_sign_partition_matches_qbg_tags():
 
 def test_ggraph_trivial_no_occurrences():
     chain = build_lambda_chain(A2, (0, 1))
-    gg = g_graph(chain, (), 1)       # alpha_1 never occurs in Gamma(J)
+    gg = g_graph(chain, (), fold(chain, ()), 1)  # alpha_1 never occurs
     assert gg.positions == ()
     assert gg.M == 0 and gg.h_inf == 0
 
 
 def test_ggraph_a1_basic():
     chain = build_lambda_chain(A1, (1,))
-    gg = g_graph(chain, (), 1)
+    gg = g_graph(chain, (), fold(chain, ()), 1)
     assert gg.M == 1
     assert alcove_f(chain, (), 1) == (1,)
 
@@ -320,8 +319,8 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
     # sign, the rule's maximum, and every field of g_graph's profile,
     # against a separate scan of Gamma(J) per color
     chain = build_lambda_chain(cartan, lam, order)
-    for J in enumerate_admissible(chain):
-        walks = alcove._height_walks(chain, J, fold(chain, J))
+    for J, fol in enumerate_admissible(chain).items():
+        walks = alcove._height_walks(chain, J, fol)
         assert set(walks) == {rid for _, rid in chain.alphas}
         for p, (sign, rid) in enumerate(chain.alphas):
             want = g_graph_oracle(chain, J, p)
@@ -330,7 +329,7 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
             assert tuple(sign * h for h in levels) == want.heights
             assert sign * l_inf == want.h_inf
             assert alcove._rule(walks[rid], sign, J, int(p == 0))[0] == want.M
-            assert g_graph(chain, J, p) == want
+            assert g_graph(chain, J, fol, p) == want
 
 
 @pytest.mark.parametrize("J", [(), (2,), (1, 3)])
@@ -338,7 +337,8 @@ def test_height_profiles_cross_check_the_folding(J):
     chain = build_lambda_chain(A2, (1, 1))
     fol = fold(chain, J)
     build = alcove._height_walks
-    positions = {i for p in range(3) for i in g_graph(chain, J, p).positions}
+    positions = {i for p in range(3)
+                 for i in g_graph(chain, J, fol, p).positions}
     assert positions
     for i in positions:
         levels = list(fol.levels)
@@ -357,9 +357,9 @@ def test_height_profiles_cross_check_the_folding(J):
                                         (C2, (2, 0))])
 def test_M_nonnegative_integer_everywhere(cartan, lam):
     chain = build_lambda_chain(cartan, lam)
-    for J in enumerate_admissible(chain):
+    for J, fol in enumerate_admissible(chain).items():
         for p in range(0, cartan.rank + 1):
-            gg = g_graph(chain, J, p)
+            gg = g_graph(chain, J, fol, p)
             assert isinstance(gg.M, int) and gg.M >= 0
 
 
@@ -410,7 +410,7 @@ def test_e_kills_empty_subset_classically():
 @pytest.mark.parametrize("p", [-1, 3])
 def test_colors_outside_0_to_r_are_rejected(p):
     chain = build_lambda_chain(A2, (1, 1))
-    for call in (lambda: g_graph(chain, (), p),
+    for call in (lambda: g_graph(chain, (), fold(chain, ()), p),
                  lambda: alcove_f(chain, (), p),
                  lambda: alcove_e(chain, (), p)):
         with pytest.raises(ValueError, match=r"^color %d outside 0\.\.2$" % p):
@@ -424,6 +424,18 @@ def test_levels_below_1_are_rejected(level):
         for p in range(3):
             with pytest.raises(ValueError, match="^level must be >= 1$"):
                 op(chain, (), p, level)
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_explore_rejects_levels_below_1(monkeypatch, level):
+    # a user error, raised before any subset is walked, not the rule's
+    # broken invariant on the first subset
+    chain = build_lambda_chain(A2, (1, 1))
+    foldings = enumerate_admissible(chain)
+    monkeypatch.setattr(alcove, "_height_walks",
+                        lambda *args: pytest.fail("a subset was walked"))
+    with pytest.raises(ValueError, match="^level must be >= 1$"):
+        alcove.explore(chain, foldings, level, range(3))
 
 
 OPERATOR_CASES = [(A2, (1, 1)), (A3, (1, 2, 0)), (C3, (1, 1, 0)),

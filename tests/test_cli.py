@@ -267,6 +267,18 @@ def test_malformed_factors_are_a_usage_error(tmp_path, capsys, argv, part):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["alcove"], ["check", "alcove"]])
+@pytest.mark.parametrize("text", ["1,,1", "x,1"])
+def test_malformed_lambda_is_a_usage_error(tmp_path, capsys, command, text):
+    out = tmp_path / "a.json"
+    assert run(command + ["--type", "A2", "--lambda", text,
+                          "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: lambda %r is not a comma-separated list of integers\n"
+        % text)
+    assert not out.exists()
+
+
 def test_check_reduction_cli():
     assert run(["check", "reduction", "--type", "C2",
                 "--factors", "1,1:1,1", "--factors2", "1,2",

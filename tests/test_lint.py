@@ -187,12 +187,31 @@ def test_test_only_crystal_operations_stay_out(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-# the alcove operators are one rule over one walk per subset: the
-# per-color height profiles and the per-profile operators are test oracles
-@pytest.mark.parametrize("name", ["_height_profiles", "_f_on", "_e_on"])
+# the alcove operators are one rule over one walk per subset, read into
+# the crystal table: the per-color height profiles, the per-profile
+# operators and the per-subset operators that fold J afresh are test oracles
+@pytest.mark.parametrize("name", ["_height_profiles", "_f_on", "_e_on",
+                                  "alcove_f", "alcove_e", "phi0",
+                                  "_rule_args"])
 def test_alcove_operators_have_one_path(name):
+    import krcrystals
     from krcrystals import alcove
     assert not hasattr(alcove, name)
+    assert not hasattr(krcrystals, name)
+
+
+# foldings come from enumerate_admissible's map: fold stays only for the
+# benchmark's tracer, and no library function folds a subset afresh
+@pytest.mark.parametrize("module", MODULES)
+def test_no_library_function_calls_fold(module):
+    path = SRC / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "fold"
+                  or isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "fold")]
+    assert lines == [], "%s calls fold on lines %s" % (module, lines)
 
 
 def _mentions(node, names):
