@@ -3,12 +3,14 @@ weight walks used by the Demazure decomposition checks: the level-l affine
 dominantization and the classical antidominant walk.
 
 A Weyl group element is an integer id into its WeylGroup's tables (signed
-root permutations, weight matrices, lengths and the right-multiplication
-table); the QBG's vertices are the same ids, and its edge rule reads the
-group's length table."""
+root permutations, weight matrices, lengths, the right-multiplication table
+and each element's smallest right descent); the QBG's vertices are the same
+ids, and its edge rule reads the group's length table.  The QBG export works
+on whole columns: one column w -> w s_beta per positive root for the edges,
+and one pass over the descent table for every vertex's reduced word."""
 
 from functools import cached_property, lru_cache
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul, neg, sub
 
 from .cartan import identity_matrix, vec_add, vec_neg, vec_scale, vec_sub
 from .errors import InvariantError, ResourceLimitError
@@ -47,7 +49,8 @@ class WeylGroup:
     w(beta_k) = beta_j and -(j + 1) when w(beta_k) = -beta_j, for the
     positive roots beta_0, beta_1, ... of CartanData.positive_roots_list),
     wt_mats[w] its matrix on the fundamental-weight basis, lengths[w] its
-    length and right[w][i - 1] the id of w s_i.
+    length, right[w][i - 1] the id of w s_i and descents[w] the smallest
+    0-based i with l(w s_{i+1}) < l(w) (None for the identity).
 
     The breadth-first walk of the Cayley graph keys each element on its
     signed root permutation (faithful: W acts faithfully on the roots), so
@@ -55,8 +58,12 @@ class WeylGroup:
     and their negatives, and the new element's weight matrix is its
     parent's with one column updated.
     Ids are sorted by (length, weight matrix), so the identity is 0 and
-    w0 is the last id.  Each positive root beta_k keeps a reduced word of
-    s_beta, so w s_beta is a few table lookups (Bjorner-Brenti, ch. 1-2, 4).
+    w0 is the last id, and w s_i has a smaller id than w whenever i is a
+    descent of w.  reduced_word walks the descent table, so it gives the
+    greedy smallest-descent word.  Each positive root beta_k keeps a reduced
+    word of s_beta, so w s_beta is a few table lookups, and the column
+    w -> w s_beta over the whole group is one composition of right-table
+    columns per letter (Bjorner-Brenti, ch. 1-2, 4).
     """
 
     identity = 0
@@ -118,6 +125,10 @@ class WeylGroup:
         if self.lengths.count(self.lengths[-1]) != 1:
             raise InvariantError("longest element not unique")
         self.w0 = len(order) - 1
+        lengths = self.lengths
+        self.descents = tuple(
+            next((i for i, ws in enumerate(row) if lengths[ws] < length),
+                 None) for row, length in zip(self.right, lengths))
         mats = map(cartan.reflection_weight_matrix, pos)
         self._reflection_words = tuple(self.reduced_word(self.index[m])
                                        for m in mats)
@@ -132,20 +143,32 @@ class WeylGroup:
             w = right[w][i - 1]
         return w
 
-    def _descent(self, w):
-        """Smallest 0-based i with l(w s_{i+1}) < l(w); w is not e."""
-        lengths = self.lengths
-        return next(i for i, ws in enumerate(self.right[w])
-                    if lengths[ws] < lengths[w])
+    def reflection_column(self, k):
+        """(w s_beta for w in the group's ids), for the k-th positive root
+        beta: the right-table columns composed along s_beta's word."""
+        columns = self._right_columns
+        first, *rest = self._reflection_words[k]
+        column = columns[first - 1]
+        for i in rest:
+            # column[w] -> columns[i - 1][column[w]]; |W| >= 2, so the
+            # itemgetter returns a tuple
+            column = itemgetter(*column)(columns[i - 1])
+        return column
+
+    @cached_property
+    def _right_columns(self):
+        # _right_columns[i][w] = right[w][i]
+        return tuple(zip(*self.right))
 
     def reduced_word(self, w):
-        """The greedy smallest-descent reduced word of w."""
+        """The greedy smallest-descent reduced word of w, read off the
+        descent table."""
         word = []
         length = self.lengths[w]
-        while self.lengths[w] > 0:
-            i = self._descent(w)
+        descents, right = self.descents, self.right
+        while (i := descents[w]) is not None:
             word.append(i + 1)
-            w = self.right[w][i]
+            w = right[w][i]
         word.reverse()
         if len(word) != length:
             raise InvariantError("reduced word of the wrong length")
@@ -161,16 +184,20 @@ class QuantumBruhatGraph:
     """Directed graph on W_0 with up (Bruhat cover) and down (quantum) edges,
     each labeled by the positive root of its reflection: w -> w s_beta is an
     edge when l(w s_beta) - l(w) is 1 (up) or 1 - 2 <rho, beta^vee> (down)
-    (Brenti-Fomin-Postnikov).  The graph is that rule over its group's
-    tables: has_edge tests one pair, and the adjacency lists out are built
-    from it on first use (the DOT export, edge_count, strong connectivity),
-    so a walk that only asks has_edge never builds them."""
+    (Brenti-Fomin-Postnikov).  That rule is one table per root, from the
+    length difference to is_down, read over its group's tables: has_edge
+    tests one pair, and the adjacency lists out are built on first use (the
+    DOT export, edge_count, strong connectivity) by classifying each root's
+    whole column w -> w s_beta at once, so a walk that only asks has_edge
+    never builds them."""
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
         self.group = build_weyl_group(cartan, cap)
-        self._quantum_delta = tuple(1 - 2 * cartan.pairing(beta, cartan.rho)
-                                    for beta in cartan.positive_roots_list)
+        # <rho, beta^vee> >= 1, so the down key is at most -1 and never 1
+        self._edge_kinds = tuple(
+            {1: False, 1 - 2 * cartan.pairing(beta, cartan.rho): True}
+            for beta in cartan.positive_roots_list)
 
     @property
     def vertex_count(self):
@@ -185,22 +212,25 @@ class QuantumBruhatGraph:
         positive root beta, or None when there is none."""
         group = self.group
         dst_id = group.times_reflection(src_id, root_idx)
-        delta = group.lengths[dst_id] - group.lengths[src_id]
-        if delta == 1:
-            return dst_id, False
-        if delta == self._quantum_delta[root_idx]:
-            return dst_id, True
-        return None
+        down = self._edge_kinds[root_idx].get(
+            group.lengths[dst_id] - group.lengths[src_id])
+        return None if down is None else (dst_id, down)
 
     @cached_property
     def out(self):
         """out[w]: the (root_idx, dst_id, is_down) of w's edges, by root."""
+        group = self.group
+        lengths = group.lengths
         pos = self.cartan.positive_roots_list
-        order = sorted(range(len(pos)), key=pos.__getitem__)
-        has_edge = self.has_edge
-        return [[(k,) + edge for k in order
-                 if (edge := has_edge(w, k)) is not None]
-                for w in range(len(self.group))]
+        rows = [[] for _ in range(len(group))]
+        for k in sorted(range(len(pos)), key=pos.__getitem__):
+            column = group.reflection_column(k)
+            kinds = map(self._edge_kinds[k].get,
+                        map(sub, itemgetter(*column)(lengths), lengths))
+            for row, dst, down in zip(rows, column, kinds):
+                if down is not None:
+                    row.append((k, dst, down))
+        return rows
 
     def is_strongly_connected(self):
         n = len(self.group)
@@ -225,8 +255,20 @@ class QuantumBruhatGraph:
 
     def to_dot(self, fh):
         """Write the graph as DOT to the open text file fh: the vertices,
-        labelled by reduced_word, then the edges by source vertex."""
+        labelled by their reduced words, then the edges by source vertex.
+        The labels are built in one pass in id order off the descent table,
+        word(w) = word(w s_d) + s_d, each step checked against the lengths;
+        they are reduced_word's words."""
         group, out = self.group, self.out
+        lengths, right = group.lengths, group.right
+        words = [""] * len(group)
+        for w, d in enumerate(group.descents):
+            if d is not None:
+                ws = right[w][d]
+                if lengths[ws] != lengths[w] - 1:
+                    raise InvariantError("reduced word of the wrong length")
+                words[w] = words[ws] + "s%d" % (d + 1)
+        names = ["n%d" % w for w in range(len(group))]
         # each root's edge label, plain (up) and dashed (down), formatted once
         tails = []
         for beta in self.cartan.positive_roots_list:
@@ -235,13 +277,16 @@ class QuantumBruhatGraph:
                           ' [label="%s", style=dashed];\n' % label))
 
         def node_lines(ids):
-            return ['  n%d [label="%s"];\n'
-                    % (w, "".join(["s%d" % i for i in group.reduced_word(w)])
-                       or "e") for w in ids]
+            return ['  %s [label="%s"];\n' % (names[w], words[w] or "e")
+                    for w in ids]
 
         def edge_lines(ids):
-            return ["  n%d -> n%d%s" % (src, dst, tails[root_idx][down])
-                    for src in ids for root_idx, dst, down in out[src]]
+            lines = []
+            for src in ids:
+                head = "  %s -> " % names[src]
+                lines += [head + names[dst] + tails[root_idx][down]
+                          for root_idx, dst, down in out[src]]
+            return lines
 
         write_dot(fh, "qbg", len(group), node_lines, edge_lines)
 

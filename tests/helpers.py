@@ -113,6 +113,26 @@ def all_reduced_words(group, w):
     return words(w)
 
 
+def smallest_descent(group, w):
+    """Smallest 0-based i with l(w s_{i+1}) < l(w), by a scan of w's row of
+    the right table; w is not e."""
+    lengths = group.lengths
+    return next(i for i, ws in enumerate(group.right[w])
+                if lengths[ws] < lengths[w])
+
+
+def greedy_reduced_word(group, w):
+    """The greedy smallest-descent reduced word of w, each letter found by
+    a scan of the right table: the oracle for the group's descent table,
+    reduced_word and the QBG's vertex labels."""
+    word = []
+    while group.lengths[w] > 0:
+        i = smallest_descent(group, w)
+        word.append(i + 1)
+        w = group.right[w][i]
+    return tuple(reversed(word))
+
+
 def bruhat_leq(group, v, w):
     """Strong Bruhat order by the lifting property: for a right
     descent s of w, v <= w iff min(v, vs) <= ws."""
@@ -120,7 +140,7 @@ def bruhat_leq(group, v, w):
     while lengths[v] <= lengths[w]:
         if lengths[w] == 0:
             return True
-        i = group._descent(w)
+        i = smallest_descent(group, w)
         if lengths[right[v][i]] < lengths[v]:
             v = right[v][i]
         w = right[w][i]
@@ -1089,11 +1109,11 @@ def qbg_edges(qbg):
 
 
 def qbg_dot_oracle(qbg):
-    """The QBG's DOT text, each vertex labelled by group.reduced_word."""
+    """The QBG's DOT text, each vertex labelled by greedy_reduced_word."""
     pos = qbg.cartan.positive_roots_list
     lines = ["digraph qbg {"]
     for w in range(len(qbg.group)):
-        word = qbg.group.reduced_word(w)
+        word = greedy_reduced_word(qbg.group, w)
         label = "e" if not word else "".join("s%d" % j for j in word)
         lines.append('  n%d [label="%s"];' % (w, label))
     for src, lst in enumerate(qbg.out):

@@ -393,6 +393,12 @@ GOLDEN = [
      "448b7af708b9a13f953829dbe9ef1591e2535266ee721868f4256cb60af361d3"),
     (["qbg", "--type", "D4"], "dot",
      "f132771571fb210d0b760daa9ddd264e979bed9e166743f9ed3fd1ce367ad9a6"),
+    (["qbg", "--type", "A5"], "dot",
+     "decd2d8fe5d8899cff76dd095795dfe9be2b280eac011a8afe4b846cdbb47bad"),
+    (["qbg", "--type", "B4"], "dot",
+     "660662d45be13c0bd8a8023f1de46e120f21382f542de2ff4cd1ba5d01baffd4"),
+    (["qbg", "--type", "C4"], "dot",
+     "71d964b7c5e31dc4e4f0fdfac7d81bfcaad85773a90b0e26e07db4b2fe54cd17"),
     (["build", "--type", "A3", "--factors", "2,1:1,1:3,1"], "dot",
      "932650013b745ecaed09da97de2c7258c3489fb7b2b9825d31183b1eb572818d"),
     # 6,561 nodes: more than one block of the streamed DOT writer

@@ -5,14 +5,17 @@ import itertools
 import pytest
 
 from helpers import (QBG_TYPES, WriteLog, bruhat_leq, decode_root, dot_text,
-                     group_mul, length_by_inversions, mat_mul,
-                     qbg_dot_oracle, qbg_edges, reflection,
-                     root_matrix_of_word, subword_products)
+                     greedy_reduced_word, group_mul, length_by_inversions,
+                     mat_mul, qbg_dot_oracle, qbg_edges, reflection,
+                     root_matrix_of_word, smallest_descent, subword_products)
 from krcrystals import weyl
 from krcrystals.cartan import build_cartan, identity_matrix, mat_vec, vec_neg
 from krcrystals.errors import InvariantError, ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, antidominant,
                              build_qbg, build_weyl_group, dominantize)
+
+# the QBG types plus the three the benchmark exports beyond D4
+EXPORT_TYPES = QBG_TYPES + [("A", 5), ("B", 4), ("C", 4)]
 
 
 def test_group_orders():
@@ -97,6 +100,20 @@ def test_times_reflection_matches_matrix_products(family, rank):
             assert reflection(group, vec_neg(beta)) == reflection(group, beta)
 
 
+# the descent table against a scan of each row of the right table, and the
+# words walked off it against the greedy oracle's
+@pytest.mark.parametrize("family,rank", EXPORT_TYPES)
+def test_descent_table_words_match_the_greedy_oracle(family, rank):
+    group = build_weyl_group(build_cartan(family, rank))
+    assert group.descents[group.identity] is None
+    for w in range(1, len(group)):
+        assert group.descents[w] == smallest_descent(group, w)
+    for w in range(len(group)):
+        word = group.reduced_word(w)
+        assert word == greedy_reduced_word(group, w)
+        assert len(word) == group.lengths[w]
+
+
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_signed_roots_match_reflection_matrices(family, rank):
     # roots[w][k] names w(beta_k), with w multiplied out as simple-root-basis
@@ -176,6 +193,23 @@ def test_qbg_against_brute_force(family, rank, count):
             assert qbg.has_edge(w, k) == expected.get((w, k))
 
 
+# the adjacency lists come from whole columns w -> w s_beta, has_edge from
+# one pair's word walk: each row is has_edge's edges in root order
+@pytest.mark.parametrize("family,rank", EXPORT_TYPES)
+def test_qbg_rows_match_has_edge_in_root_order(family, rank):
+    ct = build_cartan(family, rank)
+    qbg = build_qbg(ct)
+    group = qbg.group
+    pos = ct.positive_roots_list
+    order = sorted(range(len(pos)), key=pos.__getitem__)
+    for k in order:
+        assert group.reflection_column(k) == tuple(
+            group.times_reflection(w, k) for w in range(len(group)))
+    for w, row in enumerate(qbg.out):
+        assert row == [(k,) + edge for k in order
+                       if (edge := qbg.has_edge(w, k)) is not None]
+
+
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_qbg_strong_connectivity_and_down_identity(family, rank):
     ct = build_cartan(family, rank)
@@ -218,6 +252,20 @@ def test_qbg_dot_streams_in_blocks(monkeypatch, family, rank):
     qbg.to_dot(log)
     assert "".join(log.writes) == qbg_dot_oracle(qbg)
     assert max(log.nodes_per_write()) == 5
+
+
+# the export labels every vertex in one pass over the descent table, not
+# with one word walk per vertex
+def test_qbg_export_never_calls_reduced_word(monkeypatch):
+    qbg = build_qbg(build_cartan("A", 3))
+
+    def unused(group, w):
+        pytest.fail("WeylGroup.reduced_word called by the QBG export")
+
+    monkeypatch.setattr(WeylGroup, "reduced_word", unused)
+    log = WriteLog()
+    qbg.to_dot(log)
+    assert "".join(log.writes) == qbg_dot_oracle(qbg)
 
 
 # a length table that disagrees with the right-multiplication table:
