@@ -6,6 +6,7 @@ carries a one-line human summary.  Exit codes: 0 pass, 1 failing check,
 """
 
 import argparse
+import os
 import sys
 
 from . import experiments
@@ -74,23 +75,23 @@ def _check_out(path, suffixes=(".dot", ".json")):
                          % (" or ".join(suffixes), path))
 
 
+def _export(path, write):
+    """Stream write(fh) into the file at path, created for it; a write that
+    raises removes the file, so a failed export leaves no partial one."""
+    fh = open(path, "w")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def _write_graph(graph, path, chain=None):
     if path.endswith(".dot"):
-        with open(path, "w") as fh:
-            graph.to_dot(fh)
-        return
-    text = graph.to_json() if chain is None else _alcove_json(graph, chain)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _alcove_json(graph, chain):
-    import json
-    data = graph.json_data()
-    for node, J in zip(data["nodes"], graph.nodes):
-        node["J"] = list(J)
-    data["chain"] = [list(beta) for beta in chain.roots]
-    return json.dumps(data, separators=(",", ":")) + "\n"
+        _export(path, graph.to_dot)
+    else:
+        _export(path, lambda fh: graph.to_json(fh, chain))
 
 
 def parse_factors(text):
@@ -196,8 +197,7 @@ def _require(args, key):
 def cmd_qbg(args):
     _check_out(args.out, (".dot",))
     qbg = build_qbg(parse_type(args.type), args.weyl_cap)
-    with open(args.out, "w") as fh:
-        qbg.to_dot(fh)
+    _export(args.out, qbg.to_dot)
     print("wrote %s: %d vertices, %d edges"
           % (args.out, qbg.vertex_count, qbg.edge_count))
     return 0

@@ -13,10 +13,11 @@ import itertools
 import json
 import math
 import operator
+from json.encoder import encode_basestring
 
 from .cartan import vec_add, vec_sub
 from .errors import AmbiguousAnchorError, InvariantError, ResourceLimitError
-from .weyl import write_dot
+from .weyl import write_blocks
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -319,24 +320,43 @@ class CrystalGraph:
 
     # -- serialization ---------------------------------------------------------------
 
-    def json_data(self):
-        """The nodes, edges and anchors as the dict to_json dumps."""
-        return {
-            "nodes": [{"id": i, "repr": r, "wt": list(w)}
-                      for i, (r, w) in enumerate(zip(self.reprs,
-                                                     self.weights))],
-            "edges": [{"src": s, "dst": d, "color": c}
-                      for (s, c, d) in self.edges_sorted()],
-            "anchors": self.anchors(),
-        }
+    def to_json(self, fh, chain=None):
+        """Write the graph as JSON to the open text file fh, block by block:
+        the nodes, the edges in edges_sorted order and the anchors, found
+        before the first write, as json.dumps writes the dict of the three
+        with separators (",", ":") and ensure_ascii=False.  With a
+        lambda-chain (the alcove export), each node also has its subset as
+        "J", and the chain's roots close the object as "chain"."""
+        closing = '],"anchors":%s' % json.dumps(self.anchors(),
+                                                 separators=(",", ":"))
+        if chain is None:
+            subsets = itertools.repeat("")
+        else:
+            closing += ',"chain":%s' % json.dumps(chain.roots,
+                                                  separators=(",", ":"))
+            subsets = (',"J":' + _int_list(J) for J in self.nodes)
+        reprs, weights = iter(self.reprs), self.weights
+        # each distinct weight's array and each color's edge ending, once
+        wt = {w: _int_list(w) for w in set(weights)}
+        tails = [(self.fs[c], ',"color":%d}' % c)
+                 for c in sorted(self.colors)]
 
-    def to_json(self):
-        return json.dumps(self.json_data(), separators=(",", ":"),
-                          ensure_ascii=False) + "\n"
+        def node_items(ids):
+            return ['{"id":%d,"repr":%s,"wt":%s%s}'
+                    % (i, encode_basestring(r), wt[weights[i]], J)
+                    for i, r, J in zip(ids, reprs, subsets)]
+
+        def edge_items(ids):
+            return [f'{{"src":{src},"dst":{dst}{tail}' for src in ids
+                    for fc, tail in tails if (dst := fc[src]) is not None]
+
+        write_blocks(fh, len(self.nodes), ['{"nodes":[', node_items,
+                                           '],"edges":[', edge_items,
+                                           closing + "}\n"], sep=",")
 
     def to_dot(self, fh):
-        """Write the graph as DOT to the open text file fh: the node lines,
-        then the edge lines by source node."""
+        """Write the graph as DOT to the open text file fh, block by block:
+        the node lines, then the edge lines by source node."""
         reprs = iter(self.reprs)  # node_lines takes the ids block by block
         # each color's edge attributes, formatted once
         tails = []
@@ -353,7 +373,13 @@ class CrystalGraph:
             return [f"  n{src} -> n{dst}{tail}" for src in ids
                     for fc, tail in tails if (dst := fc[src]) is not None]
 
-        write_dot(fh, "crystal", len(self.nodes), node_lines, edge_lines)
+        write_blocks(fh, len(self.nodes), ["digraph crystal {\n", node_lines,
+                                           edge_lines, "}\n"])
+
+
+def _int_list(values):
+    """The JSON array of some ints, with no spaces."""
+    return "[%s]" % ",".join(["%d"] * len(values)) % tuple(values)
 
 
 def _inverts(fc, ec, n):

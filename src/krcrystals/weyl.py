@@ -17,22 +17,29 @@ from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_WEYL_CAP = 10 ** 5
 
-# vertices (or crystal nodes) per write of the streamed DOT writers: the
-# text held at once is one block's, not the whole graph's
-DOT_BLOCK = 4096
+# nodes per write of the streamed exports (DOT and JSON): the text held at
+# once is one block's, not the whole graph's
+EXPORT_BLOCK = 256
 
 
-def write_dot(fh, name, n, node_lines, edge_lines):
-    """Write the DOT digraph `name` on nodes 0..n-1 to the open text file fh:
-    its node lines, then its edge lines by source node, each as one write per
-    DOT_BLOCK nodes. node_lines(ids) and edge_lines(ids) give the lines, each
-    ending in a newline, of a range of node ids as a list."""
+def write_blocks(fh, n, parts, sep=""):
+    """Write an export of nodes 0..n-1 to the open text file fh, part by
+    part: a str part as it is, and a callable part(ids), which gives a list
+    of strings for a range of node ids, once per EXPORT_BLOCK nodes, each
+    block's strings joined by sep in one write.  sep also goes between the
+    strings of two blocks, so a part's strings are written as if joined by
+    sep in one piece; a block with none writes nothing."""
     ids = range(n)
-    fh.write("digraph %s {\n" % name)
-    for lines in (node_lines, edge_lines):
-        for lo in range(0, n, DOT_BLOCK):
-            fh.write("".join(lines(ids[lo:lo + DOT_BLOCK])))
-    fh.write("}\n")
+    for part in parts:
+        if isinstance(part, str):
+            fh.write(part)
+            continue
+        lead = ""
+        for lo in range(0, n, EXPORT_BLOCK):
+            items = part(ids[lo:lo + EXPORT_BLOCK])
+            if items:
+                fh.write(lead + sep.join(items))
+                lead = sep
 
 
 def signed_root_id(cartan, root):
@@ -288,7 +295,8 @@ class QuantumBruhatGraph:
                           for root_idx, dst, down in out[src]]
             return lines
 
-        write_dot(fh, "qbg", len(group), node_lines, edge_lines)
+        write_blocks(fh, len(group),
+                     ["digraph qbg {\n", node_lines, edge_lines, "}\n"])
 
 
 @lru_cache(maxsize=None)

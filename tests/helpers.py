@@ -19,6 +19,7 @@ is being checked against it.
 
 import io
 import itertools
+import json
 import math
 import re
 from bisect import insort
@@ -1070,6 +1071,45 @@ def dot_text(graph):
     return buf.getvalue()
 
 
+# ---------------------------------------------------------------------------
+# JSON text in one piece, and the whole-document oracle of the stream
+
+
+def json_text(graph, chain=None):
+    """What graph.to_json writes, as one string."""
+    buf = io.StringIO()
+    graph.to_json(buf, chain)
+    return buf.getvalue()
+
+
+def json_data(graph):
+    """The nodes, edges and anchors of a graph export as one dict."""
+    return {
+        "nodes": [{"id": i, "repr": r, "wt": list(w)}
+                  for i, (r, w) in enumerate(zip(graph.reprs,
+                                                 graph.weights))],
+        "edges": [{"src": s, "dst": d, "color": c}
+                  for (s, c, d) in graph.edges_sorted()],
+        "anchors": graph.anchors(),
+    }
+
+
+def crystal_json_oracle(graph):
+    """The graph's JSON text as one json.dumps of json_data."""
+    return json.dumps(json_data(graph), separators=(",", ":"),
+                      ensure_ascii=False) + "\n"
+
+
+def alcove_json_oracle(graph, chain):
+    """The alcove export's JSON text as one json.dumps: json_data with each
+    node's subset as "J" and the chain's roots as "chain"."""
+    data = json_data(graph)
+    for node, J in zip(data["nodes"], graph.nodes):
+        node["J"] = list(J)
+    data["chain"] = [list(beta) for beta in chain.roots]
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
 class WriteLog:
     """A text file that keeps every write as its own string."""
 
@@ -1081,8 +1121,11 @@ class WriteLog:
         return len(text)
 
     def nodes_per_write(self):
-        """For each write, how many nodes it declares or leaves from."""
-        return [len(set(re.findall(r"^  n(\d+) (?:\[|->)", text, re.M)))
+        """For each write, how many nodes it declares or leaves from: DOT
+        lines that open with a node name, JSON nodes and edges by "id" and
+        "src"."""
+        return [len(set(re.findall(r'(?:^  n|\{"id":|\{"src":)(\d+)', text,
+                                   re.M)))
                 for text in self.writes]
 
 

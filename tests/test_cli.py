@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from krcrystals import cli, experiments, kr
+from krcrystals import cli, experiments, kr, weyl
 from krcrystals.cli import main, parse_factors
+from krcrystals.crystals import CrystalGraph
+from krcrystals.weyl import QuantumBruhatGraph
 
 
 def run(args):
@@ -365,6 +367,46 @@ def test_alcove_json(tmp_path):
     assert data["chain"] and all(len(b) == 2 for b in data["chain"])
 
 
+class FailingFile:
+    """A text file that passes its first writes on to fh, then raises."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.left = fh, writes
+
+    def write(self, text):
+        if not self.left:
+            raise OSError("No space left on device")
+        self.left -= 1
+        return self.fh.write(text)
+
+
+# an export that raises after its first block (a full disk, or a label
+# that fails its check) leaves no partial file, and the command exits 2
+@pytest.mark.parametrize("argv,ext,owner,name", [
+    (["build", "--type", "A2", "--factors", "1,1:1,1:1,1"], "dot",
+     CrystalGraph, "to_dot"),
+    (["build", "--type", "A2", "--factors", "1,1:1,1:1,1"], "json",
+     CrystalGraph, "to_json"),
+    (["alcove", "--type", "A2", "--lambda", "1,1"], "json",
+     CrystalGraph, "to_json"),
+    (["qbg", "--type", "A3"], "dot", QuantumBruhatGraph, "to_dot"),
+], ids=["build.dot", "build.json", "alcove.json", "qbg.dot"])
+def test_failed_export_leaves_no_file(tmp_path, monkeypatch, capsys, argv,
+                                      ext, owner, name):
+    real = getattr(owner, name)
+
+    def failing(self, fh, *args):
+        # the opening text and the first block get through
+        return real(self, FailingFile(fh, 2), *args)
+
+    monkeypatch.setattr(owner, name, failing)
+    monkeypatch.setattr(weyl, "EXPORT_BLOCK", 5)
+    out = tmp_path / ("out." + ext)
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # sha256 of whole CLI outputs: a change to the Weyl-group walk, the folding,
 # the alcove operators, the tensor signature rule or the serializers that
 # moves one byte of an export fails here
@@ -429,6 +471,12 @@ GOLDEN = [
     (["check", "bmin", "--type", "A3", "--factors", "2,1:2,1:2,1:2,1",
       "--level", "4"], "json",
      "99ccffd65bdd69e12f6a195edb631ffe73616d0e7c55ec87e3c99e9c493a5308"),
+    # more than one block of the streamed JSON writer: 6,561 nodes, and 512
+    # subsets with their "J" arrays and the chain
+    (["build", "--type", "A2", "--factors", ":".join(["1,1"] * 8)], "json",
+     "f95140924e111cbddffee7fbf943fe15207dfa06cfab02e680a8e95ad013ad9d"),
+    (["alcove", "--type", "A1", "--lambda", "9", "--level", "2"], "json",
+     "b652da2435fec140c212e7818dcd0ebfea16167f06b078c40a4bd67cf5b5ed67"),
 ]
 
 

@@ -1,17 +1,20 @@
+import gc
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from helpers import (GraphSource, NonReducedWordError, TensorProduct,
-                     WriteLog, all_reduced_words, bruhat_leq,
-                     classical_restriction, component_ids_oracle,
-                     crystal_dot_oracle, decomposes_into_demazure,
-                     demazure_subset, dot_text, explore, extremal_oracle,
-                     fundamentals, highest_weight_node, is_connected,
+                     WriteLog, alcove_json_oracle, all_reduced_words,
+                     bruhat_leq, classical_restriction, component_ids_oracle,
+                     crystal_dot_oracle, crystal_json_oracle,
+                     decomposes_into_demazure, demazure_subset, dot_text,
+                     explore, extremal_oracle, fundamentals,
+                     highest_weight_node, is_connected, json_text,
                      match_components_oracle, similarity_check,
                      stembridge_violations, two_factor_e, two_factor_f,
                      weyl_action)
@@ -21,7 +24,8 @@ from krcrystals.crystals import (CrystalGraph, components, demazure_filter,
                                  explore_tensor, graphs_equal,
                                  hw_census, iso_check, match_components,
                                  trivial_crystal, verify_isomorphism)
-from krcrystals.experiments import build_factor, build_filtered
+from krcrystals.experiments import (build_factor, build_filtered,
+                                   build_tensor)
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, ResourceLimitError)
 from krcrystals.kr import fixture_C2, kr_C_onebox, kr_typeA
@@ -1010,8 +1014,8 @@ def test_weight_multiset_is_character():
 
 def test_json_schema_and_stability():
     g = kr_typeA(2, 1, 1)
-    text = g.to_json()
-    assert text == g.to_json()
+    text = json_text(g)
+    assert text == json_text(g)
     data = json.loads(text)
     assert set(data) == {"nodes", "edges", "anchors"}
     assert data["nodes"][0].keys() == {"id", "repr", "wt"}
@@ -1028,20 +1032,118 @@ def test_dot_styling():
     assert 'label="0"' in dot
 
 
-# the export is written DOT_BLOCK nodes at a time: the text held at once is
-# one block's, and the writes join to the text of the whole graph
+# the export is written EXPORT_BLOCK nodes at a time: the text held at once
+# is one block's, and the writes join to the text of the whole graph
 @pytest.mark.parametrize("graph", [
     lambda: explore_tensor(A2, [kr_typeA(2, 1, 1)] * 3),
     lambda: fixture_C2("B12"),
 ])
 def test_dot_streams_in_blocks(monkeypatch, graph):
     g = graph()
-    monkeypatch.setattr(weyl, "DOT_BLOCK", 5)
+    monkeypatch.setattr(weyl, "EXPORT_BLOCK", 5)
     assert len(g) > 5
     log = WriteLog()
     g.to_dot(log)
     assert "".join(log.writes) == crystal_dot_oracle(g)
     assert max(log.nodes_per_write()) == 5
+
+
+def _edgeless(n):
+    """n nodes of weight 0 and no edge."""
+    return CrystalGraph(A2, (0, 1, 2), [(i,) for i in range(n)], {},
+                        [(0, 0)] * n, ["b%d" % i for i in range(n)])
+
+
+def _last_block_edges():
+    """12 nodes whose one edge leaves the last of three 5-node blocks."""
+    fs = {1: [None] * 10 + [11, None]}
+    return CrystalGraph(A2, (0, 1, 2), [(i,) for i in range(12)], fs,
+                        [(0, 0)] * 11 + [(-2, 1)],
+                        ["b%d" % i for i in range(12)])
+
+
+def _escaped_reprs():
+    """Reprs that JSON must escape, or must write as they are."""
+    reprs = ['say "hi"', "back\\slash", "\u00e9t\u00e9", "bell\x07",
+             "tab\tnew\nline", "\x1f\u2297", "plain"]
+    fs = {1: [1, 2, 3, None, 5, 6, None]}
+    return CrystalGraph(A2, (1, 2), [(i,) for i in range(7)], fs,
+                        [(i, 0) for i in range(7)], reprs)
+
+
+# the JSON export writes the document json.dumps gives, EXPORT_BLOCK nodes
+# at a time, with a comma before every array item but the first: over
+# single-node, edgeless, multi-block and alcove graphs, blocks with no
+# edges, and reprs that need escaping
+@pytest.mark.parametrize("graph", [
+    lambda: build_tensor(A2, []),
+    lambda: _edgeless(1),
+    lambda: _edgeless(12),
+    _last_block_edges,
+    lambda: explore_tensor(A2, [kr_typeA(2, 1, 1)] * 3),
+    lambda: fixture_C2("B12"),
+    _escaped_reprs,
+])
+def test_json_streams_in_blocks(monkeypatch, graph):
+    g = graph()
+    monkeypatch.setattr(weyl, "EXPORT_BLOCK", 5)
+    log = WriteLog()
+    g.to_json(log)
+    assert "".join(log.writes) == crystal_json_oracle(g)
+    assert max(log.nodes_per_write()) == min(5, len(g))
+
+
+@pytest.mark.parametrize("ctype,lam,level", [
+    (A2, (1, 1), 2),
+    (build_cartan("B", 3), (1, 1, 0), 1),
+])
+def test_alcove_json_streams_in_blocks(monkeypatch, ctype, lam, level):
+    g = alcove_crystal(ctype, lam, level)
+    monkeypatch.setattr(weyl, "EXPORT_BLOCK", 5)
+    assert len(g) > 5
+    log = WriteLog()
+    g.to_json(log, g.chain)
+    assert "".join(log.writes) == alcove_json_oracle(g, g.chain)
+    assert max(log.nodes_per_write()) == 5
+
+
+# the anchors are searched before the first write: a failing search writes
+# nothing
+def test_json_finds_anchors_before_writing(monkeypatch):
+    def broken(graph, mode):
+        raise InvariantError("no anchor")
+    monkeypatch.setattr(CrystalGraph, "extremal", broken)
+    log = WriteLog()
+    with pytest.raises(InvariantError):
+        kr_typeA(2, 1, 1).to_json(log)
+    assert log.writes == []
+
+
+class _Sink:
+    """A text file that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+# the exports hold one block's text at a time, not the whole graph's: on
+# the 6,561-node A2 (1,1)^8 product each streamed export peaks near
+# 120 KiB above the retained graph, 4,096-node blocks at over 1 MiB and
+# the one-string JSON at 9.6 MiB
+@pytest.mark.parametrize("name", ["to_dot", "to_json"])
+def test_exports_hold_one_block_at_a_time(name):
+    g = explore_tensor(A2, [kr_typeA(2, 1, 1)] * 8)
+    assert len(g) == 6561
+    export = getattr(g, name)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        export(_Sink())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
 
 
 def test_graphs_equal_detects_edge_change():

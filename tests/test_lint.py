@@ -163,6 +163,16 @@ def test_weight_walks_replace_weyl_group_enumeration(module, name):
     assert not hasattr(owner, last)
 
 
+# a graph's JSON is written by one stream, CrystalGraph.to_json(fh, chain):
+# the whole-document dict and the alcove export's json.dumps route are byte
+# oracles in tests/helpers.py
+def test_json_exports_have_one_path():
+    from krcrystals import cli
+    from krcrystals.crystals import CrystalGraph
+    assert not hasattr(CrystalGraph, "json_data")
+    assert not hasattr(cli, "_alcove_json")
+
+
 # crystal operations no command runs are test oracles in tests/helpers.py,
 # or deleted where no test used them as one
 @pytest.mark.parametrize("module,name", [

@@ -247,7 +247,7 @@ def test_qbg_dot_output():
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_qbg_dot_streams_in_blocks(monkeypatch, family, rank):
     qbg = build_qbg(build_cartan(family, rank))
-    monkeypatch.setattr(weyl, "DOT_BLOCK", 5)
+    monkeypatch.setattr(weyl, "EXPORT_BLOCK", 5)
     log = WriteLog()
     qbg.to_dot(log)
     assert "".join(log.writes) == qbg_dot_oracle(qbg)
