@@ -7,7 +7,7 @@ Run:  python3 demos/04_quantum_alcove_model.py
 
 from krcrystals import build_cartan
 from krcrystals.alcove import (alcove_crystal, build_lambda_chain,
-                               enumerate_admissible, g_graph)
+                               enumerate_admissible, fold, g_graph)
 from krcrystals.crystals import components, demazure_filter, explore_tensor, \
     match_components
 from krcrystals.kr import kr_typeA
@@ -18,8 +18,8 @@ chain = build_lambda_chain(a2, lam)
 print("lambda =", lam, " lexicographic chain:", chain.roots)
 print("initial levels l_i:", chain.l)
 
-foldings = enumerate_admissible(chain)   # each subset -> its folding
-subsets = list(foldings)
+# each admissible subset -> the Weyl group element its QBG walk ends at
+subsets = list(enumerate_admissible(chain))
 print("admissible subsets (%d):" % len(subsets), subsets)
 
 
@@ -33,13 +33,13 @@ def root_of(g):
 print()
 print("=== foldings and weights ===")
 for J in subsets[:4]:
-    fol = foldings[J]
+    fol = fold(chain, J)
     print("J =", J, " gamma =", tuple(map(root_of, fol.gamma)),
           " wt(J) =", fol.weight)
 
 print()
 print("=== a height profile and one operator application ===")
-gg = g_graph(chain, (), foldings[()], 1)
+gg = g_graph(chain, (), fold(chain, ()), 1)
 print("g_{alpha_1} of the empty subset: positions", gg.positions,
       "heights", gg.heights, "endpoint", gg.h_inf, "M =", gg.M)
 # the operators are read off the crystal's tables, node ids over its subsets

@@ -15,16 +15,17 @@ J + (j,) for a position j past J, given the new element w s_{beta_j}:
 gamma and levels up to j are copied, positions j+1..m are recomputed
 from the new element and the shifted v.  enumerate_admissible is an
 iterative DFS over the quantum Bruhat graph (up edges only, for
-B(lambda)) that takes each new element from the QBG edge it follows,
-applies the step once per admissible subset and returns the map from
-each subset to its Folding, whose size the node cap bounds.  fold()
-folds any subset by the same step from the empty folding.
+B(lambda)) that folds nothing: it maps each admissible subset to the
+element its QBG walk ends at, and the node cap bounds the map.  explore
+folds each subset of the map in its order by one step from its parent's
+state, kept on a path indexed by depth (_foldings), so one folding per
+level is held and none outlives its subset.  fold() folds any one subset
+by the same step from the empty folding.
 
 The crystal table is the only operator path: _height_walks walks each
 distinct |alpha_p| of a subset's folding once and _rule reads M, f_p and
-e_p of a color off its walk, once per subset of the DFS's map, in
-explore.  g_graph reads one color's height profile off the same walk of
-a folding from that map.
+e_p of a color off its walk, once per subset, in explore.  g_graph reads
+one color's height profile off the same walk of a folding from fold.
 """
 
 import math
@@ -151,10 +152,12 @@ def fold(chain, J):
     empty folding by _fold_step at each position of J in ascending order.
     ValueError for a position outside 1..m.
 
-    No library function calls it.  It stays because the benchmark's tracer
-    (bench/tracing.py) wraps alcove.fold: without it a traced run drops
-    alcove.fold_s, alcove.fold_calls and alcove.fold_distinct, three
-    per-layer metrics that BENCHMARK.json declares."""
+    The per-subset path, for a caller of g_graph or one who wants one
+    subset's folding; no library function calls it, as explore folds
+    along its DFS path.  The benchmark's tracer (bench/tracing.py) wraps
+    alcove.fold: without it a traced run drops alcove.fold_s,
+    alcove.fold_calls and alcove.fold_distinct, three per-layer metrics
+    that BENCHMARK.json declares."""
     J = tuple(sorted(set(J)))
     for j in J:
         if not 1 <= j <= chain.m:
@@ -169,46 +172,69 @@ def fold(chain, J):
 
 
 def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
-    """The map from each admissible subset to its Folding, in DFS preorder
-    with positions ascending.
+    """The map from each admissible subset to its final direction (the
+    Weyl group element id its QBG walk ends at), in DFS preorder with
+    positions ascending.  Nothing is folded: explore folds each subset.
 
     An iterative DFS over the QBG walks 1 -> w_1 -> w_2 -> ...: each stack
-    frame holds a subset, its folding state and the next position to try,
-    and a child J + (j,) is made only when its frame is reached, by one
-    _fold_step from its parent's state with the element of the QBG edge
-    just tested, so the stack holds one frame per level of depth.
-    quantum=False takes up edges (Bruhat covers) only: a prefix-closed
-    part of the subsets, in the same order.  ResourceLimitError before
-    folding a subset that would take the map past node_cap subsets, the
-    empty subset () included."""
+    frame holds a subset, its element and the next position to try, and a
+    child J + (j,) is made only when its frame is reached, with the element
+    of the QBG edge just tested, so the stack holds one frame per level of
+    depth.  quantum=False takes up edges (Bruhat covers) only: a
+    prefix-closed part of the subsets, in the same order.
+    ResourceLimitError before making a subset that would take the map past
+    node_cap subsets, the empty subset () included."""
     if node_cap < 1:
         raise ResourceLimitError("the empty subset exceeds node cap %d"
                                  % node_cap)
     qbg = build_qbg(chain.cartan)
-    group = qbg.group
+    has_edge = qbg.has_edge
     indices = chain.root_indices
     m = chain.m
-    root = _fold_step(chain, group, None, 0, group.identity)
-    out = {(): root[0]}
-    stack = [((), root, 1)]
+    identity = qbg.group.identity
+    out = {(): identity}
+    stack = [((), identity, 1)]
     while stack:
-        J, state, pos = stack[-1]
-        w = state[0].final_dir
-        while pos <= m and ((edge := qbg.has_edge(w, indices[pos - 1]))
+        J, w, pos = stack[-1]
+        while pos <= m and ((edge := has_edge(w, indices[pos - 1]))
                             is None or edge[1] and not quantum):
             pos += 1
         if pos > m:
             stack.pop()
             continue
-        stack[-1] = (J, state, pos + 1)
+        stack[-1] = (J, w, pos + 1)
         if len(out) >= node_cap:
             raise ResourceLimitError("admissible subsets exceed node cap %d"
                                      % node_cap)
         child = J + (pos,)
-        child_state = _fold_step(chain, group, state, pos, edge[0])
-        out[child] = child_state[0]
-        stack.append((child, child_state, pos + 1))
+        out[child] = edge[0]
+        stack.append((child, edge[0], pos + 1))
     return out
+
+
+def _foldings(chain, dirs):
+    """(J, Gamma(J)) for each subset J of dirs, enumerate_admissible's map,
+    in its order.  J + (j,) is folded by one _fold_step from its parent's
+    state, which a path indexed by depth keeps, so one folding per level
+    of depth is held at a time.  A subset whose parent is not the path
+    entry one level up is never folded afresh: the map is not the
+    admissible family, and InvariantError says so in the words of
+    explore's operator check."""
+    group = build_qbg(chain.cartan).group
+    # path[d]: (subset, folding state) of the last subset of depth d
+    path = [(None, None)] * (chain.m + 1)
+    for J, w in dirs.items():
+        d = len(J)
+        if d:
+            parent, state = path[d - 1]
+            if parent != J[:-1]:
+                raise InvariantError("crystal operators left the admissible "
+                                     "family")
+            state = _fold_step(chain, group, state, J[-1], w)
+        else:
+            state = _fold_step(chain, group, None, 0, w)
+        path[d] = (J, state)
+        yield J, state[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +341,10 @@ def _rule(walk, sign, J, threshold):
 
 
 def g_graph(chain, J, fol, p):
-    """The height profile for color p of the subset J with folding fol (its
-    entry in enumerate_admissible's map), read from its walk (p = 0 uses
-    alpha_0 = -theta and the graph reflected in the x-axis).  ValueError
-    for a color outside 0..r."""
+    """The height profile for color p of the subset J with folding fol
+    (fold(chain, J)), read from its walk (p = 0 uses alpha_0 = -theta and
+    the graph reflected in the x-axis).  ValueError for a color outside
+    0..r."""
     if not 0 <= p <= chain.cartan.rank:
         raise ValueError("color %r outside 0..%d" % (p, chain.cartan.rank))
     sign, rid = chain.alphas[p]
@@ -332,36 +358,41 @@ def g_graph(chain, J, fol, p):
 # the crystal A_l(Gamma)
 
 
-def explore(chain, foldings, level, colors):
+def explore(chain, dirs, level, colors):
     """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) as a
-    CrystalGraph over the sorted subsets of foldings, enumerate_admissible's
-    map: node k is its k-th subset, walked once, and _rule reads every f_p
-    and e_p off the walks as node ids; the e lists go to the constructor to
-    be checked against the f lists.  InvariantError when an operator leaves
-    the map, ValueError for a level below 1."""
+    CrystalGraph over the sorted subsets of dirs, enumerate_admissible's
+    map: node k is its k-th subset, folded by _foldings and walked once,
+    and _rule reads every f_p and e_p off the walks as node ids; the e
+    lists go to the constructor to be checked against the f lists.  Equal
+    weights share one tuple.  InvariantError when an operator leaves the
+    map or a subset's parent is missing from it, ValueError for a level
+    below 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
     colors = tuple(colors)
-    index = {J: k for k, J in enumerate(foldings)}
-    ids = {None: None, **index}     # an image -> its node id, None -> None
+    # an image -> its node id; None -> None until the table is built
+    index = {J: k for k, J in enumerate(dirs)}
+    index[None] = None
     fs = {c: [] for c in colors}
     es = {c: [] for c in colors}
     steps = [(*chain.alphas[c], level if c == 0 else 0, fs[c].append,
               es[c].append) for c in colors]
-    for J, fol in foldings.items():
+    weights, interned = [], {}
+    for J, fol in _foldings(chain, dirs):
         walks = _height_walks(chain, J, fol)
         for sign, rid, threshold, f_out, e_out in steps:
             _, f_img, e_img = _rule(walks[rid], sign, J, threshold)
             try:
-                f_out(ids[f_img])
-                e_out(ids[e_img])
+                f_out(index[f_img])
+                e_out(index[e_img])
             except KeyError:
                 raise InvariantError("crystal operators left the "
                                      "admissible family") from None
-    graph = CrystalGraph(chain.cartan, colors, list(foldings), fs,
-                         [fol.weight for fol in foldings.values()],
-                         ["[" + ",".join(map(str, J)) + "]"
-                          for J in foldings], es=es)
+        weights.append(interned.setdefault(fol.weight, fol.weight))
+    del index[None]
+    graph = CrystalGraph(chain.cartan, colors, list(dirs), fs, weights,
+                         ["[" + ",".join(map(str, J)) + "]" for J in dirs],
+                         es=es)
     graph.index = index
     graph.chain = chain
     return graph
@@ -393,6 +424,6 @@ def _explored(cartan, lam, order, quantum, level, node_cap, weyl_cap):
     # the cap goes in positionally: the same cache key the QBG's group uses
     build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)
-    foldings = enumerate_admissible(chain, node_cap, quantum)
+    dirs = enumerate_admissible(chain, node_cap, quantum)
     colors = range(cartan.rank + 1) if quantum else cartan.classical_index_set
-    return explore(chain, foldings, level, colors)
+    return explore(chain, dirs, level, colors)

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 from json.encoder import encode_basestring
 
 from .cartan import vec_add, vec_sub
@@ -22,6 +23,11 @@ from .weyl import write_blocks
 DEFAULT_NODE_CAP = 10 ** 6
 
 DOT_EDGE_COLORS = {0: "black", 1: "blue", 2: "red"}
+
+
+def _height(col, weight):
+    """The height <weight, rho^vee>, for col the adjugate's column sums."""
+    return sum(map(operator.mul, col, weight))
 
 
 class ProductView:
@@ -233,37 +239,49 @@ class CrystalGraph:
 
     # -- anchors ---------------------------------------------------------------
 
-    def extremal(self, mode):
+    def extremal(self, mode, heights=None):
         """The unique weight-extremal node id ('max' or 'min'), or an error.
 
         The height <mu, rho^vee> (the sum of mu's simple-root coordinates,
         one dot product with the column sums of the adjugate) grows strictly
-        along the dominance order, so a qualifying node has the greatest
+        along the dominance order, so a qualifying weight has the greatest
         height (least for 'min'), and then every node of that height has its
         weight: only one weight can qualify, and the first node of that
-        height is the one candidate.  The Q^+ test runs once per distinct
-        weight."""
+        height is the one candidate.  The heights and the Q^+ test run once
+        per distinct weight; heights is _weight_heights()'s table, for a
+        caller that reads both modes off one."""
         ct = self.cartan
+        if heights is None:
+            heights = self._weight_heights()
         sign = 1 if mode == "max" else -1
-        col = [sign * sum(c) for c in zip(*ct.adj)]
-        heights = [sum(map(operator.mul, col, w)) for w in self.weights]
         count = 0
         if heights:
-            best = heights.index(max(heights))
-            top = self.weights[best]
+            best = max(sign * h for h, _ in heights.values())
+            top, n = next((w, n) for w, (h, n) in heights.items()
+                          if sign * h == best)
             if all(ct.dominance_leq(w, top) if sign > 0
-                   else ct.dominance_leq(top, w) for w in set(self.weights)):
-                count = min(2, heights.count(heights[best]))
+                   else ct.dominance_leq(top, w) for w in heights):
+                count = min(2, n)
         if count != 1:
             raise AmbiguousAnchorError(
                 "no unique %s-weight element (%d candidates)" % (mode, count))
-        return best
+        return self.weights.index(top)
+
+    def _weight_heights(self):
+        """Each distinct weight -> (its height <mu, rho^vee>, its number of
+        nodes), in order of its first node."""
+        col = [sum(c) for c in zip(*self.cartan.adj)]
+        return {w: (_height(col, w), n)
+                for w, n in Counter(self.weights).items()}
 
     def anchors(self):
+        """The extremal node id of each mode that has a unique one, both
+        read off one table of heights."""
+        heights = self._weight_heights()
         out = {}
         for mode in ("max", "min"):
             try:
-                out[mode] = self.extremal(mode)
+                out[mode] = self.extremal(mode, heights)
             except AmbiguousAnchorError:
                 pass
         return out

@@ -6,8 +6,9 @@ A Weyl group element is an integer id into its WeylGroup's tables (signed
 root permutations, weight matrices, lengths, the right-multiplication table
 and each element's smallest right descent); the QBG's vertices are the same
 ids, and its edge rule reads the group's length table.  The QBG export works
-on whole columns: one column w -> w s_beta per positive root for the edges,
-and one pass over the descent table for every vertex's reduced word."""
+on whole columns: one column w -> w s_beta per positive root, with each
+edge's kind, for the edges and their count, and one pass over the descent
+table for every vertex's reduced word."""
 
 from functools import cached_property, lru_cache
 from operator import itemgetter, mul, neg, sub
@@ -193,10 +194,11 @@ class QuantumBruhatGraph:
     edge when l(w s_beta) - l(w) is 1 (up) or 1 - 2 <rho, beta^vee> (down)
     (Brenti-Fomin-Postnikov).  That rule is one table per root, from the
     length difference to is_down, read over its group's tables: has_edge
-    tests one pair, and the adjacency lists out are built on first use (the
-    DOT export, edge_count, strong connectivity) by classifying each root's
-    whole column w -> w s_beta at once, so a walk that only asks has_edge
-    never builds them."""
+    tests one pair, and on first use by edge_count or the DOT export each
+    root's whole column w -> w s_beta is classified at once into the column
+    table, so a walk that only asks has_edge never builds it.  The adjacency
+    lists out, read off the column table, serve strong connectivity and
+    the tests only."""
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
@@ -212,7 +214,8 @@ class QuantumBruhatGraph:
 
     @property
     def edge_count(self):
-        return sum(map(len, self.out))
+        return sum(len(kinds) - kinds.count(None)
+                   for _, _, kinds in self._columns)
 
     def has_edge(self, src_id, root_idx):
         """(w s_beta, is_down) for the edge w -> w s_beta of the root_idx-th
@@ -224,16 +227,26 @@ class QuantumBruhatGraph:
         return None if down is None else (dst_id, down)
 
     @cached_property
-    def out(self):
-        """out[w]: the (root_idx, dst_id, is_down) of w's edges, by root."""
+    def _columns(self):
+        """(root_idx, (w s_beta for every w), (is_down of the edge
+        w -> w s_beta, or None where there is none)) for each positive root
+        beta, in the sorted order of the roots."""
         group = self.group
         lengths = group.lengths
         pos = self.cartan.positive_roots_list
-        rows = [[] for _ in range(len(group))]
+        columns = []
         for k in sorted(range(len(pos)), key=pos.__getitem__):
             column = group.reflection_column(k)
-            kinds = map(self._edge_kinds[k].get,
-                        map(sub, itemgetter(*column)(lengths), lengths))
+            columns.append((k, column, tuple(map(
+                self._edge_kinds[k].get,
+                map(sub, itemgetter(*column)(lengths), lengths)))))
+        return columns
+
+    @cached_property
+    def out(self):
+        """out[w]: the (root_idx, dst_id, is_down) of w's edges, by root."""
+        rows = [[] for _ in range(len(self.group))]
+        for k, column, kinds in self._columns:
             for row, dst, down in zip(rows, column, kinds):
                 if down is not None:
                     row.append((k, dst, down))
@@ -266,7 +279,7 @@ class QuantumBruhatGraph:
         The labels are built in one pass in id order off the descent table,
         word(w) = word(w s_d) + s_d, each step checked against the lengths;
         they are reduced_word's words."""
-        group, out = self.group, self.out
+        group, columns = self.group, self._columns
         lengths, right = group.lengths, group.right
         words = [""] * len(group)
         for w, d in enumerate(group.descents):
@@ -291,8 +304,11 @@ class QuantumBruhatGraph:
             lines = []
             for src in ids:
                 head = "  %s -> " % names[src]
-                lines += [head + names[dst] + tails[root_idx][down]
-                          for root_idx, dst, down in out[src]]
+                for k, column, kinds in columns:
+                    down = kinds[src]
+                    if down is not None:
+                        lines.append(head + names[column[src]]
+                                     + tails[k][down])
             return lines
 
         write_blocks(fh, len(group),

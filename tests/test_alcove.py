@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -180,24 +183,76 @@ def fold_step_log(monkeypatch):
     return log
 
 
+def has_edge_log(monkeypatch):
+    """Every QBG edge the DFS asks for, in call order: (w, the edge found
+    or None, the map of subsets the DFS is filling, read from its local
+    out, and the depth of the Python stack at the call)."""
+    log = []
+    has_edge = QuantumBruhatGraph.has_edge
+
+    def logged(qbg, w, root_idx):
+        caller = sys._getframe(1)
+        depth, frame = 0, caller
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        edge = has_edge(qbg, w, root_idx)
+        log.append((w, edge, caller.f_locals["out"], depth))
+        return edge
+
+    monkeypatch.setattr(QuantumBruhatGraph, "has_edge", logged)
+    return log
+
+
 def test_enumeration_stops_at_the_node_cap(monkeypatch):
+    # the cap is hit at the edge that would make the 9th subset: the map
+    # holds the first 8 subsets and no edge is asked for after it
     chain = build_lambda_chain(A2, (1, 1))
-    assert len(enumerate_admissible(chain, node_cap=9)) == 9
-    folded = fold_step_log(monkeypatch)
+    subsets = list(enumerate_admissible(chain, node_cap=9))
+    assert len(subsets) == 9
+    asked = has_edge_log(monkeypatch)
     with pytest.raises(ResourceLimitError, match="node cap 8"):
         enumerate_admissible(chain, node_cap=8)
-    assert len(folded) == 8
+    made = asked[-1][2]
+    assert list(made) == subsets[:8]
+    assert asked[-1][1] is not None
+    assert sum(edge is not None for _, edge, _, _ in asked) == 8
 
 
 def test_enumeration_is_not_recursive(monkeypatch):
     # every subset of the 1100 positions is admissible, and the first DFS
-    # path goes 1100 levels deep before the cap is reached
+    # path goes 1100 levels deep before the cap is reached, asking every
+    # edge from one Python stack depth
     chain = build_lambda_chain(A1, (1100,))
-    folded = fold_step_log(monkeypatch)
+    asked = has_edge_log(monkeypatch)
     with pytest.raises(ResourceLimitError):
         enumerate_admissible(chain, node_cap=1200)
-    assert len(folded) == 1200
-    assert folded[:1101] == list(range(1101))
+    made = list(asked[-1][2])
+    assert len(made) == 1200
+    assert made[:1101] == [tuple(range(1, k + 1)) for k in range(1101)]
+    assert len({depth for _, _, _, depth in asked}) == 1
+
+
+# a map that lacks an inner subset no operator of an earlier subset
+# reaches: the parent check, not the operator check, refuses it at the
+# subset's first child, where on A2 (1,1) the path is too short and on
+# A2 (2,1) the entry one level up is an earlier sibling's.  Only the
+# subsets before the gap are folded: none afresh, none from a stale entry
+@pytest.mark.parametrize("lam,missing", [((1, 1), (1, 2)), ((2, 1), (3,))])
+def test_a_subset_without_its_parent_is_never_folded(monkeypatch, lam,
+                                                     missing):
+    chain = build_lambda_chain(A2, lam)
+    dirs = enumerate_admissible(chain)
+    subsets = list(dirs)
+    gap = subsets.index(missing)
+    assert subsets[gap + 1][:-1] == missing
+    kept = {K: w for K, w in dirs.items() if K != missing}
+    monkeypatch.setattr(alcove, "fold",
+                        lambda *args: pytest.fail("a subset folded afresh"))
+    folded = fold_step_log(monkeypatch)
+    with pytest.raises(InvariantError, match="^crystal operators left the "
+                       "admissible family$"):
+        alcove.explore(chain, kept, 1, range(3))
+    assert folded == [J[-1] if J else 0 for J in subsets[:gap]]
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +288,19 @@ def test_fold_weight_matches_reflection_oracle(cartan, lam):
 
 @pytest.mark.parametrize("cartan,lam,order", ORACLE_CASES, ids=ORACLE_IDS)
 def test_fold_matches_from_scratch_oracle(cartan, lam, order):
-    # the DFS's foldings, and the step applied from the empty folding,
-    # against the one-pass loop
+    # the table build's foldings, each from its parent's state, of the
+    # quantum and the Bruhat-only subsets, and the step applied from the
+    # empty folding, against the one-pass loop
     chain = build_lambda_chain(cartan, lam, order)
-    for J, fol in enumerate_admissible(chain).items():
-        want = fold_oracle(chain, J)
-        assert fol == want
-        assert fold(chain, J) == want
+    for quantum in (True, False):
+        dirs = enumerate_admissible(chain, quantum=quantum)
+        folded = list(alcove._foldings(chain, dirs))
+        assert [J for J, _ in folded] == list(dirs)
+        for J, fol in folded:
+            want = fold_oracle(chain, J)
+            assert fol == want
+            assert fol.final_dir == dirs[J]
+            assert fold(chain, J) == want
     assert not hasattr(chain, "foldings")
 
 
@@ -319,7 +380,7 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
     # sign, the rule's maximum, and every field of g_graph's profile,
     # against a separate scan of Gamma(J) per color
     chain = build_lambda_chain(cartan, lam, order)
-    for J, fol in enumerate_admissible(chain).items():
+    for J, fol in alcove._foldings(chain, enumerate_admissible(chain)):
         walks = alcove._height_walks(chain, J, fol)
         assert set(walks) == {rid for _, rid in chain.alphas}
         for p, (sign, rid) in enumerate(chain.alphas):
@@ -357,7 +418,7 @@ def test_height_profiles_cross_check_the_folding(J):
                                         (C2, (2, 0))])
 def test_M_nonnegative_integer_everywhere(cartan, lam):
     chain = build_lambda_chain(cartan, lam)
-    for J, fol in enumerate_admissible(chain).items():
+    for J, fol in alcove._foldings(chain, enumerate_admissible(chain)):
         for p in range(0, cartan.rank + 1):
             gg = g_graph(chain, J, fol, p)
             assert isinstance(gg.M, int) and gg.M >= 0
@@ -502,6 +563,22 @@ def test_alcove_path_never_builds_the_qbg_adjacency(monkeypatch):
     monkeypatch.setattr(QuantumBruhatGraph, "out", property(unused))
     assert len(alcove_crystal(D4, (1, 0, 0, 1))) == 64  # |B^{1,1}| |B^{4,1}|
     assert len(hw_crystal(D4, (1, 0, 0, 1))) == 56      # dim V(w1 + w4)
+
+
+# the table build holds one folding per level of depth, not one per
+# subset: alcove_crystal(A3, (2, 2, 1)) peaks about 260 KiB above the graph
+# it returns, and a subset -> folding map took it to about 970 KiB
+def test_alcove_table_build_holds_no_folding_map():
+    alcove_crystal(A3, (2, 2, 1))     # the group and the QBG, built once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = alcove_crystal(A3, (2, 2, 1))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 2304
+    assert peak - retained <= 512 * 1024
 
 
 @pytest.mark.parametrize("quantum", [True, False])

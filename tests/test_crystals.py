@@ -724,6 +724,51 @@ def test_extremal_matches_pairwise_scan_on_hand_built_graphs(
         assert got == want
 
 
+def _two_products():
+    """A2 B^{1,1} (x) B^{1,1}, whose anchors are unique, and the same
+    product without its top node, whose two nodes of weight omega_2 tie
+    for the top."""
+    g = explore_tensor(A2, [kr_typeA(2, 1, 1), kr_typeA(2, 1, 1)])
+    return g, g.subgraph(range(1, len(g)))
+
+
+# anchors() reads both modes off one table of heights: the ids extremal
+# gives, and no entry for a mode whose search raises
+@pytest.mark.parametrize("build,want", [
+    (lambda: _two_products()[0], {"max": 0, "min": 8}),
+    (lambda: _two_products()[1], {"min": 7}),
+    (lambda: explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)]),
+     {"max": 0, "min": 15}),
+    (lambda: build_filtered(*FILTERED_CASES[2]), {"max": 0, "min": 143}),
+    # two nodes of incomparable weights: no mode qualifies
+    (lambda: _two_products()[0].subgraph([1, 3]), {}),
+], ids=["A2-11x11", "A2-11x11-no-top", "C2-onebox-squared",
+        "A3-filtered", "incomparable"])
+def test_anchors_match_the_per_mode_search(build, want):
+    graph = build()
+    per_mode = {mode: _anchor_outcome(CrystalGraph.extremal, graph, mode)
+                for mode in ("max", "min")}
+    assert graph.anchors() == want == {
+        mode: got for mode, got in per_mode.items()
+        if not isinstance(got, str)}
+
+
+# one height per distinct weight, for both modes together
+def test_anchors_compute_each_height_once(monkeypatch):
+    graph = explore_tensor(A2, [kr_typeA(2, 1, 1)] * 4)
+    heights = []
+    real = crystals._height
+
+    def counted(col, weight):
+        heights.append(weight)
+        return real(col, weight)
+
+    monkeypatch.setattr(crystals, "_height", counted)
+    assert graph.anchors() == {"max": 0, "min": len(graph) - 1}
+    assert Counter(heights) == Counter(set(graph.weights))
+    assert len(heights) < len(graph)
+
+
 # ---------------------------------------------------------------------------
 # Demazure subsets
 
@@ -1110,7 +1155,7 @@ def test_alcove_json_streams_in_blocks(monkeypatch, ctype, lam, level):
 # the anchors are searched before the first write: a failing search writes
 # nothing
 def test_json_finds_anchors_before_writing(monkeypatch):
-    def broken(graph, mode):
+    def broken(graph, mode, heights=None):
         raise InvariantError("no anchor")
     monkeypatch.setattr(CrystalGraph, "extremal", broken)
     log = WriteLog()

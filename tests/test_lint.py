@@ -210,8 +210,9 @@ def test_alcove_operators_have_one_path(name):
     assert not hasattr(krcrystals, name)
 
 
-# foldings come from enumerate_admissible's map: fold stays only for the
-# benchmark's tracer, and no library function folds a subset afresh
+# explore folds each subset from its parent's state on the DFS path: fold
+# is the per-subset path for the tests, the demos and the benchmark's
+# tracer, and no library function folds a subset afresh
 @pytest.mark.parametrize("module", MODULES)
 def test_no_library_function_calls_fold(module):
     path = SRC / module

@@ -8,7 +8,7 @@ from helpers import (QBG_TYPES, WriteLog, bruhat_leq, decode_root, dot_text,
                      greedy_reduced_word, group_mul, length_by_inversions,
                      mat_mul, qbg_dot_oracle, qbg_edges, reflection,
                      root_matrix_of_word, smallest_descent, subword_products)
-from krcrystals import weyl
+from krcrystals import cli, weyl
 from krcrystals.cartan import build_cartan, identity_matrix, mat_vec, vec_neg
 from krcrystals.errors import InvariantError, ResourceLimitError
 from krcrystals.weyl import (WeylGroup, affine_simple_reflection, antidominant,
@@ -266,6 +266,25 @@ def test_qbg_export_never_calls_reduced_word(monkeypatch):
     log = WriteLog()
     qbg.to_dot(log)
     assert "".join(log.writes) == qbg_dot_oracle(qbg)
+
+
+# edge_count and the DOT export read the column table, so neither they nor
+# the qbg command build the adjacency lists, which only strong connectivity
+# and the tests read; a data descriptor on the class wins over lists an
+# earlier test cached on an instance
+@pytest.mark.parametrize("name,edges", [("A5", 6264), ("B4", 2908),
+                                        ("C4", 2876), ("D4", 1336)])
+def test_qbg_export_never_builds_the_adjacency(monkeypatch, tmp_path, name,
+                                               edges):
+    def unused(qbg):
+        pytest.fail("QuantumBruhatGraph.out read by the export")
+
+    monkeypatch.setattr(weyl.QuantumBruhatGraph, "out", property(unused))
+    qbg = weyl.QuantumBruhatGraph(build_cartan(name[0], int(name[1:])))
+    assert qbg.edge_count == edges
+    out = tmp_path / "qbg.dot"
+    assert cli.main(["qbg", "--type", name, "--out", str(out)]) == 0
+    assert out.read_text() == dot_text(qbg)
 
 
 # a length table that disagrees with the right-multiplication table:
