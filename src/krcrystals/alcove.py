@@ -217,9 +217,8 @@ def _foldings(chain, dirs):
     in its order.  J + (j,) is folded by one _fold_step from its parent's
     state, which a path indexed by depth keeps, so one folding per level
     of depth is held at a time.  A subset whose parent is not the path
-    entry one level up is never folded afresh: the map is not the
-    admissible family, and InvariantError says so in the words of
-    explore's operator check."""
+    entry one level up is never folded afresh: InvariantError names the
+    parent the map lacks."""
     group = build_qbg(chain.cartan).group
     # path[d]: (subset, folding state) of the last subset of depth d
     path = [(None, None)] * (chain.m + 1)
@@ -228,8 +227,8 @@ def _foldings(chain, dirs):
         if d:
             parent, state = path[d - 1]
             if parent != J[:-1]:
-                raise InvariantError("crystal operators left the admissible "
-                                     "family")
+                raise InvariantError("the admissible map lacks %r, the "
+                                     "parent of %r" % (J[:-1], J))
             state = _fold_step(chain, group, state, J[-1], w)
         else:
             state = _fold_step(chain, group, None, 0, w)

@@ -16,8 +16,6 @@ from .crystals import DEFAULT_NODE_CAP
 from .errors import KRCrystalError
 from .weyl import build_qbg, DEFAULT_WEYL_CAP
 
-CHECK_NAMES = ("reduction", "bmin", "qsystem", "qchar", "alcove", "figure")
-
 
 class UsageError(Exception):
     pass
@@ -61,7 +59,8 @@ def _resolve(args):
                              % (key, value, ", ".join(action.choices)))
         if getattr(args, key) is None:
             setattr(args, key, value)
-    for key, default in (("level", 1), ("node_cap", DEFAULT_NODE_CAP),
+    for key, default in (("level", 1), ("mode", "head"),
+                         ("node_cap", DEFAULT_NODE_CAP),
                          ("weyl_cap", DEFAULT_WEYL_CAP)):
         if getattr(args, key, None) is None:
             setattr(args, key, default)
@@ -142,56 +141,34 @@ def cmd_build(args):
 
 
 def cmd_check(args):
-    name = args.name
-    if name not in CHECK_NAMES:
+    """Run the check that experiments.CHECKS names, with its options
+    required and parsed in the row's order."""
+    if args.name not in experiments.CHECKS:
         raise UsageError("unknown check %r (one of %s)"
-                         % (name, ", ".join(CHECK_NAMES)))
-    if name == "figure":
-        report = experiments.check_figure(args.node_cap)
-    elif name == "reduction":
-        report = experiments.check_reduction(
-            parse_type(_require(args, "type")),
-            parse_factors(_require(args, "factors")),
-            parse_factors(_require(args, "factors2")), args.level,
-            args.mode or "head", args.node_cap)
-    elif name == "bmin":
-        report = experiments.check_bmin(
-            parse_type(_require(args, "type")),
-            parse_factors(_require(args, "factors")), args.level,
-            args.node_cap)
-    elif name in ("qsystem", "qchar"):
-        cartan = parse_type(_require(args, "type"))
-        if cartan.family != "A":
-            raise UsageError("check %r runs in type A only, not %s"
-                             % (name, args.type))
-        a, m = _require(args, "a"), _require(args, "m")
-        if name == "qsystem":
-            report = experiments.check_qsystem_typeA(
-                cartan.rank, a, m, args.level, args.node_cap)
-        else:
-            report = experiments.check_character_qsystem(cartan.rank, a, m,
-                                                         args.node_cap)
-    else:  # alcove
-        cartan = parse_type(_require(args, "type"))
-        lam = _parse_lambda(_require(args, "lam"), cartan)
-        report = experiments.check_alcove_correspondence(
-            cartan, lam, args.level, args.node_cap, args.weyl_cap)
+                         % (args.name, ", ".join(experiments.CHECKS)))
+    function, options = experiments.CHECKS[args.name]
+    values = []
+    for key in options:
+        value = getattr(args, key)
+        if value is None:
+            raise UsageError("check %r needs --%s"
+                             % (args.name, key.replace("lam", "lambda")))
+        if key == "type":
+            value = cartan = parse_type(value)
+        elif key in ("factors", "factors2"):
+            value = parse_factors(value)
+        elif key == "lam":
+            value = _parse_lambda(value, cartan)
+        values.append(value)
+    # looked up at call time, so a wrapped or replaced check is the one run
+    report = getattr(experiments, function)(*values)
 
     print("%s %s: %s" % (report.name, report.parameters, report.status))
     if args.out:
-        text = experiments.to_junit([report]) if args.junit \
-            else report.to_json()
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _export(args.out, lambda fh: fh.write(
+            experiments.to_junit([report]) if args.junit
+            else report.to_json()))
     return 0 if report.passed else 1
-
-
-def _require(args, key):
-    value = getattr(args, key, None)
-    if value is None:
-        raise UsageError("check %r needs --%s" % (args.name,
-                                                  key.replace("lam", "lambda")))
-    return value
 
 
 def cmd_qbg(args):
@@ -243,7 +220,7 @@ def make_parser():
     _add_common(b)
 
     c = subs.add_parser("check", help="run a named verification")
-    c.add_argument("name", help="one of " + ", ".join(CHECK_NAMES))
+    c.add_argument("name", help="one of " + ", ".join(experiments.CHECKS))
     c.add_argument("--type")
     c.add_argument("--factors")
     c.add_argument("--factors2")

@@ -252,24 +252,32 @@ def _neighbors(cartan, a):
             if b != a and cartan.cartan[a - 1][b - 1]]
 
 
-def _check_node_and_m(n, a, m):
-    """Reject a Q-system instance Q_m^a of type A_n outside 1 <= a <= n,
+def _type_A_only(name, cartan):
+    """UnsupportedFactorError unless cartan is of type A, where the check
+    named name holds."""
+    if cartan.family != "A":
+        raise UnsupportedFactorError("check %r runs in type A only, not %s%d"
+                                     % (name, cartan.family, cartan.rank))
+
+
+def _check_node_and_m(name, cartan, a, m):
+    """Reject a Q-system instance Q_m^a outside type A_n, 1 <= a <= n,
     m >= 1."""
-    if not 1 <= a <= n:
+    _type_A_only(name, cartan)
+    if not 1 <= a <= cartan.rank:
         raise UnsupportedFactorError("node a=%d out of range" % a)
     if m < 1:
         raise ValueError("m must be >= 1")
 
 
-def check_qsystem_typeA(n, a, m, level, node_cap=DEFAULT_NODE_CAP):
+def check_qsystem_typeA(cartan, a, m, level, node_cap=DEFAULT_NODE_CAP):
     """Crystal-level Q-system instance: the filtered (B^{a,m-1})^(x)2 has
     the same component multiset as the filtered B^{a,m} (x) B^{a,m-2}
     together with the filtered product over the neighbors of a."""
     t0 = time.perf_counter()
-    _check_node_and_m(n, a, m)
+    _check_node_and_m("qsystem", cartan, a, m)
     if level < m:
         raise LevelBoundError("need level >= m = %d, got %d" % (m, level))
-    cartan = build_cartan("A", n)
 
     lhs_factors = [(a, m - 1), (a, m - 1)]
     rhs1_factors = [(a, m), (a, m - 2)]
@@ -313,12 +321,11 @@ def _char_product(c1, c2):
     return out
 
 
-def check_character_qsystem(n, a, m, node_cap=DEFAULT_NODE_CAP):
+def check_character_qsystem(cartan, a, m, node_cap=DEFAULT_NODE_CAP):
     """Monomial-exact classical character identity
     (Q_m^a)^2 = Q_{m+1}^a Q_{m-1}^a + Q_m^{a-1} Q_m^{a+1} in type A_n."""
     t0 = time.perf_counter()
-    _check_node_and_m(n, a, m)
-    cartan = build_cartan("A", n)
+    _check_node_and_m("qchar", cartan, a, m)
 
     def char(a, m):
         return Counter(build_factor(cartan, a, m, node_cap).weights)
@@ -346,9 +353,7 @@ def check_alcove_correspondence(cartan, lam, level=1,
     """A_l(Gamma) against the dual filtration of the matching single-column
     tensor product, component by component with maximal anchors."""
     t0 = time.perf_counter()
-    if cartan.family != "A":
-        raise UnsupportedFactorError(
-            "alcove correspondence implemented for type A only")
+    _type_A_only("alcove", cartan)
     from .alcove import alcove_crystal
     lam = tuple(lam)
     cols = [i for i in cartan.classical_index_set
@@ -426,3 +431,19 @@ def check_figure(node_cap=DEFAULT_NODE_CAP):
         witnesses["counterexample"] = problems
     return Report("figure", {}, status, witnesses,
                   time.perf_counter() - t0)
+
+
+# name -> (its function here, the CLI options it takes in call order, lam
+# after the type it is parsed against); the CLI looks the function up by
+# name as it runs, so a wrapped check is run
+CHECKS = {
+    "reduction": ("check_reduction",
+                  ("type", "factors", "factors2", "level", "mode", "node_cap")),
+    "bmin": ("check_bmin", ("type", "factors", "level", "node_cap")),
+    "qsystem": ("check_qsystem_typeA",
+                ("type", "a", "m", "level", "node_cap")),
+    "qchar": ("check_character_qsystem", ("type", "a", "m", "node_cap")),
+    "alcove": ("check_alcove_correspondence",
+               ("type", "lam", "level", "node_cap", "weyl_cap")),
+    "figure": ("check_figure", ("node_cap",)),
+}

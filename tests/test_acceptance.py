@@ -124,7 +124,7 @@ def test_criterion_5_demazure_decomposition():
 ])
 def test_criterion_6_qsystem_crystal_level(n, a, m, level, ledger):
     t0 = time.perf_counter()
-    rep = check_qsystem_typeA(n, a, m, level)
+    rep = check_qsystem_typeA(build_cartan("A", n), a, m, level)
     assert rep.passed, rep.witnesses
     assert rep.witnesses["size_ledger"] == ledger
     stamp(6, "Q-system instance (n,a,m,l)=(%d,%d,%d,%d), sizes %s"
@@ -136,7 +136,7 @@ def test_criterion_7_qsystem_character_level():
     for n in (2, 3):
         for a in range(1, n + 1):
             for m in (1, 2, 3):
-                rep = check_character_qsystem(n, a, m)
+                rep = check_character_qsystem(build_cartan("A", n), a, m)
                 assert rep.passed, (n, a, m, rep.witnesses)
     stamp(7, "character Q-system identity for all a, m <= 3, in A2 and A3",
           t0, 30.0)

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -249,8 +250,9 @@ def test_a_subset_without_its_parent_is_never_folded(monkeypatch, lam,
     monkeypatch.setattr(alcove, "fold",
                         lambda *args: pytest.fail("a subset folded afresh"))
     folded = fold_step_log(monkeypatch)
-    with pytest.raises(InvariantError, match="^crystal operators left the "
-                       "admissible family$"):
+    with pytest.raises(InvariantError, match="^%s$" % re.escape(
+            "the admissible map lacks %r, the parent of %r"
+            % (missing, subsets[gap + 1]))):
         alcove.explore(chain, kept, 1, range(3))
     assert folded == [J[-1] if J else 0 for J in subsets[:gap]]
 
@@ -581,17 +583,30 @@ def test_alcove_table_build_holds_no_folding_map():
     assert peak - retained <= 512 * 1024
 
 
+# the one check that refuses A2 (1,1)'s map without each subset: an earlier
+# subset's operator reaching it, or, for (1, 2), which no earlier operator
+# reaches, the parent check at its first child (1, 2, 3)
+LEFT = "crystal operators left the admissible family"
+DROPPED = {(1,): LEFT,
+           (1, 2): "the admissible map lacks (1, 2), the parent of (1, 2, 3)",
+           (1, 2, 3): LEFT, (1, 2, 3, 4): LEFT, (1, 3): LEFT, (1, 4): LEFT,
+           (3,): LEFT, (3, 4): LEFT}
+
+
 @pytest.mark.parametrize("quantum", [True, False])
 def test_operators_leaving_the_admissible_family(quantum):
-    # drop one subset from the DFS's map: a neighbour's operator reaches
-    # it, and the table build refuses to fold it afresh
+    # drop one subset from the DFS's map: the table build refuses to fold
+    # it afresh
     chain = build_lambda_chain(A2, (1, 1))
     foldings = enumerate_admissible(chain, quantum=quantum)
     colors = range(3) if quantum else A2.classical_index_set
-    for J in list(foldings)[1:]:
+    subsets = list(foldings)[1:]
+    # (1, 2, 3, 4) takes a quantum step
+    assert subsets == [J for J in DROPPED if quantum or J != (1, 2, 3, 4)]
+    for J in subsets:
         kept = {K: fol for K, fol in foldings.items() if K != J}
-        with pytest.raises(InvariantError, match="^crystal operators left "
-                           "the admissible family$"):
+        with pytest.raises(InvariantError,
+                           match="^%s$" % re.escape(DROPPED[J])):
             alcove.explore(chain, kept, 1, colors)
 
 

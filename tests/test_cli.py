@@ -6,6 +6,7 @@ import time
 import pytest
 
 from krcrystals import cli, experiments, kr, weyl
+from krcrystals.cartan import build_cartan
 from krcrystals.cli import main, parse_factors
 from krcrystals.crystals import CrystalGraph
 from krcrystals.weyl import QuantumBruhatGraph
@@ -341,6 +342,104 @@ def test_check_failing_report_exits_one(monkeypatch):
                                   {"counterexample": ["forced"]}, 0.0)
     monkeypatch.setattr(experiments, "check_figure", fake)
     assert run(["check", "figure"]) == 1
+
+
+# one passing and one refused case per row of experiments.CHECKS, with
+# stdout and stderr pinned; check alcove outside type A takes the
+# Q-system checks' refusal text
+CHECK_ROWS = {
+    "reduction": (
+        ["--type", "C2", "--factors", "1,1:1,1", "--factors2", "1,2",
+         "--level", "1"],
+        "reduction {'type': 'C2~', 'factors': [[1, 1], [1, 1]], "
+        "'factors2': [[1, 2]], 'level': 1, 'mode': 'head'}: pass\n",
+        ["--type", "C2", "--factors", "1,1:1,1"],
+        "error: check 'reduction' needs --factors2\n"),
+    "bmin": (
+        ["--type", "A2", "--factors", "1,1:2,1", "--level", "1"],
+        "bmin {'type': 'A2~', 'factors': [[1, 1], [2, 1]], 'level': 1}: "
+        "pass\n",
+        ["--type", "A2", "--factors", "1,2", "--level", "1"],
+        "error: factor B^{1,2} has level ceil(2/1) = 2 > 1\n"),
+    "qsystem": (
+        ["--type", "A2", "--a", "1", "--m", "2", "--level", "2"],
+        "qsystem {'type': 'A2~', 'a': 1, 'm': 2, 'level': 2}: pass\n",
+        ["--type", "A2", "--a", "1", "--m", "2"],
+        "error: need level >= m = 2, got 1\n"),
+    "qchar": (
+        ["--type", "A2", "--a", "1", "--m", "1"],
+        "qchar {'type': 'A2~', 'a': 1, 'm': 1}: pass\n",
+        ["--type", "A2", "--a", "1"],
+        "error: check 'qchar' needs --m\n"),
+    "alcove": (
+        ["--type", "A2", "--lambda", "1,1"],
+        "alcove {'type': 'A2~', 'lambda': [1, 1], 'level': 1}: pass\n",
+        ["--type", "C2", "--lambda", "1,1"],
+        "error: check 'alcove' runs in type A only, not C2\n"),
+    "figure": (
+        [], "figure {}: pass\n",
+        ["--node-cap", "15"],
+        "error: tensor product of 16 elements exceeds node cap 15\n"),
+}
+
+
+def test_every_check_row_has_its_cases():
+    assert list(CHECK_ROWS) == list(experiments.CHECKS)
+
+
+@pytest.mark.parametrize("name", CHECK_ROWS)
+def test_check_row_passes_and_refuses(capsys, name):
+    argv, stdout, refused, stderr = CHECK_ROWS[name]
+    assert run(["check", name] + argv) == 0
+    assert capsys.readouterr() == (stdout, "")
+    assert run(["check", name] + refused) == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
+A2, C2 = build_cartan("A", 2), build_cartan("C", 2)
+
+# per row: the function the CLI runs, and the arguments it gets from the
+# row's passing case and the caps --node-cap 7 --weyl-cap 9
+CHECK_CALLS = {
+    "reduction": ("check_reduction",
+                  (C2, [(1, 1), (1, 1)], [(1, 2)], 1, "head", 7)),
+    "bmin": ("check_bmin", (A2, [(1, 1), (2, 1)], 1, 7)),
+    "qsystem": ("check_qsystem_typeA", (A2, 1, 2, 2, 7)),
+    "qchar": ("check_character_qsystem", (A2, 1, 1, 7)),
+    "alcove": ("check_alcove_correspondence", (A2, (1, 1), 1, 7, 9)),
+    "figure": ("check_figure", (7,)),
+}
+
+
+# the CLI looks each check up when it runs: a replaced function is the one
+# called, with the parsed options, and its failing report exits 1
+@pytest.mark.parametrize("name", CHECK_ROWS)
+def test_check_row_runs_the_function_it_names(monkeypatch, name):
+    function, expected = CHECK_CALLS[name]
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        return experiments.Report(name, {}, "fail",
+                                  {"counterexample": ["forced"]}, 0.0)
+    monkeypatch.setattr(experiments, function, fake)
+    assert run(["check", name] + CHECK_ROWS[name][0]
+               + ["--node-cap", "7", "--weyl-cap", "9"]) == 1
+    assert calls == [expected]
+
+
+# a report write that raises removes its file, as the graph exports do
+@pytest.mark.parametrize("junit", [False, True], ids=["json", "junit"])
+def test_failed_report_write_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                            junit):
+    # a lone surrogate has no UTF-8 encoding, so the write raises
+    monkeypatch.setattr(experiments.Report, "to_json", lambda self: "\ud800")
+    monkeypatch.setattr(experiments, "to_junit", lambda reports: "\ud800")
+    out = tmp_path / "r.json"
+    assert run(["check", "figure", "--out", str(out)]
+               + ["--junit"] * junit) == 2
+    assert "can't encode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_junit(tmp_path):

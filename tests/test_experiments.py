@@ -98,29 +98,44 @@ def test_bmin_level_bound_enforced():
 
 
 def test_qsystem_examples():
-    rep = check_qsystem_typeA(2, 1, 2, 2)
+    rep = check_qsystem_typeA(A2, 1, 2, 2)
     assert rep.passed
     assert rep.witnesses["size_ledger"] == [9, [6, 3]]
-    rep = check_qsystem_typeA(3, 2, 2, 2)
+    rep = check_qsystem_typeA(A3, 2, 2, 2)
     assert rep.passed
     assert rep.witnesses["size_ledger"] == [36, [20, 16]]
 
 
 def test_qsystem_degenerate_m1():
-    rep = check_qsystem_typeA(2, 1, 1, 1)
+    rep = check_qsystem_typeA(A2, 1, 1, 1)
     assert rep.passed
 
 
 def test_qsystem_level_bound():
     with pytest.raises(LevelBoundError):
-        check_qsystem_typeA(2, 1, 2, 1)
+        check_qsystem_typeA(A2, 1, 2, 1)
+
+
+# both Q-system checks are type-A statements: a C3 or D4 CartanData is
+# refused, not run as the type-A instance of its rank
+@pytest.mark.parametrize("cartan", [build_cartan("C", 3),
+                                    build_cartan("D", 4)], ids=["C3", "D4"])
+@pytest.mark.parametrize("check,name", [
+    (lambda cartan: check_qsystem_typeA(cartan, 1, 1, 1), "qsystem"),
+    (lambda cartan: check_character_qsystem(cartan, 1, 1), "qchar"),
+], ids=["qsystem", "qchar"])
+def test_qsystem_checks_refuse_other_families(cartan, check, name):
+    with pytest.raises(UnsupportedFactorError, match="^check %r runs in type "
+                       "A only, not %s%d$" % (name, cartan.family,
+                                              cartan.rank)):
+        check(cartan)
 
 
 def test_qchar_examples():
-    assert check_character_qsystem(2, 1, 1).passed
-    assert check_character_qsystem(3, 2, 2).passed
+    assert check_character_qsystem(A2, 1, 1).passed
+    assert check_character_qsystem(A3, 2, 2).passed
     # boundary convention Q^{(0)} = Q^{(n+1)} = 1
-    assert check_character_qsystem(2, 2, 2).passed
+    assert check_character_qsystem(A2, 2, 2).passed
 
 
 def test_alcove_correspondence_examples():
@@ -188,11 +203,11 @@ FAILING_CASES = [
      lambda: check_reduction(A2, [(1, 1), (2, 1)], [(2, 1), (1, 1)], 1),
      {"weights_b", "weights_bp"}),
     ((experiments, "match_components", lambda c1, c2, mode: None),
-     lambda: check_qsystem_typeA(2, 1, 2, 2),
+     lambda: check_qsystem_typeA(A2, 1, 2, 2),
      {"unmatched": "no perfect component matching"}),
     # every factor one node of weight 0: Q^2 = 1, but Q Q + Q Q = 2
     ((experiments, "kr_typeA", _trivial_factor),
-     lambda: check_character_qsystem(2, 1, 1),
+     lambda: check_character_qsystem(A2, 1, 1),
      {"weight": [0, 0], "lhs": 1, "rhs": 2}),
     ((experiments, "match_components", lambda c1, c2, mode: None),
      lambda: check_alcove_correspondence(A2, (1, 0), 1),

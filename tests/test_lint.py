@@ -173,6 +173,24 @@ def test_json_exports_have_one_path():
     assert not hasattr(cli, "_alcove_json")
 
 
+# `check <name>` is a lookup in experiments.CHECKS: the CLI keeps no list
+# of names and no per-option guard, and names no check_* function, so the
+# table is the only dispatch
+def test_checks_have_one_table():
+    import re
+    from krcrystals import cli
+    assert not hasattr(cli, "CHECK_NAMES")
+    assert not hasattr(cli, "_require")
+    tree = ast.parse((SRC / "cli.py").read_text())
+    names = [(node.lineno, text) for node in ast.walk(tree)
+             for text in (getattr(node, "id", None),
+                          getattr(node, "attr", None),
+                          getattr(node, "name", None),
+                          getattr(node, "value", None))
+             if isinstance(text, str) and re.search(r"\bcheck_\w", text)]
+    assert names == []
+
+
 # crystal operations no command runs are test oracles in tests/helpers.py,
 # or deleted where no test used them as one
 @pytest.mark.parametrize("module,name", [
