@@ -328,14 +328,6 @@ class CrystalGraph:
             node_id, [False] * len(self.nodes),
             [*self.fs.values(), *self.es.values()]))
 
-    def node_of_weight(self, weight):
-        """The unique node of the given weight, or AmbiguousAnchorError."""
-        hits = [i for i, w in enumerate(self.weights) if w == tuple(weight)]
-        if len(hits) != 1:
-            raise AmbiguousAnchorError(
-                "%d nodes of weight %r" % (len(hits), tuple(weight)))
-        return hits[0]
-
     # -- serialization ---------------------------------------------------------------
 
     def to_json(self, fh, chain=None):

@@ -13,7 +13,7 @@ from .errors import (AmbiguousAnchorError, LevelBoundError,
                      MaxWeightMismatchError, ResourceLimitError,
                      UnsupportedFactorError)
 from .kr import fixture_C2, kr_C_onebox, kr_typeA
-from .weyl import DEFAULT_WEYL_CAP, antidominant, dominantize
+from .weyl import DEFAULT_WEYL_CAP, dominantize
 
 
 class Report:
@@ -149,11 +149,9 @@ def build_filtered(cartan, factors, level, mode,
 def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
                     node_cap=DEFAULT_NODE_CAP):
     """After filtering, are the components holding the minimal (head) or
-    maximal (tail) elements of B and B' isomorphic?
-
-    The maximal elements have the dominant weight lambda of both products,
-    the minimal ones w0(lambda), which the antidominant walk reads off
-    lambda without building the Weyl group."""
+    maximal (tail) elements of B and B' isomorphic?  CrystalGraph.extremal
+    finds them: filtering keeps every node, so w0(lambda) and lambda stay
+    the unique lowest and highest weights, and no Weyl group is built."""
     t0 = time.perf_counter()
     lam = max_weight(cartan, factors_b)
     lam2 = max_weight(cartan, factors_bp)
@@ -165,17 +163,12 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
 
     graphs = [build_filtered(cartan, fs, level, mode, node_cap)
               for fs in (factors_b, factors_bp)]
-    if mode == "head":
-        anchor_wt = antidominant(cartan, lam)
-        anchor_mode = "min"
-    else:
-        anchor_wt = lam
-        anchor_mode = "max"
-
+    anchor_mode = "min" if mode == "head" else "max"
     comps = []
     sizes = []
     for g in graphs:
-        node = g.node_of_weight(anchor_wt)
+        node = g.extremal(anchor_mode)
+        anchor_wt = g.weight(node)
         ids = g.component_ids()
         comps.append(g.subgraph(next(c for c in ids if node in c)))
         sizes.append(sorted(map(len, ids)))
@@ -414,7 +407,7 @@ def check_figure(node_cap=DEFAULT_NODE_CAP):
     if fix_t.seminormal() or fix_b.seminormal():
         problems.append("fixture seminormality")
 
-    comp = computed.component_of(computed.node_of_weight((-2, 0)))
+    comp = computed.component_of(computed.extremal("min"))
     iso = iso_check(comp, fix_b, "min")
     if iso is None:
         problems.append("11-node component not isomorphic to B12 fixture")

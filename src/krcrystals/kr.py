@@ -19,15 +19,19 @@ from .errors import (InvariantError, ResourceLimitError,
 # rectangular semistandard tableaux (tuples of row tuples)
 
 
-def rect_tableaux(n, r, s):
+def rect_tableaux(n, r, s, limit=float("inf")):
     """All SSYT of shape r x s over the alphabet 1..n+1, generated column
-    by column in lexicographic order."""
+    by column in lexicographic order; ResourceLimitError as soon as there
+    are more than limit of them."""
     from itertools import combinations
     cols = [c for c in combinations(range(1, n + 2), r)]
     out = []
 
     def extend(prefix):
         if len(prefix) == s:
+            if len(out) >= limit:
+                raise ResourceLimitError(
+                    "tableaux of B^{%d,%d} exceed node cap %d" % (r, s, limit))
             rows = tuple(tuple(col[i] for col in prefix) for i in range(r))
             out.append(rows)
             return
@@ -149,10 +153,7 @@ def kr_typeA(n, r, s, node_cap=DEFAULT_NODE_CAP):
         raise UnsupportedFactorError("type A%d has no node r=%d" % (n, r))
     if s < 1:
         raise UnsupportedFactorError("B^{r,s} needs s >= 1")
-    tableaux = rect_tableaux(n, r, s)
-    if len(tableaux) > node_cap:
-        raise ResourceLimitError("%d tableaux exceed node cap %d"
-                                 % (len(tableaux), node_cap))
+    tableaux = rect_tableaux(n, r, s, node_cap)
     ids = list(range(len(tableaux)))  # every edge entry is one of these
     index = dict(zip(tableaux, ids))
     fs, es = {}, {}

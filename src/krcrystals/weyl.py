@@ -1,6 +1,5 @@
 """Finite Weyl groups, Bruhat order, the quantum Bruhat graph, and the
-weight walks used by the Demazure decomposition checks: the level-l affine
-dominantization and the classical antidominant walk.
+level-l affine dominantization used by the Demazure decomposition checks.
 
 A Weyl group element is an integer id into its WeylGroup's tables (signed
 root permutations, weight matrices, lengths, the right-multiplication table
@@ -333,33 +332,14 @@ def dominantize(cartan, mu, level):
         raise ValueError("level must be >= 1")
     cur = tuple(mu)
     word = []
-    guard = 0
-    while True:
-        neg = None
-        for i in range(0, cartan.rank + 1):
-            if i == 0:
-                p = level - cartan.pairing(cartan.theta, cur)
-            else:
-                p = cur[i - 1]
-            if p < 0:
-                neg = i
-                break
-        if neg is None:
-            return (cur, level), tuple(word)
-        cur = affine_simple_reflection(cartan, neg, cur, level)
-        word.append(neg)
-        guard += 1
-        if guard > 10 ** 6:
+    while (i := next((i for i, p in enumerate(
+            (level - cartan.pairing(cartan.theta, cur), *cur)) if p < 0),
+            None)) is not None:
+        if len(word) == 10 ** 6:
             raise ResourceLimitError("dominantize failed to terminate")
-
-
-def antidominant(cartan, mu):
-    """The antidominant weight of mu's W_0-orbit, w0(mu) for a dominant mu:
-    apply any s_i (i in I_0) whose coordinate is positive until none is."""
-    mu = tuple(mu)
-    while (i := next((i for i, c in enumerate(mu, 1) if c > 0), 0)):
-        mu = affine_simple_reflection(cartan, i, mu, 0)
-    return mu
+        cur = affine_simple_reflection(cartan, i, cur, level)
+        word.append(i)
+    return (cur, level), tuple(word)
 
 
 def affine_simple_reflection(cartan, i, mu, level):

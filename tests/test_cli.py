@@ -183,6 +183,17 @@ def test_alcove_node_cap_stops_the_enumeration(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_node_cap_stops_the_tableau_enumeration(tmp_path, capsys):
+    # 184,225,041 tableaux of B^{4,8}: the cap must stop rect_tableaux
+    out = tmp_path / "x.dot"
+    start = time.perf_counter()
+    assert run(["build", "--type", "A7", "--factors", "4,8",
+                "--node-cap", "100", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 10
+    assert "exceed node cap 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_alcove_weyl_cap_bounds_the_group(tmp_path, capsys):
     out = tmp_path / "a.json"
     assert run(["alcove", "--type", "D4", "--lambda", "1,0,0,0",
@@ -293,8 +304,8 @@ def test_check_alcove_cli():
                 "--level", "1"]) == 0
 
 
-# the head-mode anchor w0(lambda) is read off lambda by the antidominant
-# walk, not off the Weyl group, whose A8 order 362,880 is above the cap
+# the head-mode anchor w0(lambda) is found by CrystalGraph.extremal, not
+# off the Weyl group, whose A8 order 362,880 is above the cap
 def test_check_reduction_head_mode_builds_no_weyl_group(tmp_path):
     out = tmp_path / "r.json"
     assert run(["check", "reduction", "--type", "A8",
@@ -557,9 +568,9 @@ GOLDEN = [
     (["build", "--type", "A2", "--factors", "1,2:2,1",
       "--view", "dual", "--level", "2"], "json",
      "e3b89fb07cf430847e1f15e8d4b272538a1694399f6b8373457e3da1ffb58d45"),
-    # the head-mode anchor is w0(lambda), read off lambda by the antidominant
-    # walk; the second lambda, (1, 1), is regular, so a wrong walk would
-    # give another anchor
+    # the head-mode anchor is the element of weight w0(lambda), found by
+    # CrystalGraph.extremal; the second lambda, (1, 1), is regular, so a
+    # wrong anchor would have another weight
     (["check", "reduction", "--type", "A2", "--factors", "1,1:1,1",
       "--factors2", "1,2", "--level", "2"], "json",
      "7e179d06e0b590aace6de43e8f457c541eef95dd5094ad0f47cfb9169889c76b"),

@@ -19,13 +19,13 @@ from helpers import (GraphSource, NonReducedWordError, TensorProduct,
                      stembridge_violations, two_factor_e, two_factor_f,
                      weyl_action)
 from krcrystals.alcove import alcove_crystal, hw_crystal
-from krcrystals.cartan import CartanData, build_cartan
+from krcrystals.cartan import CartanData, build_cartan, mat_vec
 from krcrystals.crystals import (CrystalGraph, components, demazure_filter,
                                  explore_tensor, graphs_equal,
                                  hw_census, iso_check, match_components,
                                  trivial_crystal, verify_isomorphism)
 from krcrystals.experiments import (build_factor, build_filtered,
-                                   build_tensor)
+                                   build_tensor, max_weight)
 from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, ResourceLimitError)
 from krcrystals.kr import fixture_C2, kr_C_onebox, kr_typeA
@@ -663,6 +663,19 @@ def test_extremal_matches_pairwise_scan_on_components(cartan, factors, level,
             _anchor_outcome(extremal_oracle, comp, mode)
 
 
+# on a whole filtered product the anchors have weights lambda and w0(lambda),
+# the latter read off the enumerated group's longest element
+@pytest.mark.parametrize("cartan,factors,level,filt", FILTERED_CASES)
+def test_extremal_anchors_weigh_lambda_and_w0_lambda(cartan, factors, level,
+                                                     filt):
+    graph = build_filtered(cartan, factors, level, filt)
+    lam = max_weight(cartan, factors)
+    group = build_weyl_group(cartan)
+    assert graph.weight(graph.extremal("max")) == lam
+    assert graph.weight(graph.extremal("min")) == \
+        mat_vec(group.wt_mats[group.w0], lam)
+
+
 @pytest.mark.parametrize("mode", ["max", "min"])
 @pytest.mark.parametrize("build", [
     lambda: kr_typeA(2, 1, 1), lambda: kr_typeA(2, 2, 1),
@@ -983,13 +996,13 @@ def test_excellent_filtration_beyond_a_and_c2(family, rank):
 
 def test_weyl_action_fixed_point():
     g = kr_typeA(2, 2, 1)
-    top = g.node_of_weight((0, 1))     # color-1 pairing is 0
+    top = g.weights.index((0, 1))     # color-1 pairing is 0
     assert weyl_action(g, top, 1) == top
 
 
 def test_weyl_action_a1_highest():
     ga1 = kr_typeA(1, 1, 1)
-    top = ga1.node_of_weight((1,))
+    top = ga1.weights.index((1,))
     assert weyl_action(ga1, top, 1) == ga1.f(top, 1)
 
 

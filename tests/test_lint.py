@@ -146,13 +146,16 @@ def test_one_builder_per_crystal_kind(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-# the Weyl-group facts of one weight come from weight walks: the antidominant
-# walk gives the head-mode anchor w0(lambda), the rho walk tests a word for
-# reducedness, and only the QBG path enumerates W
+# the Weyl-group facts of one weight come without enumerating W:
+# CrystalGraph.extremal finds the head-mode anchor of weight w0(lambda) as
+# it finds every anchor, the rho walk tests a word for reducedness, and only
+# the QBG path enumerates W
 @pytest.mark.parametrize("module,name", [
     ("krcrystals.crystals", "build_weyl_group"),
     ("krcrystals.experiments", "build_weyl_group"),
     ("krcrystals.weyl", "WeylGroup.from_word"),
+    ("krcrystals.weyl", "antidominant"),
+    ("krcrystals.crystals", "CrystalGraph.node_of_weight"),
 ])
 def test_weight_walks_replace_weyl_group_enumeration(module, name):
     import importlib
