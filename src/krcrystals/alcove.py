@@ -419,7 +419,13 @@ def hw_crystal(cartan, lam, node_cap=DEFAULT_NODE_CAP,
 
 
 def _explored(cartan, lam, order, quantum, level, node_cap, weyl_cap):
-    """The quantum (colors 0..r) or Bruhat (I_0) subsets, tabulated."""
+    """The quantum (colors 0..r) or Bruhat (I_0) subsets, tabulated.  The
+    empty subset and the lambda_i singletons at alpha_i crossings are
+    admissible, so 1 + sum(lambda) > node_cap stops before the chain."""
+    if len(lam) == cartan.rank and cartan.is_dominant(lam) \
+            and sum(lam) >= node_cap:
+        raise ResourceLimitError("admissible subsets exceed node cap %d"
+                                 % node_cap)
     # the cap goes in positionally: the same cache key the QBG's group uses
     build_weyl_group(cartan, weyl_cap)
     chain = build_lambda_chain(cartan, lam, order)

@@ -349,12 +349,11 @@ def check_alcove_correspondence(cartan, lam, level=1,
     _type_A_only("alcove", cartan)
     from .alcove import alcove_crystal
     lam = tuple(lam)
-    cols = [i for i in cartan.classical_index_set
-            for _ in range(lam[i - 1])]
     alc = alcove_crystal(cartan, lam, level, node_cap=node_cap,
                          weyl_cap=weyl_cap)
-    dual = build_filtered(cartan, [(p, 1) for p in cols], level, "tail",
-                          node_cap)
+    cols = [(i, 1) for i in cartan.classical_index_set
+            for _ in range(lam[i - 1])]
+    dual = build_filtered(cartan, cols, level, "tail", node_cap)
     comps_a = components(alc)
     comps_b = components(dual)
     pairs = match_components(comps_a, comps_b, "max")

@@ -10,6 +10,8 @@ edge's kind, for the edges and their count, and one pass over the descent
 table for every vertex's reduced word."""
 
 from functools import cached_property, lru_cache
+from itertools import groupby
+from math import prod
 from operator import itemgetter, mul, neg, sub
 
 from .cartan import identity_matrix, vec_add, vec_neg, vec_scale, vec_sub
@@ -59,18 +61,20 @@ class WeylGroup:
     length, right[w][i - 1] the id of w s_i and descents[w] the smallest
     0-based i with l(w s_{i+1}) < l(w) (None for the identity).
 
-    The breadth-first walk of the Cayley graph keys each element on its
-    signed root permutation (faithful: W acts faithfully on the roots), so
-    a step w -> w s_i is one index lookup of s_i's table into w's roots
-    and their negatives, and the new element's weight matrix is its
-    parent's with one column updated.
-    Ids are sorted by (length, weight matrix), so the identity is 0 and
-    w0 is the last id, and w s_i has a smaller id than w whenever i is a
-    descent of w.  reduced_word walks the descent table, so it gives the
-    greedy smallest-descent word.  Each positive root beta_k keeps a reduced
-    word of s_beta, so w s_beta is a few table lookups, and the column
-    w -> w s_beta over the whole group is one composition of right-table
-    columns per letter (Bjorner-Brenti, ch. 1-2, 4).
+    A group over the cap is refused from |W| before any walk.  The
+    breadth-first walk of the Cayley graph keys each element on its signed
+    root permutation (faithful: W acts faithfully on the roots), so a step
+    w -> w s_i is one index lookup of s_i's table into w's roots and their
+    negatives (one shared table), and the new element's weight matrix is
+    its parent's with one column updated (equal rows are one tuple).  The
+    walk meets elements by length; sorting each length class by weight
+    matrix gives the ids: the identity is 0, w0 the last id, and w s_i
+    has a smaller id than w whenever i is a descent of w.  reduced_word
+    walks the descent table, so it gives the greedy smallest-descent word.
+    Each positive root beta_k keeps a reduced word of s_beta, so w s_beta
+    is a few table lookups, and the column w -> w s_beta over the whole
+    group is one composition of right-table columns per letter
+    (Bjorner-Brenti, ch. 1-2, 4).
     """
 
     identity = 0
@@ -79,12 +83,16 @@ class WeylGroup:
         self.cartan = cartan
         n = cartan.rank
         pos = cartan.positive_roots_list
+        m = len(pos)
+        # |W| = prod (m_i + 1) = prod (ht beta + 1) / ht beta over beta > 0
+        size = prod(sum(beta) + 1 for beta in pos) // prod(map(sum, pos))
+        if size > cap:
+            raise ResourceLimitError("Weyl group larger than cap %d" % cap)
         # alpha_i on the fundamental weights: w s_i changes only column i of
         # w's weight matrix M, as M s_i = M - (M alpha_i) e_i^T
         s_wt = [cartan.simple_root_weight(i + 1) for i in range(n)]
         # s_get[i] reads (w s_{i+1})(beta_k) = +-w(beta_j) for every k out of
         # w's signed roots followed by their negatives
-        m = len(pos)
         s_get = []
         for i in range(n):
             at = [signed_root_id(cartan,
@@ -94,51 +102,46 @@ class WeylGroup:
             # itemgetter of one index returns the item, not a 1-tuple
             s_get.append(get if m > 1 else lambda ext, get=get: (get(ext),))
 
-        # breadth-first walk of the Cayley graph (the loop reads the list it
-        # appends to); the depth at which an element is first met is its
-        # length
         ident = tuple(range(1, m + 1))
+        negs = (0,) + tuple(map(neg, ident)) + ident[::-1]    # negs[t] = -t
+        roots, mats, lengths = [ident], [identity_matrix(n)], [0]
+        intern = {r: r for r in mats[0]}.setdefault
         found = {ident: 0}                  # roots -> discovery number
-        walk = [(ident, identity_matrix(n), 0)]   # (roots, wt_mat, length)
-        steps = []                          # discovery numbers of w s_i
-        for w, wt, length in walk:
-            ext = w + tuple(map(neg, w))
-            row = []
-            for i in range(n):
-                ws = s_get[i](ext)
+        steps = [[] for _ in range(n)]      # steps[i][d]: that of w_d s_{i+1}
+        for w, wt, length in zip(roots, mats, lengths):
+            ext = w + tuple(map(negs.__getitem__, w))
+            for i, get, a, step in zip(range(n), s_get, s_wt, steps):
+                ws = get(ext)
                 d = found.get(ws)
                 if d is None:
-                    if len(found) >= cap:
-                        raise ResourceLimitError(
-                            "Weyl group larger than cap %d" % cap)
-                    d = found[ws] = len(walk)
-                    a = s_wt[i]
-                    walk.append((ws, tuple(
-                        r[:i] + (r[i] - sum(map(mul, r, a)),) + r[i + 1:]
-                        for r in wt), length + 1))
-                row.append(d)
-            steps.append(row)
+                    d = found[ws] = len(roots)
+                    roots.append(ws)
+                    new = [r[:i] + (r[i] - sum(map(mul, r, a)),) + r[i + 1:]
+                           for r in wt]
+                    mats.append(tuple(map(intern, new, new)))
+                    lengths.append(length + 1)
+                step.append(d)
+        del found
+        if len(roots) != size:
+            raise InvariantError("|W| = %d, walked %d" % (size, len(roots)))
 
-        order = sorted(range(len(walk)),
-                       key=lambda d: (walk[d][2], walk[d][1]))
-        ids = [0] * len(walk)
-        for k, d in enumerate(order):
-            ids[d] = k
-        self.roots = tuple(walk[d][0] for d in order)
-        self.wt_mats = tuple(walk[d][1] for d in order)
-        self.lengths = tuple(walk[d][2] for d in order)
-        self.right = tuple(tuple(ids[x] for x in steps[d]) for d in order)
-        self.index = {wt: w for w, wt in enumerate(self.wt_mats)}
+        order = []
+        for _, same in groupby(range(size), lengths.__getitem__):
+            order += sorted(same, key=mats.__getitem__)
+        ids = sorted(range(size), key=order.__getitem__)    # ids[order[k]] = k
+        self.roots = tuple(map(roots.__getitem__, order))
+        self.wt_mats = tuple(map(mats.__getitem__, order))
+        lengths = self.lengths = tuple(map(lengths.__getitem__, order))
+        self.right = tuple(zip(*([ids[s[d]] for d in order] for s in steps)))
+        self.index = dict(zip(self.wt_mats, map(ids.__getitem__, order)))
         if self.lengths.count(self.lengths[-1]) != 1:
             raise InvariantError("longest element not unique")
-        self.w0 = len(order) - 1
-        lengths = self.lengths
+        self.w0 = size - 1
         self.descents = tuple(
             next((i for i, ws in enumerate(row) if lengths[ws] < length),
                  None) for row, length in zip(self.right, lengths))
-        mats = map(cartan.reflection_weight_matrix, pos)
-        self._reflection_words = tuple(self.reduced_word(self.index[m])
-                                       for m in mats)
+        self._reflection_words = tuple(self.reduced_word(self.index[
+            cartan.reflection_weight_matrix(beta)]) for beta in pos)
 
     def __len__(self):
         return len(self.lengths)
@@ -192,20 +195,22 @@ class QuantumBruhatGraph:
     each labeled by the positive root of its reflection: w -> w s_beta is an
     edge when l(w s_beta) - l(w) is 1 (up) or 1 - 2 <rho, beta^vee> (down)
     (Brenti-Fomin-Postnikov).  That rule is one table per root, from the
-    length difference to is_down, read over its group's tables: has_edge
+    length difference to the edge kind (0 none, 1 up, 2 down): has_edge
     tests one pair, and on first use by edge_count or the DOT export each
-    root's whole column w -> w s_beta is classified at once into the column
-    table, so a walk that only asks has_edge never builds it.  The adjacency
+    root's whole column w -> w s_beta is classified at once into one bytes
+    of kinds, so a walk that only asks has_edge never builds it.  The adjacency
     lists out, read off the column table, serve strong connectivity and
     the tests only."""
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
         self.group = build_weyl_group(cartan, cap)
-        # <rho, beta^vee> >= 1, so the down key is at most -1 and never 1
-        self._edge_kinds = tuple(
-            {1: False, 1 - 2 * cartan.pairing(beta, cartan.rho): True}
-            for beta in cartan.positive_roots_list)
+        # _kinds[k][l(w s_beta) - l(w)]: 0 no edge, 1 up, 2 down for the k-th
+        # positive root; keys lie in 1-2m..m, negative ones read from the end
+        m = len(pos := cartan.positive_roots_list)
+        self._kinds = [bytearray(3 * m) for _ in pos]
+        for kinds, beta in zip(self._kinds, pos):
+            kinds[1], kinds[1 - 2 * cartan.pairing(beta, cartan.rho)] = 1, 2
 
     @property
     def vertex_count(self):
@@ -213,7 +218,7 @@ class QuantumBruhatGraph:
 
     @property
     def edge_count(self):
-        return sum(len(kinds) - kinds.count(None)
+        return sum(len(kinds) - kinds.count(0)
                    for _, _, kinds in self._columns)
 
     def has_edge(self, src_id, root_idx):
@@ -221,23 +226,23 @@ class QuantumBruhatGraph:
         positive root beta, or None when there is none."""
         group = self.group
         dst_id = group.times_reflection(src_id, root_idx)
-        down = self._edge_kinds[root_idx].get(
-            group.lengths[dst_id] - group.lengths[src_id])
-        return None if down is None else (dst_id, down)
+        kind = self._kinds[root_idx][
+            group.lengths[dst_id] - group.lengths[src_id]]
+        return (dst_id, kind == 2) if kind else None
 
     @cached_property
     def _columns(self):
-        """(root_idx, (w s_beta for every w), (is_down of the edge
-        w -> w s_beta, or None where there is none)) for each positive root
-        beta, in the sorted order of the roots."""
+        """(root_idx, (w s_beta for every w), the bytes of the kinds of
+        the edges w -> w s_beta (0 none, 1 up, 2 down)) for each positive
+        root beta, in the sorted order of the roots."""
         group = self.group
         lengths = group.lengths
         pos = self.cartan.positive_roots_list
         columns = []
         for k in sorted(range(len(pos)), key=pos.__getitem__):
             column = group.reflection_column(k)
-            columns.append((k, column, tuple(map(
-                self._edge_kinds[k].get,
+            columns.append((k, column, bytes(map(
+                self._kinds[k].__getitem__,
                 map(sub, itemgetter(*column)(lengths), lengths)))))
         return columns
 
@@ -246,9 +251,9 @@ class QuantumBruhatGraph:
         """out[w]: the (root_idx, dst_id, is_down) of w's edges, by root."""
         rows = [[] for _ in range(len(self.group))]
         for k, column, kinds in self._columns:
-            for row, dst, down in zip(rows, column, kinds):
-                if down is not None:
-                    row.append((k, dst, down))
+            for row, dst, kind in zip(rows, column, kinds):
+                if kind:
+                    row.append((k, dst, kind == 2))
         return rows
 
     def is_strongly_connected(self):
@@ -288,11 +293,11 @@ class QuantumBruhatGraph:
                     raise InvariantError("reduced word of the wrong length")
                 words[w] = words[ws] + "s%d" % (d + 1)
         names = ["n%d" % w for w in range(len(group))]
-        # each root's edge label, plain (up) and dashed (down), formatted once
+        # each root's edge label by kind, plain (up) and dashed (down), once
         tails = []
         for beta in self.cartan.positive_roots_list:
             label = ",".join(map(str, beta))
-            tails.append((' [label="%s"];\n' % label,
+            tails.append((None, ' [label="%s"];\n' % label,
                           ' [label="%s", style=dashed];\n' % label))
 
         def node_lines(ids):
@@ -304,10 +309,10 @@ class QuantumBruhatGraph:
             for src in ids:
                 head = "  %s -> " % names[src]
                 for k, column, kinds in columns:
-                    down = kinds[src]
-                    if down is not None:
+                    kind = kinds[src]
+                    if kind:
                         lines.append(head + names[column[src]]
-                                     + tails[k][down])
+                                     + tails[k][kind])
             return lines
 
         write_blocks(fh, len(group),

@@ -183,6 +183,34 @@ def test_alcove_node_cap_stops_the_enumeration(tmp_path, capsys):
     assert not out.exists()
 
 
+# 1 + sum(lambda) subsets (the empty one and the lambda_i singletons at the
+# alpha_i crossings) are admissible, so a smaller cap stops before the
+# lambda-chain of millions of crossings is built
+@pytest.mark.parametrize("argv", [
+    ["alcove", "--type", "C2", "--lambda", "1000000,0", "--node-cap", "10"],
+    ["alcove", "--type", "A3", "--lambda", "3000000,0,0", "--node-cap", "10"],
+    ["check", "alcove", "--type", "A3", "--lambda", "3000000,0,0"],
+], ids=["alcove-C2", "alcove-A3", "check-alcove-A3"])
+def test_node_cap_stops_before_the_lambda_chain(tmp_path, capsys, argv):
+    out = tmp_path / "a.json"
+    start = time.perf_counter()
+    assert run(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 2
+    assert "admissible subsets exceed node cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# D7's 322,560 elements are refused from |W| before any element is walked
+def test_weyl_cap_refuses_before_the_walk(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    start = time.perf_counter()
+    assert run(["alcove", "--type", "D7", "--lambda", "0,1,0,0,0,0,0",
+                "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 2
+    assert "Weyl group larger than cap 100000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_node_cap_stops_the_tableau_enumeration(tmp_path, capsys):
     # 184,225,041 tableaux of B^{4,8}: the cap must stop rect_tableaux
     out = tmp_path / "x.dot"
@@ -551,6 +579,11 @@ GOLDEN = [
      "660662d45be13c0bd8a8023f1de46e120f21382f542de2ff4cd1ba5d01baffd4"),
     (["qbg", "--type", "C4"], "dot",
      "71d964b7c5e31dc4e4f0fdfac7d81bfcaad85773a90b0e26e07db4b2fe54cd17"),
+    # 1,920 vertices: a larger group's id order, byte for byte
+    (["qbg", "--type", "D5"], "dot",
+     "66a62e19f10f85a788256c20099cc568284eebea76ac00b76dc6ee2db6b871e5"),
+    (["alcove", "--type", "B5", "--lambda", "0,1,0,0,0"], "json",
+     "93d25ca3b6a503a841546b81411b0fd6c26e750b98ed294a81823bcaf6ca5c88"),
     (["build", "--type", "A3", "--factors", "2,1:1,1:3,1"], "dot",
      "932650013b745ecaed09da97de2c7258c3489fb7b2b9825d31183b1eb572818d"),
     # 6,561 nodes: more than one block of the streamed DOT writer

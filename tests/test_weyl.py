@@ -1,6 +1,10 @@
 import copy
+import gc
 import io
 import itertools
+import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -11,7 +15,8 @@ from helpers import (QBG_TYPES, WriteLog, bruhat_leq, decode_root, dot_text,
 from krcrystals import cli, weyl
 from krcrystals.cartan import build_cartan, identity_matrix, mat_vec, vec_neg
 from krcrystals.errors import InvariantError, ResourceLimitError
-from krcrystals.weyl import (WeylGroup, affine_simple_reflection, build_qbg,
+from krcrystals.weyl import (QuantumBruhatGraph, WeylGroup,
+                             affine_simple_reflection, build_qbg,
                              build_weyl_group, dominantize)
 
 # the QBG types plus the three the benchmark exports beyond D4
@@ -140,6 +145,67 @@ def test_weyl_cap():
         WeylGroup(build_cartan("A", 3), cap=10)
 
 
+def _peak_bytes(build):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# |W| = prod (m_i + 1), the exponents m_i the conjugate partition of the
+# numbers of positive roots by height (Kostant); the cap is read against it
+# before the walk, so cap |W| builds the group and cap |W| - 1 refuses it
+@pytest.mark.parametrize("family,rank", EXPORT_TYPES + [("A", 1), ("D", 5)])
+def test_cap_is_read_against_the_group_order(family, rank):
+    ct = build_cartan(family, rank)
+    by_height = Counter(map(sum, ct.positive_roots_list)).values()
+    order = math.prod(1 + sum(c > i for c in by_height) for i in range(rank))
+    assert len(WeylGroup(ct, cap=order)) == order
+    with pytest.raises(ResourceLimitError, match="cap %d" % (order - 1)):
+        WeylGroup(ct, cap=order - 1)
+
+
+# D7's 322,560 elements are refused before any element is made
+def test_over_cap_group_is_refused_before_the_walk():
+    d7 = build_cartan("D", 7)
+
+    def build():
+        with pytest.raises(ResourceLimitError, match="cap 100000"):
+            WeylGroup(d7)
+    assert _peak_bytes(build) < 1024 * 1024
+
+
+def test_walk_is_checked_against_the_group_order(monkeypatch):
+    # a wrong |W| (here 1 // 1) is an invariant error once the walk ends
+    monkeypatch.setattr(weyl, "prod", lambda values: 1)
+    with pytest.raises(InvariantError, match="walked 6"):
+        WeylGroup(build_cartan("A", 2))
+
+
+# every element's weight-matrix rows and signed root ids are shared objects:
+# one tuple per distinct row, one int per distinct id
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_equal_rows_and_root_ids_are_one_object(family, rank):
+    group = WeylGroup(build_cartan(family, rank))
+    rows = [r for mat in group.wt_mats for r in mat]
+    assert len({id(r) for r in rows}) == len(set(rows))
+    ids = [t for roots in group.roots for t in roots]
+    assert len({id(t) for t in ids}) == len(set(ids))
+
+
+# the group build keeps no per-element walk tuples, rows or negated ids:
+# A5 peaks near 430 KiB and B5 near 2,400 KiB, about half of what such
+# tuples took
+@pytest.mark.parametrize("family,rank,bound", [
+    ("A", 5, 512 * 1024), ("B", 5, 3 * 1024 * 1024)])
+def test_group_build_peak(family, rank, bound):
+    ct = build_cartan(family, rank)
+    assert _peak_bytes(lambda: WeylGroup(ct)) < bound
+
+
 # ---------------------------------------------------------------------------
 # quantum Bruhat graph
 
@@ -195,6 +261,27 @@ def test_qbg_rows_match_has_edge_in_root_order(family, rank):
     for w, row in enumerate(qbg.out):
         assert row == [(k,) + edge for k in order
                        if (edge := qbg.has_edge(w, k)) is not None]
+
+
+# the kinds 0/1/2 read per slot as the rule from the length difference to
+# None (no edge), False (up) or True (down): has_edge, out and edge_count
+@pytest.mark.parametrize("family,rank", EXPORT_TYPES + [("A", 1)])
+def test_qbg_kinds_follow_the_length_difference_rule(family, rank):
+    ct = build_cartan(family, rank)
+    qbg = QuantumBruhatGraph(ct)
+    group = qbg.group
+    expected = {}
+    for k, beta in enumerate(ct.positive_roots_list):
+        rule = {1: False, 1 - 2 * ct.pairing(beta, ct.rho): True}
+        for w in range(len(group)):
+            ws = group.times_reflection(w, k)
+            down = rule.get(group.lengths[ws] - group.lengths[w])
+            edge = None if down is None else (ws, down)
+            assert qbg.has_edge(w, k) == edge
+            if edge is not None:
+                expected[(w, k)] = edge
+    assert qbg_edges(qbg) == expected
+    assert qbg.edge_count == len(expected)
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
