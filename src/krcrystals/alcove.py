@@ -9,27 +9,16 @@ Heights are exact integers, and every walk of a height profile checks the
 folded hyperplane levels against its slopes, so the two routes to the
 heights (affine reflections vs slope accumulation) must always agree.
 
-Foldings are built incrementally.  One step function, _fold_step, turns
-the folding state (w, v, gamma, levels) of a subset J into that of
-J + (j,) for a position j past J, given the new element w s_{beta_j}:
-gamma and levels up to j are copied, positions j+1..m are recomputed
-from the new element and the shifted v.  enumerate_admissible is an
-iterative DFS over the quantum Bruhat graph (up edges only, for
-B(lambda)) that folds nothing: it maps each admissible subset to the
-element its QBG walk ends at, and the node cap bounds the map.  explore
-folds each subset of the map in its order by one step from its parent's
-state, kept on a path indexed by depth (_foldings), so one folding per
-level is held and none outlives its subset.  fold() folds any one subset
-by the same step from the empty folding.
-
-The crystal table is the only operator path: _height_walks walks each
-distinct |alpha_p| of a subset's folding once and _rule reads M, f_p and
-e_p of a color off its walk, once per subset, in explore.  g_graph reads
-one color's height profile off the same walk of a folding from fold.
+fold() folds one subset, one _fold_step per position.  enumerate_admissible
+maps each admissible subset to the element its QBG walk ends at (up edges
+only, for B(lambda)), folding nothing, and explore walks each subset of
+the map from its parent's walk (_walks), with one skeleton of walks per
+Weyl element reached, so no subset's Gamma(J) is built; _rule reads M,
+f_p and e_p of each color off the walks and g_graph one color's profile.
 """
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -94,7 +83,6 @@ class LambdaChain:
         self.alphas = tuple((-1 if p == 0 else 1, cartan._root_index[b] + 1)
                             for p, b in enumerate(bases))
         self.walked = {rid: cartan._coroots[rid - 1] for _, rid in self.alphas}
-        self._images = {}     # Weyl element id -> (w(rho), w(lambda))
 
 
 def build_lambda_chain(cartan, lam, order="lex"):
@@ -102,10 +90,9 @@ def build_lambda_chain(cartan, lam, order="lex"):
 
 
 class Folding(NamedTuple):
-    """The folded chain Gamma(J): the signed root ids gamma_k, the
-    hyperplane levels, the image of rho under the folding reflections,
-    wt(J), and the final direction (the product of the folding
-    reflections, a Weyl group element id)."""
+    """The folded chain Gamma(J): the signed root ids gamma_k, the levels,
+    rho's image under the folding reflections, wt(J) and the final
+    direction (their product, a Weyl group element id)."""
     gamma: tuple
     levels: tuple
     gamma_inf: tuple
@@ -114,14 +101,11 @@ class Folding(NamedTuple):
 
 
 def _fold_step(chain, group, state, j, w):
-    """The one folding step.  From the state (Folding, weight shift v) of
-    a subset J, a position j past every position of J and the element
-    w = final_dir s_{beta_j}, the state of J + (j,): the shift
-    v - l_j gamma_j, the entries of gamma and levels at positions 1..j
-    copied from J's folding (they only see foldings before them) and
-    positions j+1..m recomputed from w and the new v.  state None with
-    j = 0 and w the identity gives the empty folding, every position
-    computed from the identity."""
+    """The state (Folding, weight shift v) of J + (j,) from that of J (None
+    for the empty folding, with j = 0 and w the identity), a position j
+    past J and w = final_dir s_{beta_j}: the shift v - l_j gamma_j, gamma
+    and levels at positions 1..j copied from J's folding and positions
+    j+1..m recomputed from w and the new v."""
     ct = chain.cartan
     if state is None:
         v, gamma, levels = (0,) * ct.rank, [], []
@@ -138,26 +122,18 @@ def _fold_step(chain, group, state, j, w):
         gamma.append(g)
         sl = l if g > 0 else -l
         levels.append(sl - sum(map(mul, coroots[abs(g) - 1], v)))
-    images = chain._images.get(w)
-    if images is None:
-        wt = group.wt_mats[w]
-        images = chain._images[w] = (mat_vec(wt, ct.rho),
-                                     mat_vec(wt, chain.lam))
-    return (Folding(tuple(gamma), tuple(levels), images[0],
-                    tuple(map(sub, images[1], v)), w), v)
+    wt = group.wt_mats[w]
+    return (Folding(tuple(gamma), tuple(levels), mat_vec(wt, ct.rho),
+                    tuple(map(sub, mat_vec(wt, chain.lam), v)), w), v)
 
 
 def fold(chain, J):
     """The folding Gamma(J) (admissibility not required), folded from the
     empty folding by _fold_step at each position of J in ascending order.
-    ValueError for a position outside 1..m.
-
-    The per-subset path, for a caller of g_graph or one who wants one
-    subset's folding; no library function calls it, as explore folds
-    along its DFS path.  The benchmark's tracer (bench/tracing.py) wraps
-    alcove.fold: without it a traced run drops alcove.fold_s,
-    alcove.fold_calls and alcove.fold_distinct, three per-layer metrics
-    that BENCHMARK.json declares."""
+    ValueError for a position outside 1..m.  No library function calls it,
+    but the benchmark's tracer (bench/tracing.py) wraps it for three
+    per-layer metrics, alcove.fold_s, alcove.fold_calls and
+    alcove.fold_distinct."""
     J = tuple(sorted(set(J)))
     for j in J:
         if not 1 <= j <= chain.m:
@@ -172,18 +148,12 @@ def fold(chain, J):
 
 
 def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
-    """The map from each admissible subset to its final direction (the
-    Weyl group element id its QBG walk ends at), in DFS preorder with
-    positions ascending.  Nothing is folded: explore folds each subset.
-
-    An iterative DFS over the QBG walks 1 -> w_1 -> w_2 -> ...: each stack
-    frame holds a subset, its element and the next position to try, and a
-    child J + (j,) is made only when its frame is reached, with the element
-    of the QBG edge just tested, so the stack holds one frame per level of
-    depth.  quantum=False takes up edges (Bruhat covers) only: a
-    prefix-closed part of the subsets, in the same order.
-    ResourceLimitError before making a subset that would take the map past
-    node_cap subsets, the empty subset () included."""
+    """Each admissible subset -> the Weyl element id its QBG walk
+    1 -> w_1 -> ... ends at, in DFS preorder with positions ascending, by an
+    iterative DFS with one stack frame (subset, element, next position) per
+    level.  quantum=False takes Bruhat covers only: a prefix-closed part of
+    the subsets, in the same order.  ResourceLimitError before making a
+    subset that would take the map past node_cap subsets, () included."""
     if node_cap < 1:
         raise ResourceLimitError("the empty subset exceeds node cap %d"
                                  % node_cap)
@@ -212,30 +182,6 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
     return out
 
 
-def _foldings(chain, dirs):
-    """(J, Gamma(J)) for each subset J of dirs, enumerate_admissible's map,
-    in its order.  J + (j,) is folded by one _fold_step from its parent's
-    state, which a path indexed by depth keeps, so one folding per level
-    of depth is held at a time.  A subset whose parent is not the path
-    entry one level up is never folded afresh: InvariantError names the
-    parent the map lacks."""
-    group = build_qbg(chain.cartan).group
-    # path[d]: (subset, folding state) of the last subset of depth d
-    path = [(None, None)] * (chain.m + 1)
-    for J, w in dirs.items():
-        d = len(J)
-        if d:
-            parent, state = path[d - 1]
-            if parent != J[:-1]:
-                raise InvariantError("the admissible map lacks %r, the "
-                                     "parent of %r" % (J[:-1], J))
-            state = _fold_step(chain, group, state, J[-1], w)
-        else:
-            state = _fold_step(chain, group, None, 0, w)
-        path[d] = (J, state)
-        yield J, state[0]
-
-
 # ---------------------------------------------------------------------------
 # the height walks and the operators
 
@@ -249,38 +195,89 @@ class GGraph(NamedTuple):
     M: int
 
 
-def _height_walks(chain, J, fol):
-    """The walk of each distinct |alpha_p| (in A1, theta = alpha_1) over
-    the folding fol of the sorted subset J: root id -> (I_alpha ascending,
-    the levels l_i^J along it, <wt(J), |alpha_p|^vee>).  g_{|alpha|} lies at
-    h - 1/2 between positions; position i rises to h (falls to h - 1 when
-    gamma_i < 0) and the slope turns back at a folding position, so each
-    level, and the endpoint, is checked against the slopes."""
-    gamma, levels = fol.gamma, fol.levels
-    at = {rid: [] for rid in chain.walked}
-    for i, g in enumerate(gamma, 1):
-        bucket = at.get(g if g > 0 else -g)
-        if bucket is not None:
-            bucket.append(i)
-    walks = {}
+def _skeleton(chain, gamma, signed, gamma_inf, wlam):
+    """(gamma, signed, w(lambda), per walked root id: (rid, its coroot, P =
+    the positions with |gamma_i| = rid, the signed l and heights before and
+    after each at v = 0, per index of P the next whose height before is not
+    the last one's after, or None, <rid^vee, w(lambda)>, <rid^vee, w(rho)>
+    < 0)) of w: InvariantError on a zero <rid^vee, w(rho)>."""
+    tails = []
     for rid, cor in chain.walked.items():
-        positions, walked, h = at[rid], [], 0
-        for i in positions:
-            level, up = levels[i - 1], gamma[i - 1] > 0
-            if level != (h if up else h - 1):
-                raise InvariantError("height/slope mismatch at position %d"
-                                     % i)
-            walked.append(level)
-            if i not in J:
-                h += 1 if up else -1
-        end_pair = sum(map(mul, cor, fol.gamma_inf))
-        if end_pair == 0:
+        P = [i for i, g in enumerate(gamma, 1) if g == rid or g == -rid]
+        sl = [signed[i - 1] for i in P]
+        before = [s + (gamma[i - 1] < 0) for s, i in zip(sl, P)]
+        after = [s + (gamma[i - 1] > 0) for s, i in zip(sl, P)]
+        bad = [None] * len(P)
+        for k in range(len(P) - 1, 0, -1):
+            bad[k - 1] = k if before[k] != after[k - 1] else bad[k]
+        side = sum(map(mul, cor, gamma_inf))
+        if side == 0:
             raise InvariantError("gamma_inf orthogonal to alpha")
-        l_inf = sum(map(mul, cor, fol.weight))
-        if l_inf != (h if end_pair > 0 else h - 1):
+        tails.append((rid, cor, P, sl, before, after, bad,
+                      sum(map(mul, cor, wlam)), side < 0))
+    return gamma, signed, wlam, tails
+
+
+def _walk_step(chain, parent, J, j, skel):
+    """The state (J, v, skeleton, walks, end heights) of J = the parent's
+    subset + (j,) (j = 0 for ()), skel the skeleton of J's element.  walks:
+    root id -> (I_alpha, the levels l_i^J, <wt(J), alpha^vee>), the
+    parent's walk up to j, which it checked, and skel's tail past j, whose
+    levels sl - <beta^vee, v> must rise to h at gamma_i > 0 (fall to h - 1
+    else): one compare where it joins, then skel's next bad index."""
+    _, v, (prow, psigned, *_), pwalks, ends = parent
+    if j:
+        shift, g = psigned[j - 1], prow[j - 1]
+        v = tuple([x - shift * y for x, y in
+                   zip(v, chain.cartan._root_weights[abs(g) - 1])])
+    walks, heights = {}, []
+    for (rid, cor, P, sl, before, after, bad, lam, below), h in \
+            zip(skel[3], ends):
+        c = sum(map(mul, cor, v))
+        positions, levels, _ = pwalks[rid]
+        k = bisect_left(positions, j)
+        if k < len(positions):
+            i = positions[k]
+            h = levels[k] + (prow[i - 1] < 0)
+            k += i == j
+        t = bisect_right(P, j)
+        if t < len(P):
+            if (first := t if before[t] - c != h else bad[t]) is not None:
+                raise InvariantError("height/slope mismatch at position %d"
+                                     % P[first])
+            h = after[-1] - c
+        if lam - c != h - below:
             raise InvariantError("endpoint height mismatch")
-        walks[rid] = positions, walked, l_inf
-    return walks
+        walks[rid] = (positions[:k] + P[t:],
+                      levels[:k] + [s - c for s in sl[t:]], lam - c)
+        heights.append(h)
+    return J, v, skel, walks, heights
+
+
+def _walks(chain, dirs):
+    """(J, wt(J), walks) for each subset J of dirs, enumerate_admissible's
+    map, in its order, each by one _walk_step from its parent's state on a
+    path indexed by depth; InvariantError names a parent the map lacks.
+    The skeletons, one per element reached, live as long as the call."""
+    ct, group, skeletons = chain.cartan, build_qbg(chain.cartan).group, {}
+    # path[d]: the state of the last subset of depth d, a sentinel subset
+    # None until one comes; path[-1]: ()'s parent, nothing walked, heights 0
+    path = [(None,)] * (chain.m + 1) + [(
+        (), (0,) * ct.rank, ((), ()), dict.fromkeys(chain.walked, ([], [], 0)),
+        [0] * len(chain.walked))]
+    for J, w in dirs.items():
+        if (parent := path[len(J) - 1])[0] != J[:-1]:
+            raise InvariantError("the admissible map lacks %r, the parent "
+                                 "of %r" % (J[:-1], J))
+        if (skel := skeletons.get(w)) is None:
+            gamma = list(map(group.roots[w].__getitem__, chain.root_indices))
+            signed = [l if g > 0 else -l for g, l in zip(gamma, chain.l)]
+            wt = group.wt_mats[w]
+            skel = skeletons[w] = _skeleton(chain, gamma, signed, mat_vec(
+                wt, ct.rho), mat_vec(wt, chain.lam))
+        entry = path[len(J)] = _walk_step(chain, parent, J,
+                                          J[-1] if J else 0, skel)
+        yield J, tuple(map(sub, skel[2], entry[1])), entry[3]
 
 
 def _rule(walk, sign, J, threshold):
@@ -340,14 +337,23 @@ def _rule(walk, sign, J, threshold):
 
 
 def g_graph(chain, J, fol, p):
-    """The height profile for color p of the subset J with folding fol
-    (fold(chain, J)), read from its walk (p = 0 uses alpha_0 = -theta and
-    the graph reflected in the x-axis).  ValueError for a color outside
-    0..r."""
+    """The height profile for color p of J, walked by _walks along its
+    prefixes (p = 0: alpha_0 = -theta, reflected in the x-axis).  ValueError
+    for a color outside 0..r, InvariantError unless fol is fold(chain, J)'s
+    weight and element."""
     if not 0 <= p <= chain.cartan.rank:
         raise ValueError("color %r outside 0..%d" % (p, chain.cartan.rank))
+    group = build_qbg(chain.cartan).group
+    J, w = tuple(sorted(set(J))), group.identity
+    prefixes = {(): w}
+    for k, j in enumerate(J, 1):
+        w = prefixes[J[:k]] = group.times_reflection(
+            w, chain.root_indices[j - 1])
+    *_, (_, weight, walks) = _walks(chain, prefixes)
+    if weight != fol.weight or w != fol.final_dir:
+        raise InvariantError("the walk of %r is not its folding's" % (J,))
     sign, rid = chain.alphas[p]
-    positions, levels, l_inf = _height_walks(chain, J, fol)[rid]
+    positions, levels, l_inf = walks[rid]
     heights = tuple(sign * h for h in levels)
     return GGraph(p, tuple(positions), heights, sign * l_inf,
                   max(heights + (sign * l_inf,)))
@@ -360,25 +366,22 @@ def g_graph(chain, J, fol, p):
 def explore(chain, dirs, level, colors):
     """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) as a
     CrystalGraph over the sorted subsets of dirs, enumerate_admissible's
-    map: node k is its k-th subset, folded by _foldings and walked once,
-    and _rule reads every f_p and e_p off the walks as node ids; the e
-    lists go to the constructor to be checked against the f lists.  Equal
-    weights share one tuple.  InvariantError when an operator leaves the
-    map or a subset's parent is missing from it, ValueError for a level
-    below 1."""
+    map: node k is its k-th subset, walked once by _walks, and _rule reads
+    every f_p and e_p off the walks as node ids, the e lists checked
+    against the f lists by the constructor.  Equal weights share one
+    tuple.  InvariantError when an operator leaves the map or a subset's
+    parent is missing from it, ValueError for a level below 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
     colors = tuple(colors)
-    # an image -> its node id; None -> None until the table is built
+    # an image -> its node id, None -> None (the graph's own is lazy)
     index = {J: k for k, J in enumerate(dirs)}
     index[None] = None
-    fs = {c: [] for c in colors}
-    es = {c: [] for c in colors}
+    fs, es = {c: [] for c in colors}, {c: [] for c in colors}
     steps = [(*chain.alphas[c], level if c == 0 else 0, fs[c].append,
               es[c].append) for c in colors]
     weights, interned = [], {}
-    for J, fol in _foldings(chain, dirs):
-        walks = _height_walks(chain, J, fol)
+    for J, weight, walks in _walks(chain, dirs):
         for sign, rid, threshold, f_out, e_out in steps:
             _, f_img, e_img = _rule(walks[rid], sign, J, threshold)
             try:
@@ -387,12 +390,10 @@ def explore(chain, dirs, level, colors):
             except KeyError:
                 raise InvariantError("crystal operators left the "
                                      "admissible family") from None
-        weights.append(interned.setdefault(fol.weight, fol.weight))
-    del index[None]
+        weights.append(interned.setdefault(weight, weight))
     graph = CrystalGraph(chain.cartan, colors, list(dirs), fs, weights,
                          ["[" + ",".join(map(str, J)) + "]" for J in dirs],
                          es=es)
-    graph.index = index
     graph.chain = chain
     return graph
 
@@ -408,13 +409,12 @@ def alcove_crystal(cartan, lam, level=1, order="lex",
 
 def hw_crystal(cartan, lam, node_cap=DEFAULT_NODE_CAP,
                weyl_cap=DEFAULT_WEYL_CAP):
-    """The highest weight crystal B(lambda) in any type, in Lenart and
-    Postnikov's alcove model: the subsets of the lexicographic lambda-chain
-    whose path takes Bruhat covers only, under the f_p, e_p (p in I_0) of
-    A_l(Gamma), tabulated by explore.  Nodes are sorted subsets in DFS
-    preorder (the top, (), is node 0), reprs read [j,...], node_cap bounds
-    |B(lambda)|, the top included.  ValueError for a lambda of the wrong
-    length, NonDominantWeightError if it is not dominant."""
+    """B(lambda) in any type, in Lenart and Postnikov's alcove model: the
+    subsets of the lexicographic lambda-chain whose path takes Bruhat covers
+    only, under the f_p, e_p (p in I_0) of A_l(Gamma), tabulated by explore:
+    nodes in DFS preorder (the top, (), is node 0), reprs [j,...], node_cap
+    bounding |B(lambda)|.  ValueError for a lambda of the wrong length,
+    NonDominantWeightError if it is not dominant."""
     return _explored(cartan, lam, "lex", False, 1, node_cap, weyl_cap)
 
 

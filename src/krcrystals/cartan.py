@@ -30,7 +30,7 @@ _TYPE_RE = re.compile(r"^([%s])(\d+)~?$" % "".join(FAMILIES))
 
 
 def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def identity_matrix(n):

@@ -11,7 +11,8 @@ replication, the per-node BFS closure of seeds under a payload-level
 source, Demazure subsets of B(lambda) by strings of e_i^max read off
 a reduced word, with the highest weight node found one e call per node
 and color, the height profile of one color by its own scan of the folded
-chain, and f and e read off that profile, and f_p, e_p and phi_0 of any
+chain, and f and e read off that profile, every walked color's walk of a
+folded chain by one scan of its positions, and f_p, e_p and phi_0 of any
 subset, folded afresh and read by the library's rule),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
@@ -430,6 +431,65 @@ def e_on_oracle(gg, J, level):
     return tuple(new)
 
 
+def _height_walks(chain, J, fol):
+    """The walk of each distinct |alpha_p| (in A1, theta = alpha_1) over
+    the folding fol of the sorted subset J, by its own scan of all m
+    positions: root id -> (I_alpha ascending, the levels l_i^J along it,
+    <wt(J), |alpha_p|^vee>).  g_{|alpha|} lies at h - 1/2 between
+    positions; position i rises to h (falls to h - 1 when gamma_i < 0) and
+    the slope turns back at a folding position, so each level, and the
+    endpoint, is checked against the slopes: the from-scratch walk the
+    library's table build used before it extended each parent's walk."""
+    gamma, levels = fol.gamma, fol.levels
+    at = {rid: [] for rid in chain.walked}
+    for i, g in enumerate(gamma, 1):
+        bucket = at.get(g if g > 0 else -g)
+        if bucket is not None:
+            bucket.append(i)
+    walks = {}
+    for rid, cor in chain.walked.items():
+        positions, walked, h = at[rid], [], 0
+        for i in positions:
+            level, up = levels[i - 1], gamma[i - 1] > 0
+            if level != (h if up else h - 1):
+                raise InvariantError("height/slope mismatch at position %d"
+                                     % i)
+            walked.append(level)
+            if i not in J:
+                h += 1 if up else -1
+        end_pair = sum(c * x for c, x in zip(cor, fol.gamma_inf))
+        if end_pair == 0:
+            raise InvariantError("gamma_inf orthogonal to alpha")
+        l_inf = sum(c * x for c, x in zip(cor, fol.weight))
+        if l_inf != (h if end_pair > 0 else h - 1):
+            raise InvariantError("endpoint height mismatch")
+        walks[rid] = positions, walked, l_inf
+    return walks
+
+
+def walk_table_oracle(chain, dirs, level, colors):
+    """(fs, es, weights) of the crystal table over the subsets of dirs,
+    each folded from scratch by fold_oracle and walked by _height_walks,
+    with the library's rule read off the walks: the per-subset loop the
+    library used before it built each walk from its parent's."""
+    index = {J: k for k, J in enumerate(dirs)}
+    index[None] = None
+    fs = {c: [] for c in colors}
+    es = {c: [] for c in colors}
+    weights = []
+    for J in dirs:
+        fol = fold_oracle(chain, J)
+        walks = _height_walks(chain, J, fol)
+        for c in colors:
+            sign, rid = chain.alphas[c]
+            _, f_img, e_img = alcove._rule(walks[rid], sign, J,
+                                           level if c == 0 else 0)
+            fs[c].append(index[f_img])
+            es[c].append(index[e_img])
+        weights.append(fol.weight)
+    return fs, es, weights
+
+
 def _rule_args(chain, J, p, level=1):
     """The arguments of the library's rule for color p of any subset J at
     level l, read from a fresh fold of J.  ValueError for a color outside
@@ -440,7 +500,7 @@ def _rule_args(chain, J, p, level=1):
         raise ValueError("level must be >= 1")
     J = tuple(sorted(J))
     sign, rid = chain.alphas[p]
-    walks = alcove._height_walks(chain, J, alcove.fold(chain, J))
+    walks = _height_walks(chain, J, alcove.fold(chain, J))
     return walks[rid], sign, J, level if p == 0 else 0
 
 

@@ -11,8 +11,9 @@ import pytest
 from helpers import (QBG_TYPES, alcove_e, alcove_f, decode_root,
                      e_on_oracle, f_on_oracle, fold_oracle,
                      folding_direction_oracle, folding_gamma_oracle,
-                     folding_weight_oracle, g_graph_oracle, is_admissible,
-                     is_bruhat_admissible, phi0, validate_chain)
+                     folding_weight_oracle, g_graph_oracle, _height_walks,
+                     is_admissible, is_bruhat_admissible, phi0,
+                     validate_chain, walk_table_oracle)
 from krcrystals import alcove
 from krcrystals.alcove import (LambdaChain, alcove_crystal,
                                build_lambda_chain, enumerate_admissible, fold,
@@ -172,15 +173,15 @@ def test_bruhat_enumeration_keeps_the_walks_of_covers(family, rank):
 
 
 def fold_step_log(monkeypatch):
-    """The position j of every _fold_step call, in call order."""
+    """The position j of every _walk_step call, in call order."""
     log = []
-    step = alcove._fold_step
+    step = alcove._walk_step
 
-    def logged(chain, group, state, j, w):
+    def logged(chain, parent, J, j, skel):
         log.append(j)
-        return step(chain, group, state, j, w)
+        return step(chain, parent, J, j, skel)
 
-    monkeypatch.setattr(alcove, "_fold_step", logged)
+    monkeypatch.setattr(alcove, "_walk_step", logged)
     return log
 
 
@@ -237,7 +238,8 @@ def test_enumeration_is_not_recursive(monkeypatch):
 # reaches: the parent check, not the operator check, refuses it at the
 # subset's first child, where on A2 (1,1) the path is too short and on
 # A2 (2,1) the entry one level up is an earlier sibling's.  Only the
-# subsets before the gap are folded: none afresh, none from a stale entry
+# subsets before the gap are walked: none folded afresh, none walked from
+# a stale entry
 @pytest.mark.parametrize("lam,missing", [((1, 1), (1, 2)), ((2, 1), (3,))])
 def test_a_subset_without_its_parent_is_never_folded(monkeypatch, lam,
                                                      missing):
@@ -290,18 +292,18 @@ def test_fold_weight_matches_reflection_oracle(cartan, lam):
 
 @pytest.mark.parametrize("cartan,lam,order", ORACLE_CASES, ids=ORACLE_IDS)
 def test_fold_matches_from_scratch_oracle(cartan, lam, order):
-    # the table build's foldings, each from its parent's state, of the
-    # quantum and the Bruhat-only subsets, and the step applied from the
-    # empty folding, against the one-pass loop
+    # the table build's weights, each walk from its parent's, and the
+    # final elements of the quantum and the Bruhat-only subsets, and the
+    # step applied from the empty folding, against the one-pass loop
     chain = build_lambda_chain(cartan, lam, order)
     for quantum in (True, False):
         dirs = enumerate_admissible(chain, quantum=quantum)
-        folded = list(alcove._foldings(chain, dirs))
-        assert [J for J, _ in folded] == list(dirs)
-        for J, fol in folded:
+        walked = list(alcove._walks(chain, dirs))
+        assert [J for J, _, _ in walked] == list(dirs)
+        for J, weight, _ in walked:
             want = fold_oracle(chain, J)
-            assert fol == want
-            assert fol.final_dir == dirs[J]
+            assert weight == want.weight
+            assert dirs[J] == want.final_dir
             assert fold(chain, J) == want
     assert not hasattr(chain, "foldings")
 
@@ -378,12 +380,12 @@ PROFILE_CASES = [(A1, (5,)), (A2, (1, 1)), (C2, (2, 0)), (B3, (1, 1, 0)),
     "%s%d-%s" % (ct.family, ct.rank, "".join(map(str, lam)))
     for ct, lam in PROFILE_CASES])
 def test_height_profiles_match_per_color_oracle(cartan, lam, order):
-    # every color's walk from the one-pass builder, read with the color's
+    # every color's walk from the table build, read with the color's
     # sign, the rule's maximum, and every field of g_graph's profile,
     # against a separate scan of Gamma(J) per color
     chain = build_lambda_chain(cartan, lam, order)
-    for J, fol in alcove._foldings(chain, enumerate_admissible(chain)):
-        walks = alcove._height_walks(chain, J, fol)
+    for J, _, walks in alcove._walks(chain, enumerate_admissible(chain)):
+        fol = fold(chain, J)
         assert set(walks) == {rid for _, rid in chain.alphas}
         for p, (sign, rid) in enumerate(chain.alphas):
             want = g_graph_oracle(chain, J, p)
@@ -397,9 +399,11 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
 
 @pytest.mark.parametrize("J", [(), (2,), (1, 3)])
 def test_height_profiles_cross_check_the_folding(J):
+    # the oracle walk of a folding checks its levels and endpoint; the
+    # table build's own check is test_the_table_checks_each_walked_level
     chain = build_lambda_chain(A2, (1, 1))
     fol = fold(chain, J)
-    build = alcove._height_walks
+    build = _height_walks
     positions = {i for p in range(3)
                  for i in g_graph(chain, J, fol, p).positions}
     assert positions
@@ -416,14 +420,108 @@ def test_height_profiles_cross_check_the_folding(J):
         build(chain, J, fol._replace(gamma_inf=(0, 0)))
 
 
+def skeleton_patch(monkeypatch, change):
+    """Patch the table build's skeleton builder: change(gamma, signed,
+    gamma_inf, wlam) returns the arguments the builder gets instead."""
+    build = alcove._skeleton
+
+    def patched(chain, *args):
+        return build(chain, *change(*args))
+
+    monkeypatch.setattr(alcove, "_skeleton", patched)
+
+
+def first_tail(chain, dirs):
+    """The first subset J (in the map's order) whose final element no
+    earlier subset reaches and whose walk of some root has two positions
+    or more past J's last: (the number of elements reached before J, the
+    second of those positions)."""
+    seen = set()
+    for J, _, walks in alcove._walks(chain, dirs):
+        w = dirs[J]
+        if J and w not in seen:
+            for positions, _, _ in walks.values():
+                tail = [i for i in positions if i > J[-1]]
+                if len(tail) >= 2:
+                    return len(seen), tail[1]
+        seen.add(w)
+    raise AssertionError("no subset with a two-position tail")
+
+
+TABLE_CHECK_CASES = [(A2, (1, 1)), (A3, (1, 2, 0))]
+
+
+# the table build checks each level where a tail joins its parent's walk
+# and by the skeleton's next bad index inside the tail: one signed l off by
+# one at a walked position i is named as i, inside the empty subset's
+# tails and at its junctions, and inside the tail of the first subset
+# that reaches a new element, where no earlier subset sees the fault
+@pytest.mark.parametrize("cartan,lam", TABLE_CHECK_CASES, ids=[
+    "%s%d-%s" % (ct.family, ct.rank, "".join(map(str, lam)))
+    for ct, lam in TABLE_CHECK_CASES])
+def test_the_table_checks_each_walked_level(monkeypatch, cartan, lam):
+    chain = build_lambda_chain(cartan, lam)
+    dirs = enumerate_admissible(chain)
+    _, _, walks = next(alcove._walks(chain, dirs))
+    # (i, the skeleton build to patch, None for every build)
+    cases = [(i, None) for positions, _, _ in walks.values()
+             for i in positions]
+    junctions = {positions[0] for positions, _, _ in walks.values()
+                 if positions}
+    assert {i for i, _ in cases} - junctions
+    built, i = first_tail(chain, dirs)
+    assert built > 0
+    cases.append((i, built))
+    for i, patched in cases:
+        calls = []
+
+        def off_by_one(gamma, signed, gamma_inf, wlam, i=i, patched=patched,
+                       calls=calls):
+            calls.append(i)
+            if patched in (None, len(calls) - 1):
+                signed = list(signed)
+                signed[i - 1] += 1
+            return gamma, signed, gamma_inf, wlam
+
+        skeleton_patch(monkeypatch, off_by_one)
+        with pytest.raises(InvariantError,
+                           match="^height/slope mismatch at position %d$" % i):
+            alcove.explore(chain, dirs, 1, range(cartan.rank + 1))
+        assert len(calls) == (patched or 0) + 1
+        monkeypatch.undo()
+    steps = fold_step_log(monkeypatch)
+    assert len(alcove.explore(chain, dirs, 1, range(cartan.rank + 1))) \
+        == len(steps) == len(dirs)
+
+
+@pytest.mark.parametrize("cartan,lam", TABLE_CHECK_CASES, ids=[
+    "%s%d-%s" % (ct.family, ct.rank, "".join(map(str, lam)))
+    for ct, lam in TABLE_CHECK_CASES])
+def test_the_table_checks_each_endpoint(monkeypatch, cartan, lam):
+    chain = build_lambda_chain(cartan, lam)
+    dirs = enumerate_admissible(chain)
+    colors = range(cartan.rank + 1)
+    skeleton_patch(monkeypatch, lambda gamma, signed, gamma_inf, wlam: (
+        gamma, signed, gamma_inf, (wlam[0] + 1,) + wlam[1:]))
+    with pytest.raises(InvariantError, match="^endpoint height mismatch$"):
+        alcove.explore(chain, dirs, 1, colors)
+    monkeypatch.undo()
+    skeleton_patch(monkeypatch, lambda gamma, signed, gamma_inf, wlam: (
+        gamma, signed, (0,) * len(gamma_inf), wlam))
+    with pytest.raises(InvariantError,
+                       match="^gamma_inf orthogonal to alpha$"):
+        alcove.explore(chain, dirs, 1, colors)
+
+
 @pytest.mark.parametrize("cartan,lam", [(A2, (1, 1)), (A2, (2, 0)),
                                         (C2, (2, 0))])
 def test_M_nonnegative_integer_everywhere(cartan, lam):
     chain = build_lambda_chain(cartan, lam)
-    for J, fol in alcove._foldings(chain, enumerate_admissible(chain)):
+    for J, _, walks in alcove._walks(chain, enumerate_admissible(chain)):
         for p in range(0, cartan.rank + 1):
-            gg = g_graph(chain, J, fol, p)
-            assert isinstance(gg.M, int) and gg.M >= 0
+            sign, rid = chain.alphas[p]
+            M = alcove._rule(walks[rid], sign, J, int(p == 0))[0]
+            assert isinstance(M, int) and M >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +593,7 @@ def test_explore_rejects_levels_below_1(monkeypatch, level):
     # broken invariant on the first subset
     chain = build_lambda_chain(A2, (1, 1))
     foldings = enumerate_admissible(chain)
-    monkeypatch.setattr(alcove, "_height_walks",
+    monkeypatch.setattr(alcove, "_walk_step",
                         lambda *args: pytest.fail("a subset was walked"))
     with pytest.raises(ValueError, match="^level must be >= 1$"):
         alcove.explore(chain, foldings, level, range(3))
@@ -528,6 +626,35 @@ def test_operator_tables_match_the_profile_oracle(cartan, lam, build):
                     oracle(gg, J, level)
 
 
+# instances where many subsets share a final element, so most walks are
+# a parent's walk extended by a tail of a skeleton built once: A1 lambda=8
+# has 256 subsets on 2 elements, A3 (1,2,2) 2304 subsets on 24
+REUSE_CASES = [(A1, (8,), order) for order in ("lex", "revlex")] + \
+    [(A3, (1, 2, 2), order) for order in ("lex", "revlex")]
+
+
+@pytest.mark.parametrize("build", ["level1", "level2", "hw"])
+@pytest.mark.parametrize("cartan,lam,order", REUSE_CASES, ids=[
+    "%s%d-%s-%s" % (ct.family, ct.rank, "".join(map(str, lam)), order)
+    for ct, lam, order in REUSE_CASES])
+def test_operator_tables_match_the_oracle_table(cartan, lam, order, build):
+    # every f, e and weight of the table against the same rule on walks
+    # of foldings made from scratch, subset by subset
+    chain = build_lambda_chain(cartan, lam, order)
+    quantum = build != "hw"
+    dirs = enumerate_admissible(chain, quantum=quantum)
+    level = int(build[-1]) if quantum else 1
+    colors = tuple(range(cartan.rank + 1)) if quantum \
+        else cartan.classical_index_set
+    graph = alcove.explore(chain, dirs, level, colors)
+    fs, es, weights = walk_table_oracle(chain, dirs, level, colors)
+    assert {c: list(graph.fs[c]) for c in colors} == fs
+    assert {c: list(graph.es[c]) for c in colors} == es
+    assert list(graph.weights) == weights
+    if quantum:
+        assert 10 * len(set(dirs.values())) < len(dirs)
+
+
 # ---------------------------------------------------------------------------
 # phi_0 and the assembled crystal
 
@@ -542,15 +669,15 @@ def test_phi0_formula_equals_string_length(lam):
 
 
 def test_each_height_profile_is_built_once(monkeypatch):
-    # one builder call per subset makes the walks all r + 1 colors read
+    # one step per subset makes the walks all r + 1 colors read
     built = []
-    build = alcove._height_walks
+    build = alcove._walk_step
 
-    def counted(chain, J, fol):
+    def counted(chain, parent, J, j, skel):
         built.append(J)
-        return build(chain, J, fol)
+        return build(chain, parent, J, j, skel)
 
-    monkeypatch.setattr(alcove, "_height_walks", counted)
+    monkeypatch.setattr(alcove, "_walk_step", counted)
     graph = alcove_crystal(A3, (1, 1, 1))
     assert len(built) == len(graph) == len(set(built))
 

@@ -246,6 +246,45 @@ def test_no_library_function_calls_fold(module):
     assert lines == [], "%s calls fold on lines %s" % (module, lines)
 
 
+# the alcove table extends each parent's walk by a skeleton's tail: the
+# per-subset folding path and the from-scratch walk are gone from src
+# (the walk is a test oracle in tests/helpers.py), and explore folds
+# nothing
+@pytest.mark.parametrize("name", ["_foldings", "_height_walks"])
+def test_alcove_table_has_one_walk(name):
+    import re
+    lines = [(module, k) for module in MODULES
+             for k, line in enumerate((SRC / module).read_text()
+                                      .splitlines(), 1)
+             if re.search(r"\b%s\b" % name, line)]
+    assert lines == []
+
+
+def test_explore_folds_nothing():
+    tree = ast.parse((SRC / "alcove.py").read_text())
+    explore, = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "explore"]
+    called = {node.func.id if isinstance(node.func, ast.Name)
+              else getattr(node.func, "attr", None)
+              for node in ast.walk(explore) if isinstance(node, ast.Call)}
+    assert called & {"fold", "_fold_step"} == set()
+
+
+# the per-element skeletons live as long as one table build: the chain a
+# graph keeps holds no table over Weyl elements (fold keeps no image
+# cache on it either), only its per-position and per-color data
+def test_the_alcove_graph_retains_no_element_table():
+    from krcrystals.alcove import alcove_crystal, fold
+    from krcrystals.cartan import build_cartan
+    graph = alcove_crystal(build_cartan("A", 3), (1, 2, 2))
+    assert len(graph) == 2304
+    fold(graph.chain, (1, 3))
+    assert set(vars(graph.chain)) == {
+        "cartan", "lam", "order", "roots", "root_indices", "m", "l",
+        "l_tilde", "alphas", "walked"}
+
+
 def _mentions(node, names):
     """Does the expression read one of the names, as a name or an
     attribute?"""
