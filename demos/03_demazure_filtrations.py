@@ -24,16 +24,17 @@ print("after removing non-level-1 Demazure arrows: %d zero-edge(s):"
 print("matches the transcribed figure fixture:",
       graphs_equal(filtered, fixture_C2("tensor11")))
 
+# a component is a (graph, ids) pair: its node ids in the filtered graph
 comps = components(filtered)
-print("components:", [len(c) for c in comps])
+print("components:", [len(ids) for _, ids in comps])
 
 fb = fixture_C2("B12")
-big = comps[1]
-mapping = iso_check(big, fb, "min")
+_, big = comps[1]
+mapping = iso_check(filtered, fb, "min", big)
 print("11-node component isomorphic to filtered B^{1,2}:",
       mapping is not None)
 print("  the empty column of B^{1,2} corresponds to",
-      big.reprs[{v: k for k, v in mapping.items()}[fb.index[()]]])
+      filtered.reprs[{v: k for k, v in mapping.items()}[fb.index[()]]])
 
 print()
 print("=== the same statement through the named checks ===")

@@ -181,14 +181,6 @@ class CartanData:
     def fundamental_weight(self, i):
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
-    def dominance_leq(self, mu, nu):
-        """mu <= nu in dominance order: nu - mu in Q_0^+, that is, its
-        det-scaled simple-root coordinates adj·(nu - mu) are nonnegative
-        multiples of det."""
-        diff = vec_sub(nu, mu)
-        return all(c >= 0 and c % self.det == 0
-                   for c in (sum(map(mul, row, diff)) for row in self.adj))
-
     def is_dominant(self, weight):
         return all(x >= 0 for x in weight)
 

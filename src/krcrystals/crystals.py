@@ -16,7 +16,7 @@ import operator
 from collections import Counter
 from json.encoder import encode_basestring
 
-from .cartan import vec_add, vec_sub
+from .cartan import mat_vec, vec_add, vec_sub
 from .errors import AmbiguousAnchorError, InvariantError, ResourceLimitError
 from .weyl import write_blocks
 
@@ -25,19 +25,14 @@ DEFAULT_NODE_CAP = 10 ** 6
 DOT_EDGE_COLORS = {0: "black", 1: "blue", 2: "red"}
 
 
-def _height(col, weight):
-    """The height <weight, rho^vee>, for col the adjugate's column sums."""
-    return sum(map(operator.mul, col, weight))
-
-
 class ProductView:
     """A read-only sequence over the mixed-radix product of some lists,
     which it keeps in place of its elements: element x joins the entries
     lists[k][d_k] at the digits d_k of x, rightmost list fastest (the
     itertools.product order).  explore_tensor joins payloads with tuple and
     reprs with " (x) ".join, the string the left fold r + " (x) " + s
-    gives.  Int indexing follows list semantics; iteration, == with a list
-    or a view, and pick never index element by element."""
+    gives.  Int indexing follows list semantics; iteration and == with a
+    list or a view never index element by element."""
 
     __slots__ = ("lists", "join", "_len", "_strides")
 
@@ -57,7 +52,8 @@ class ProductView:
             x += self._len
         if not 0 <= x < self._len:
             raise IndexError("product index out of range")
-        return self.pick((x,))[0]
+        return self.join([lst[x // stride % len(lst)]
+                          for lst, stride in zip(self.lists, self._strides)])
 
     def __iter__(self):
         return map(self.join, itertools.product(*self.lists))
@@ -66,22 +62,6 @@ class ProductView:
         if not isinstance(other, (list, ProductView)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def pick(self, ids):
-        """[self[x] for x in ids], for ids in range: one list comprehension
-        per factor list, then one join per element."""
-        cols = []
-        for lst, stride in zip(self.lists, self._strides):
-            size = len(lst)
-            cols.append([lst[x // stride % size] for x in ids])
-        return list(map(self.join, zip(*cols)))
-
-
-def _pick(seq, ids):
-    """The elements of a list or a ProductView at the given ids."""
-    if isinstance(seq, ProductView):
-        return seq.pick(ids)
-    return [seq[i] for i in ids]
 
 
 def _kept(seq):
@@ -239,94 +219,79 @@ class CrystalGraph:
 
     # -- anchors ---------------------------------------------------------------
 
-    def extremal(self, mode, heights=None):
-        """The unique weight-extremal node id ('max' or 'min'), or an error.
+    def extremal(self, mode, ids=None):
+        """The unique weight-extremal node id ('max' or 'min') among ids
+        (ascending; every node when None), or an error.
 
-        The height <mu, rho^vee> (the sum of mu's simple-root coordinates,
-        one dot product with the column sums of the adjugate) grows strictly
-        along the dominance order, so a qualifying weight has the greatest
-        height (least for 'min'), and then every node of that height has its
-        weight: only one weight can qualify, and the first node of that
-        height is the one candidate.  The heights and the Q^+ test run once
-        per distinct weight; heights is _weight_heights()'s table, for a
-        caller that reads both modes off one."""
-        ct = self.cartan
-        if heights is None:
-            heights = self._weight_heights()
-        sign = 1 if mode == "max" else -1
+        The height <mu, rho^vee> (the sum of mu's simple-root coordinates)
+        grows strictly along the dominance order, so a qualifying weight has
+        the greatest height (least for 'min'), and then every node of that
+        height has its weight: only one weight can qualify, and the first
+        node of that height is the one candidate.  It qualifies when each of
+        its det-scaled root coordinates is the greatest (least) of that
+        coordinate over the weights among ids, and each coordinate has one
+        residue mod det over them: then it minus every other weight (the
+        reverse for 'min') is in Q_0^+.  Coordinates and heights come from
+        _root_coords, built once per graph."""
+        weights = self.weights
+        ids = range(len(weights)) if ids is None else ids
+        wts = list(map(weights.__getitem__, ids))
+        counts = Counter(wts)
+        coords, heights = self._root_coords
+        ext = max if mode == "max" else min
         count = 0
-        if heights:
-            best = max(sign * h for h, _ in heights.values())
-            top, n = next((w, n) for w, (h, n) in heights.items()
-                          if sign * h == best)
-            if all(ct.dominance_leq(w, top) if sign > 0
-                   else ct.dominance_leq(top, w) for w in heights):
-                count = min(2, n)
+        if counts:
+            top = ext(counts, key=heights.__getitem__)
+            det = self.cartan.det
+            if all(ext(col) == h and len({x % det for x in col}) == 1
+                   for h, col in zip(coords[top],
+                                     zip(*map(coords.__getitem__, counts)))):
+                count = min(2, counts[top])
         if count != 1:
             raise AmbiguousAnchorError(
                 "no unique %s-weight element (%d candidates)" % (mode, count))
-        return self.weights.index(top)
+        return ids[wts.index(top)]
 
-    def _weight_heights(self):
-        """Each distinct weight -> (its height <mu, rho^vee>, its number of
-        nodes), in order of its first node."""
-        col = [sum(c) for c in zip(*self.cartan.adj)]
-        return {w: (_height(col, w), n)
-                for w, n in Counter(self.weights).items()}
+    @functools.cached_property
+    def _root_coords(self):
+        """(adj·mu, sum(adj·mu)) for each distinct weight mu, as two dicts:
+        its simple-root coordinates and its height <mu, rho^vee>, both
+        scaled by det."""
+        coords = {w: mat_vec(self.cartan.adj, w) for w in set(self.weights)}
+        return coords, {w: sum(c) for w, c in coords.items()}
 
     def anchors(self):
-        """The extremal node id of each mode that has a unique one, both
-        read off one table of heights."""
-        heights = self._weight_heights()
+        """The extremal node id of each mode that has a unique one."""
         out = {}
         for mode in ("max", "min"):
             try:
-                out[mode] = self.extremal(mode, heights)
+                out[mode] = self.extremal(mode)
             except AmbiguousAnchorError:
                 pass
         return out
 
-    # -- derived graphs -----------------------------------------------------------
-
-    def subgraph(self, node_ids):
-        ids = sorted(node_ids)
-        remap = [None] * len(self.nodes)
-        for new, old in enumerate(ids):
-            remap[old] = new
-        fs = {c: [None if dst is None else remap[dst]
-                  for dst in map(fc.__getitem__, ids)]
-              for c, fc in self.fs.items()}
-        return CrystalGraph(
-            self.cartan, self.colors, _pick(self.nodes, ids), fs,
-            [self.weights[i] for i in ids], _pick(self.reprs, ids),
-            affine_complete=False)
-
-    def _component_walk(self, start, seen, steps):
-        """The unseen node ids weakly connected to start, marked seen: a
-        BFS along the successor lists steps."""
-        seen[start] = True
-        comp = [start]
-        for v in comp:  # grows while it is walked
-            for step in steps:
-                w = step[v]
-                if w is not None and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        return comp
+    # -- components ----------------------------------------------------------
 
     def component_ids(self):
         """The ascending node ids of every weakly connected component, in
-        order of their smallest id: one pass over the successor lists."""
+        order of their smallest id: one BFS along the successor lists from
+        each node not yet seen."""
         seen = [False] * len(self.nodes)
         steps = [*self.fs.values(), *self.es.values()]
-        return [sorted(self._component_walk(start, seen, steps))
-                for start in range(len(seen)) if not seen[start]]
-
-    def component_of(self, node_id):
-        """The component holding node_id, walked from it alone."""
-        return self.subgraph(self._component_walk(
-            node_id, [False] * len(self.nodes),
-            [*self.fs.values(), *self.es.values()]))
+        out = []
+        for start in range(len(seen)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # grows while it is walked
+                for step in steps:
+                    w = step[v]
+                    if w is not None and not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            out.append(sorted(comp))
+        return out
 
     # -- serialization ---------------------------------------------------------------
 
@@ -533,100 +498,129 @@ def demazure_filter(graph, level, mode):
 
 
 def components(graph):
-    """Weakly connected components, sorted by (size, weight multiset)."""
+    """The weakly connected components as (graph, ids) pairs, ids the
+    ascending node ids of one component, sorted by (size, weight multiset,
+    first id).  A component is read in place: no graph is copied."""
+    weights = graph.weights
     comps = graph.component_ids()
-
-    def key(ids):
-        return (len(ids), sorted(graph.weights[i] for i in ids), ids[0])
-    comps.sort(key=key)
-    return [graph.subgraph(ids) for ids in comps]
+    comps.sort(key=lambda ids: (len(ids), sorted(map(weights.__getitem__,
+                                                     ids)), ids[0]))
+    return [(graph, ids) for ids in comps]
 
 
 # ---------------------------------------------------------------------------
 # isomorphism checking
 
 
-def verify_isomorphism(g1, g2, mapping):
+def verify_isomorphism(g1, g2, mapping, ids1=None, ids2=None):
     """The one audit behind every comparison of crystals: mapping is a
-    bijection commuting with every f_i and e_i and preserving weights."""
-    if g1.colors != g2.colors or len(mapping) != len(g1) \
-            or len(set(mapping.values())) != len(g2):
+    bijection of ids1 onto ids2 (all node ids when None) commuting with
+    every f_i and e_i and preserving weights.  ids1 and ids2 are closed
+    under the edges, as a component is."""
+    ids1 = range(len(g1)) if ids1 is None else ids1
+    ids2 = range(len(g2)) if ids2 is None else ids2
+    image = set(mapping.values())
+    if g1.colors != g2.colors or mapping.keys() != set(ids1) \
+            or len(image) != len(mapping) or image != set(ids2):
         return False
-    for x, y in mapping.items():
-        if g1.weights[x] != g2.weights[y]:
-            return False
-        for c in g1.colors:
-            # mapping is total, so .get gives None only for a missing edge
-            if mapping.get(g1.fs[c][x]) != g2.fs[c][y] \
-                    or mapping.get(g1.es[c][x]) != g2.es[c][y]:
-                return False
-    return True
+    steps = _steps(g1, g2)
+    # mapping is total, so .get gives None only for a missing edge
+    return all(g1.weights[x] == g2.weights[y]
+               and all(mapping.get(s1[x]) == s2[y] for s1, s2 in steps)
+               for x, y in mapping.items())
 
 
-def iso_check(g1, g2, anchor_mode="min"):
-    """Forced-map isomorphism between connected crystals.
+def _steps(g1, g2):
+    """The (g1 list, g2 list) pair of every f_c and e_c, color by color."""
+    return [pair for c in g1.colors
+            for pair in ((g1.fs[c], g2.fs[c]), (g1.es[c], g2.es[c]))]
+
+
+def iso_check(g1, g2, anchor_mode="min", ids1=None, ids2=None):
+    """Forced-map isomorphism between connected crystals: the components
+    ids1 of g1 and ids2 of g2, or the whole graphs where they are None.
 
     The unique extremal-weight anchors are matched and the map is grown
     edge-by-edge (at most one i-edge leaves a node, so it is forced),
     stopping early only at a forced edge with no partner; the audit
     verify_isomorphism rejects every other difference.  Returns the
-    id-level bijection, or None if the graphs differ.  Ambiguous anchors
-    raise AmbiguousAnchorError."""
-    a1, a2 = g1.extremal(anchor_mode), g2.extremal(anchor_mode)
-    if len(g1) != len(g2) or g1.colors != g2.colors:
+    id-level bijection, or None if the components differ.  Ambiguous
+    anchors raise AmbiguousAnchorError."""
+    ids1 = range(len(g1)) if ids1 is None else ids1
+    ids2 = range(len(g2)) if ids2 is None else ids2
+    return _forced_map(g1, ids1, g1.extremal(anchor_mode, ids1),
+                       g2, ids2, g2.extremal(anchor_mode, ids2))
+
+
+def _forced_map(g1, ids1, a1, g2, ids2, a2):
+    """iso_check's map grown from anchors a1 and a2 and audited, or None."""
+    if len(ids1) != len(ids2) or g1.colors != g2.colors:
         return None
+    steps = _steps(g1, g2)
     mapping = {a1: a2}
     queue = [(a1, a2)]
     while queue:
         x, y = queue.pop()
-        for c in g1.colors:
-            for x1, y1 in ((g1.fs[c][x], g2.fs[c][y]),
-                           (g1.es[c][x], g2.es[c][y])):
-                if x1 is not None and x1 not in mapping:
-                    if y1 is None:
-                        return None
-                    mapping[x1] = y1
-                    queue.append((x1, y1))
-    return mapping if verify_isomorphism(g1, g2, mapping) else None
+        for s1, s2 in steps:
+            x1 = s1[x]
+            if x1 is not None and x1 not in mapping:
+                y1 = s2[y]
+                if y1 is None:
+                    return None
+                mapping[x1] = y1
+                queue.append((x1, y1))
+    return mapping if verify_isomorphism(g1, g2, mapping, ids1, ids2) \
+        else None
 
 
 def match_components(comps1, comps2, anchor_mode):
-    """Pair up two lists of components by forced-map isomorphism.
+    """Pair up two lists of (graph, ids) components by forced-map
+    isomorphism.
 
-    Components are grouped by (size, anchor weight, weight multiset), and
-    each group is sorted into isomorphism classes by comparing a component
-    with one representative per class.  On this equivalence relation a
-    class's comps1 members (ascending) pair with its comps2 members
-    (descending), as the augmenting-path matching over all pairs it
-    replaces did, so reported pairs stay the same.  Returns the sorted
-    index pairs, or None when no perfect matching exists."""
+    Components are grouped by (size, anchor weight, weight multiset), each
+    anchor found once, and each group is sorted into isomorphism classes by
+    growing the forced map from a component to one representative per
+    class.  On this equivalence relation a class's comps1 members
+    (ascending) pair with its comps2 members (descending), as the
+    augmenting-path matching over all pairs it replaces did, so reported
+    pairs stay the same.  Returns the sorted index pairs, or None when no
+    perfect matching exists.  A group of components with no unique anchor
+    raises its AmbiguousAnchorError once two of them are compared."""
     if len(comps1) != len(comps2):
         return None
 
-    def key(g):
-        try:
-            anchor = tuple(g.weight(g.extremal(anchor_mode)))
-        except AmbiguousAnchorError:
-            anchor = None
-        return (len(g), anchor, tuple(sorted(g.weights)))
-
+    sides = ([], [])  # (graph, ids, anchor id or error) per component
     groups = ({}, {})
-    for comps, out in zip((comps1, comps2), groups):
-        for idx, g in enumerate(comps):
-            out.setdefault(key(g), []).append(idx)
+    for comps, found, out in zip((comps1, comps2), sides, groups):
+        for idx, (g, ids) in enumerate(comps):
+            try:
+                a = g.extremal(anchor_mode, ids)
+                wt = g.weights[a]
+            except AmbiguousAnchorError as err:
+                a, wt = err, None
+            found.append((g, ids, a))
+            key = (len(ids), wt, tuple(sorted(map(g.weights.__getitem__,
+                                                  ids))))
+            out.setdefault(key, []).append(idx)
     if set(groups[0]) != set(groups[1]):
         return None
+
+    def isomorphic(rep, comp):
+        if isinstance(rep[2], AmbiguousAnchorError):
+            raise rep[2]  # and so has every component of its group
+        return _forced_map(*rep, *comp) is not None
+
     pairs = []
     for k in sorted(groups[0], key=repr):
         if len(groups[0][k]) != len(groups[1][k]):
             return None
         classes = []  # (representative, (comps1 ids, comps2 ids)) per class
-        for side, comps in enumerate((comps1, comps2)):
+        for side, found in enumerate(sides):
             for i in groups[side][k]:
-                cls = next((cls for cls in classes if iso_check(
-                    cls[0], comps[i], anchor_mode) is not None), None)
+                cls = next((cls for cls in classes
+                            if isomorphic(cls[0], found[i])), None)
                 if cls is None:
-                    cls = (comps[i], ([], []))
+                    cls = (found[i], ([], []))
                     classes.append(cls)
                 cls[1][side].append(i)
         for _, (left, right) in classes:
@@ -640,10 +634,11 @@ def match_components(comps1, comps2, anchor_mode):
 # miscellaneous crystal operations
 
 
-def hw_census(graph, index_set):
-    """Sorted multiset of weights of nodes killed by e_i for all i given:
-    each color's e list filters the ids the colors before it kept."""
-    ids = range(len(graph))
+def hw_census(graph, index_set, ids=None):
+    """Sorted multiset of weights of the nodes among ids (every node when
+    None) killed by e_i for all i given: each color's e list filters the
+    ids the colors before it kept."""
+    ids = range(len(graph)) if ids is None else ids
     for c in index_set:
         ec = graph.es[c]
         ids = [i for i in ids if ec[i] is None]

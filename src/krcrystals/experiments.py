@@ -170,9 +170,9 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
         node = g.extremal(anchor_mode)
         anchor_wt = g.weight(node)
         ids = g.component_ids()
-        comps.append(g.subgraph(next(c for c in ids if node in c)))
+        comps.append(next(c for c in ids if node in c))
         sizes.append(sorted(map(len, ids)))
-    mapping = iso_check(comps[0], comps[1], anchor_mode)
+    mapping = iso_check(graphs[0], graphs[1], anchor_mode, *comps)
     status = "pass" if mapping is not None else "fail"
     witnesses = {
         "component_sizes": [len(comps[0]), len(comps[1])],
@@ -180,10 +180,10 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
         "all_component_sizes": sizes,
     }
     if mapping is None:
-        witnesses["counterexample"] = {
-            "weights_b": sorted(map(list, comps[0].weights)),
-            "weights_bp": sorted(map(list, comps[1].weights)),
-        }
+        weights_b, weights_bp = (sorted(list(g.weights[i]) for i in ids)
+                                 for g, ids in zip(graphs, comps))
+        witnesses["counterexample"] = {"weights_b": weights_b,
+                                       "weights_bp": weights_bp}
     return Report("reduction",
                   {"type": cartan.type_name, "factors": list(map(list, factors_b)),
                    "factors2": list(map(list, factors_bp)),
@@ -203,13 +203,13 @@ def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP):
     lambdas = []
     words = []
     counterexample = None
-    for k, comp in enumerate(comps):
+    for k, (_, ids) in enumerate(comps):
         try:
-            bmin = comp.extremal("min")
+            bmin = filtered.extremal("min", ids)
         except AmbiguousAnchorError as err:
             counterexample = {"component": k, "reason": str(err)}
             break
-        mu = comp.weight(bmin)
+        mu = filtered.weight(bmin)
         minima.append(list(mu))
         (dom, _), word = dominantize(cartan, mu, level)
         lambdas.append(tuple(dom))
@@ -217,7 +217,7 @@ def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP):
     census = hw_census(filtered, filtered.colors)
     status = "pass"
     witnesses = {
-        "component_sizes": [len(c) for c in comps],
+        "component_sizes": [len(ids) for _, ids in comps],
         "minima": minima,
         "lambda_classical": sorted(map(list, lambdas)),
         "words": words,
@@ -286,15 +286,16 @@ def check_qsystem_typeA(cartan, a, m, level, node_cap=DEFAULT_NODE_CAP):
     rhs = [g for g in (rhs1, rhs2) if g is not None]
     comps_lhs = components(lhs)
     comps_rhs = [c for g in rhs for c in components(g)]
-    comps_rhs.sort(key=lambda c: (len(c), sorted(c.weights)))
+    comps_rhs.sort(key=lambda c: (len(c[1]),
+                                  sorted(map(c[0].weights.__getitem__, c[1]))))
     # a perfect matching pairs components of equal size, so the size
     # ledger always balances when pairs is not None
     pairs = match_components(comps_lhs, comps_rhs, "min")
     status = "pass" if pairs is not None else "fail"
     witnesses = {
         "size_ledger": [len(lhs), [len(g) for g in rhs]],
-        "lhs_component_sizes": [len(c) for c in comps_lhs],
-        "rhs_component_sizes": [len(c) for c in comps_rhs],
+        "lhs_component_sizes": [len(ids) for _, ids in comps_lhs],
+        "rhs_component_sizes": [len(ids) for _, ids in comps_rhs],
     }
     if pairs is None:
         witnesses["counterexample"] = {
@@ -361,8 +362,8 @@ def check_alcove_correspondence(cartan, lam, level=1,
     witnesses = {
         "alcove_size": len(alc),
         "tensor_size": len(dual),
-        "alcove_component_sizes": [len(c) for c in comps_a],
-        "tensor_component_sizes": [len(c) for c in comps_b],
+        "alcove_component_sizes": [len(ids) for _, ids in comps_a],
+        "tensor_component_sizes": [len(ids) for _, ids in comps_b],
     }
     if pairs is None:
         witnesses["counterexample"] = {
@@ -406,8 +407,9 @@ def check_figure(node_cap=DEFAULT_NODE_CAP):
     if fix_t.seminormal() or fix_b.seminormal():
         problems.append("fixture seminormality")
 
-    comp = computed.component_of(computed.extremal("min"))
-    iso = iso_check(comp, fix_b, "min")
+    node = computed.extremal("min")
+    comp = next(c for c in computed.component_ids() if node in c)
+    iso = iso_check(computed, fix_b, "min", comp)
     if iso is None:
         problems.append("11-node component not isomorphic to B12 fixture")
 

@@ -769,7 +769,7 @@ def classical_fundamental(cartan, i):
               and all(tensor.e(j, c) is None for c in tensor.colors)]
         if len(hw) != 1:
             raise InvariantError("no unique highest weight (0, 1)")
-        comp = tensor.component_of(hw[0])
+        comp = component_graph(tensor, hw[0])
         if comp.weights[highest_weight_node(comp)] != (0, 1):
             raise InvariantError("component of B(pi_2) has the wrong top")
         return comp
@@ -830,6 +830,34 @@ def component_ids_oracle(graph, start):
     return seen
 
 
+def subgraph_oracle(graph, node_ids):
+    """The nodes node_ids of graph as a standalone CrystalGraph, renumbered
+    in ascending order: their rows copied, edges leaving the set dropped,
+    and the constructor's checks run again.  The library reads a component
+    in place, as a (graph, ids) pair, and copies nothing."""
+    ids = sorted(node_ids)
+    remap = [None] * len(graph.nodes)
+    for new, old in enumerate(ids):
+        remap[old] = new
+    fs = {c: [None if dst is None else remap[dst]
+              for dst in map(fc.__getitem__, ids)]
+          for c, fc in graph.fs.items()}
+    return CrystalGraph(
+        graph.cartan, graph.colors, [graph.nodes[i] for i in ids], fs,
+        [graph.weights[i] for i in ids], [graph.reprs[i] for i in ids],
+        affine_complete=False)
+
+
+def component_graph(graph, node):
+    """The component holding node, as a standalone graph."""
+    return subgraph_oracle(graph, component_ids_oracle(graph, node))
+
+
+def component_graphs(comps):
+    """(graph, ids) components as standalone graphs, in their order."""
+    return [subgraph_oracle(g, ids) for g, ids in comps]
+
+
 def is_connected(graph):
     return len(graph.component_ids()) <= 1
 
@@ -838,9 +866,11 @@ def match_components_oracle(comps1, comps2, anchor_mode):
     """The component matching by a bipartite augmenting-path search over
     all iso_check pairs of each (size, anchor weight, weight multiset)
     group: the matcher the library used before it sorted each group into
-    isomorphism classes."""
+    isomorphism classes.  It takes (graph, ids) components, as
+    match_components does, and compares standalone copies of them."""
     if len(comps1) != len(comps2):
         return None
+    comps1, comps2 = component_graphs(comps1), component_graphs(comps2)
 
     def key(g):
         try:
@@ -1100,7 +1130,7 @@ def decomposes_into_demazure(cartan, group, mu, lam, word):
     """Is every component of the filtered object isomorphic to some Demazure
     crystal B_v(kappa), searched over v and with kappa read off the source?"""
     obj = demazure_tensor_object(cartan, mu, lam, word)
-    for comp in components(obj):
+    for comp in component_graphs(components(obj)):
         sources = [i for i in range(len(comp))
                    if all(comp.e(i, c) is None for c in comp.colors)]
         if len(sources) != 1:
@@ -1110,8 +1140,8 @@ def decomposes_into_demazure(cartan, group, mu, lam, word):
             return False
         ambient = _hw_crystal(cartan, kappa)
         for v in range(len(group)):
-            cand = ambient.subgraph(
-                demazure_subset(ambient, group.reduced_word(v)))
+            cand = subgraph_oracle(
+                ambient, demazure_subset(ambient, group.reduced_word(v)))
             if len(cand) == len(comp) and \
                     iso_check(comp, cand, "max") is not None:
                 break

@@ -60,7 +60,7 @@ def test_criterion_2_example_typeC():
     filtered = demazure_filter(
         explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)]), 1, "head")
     comps = components(filtered)
-    assert [len(c) for c in comps] == [5, 11]
+    assert [len(ids) for _, ids in comps] == [5, 11]
     rep = check_reduction(C2, [(1, 1), (1, 1)], [(1, 2)], 1, "head")
     assert rep.passed
     assert rep.witnesses["component_sizes"] == [11, 11]

@@ -790,7 +790,7 @@ def test_c2_two_omega1_matches_figure_zero_edge():
     assert len(zero) == 1
     src, dst = zero[0]
     assert graph.weights[src] == (-2, 0) and graph.weights[dst] == (0, 0)
-    assert sorted(len(c) for c in components(graph)) == [5, 11]
+    assert sorted(len(ids) for _, ids in components(graph)) == [5, 11]
     # same component data as the dual filtration of the box tensor
     dual = demazure_filter(
         explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)]), 1, "tail")

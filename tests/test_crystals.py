@@ -10,16 +10,17 @@ import pytest
 
 from helpers import (GraphSource, NonReducedWordError, TensorProduct,
                      WriteLog, alcove_json_oracle, all_reduced_words,
-                     bruhat_leq, classical_restriction, component_ids_oracle,
+                     bruhat_leq, classical_restriction, component_graph,
+                     component_graphs, component_ids_oracle,
                      crystal_dot_oracle, crystal_json_oracle,
                      decomposes_into_demazure, demazure_subset, dot_text,
                      explore, extremal_oracle, fundamentals,
                      highest_weight_node, is_connected, json_text,
                      match_components_oracle, similarity_check,
-                     stembridge_violations, two_factor_e, two_factor_f,
-                     weyl_action)
+                     stembridge_violations, subgraph_oracle, two_factor_e,
+                     two_factor_f, weyl_action)
 from krcrystals.alcove import alcove_crystal, hw_crystal
-from krcrystals.cartan import CartanData, build_cartan, mat_vec
+from krcrystals.cartan import build_cartan, mat_vec
 from krcrystals.crystals import (CrystalGraph, components, demazure_filter,
                                  explore_tensor, graphs_equal,
                                  hw_census, iso_check, match_components,
@@ -216,7 +217,7 @@ def test_explore_tensor_raises_when_e_does_not_mirror_f():
     # a factor whose e_1 list no longer inverts its f_1 list: the fold reads
     # e-edges from it, the constructor derives them from the f-edges
     box = kr_C_onebox(2)
-    bad = box.subgraph(range(len(box)))
+    bad = subgraph_oracle(box, range(len(box)))
     i = next(i for i, j in enumerate(bad.es[1]) if j is not None)
     bad.es[1][i] = i
     with pytest.raises(InvariantError, match="e_1 is not the inverse"):
@@ -421,19 +422,20 @@ def test_filter_preserves_nodes():
 
 def test_components_connected_graph():
     g = kr_C_onebox(2)
-    comps = components(g)
-    assert len(comps) == 1 and len(comps[0]) == len(g)
+    assert components(g) == [(g, list(range(len(g))))]
 
 
 def test_components_of_filtered_c2():
     graph = explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)])
-    comps = components(demazure_filter(graph, 1, "head"))
-    assert [len(c) for c in comps] == [5, 11]
+    filtered = demazure_filter(graph, 1, "head")
+    comps = components(filtered)
+    assert all(g is filtered for g, _ in comps)
+    assert [len(ids) for _, ids in comps] == [5, 11]
 
 
 def test_fixture_b12_single_component():
     comps = components(fixture_C2("B12"))
-    assert [len(c) for c in comps] == [11]
+    assert [len(ids) for _, ids in comps] == [11]
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +451,20 @@ def test_iso_identity():
 def test_iso_example_from_figure():
     graph = explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)])
     comps = components(demazure_filter(graph, 1, "head"))
-    big = comps[1]
-    mapping = iso_check(big, fixture_C2("B12"), "min")
-    assert mapping is not None
-    assert verify_isomorphism(big, fixture_C2("B12"), mapping)
-    # the empty tableau corresponds to -1 (x) 1
+    g, big = comps[1]
     fb = fixture_C2("B12")
+    mapping = iso_check(g, fb, "min", big)
+    assert mapping is not None and set(mapping) == set(big)
+    assert verify_isomorphism(g, fb, mapping, big)
+    # the empty tableau corresponds to -1 (x) 1
     inv = {v: k for k, v in mapping.items()}
-    assert big.nodes[inv[fb.index[()]]] == (-1, 1)
+    assert g.nodes[inv[fb.index[()]]] == (-1, 1)
 
 
 def test_iso_rejects_weight_mismatch():
     graph = explore_tensor(C2, [kr_C_onebox(2), kr_C_onebox(2)])
-    comps = components(demazure_filter(graph, 1, "head"))
-    assert iso_check(comps[0], comps[1], "min") is None
+    (g, small), (_, big) = components(demazure_filter(graph, 1, "head"))
+    assert iso_check(g, g, "min", small, big) is None
 
 
 def test_iso_ambiguous_anchor_error():
@@ -585,9 +587,9 @@ def test_match_components_pairs_equal_the_oracle(cartan, lam, level):
 
 def test_match_components_unmatched_isomorphism_classes():
     # same key (size, anchor weight, weight multiset), different classes
-    x = _toy([(0, 1, 1), (0, 2, 2)])
-    y = _toy([(0, 1, 1), (1, 2, 2)])
-    assert iso_check(x, y, "max") is None
+    (x,) = components(_toy([(0, 1, 1), (0, 2, 2)]))
+    (y,) = components(_toy([(0, 1, 1), (1, 2, 2)]))
+    assert iso_check(x[0], y[0], "max", x[1], y[1]) is None
     for comps1, comps2 in (([x, y], [x, x]), ([x, x], [y, x])):
         assert match_components_oracle(comps1, comps2, "max") is None
         assert match_components(comps1, comps2, "max") is None
@@ -600,7 +602,7 @@ def test_match_components_unmatched_isomorphism_classes():
                                        ([0, 0, 1], [0, 1, 1])],
                          ids=["lengths", "key-sets", "group-sizes"])
 def test_match_components_rejects_unequal_key_groups(ids1, ids2):
-    boxes = [kr_typeA(2, 1, 1), kr_typeA(2, 2, 1)]
+    boxes = [components(kr_typeA(2, r, 1))[0] for r in (1, 2)]
     comps1 = [boxes[k] for k in ids1]
     comps2 = [boxes[k] for k in ids2]
     assert match_components_oracle(comps1, comps2, "min") is None
@@ -610,21 +612,33 @@ def test_match_components_rejects_unequal_key_groups(ids1, ids2):
 def test_match_components_one_iso_check_per_component_and_class(monkeypatch):
     comps_a, comps_b = _alcove_and_dual(build_cartan("A", 1), (6,), 3)
     reps = []  # one component per isomorphism class
-    for g in comps_a:
-        if all(iso_check(r, g, "max") is None for r in reps
-               if len(r) == len(g)):
-            reps.append(g)
-    # a class can hold only components of its size and weight multiset
-    bound = sum(len(r) == len(g) and sorted(r.weights) == sorted(g.weights)
-                for g in comps_a + comps_b for r in reps)
-    calls = []
+    for g, ids in comps_a:
+        if all(iso_check(rg, g, "max", rids, ids) is None
+               for rg, rids in reps if len(rids) == len(ids)):
+            reps.append((g, ids))
 
-    def counted(g1, g2, anchor_mode):
-        calls.append(len(g1))
-        return iso_check(g1, g2, anchor_mode)
-    monkeypatch.setattr(crystals, "iso_check", counted)
+    def weights(comp):
+        g, ids = comp
+        return sorted(g.weights[i] for i in ids)
+    # a class can hold only components of its size and weight multiset
+    bound = sum(len(r[1]) == len(c[1]) and weights(r) == weights(c)
+                for c in comps_a + comps_b for r in reps)
+    calls, anchors = [], []
+    forced_map, extremal = crystals._forced_map, CrystalGraph.extremal
+
+    def counted(*args):
+        calls.append(args)
+        return forced_map(*args)
+
+    def counted_anchor(graph, mode, ids=None):
+        anchors.append(ids)
+        return extremal(graph, mode, ids)
+    monkeypatch.setattr(crystals, "_forced_map", counted)
+    monkeypatch.setattr(CrystalGraph, "extremal", counted_anchor)
     assert match_components(comps_a, comps_b, "max") is not None
     assert 0 < len(calls) <= bound
+    # each component's anchor is found once, none again per comparison
+    assert len(anchors) == len(comps_a) + len(comps_b)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +672,10 @@ def test_extremal_matches_pairwise_scan_on_components(cartan, factors, level,
                                                       filt, mode):
     comps = components(build_filtered(cartan, factors, level, filt))
     assert len(comps) > 1
-    for comp in comps:
-        assert _anchor_outcome(CrystalGraph.extremal, comp, mode) == \
-            _anchor_outcome(extremal_oracle, comp, mode)
+    for g, ids in comps:
+        want = _anchor_outcome(extremal_oracle, subgraph_oracle(g, ids), mode)
+        got = _anchor_outcome(lambda g, mode: g.extremal(mode, ids), g, mode)
+        assert got == (want if isinstance(want, str) else ids[want])
 
 
 # on a whole filtered product the anchors have weights lambda and w0(lambda),
@@ -696,18 +711,131 @@ def test_extremal_matches_pairwise_scan_on_kr_factors(build, mode):
 @pytest.mark.parametrize("cartan,factors,level,filt", FILTERED_CASES)
 def test_extremal_maps_each_distinct_weight_once(monkeypatch, cartan,
                                                  factors, level, filt, mode):
-    real = CartanData.dominance_leq
+    # one adj·mu per distinct weight of the parent graph, however many
+    # components and searches read it
+    real = crystals.mat_vec
     calls = []
 
-    def counted(self, mu, nu):
-        calls.append((mu, nu))
-        return real(self, mu, nu)
+    def counted(a, v):
+        calls.append(v)
+        return real(a, v)
     graph = build_filtered(cartan, factors, level, filt)
-    monkeypatch.setattr(CartanData, "dominance_leq", counted)
-    for comp in components(graph) + [graph]:
-        calls.clear()
-        _anchor_outcome(CrystalGraph.extremal, comp, mode)
-        assert len(calls) <= len(set(comp.weights)) + 1
+    monkeypatch.setattr(crystals, "mat_vec", counted)
+    comps = components(graph)
+    for _, ids in comps + [(graph, None)]:
+        _anchor_outcome(lambda g, mode: g.extremal(mode, ids), graph, mode)
+    assert Counter(calls) == Counter(set(graph.weights))
+    assert len(calls) < sum(len(set(map(graph.weights.__getitem__, ids)))
+                            for _, ids in comps)
+
+
+def _two_copies(weights2=((4, 4), (0, 0), (0, 0))):
+    """An A2 graph of two components alike but for the second's weights:
+    nodes 0-2 and 3-5, f_1 and f_2 from the first node of each to the
+    other two, the first node of weight (4, 4) and the others 0."""
+    fs = {1: [1, None, None, 4, None, None],
+          2: [2, None, None, 5, None, None]}
+    names = [str(i) for i in range(6)]
+    return CrystalGraph(A2, (1, 2), names, fs,
+                        [(4, 4), (0, 0), (0, 0), *weights2], names)
+
+
+# the id-list audit rejects each way a map can fail to be a bijection of
+# ids1 onto ids2 that keeps weights, each case passing every other test
+# the audit makes, so dropping any one of its tests lets a case through
+ID_AUDIT_FAILURES = {
+    # onto the second component, but ids2 names the first
+    "onto-an-id-outside-ids2": lambda: (
+        _two_copies(), _two_copies(), {0: 3, 1: 4, 2: 5}, [0, 1, 2],
+        [0, 1, 2]),
+    "not-injective": lambda: (
+        _bare_graph(A2, [(0, 0), (0, 0)]), _bare_graph(A2, [(0, 0)]),
+        {0: 0, 1: 0}, [0, 1], [0]),
+    "misses-an-id-of-ids1": lambda: (
+        _bare_graph(A2, [(0, 0), (0, 0)]), _bare_graph(A2, [(0, 0)]),
+        {0: 0}, [0, 1], [0]),
+    "weight-mismatch": lambda: (
+        _two_copies(), _two_copies(((4, 4), (0, 0), (2, -1))),
+        {0: 3, 1: 4, 2: 5}, [0, 1, 2], [3, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_AUDIT_FAILURES))
+def test_id_list_audit_rejects(case):
+    g1, g2, mapping, ids1, ids2 = ID_AUDIT_FAILURES[case]()
+    assert not verify_isomorphism(g1, g2, mapping, ids1, ids2)
+
+
+def test_iso_check_on_id_lists():
+    g = _two_copies()
+    mapping = iso_check(g, g, "max", [0, 1, 2], [3, 4, 5])
+    assert mapping == {0: 3, 1: 4, 2: 5}
+    assert verify_isomorphism(g, g, mapping, [0, 1, 2], [3, 4, 5])
+    # the forced map leaves ids1 = [0, 1], which misses node 2's edge
+    assert iso_check(g, g, "max", [0, 1], [3, 4]) is None
+    h = _two_copies(((4, 4), (0, 0), (2, -1)))
+    assert iso_check(h, h, "max", [0, 1, 2], [3, 4, 5]) is None
+    assert iso_check(g, g, "max", [0, 1, 2], [3, 4]) is None
+
+
+def _no_top(n_tops):
+    """A connected A2 component with no unique top: two nodes of weight
+    (1, 0) above one of weight (-1, 1), or two incomparable weights."""
+    if n_tops == 2:
+        return CrystalGraph(A2, (1, 2), ["a", "b", "c"],
+                            {1: [2, None, None], 2: [None, 2, None]},
+                            [(1, 0), (1, 0), (-1, 1)], ["a", "b", "c"])
+    return CrystalGraph(A2, (1, 2), ["a", "b"], {1: [1, None]},
+                        [(1, 0), (0, 1)], ["a", "b"])
+
+
+# match_components finds each anchor once, and an ambiguous one escapes,
+# with its text, once two components of its group are compared
+@pytest.mark.parametrize("n_tops", [0, 2])
+def test_match_components_raises_an_ambiguous_anchor(n_tops):
+    (comp,) = components(_no_top(n_tops))
+    with pytest.raises(AmbiguousAnchorError,
+                       match=r"^no unique max-weight element \(%d candidates"
+                             r"\)$" % n_tops):
+        match_components([comp], [comp], "max")
+    # a group with one member on one side only returns None first
+    other = components(kr_typeA(2, 1, 1))[0]
+    assert match_components([comp], [other], "max") is None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except AmbiguousAnchorError as err:
+        return str(err)
+
+
+# a component read in place as (graph, ids) answers as its standalone copy
+# does: its anchor (as a parent id), its census, and every pairwise
+# isomorphism verdict, the map carried over to parent ids
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("cartan,factors,level,filt", FILTERED_CASES)
+def test_components_in_place_match_their_copies(cartan, factors, level, filt,
+                                                mode):
+    graph = build_filtered(cartan, factors, level, filt)
+    comps = components(graph)
+    copies = component_graphs(comps)
+    for (g, ids), copy in zip(comps, copies):
+        want = _outcome(lambda: copy.extremal(mode))
+        got = _outcome(lambda: g.extremal(mode, ids))
+        assert got == (want if isinstance(want, str) else ids[want])
+        for colors in (graph.colors, cartan.classical_index_set, (1,)):
+            assert hw_census(g, colors, ids) == hw_census(copy, colors)
+    found = 0
+    for (g1, ids1), c1 in zip(comps, copies):
+        for (g2, ids2), c2 in zip(comps, copies):
+            want = _outcome(lambda: iso_check(c1, c2, mode))
+            got = _outcome(lambda: iso_check(g1, g2, mode, ids1, ids2))
+            if isinstance(want, dict):
+                want = {ids1[x]: ids2[y] for x, y in want.items()}
+                found += 1
+            assert got == want
+    assert found >= len(comps)
 
 
 # want_max/want_min: the anchor id, or the "(k candidates)" of the error
@@ -724,9 +852,12 @@ def test_extremal_maps_each_distinct_weight_once(monkeypatch, cartan,
     (_bare_graph(A2, [(0, 0), (1, 0)]), "0 candidates", "0 candidates"),
     (_bare_graph(C2, [(1, 0), (0, 0)]), "0 candidates", "0 candidates"),
     (_bare_graph(C2, [(0, 0), (0, 1)]), 1, 0),   # omega_2 = alpha_1 + alpha_2
+    # 2 alpha_1 and alpha_2: one coset of the root lattice, and 2 alpha_1
+    # the higher, but their difference has a negative root coordinate
+    (_bare_graph(A2, [(4, -2), (-1, 2)]), "0 candidates", "0 candidates"),
     (_bare_graph(A2, []), "0 candidates", "0 candidates"),
 ], ids=["iso-ambiguous", "two-tops", "three-tops", "A2-omega1",
-        "C2-omega1", "C2-omega2", "empty"])
+        "C2-omega1", "C2-omega2", "A2-incomparable-roots", "empty"])
 def test_extremal_matches_pairwise_scan_on_hand_built_graphs(
         graph, want_max, want_min):
     for mode, want in (("max", want_max), ("min", want_min)):
@@ -742,7 +873,7 @@ def _two_products():
     product without its top node, whose two nodes of weight omega_2 tie
     for the top."""
     g = explore_tensor(A2, [kr_typeA(2, 1, 1), kr_typeA(2, 1, 1)])
-    return g, g.subgraph(range(1, len(g)))
+    return g, subgraph_oracle(g, range(1, len(g)))
 
 
 # anchors() reads both modes off one table of heights: the ids extremal
@@ -754,7 +885,7 @@ def _two_products():
      {"max": 0, "min": 15}),
     (lambda: build_filtered(*FILTERED_CASES[2]), {"max": 0, "min": 143}),
     # two nodes of incomparable weights: no mode qualifies
-    (lambda: _two_products()[0].subgraph([1, 3]), {}),
+    (lambda: subgraph_oracle(_two_products()[0], [1, 3]), {}),
 ], ids=["A2-11x11", "A2-11x11-no-top", "C2-onebox-squared",
         "A3-filtered", "incomparable"])
 def test_anchors_match_the_per_mode_search(build, want):
@@ -766,20 +897,20 @@ def test_anchors_match_the_per_mode_search(build, want):
         if not isinstance(got, str)}
 
 
-# one height per distinct weight, for both modes together
+# one adj·mu and height per distinct weight, for both modes together
 def test_anchors_compute_each_height_once(monkeypatch):
     graph = explore_tensor(A2, [kr_typeA(2, 1, 1)] * 4)
-    heights = []
-    real = crystals._height
+    coords = []
+    real = crystals.mat_vec
 
-    def counted(col, weight):
-        heights.append(weight)
-        return real(col, weight)
+    def counted(a, v):
+        coords.append(v)
+        return real(a, v)
 
-    monkeypatch.setattr(crystals, "_height", counted)
+    monkeypatch.setattr(crystals, "mat_vec", counted)
     assert graph.anchors() == {"max": 0, "min": len(graph) - 1}
-    assert Counter(heights) == Counter(set(graph.weights))
-    assert len(heights) < len(graph)
+    assert Counter(coords) == Counter(set(graph.weights))
+    assert len(coords) < len(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +1004,8 @@ def test_hw_crystal_is_the_top_component_of_the_quantum_model(family, rank,
     # in A_1(Gamma), numbered alike: both DFS preorders ascend positions
     ct = build_cartan(family, rank)
     got = hw_crystal(ct, lam)
-    want = classical_restriction(alcove_crystal(ct, lam, 1)).component_of(0)
+    want = component_graph(classical_restriction(alcove_crystal(ct, lam, 1)),
+                           0)
     assert want.nodes[0] == ()
     assert numbered(got) == numbered(want)
 
@@ -1054,10 +1186,15 @@ def test_census_matches_the_per_node_definition(graph):
     for colors in (g.colors, ct.classical_index_set, (2,), ()):
         want = _e_free_per_node(g, colors)
         assert hw_census(g, colors) == sorted(g.weights[i] for i in want)
-    top = classical_restriction(g).component_of(
-        _e_free_per_node(g, ct.classical_index_set)[0])
+    classical = classical_restriction(g)
+    node = _e_free_per_node(g, ct.classical_index_set)[0]
+    top = component_graph(classical, node)
     assert hw_census(top, top.colors) == \
         [top.weights[highest_weight_node(top)]]
+    # read in place, the component has the census of its copy
+    ids = sorted(component_ids_oracle(classical, node))
+    assert hw_census(classical, top.colors, ids) == \
+        hw_census(top, top.colors)
 
 
 def test_weight_multiset_is_character():
@@ -1168,7 +1305,7 @@ def test_alcove_json_streams_in_blocks(monkeypatch, ctype, lam, level):
 # the anchors are searched before the first write: a failing search writes
 # nothing
 def test_json_finds_anchors_before_writing(monkeypatch):
-    def broken(graph, mode, heights=None):
+    def broken(graph, mode, ids=None):
         raise InvariantError("no anchor")
     monkeypatch.setattr(CrystalGraph, "extremal", broken)
     log = WriteLog()
@@ -1226,8 +1363,9 @@ def _c2_tensor_graph():
     lambda: explore(C2, c2_tensor(), c2_tensor().all_elements()),
     _c2_tensor_graph,
     lambda: explore_tensor(A2, [kr_typeA(2, 1, 1), kr_typeA(2, 2, 2)]),
-    lambda: _c2_tensor_graph().subgraph(range(3, 14)),
-    lambda: components(demazure_filter(_c2_tensor_graph(), 1, "head"))[1],
+    lambda: subgraph_oracle(_c2_tensor_graph(), range(3, 14)),
+    lambda: component_graphs(
+        components(demazure_filter(_c2_tensor_graph(), 1, "head")))[1],
     lambda: demazure_filter(_c2_tensor_graph(), 1, "head"),
     lambda: demazure_filter(kr_typeA(2, 1, 2), 1, "tail"),
     lambda: classical_restriction(_c2_tensor_graph()),
@@ -1263,25 +1401,29 @@ def test_components_match_per_start_bfs(cartan, factors, level, mode):
     want = set()
     for start in range(len(graph)):
         want.add(tuple(sorted(component_ids_oracle(graph, start))))
-    got = [tuple(sorted(graph.index[b] for b in comp.nodes))
-           for comp in components(graph)]
+    comps = components(graph)
+    got = [tuple(ids) for _, ids in comps]
     assert len(got) > 1
     assert sorted(got) == sorted(want)
-    for comp in components(graph):
+    for g, ids in comps:
+        assert g is graph
+        comp = subgraph_oracle(graph, ids)
         assert is_connected(comp)
+        members = set(ids)
         assert comp.edge_count == sum(
-            1 for s, _, d in graph.edges_sorted()
-            if graph.nodes[s] in comp.index)
+            1 for s, _, d in graph.edges_sorted() if s in members)
 
 
+# check_reduction and check_figure take the component holding a node from
+# component_ids: for every node it is the BFS from that node alone
 @pytest.mark.parametrize("cartan,factors,level,mode", FILTERED_CASES)
 def test_component_of_is_the_component_holding_the_node(cartan, factors,
                                                         level, mode):
     graph = build_filtered(cartan, factors, level, mode)
-    holding = {v: ids for ids in graph.component_ids() for v in ids}
+    comps = graph.component_ids()
     for v in range(len(graph)):
-        assert numbered(graph.component_of(v)) == \
-            numbered(graph.subgraph(holding[v]))
+        assert next(c for c in comps if v in c) == \
+            sorted(component_ids_oracle(graph, v))
 
 
 def test_constructor_rejects_duplicate_payloads():

@@ -181,8 +181,12 @@ def test_junit_output():
 # failing reports: each check's failure branch, forced in-process
 
 
-def _no_anchor(self, mode):
+def _no_anchor(self, mode, ids=None):
     raise AmbiguousAnchorError("forced")
+
+
+def _no_iso(g1, g2, mode, ids1=None, ids2=None):
+    return None
 
 
 def _trivial_factor(n, a, m, node_cap):
@@ -199,7 +203,7 @@ FAILING_CASES = [
     ((CrystalGraph, "extremal", _no_anchor),
      lambda: check_bmin(A2, [(1, 1), (2, 1)], 1),
      {"component": 0, "reason": "forced"}),
-    ((experiments, "iso_check", lambda g1, g2, mode: None),
+    ((experiments, "iso_check", _no_iso),
      lambda: check_reduction(A2, [(1, 1), (2, 1)], [(2, 1), (1, 1)], 1),
      {"weights_b", "weights_bp"}),
     ((experiments, "match_components", lambda c1, c2, mode: None),
@@ -212,7 +216,7 @@ FAILING_CASES = [
     ((experiments, "match_components", lambda c1, c2, mode: None),
      lambda: check_alcove_correspondence(A2, (1, 0), 1),
      {"alcove_weights", "tensor_weights"}),
-    ((experiments, "iso_check", lambda g1, g2, mode: None),
+    ((experiments, "iso_check", _no_iso),
      check_figure,
      ["11-node component not isomorphic to B12 fixture"]),
 ]
@@ -232,7 +236,7 @@ def test_failing_check_reports_its_counterexample(monkeypatch, patch, check,
 
 
 def test_failing_check_exits_one_with_its_report(monkeypatch, tmp_path):
-    monkeypatch.setattr(experiments, "iso_check", lambda g1, g2, mode: None)
+    monkeypatch.setattr(experiments, "iso_check", _no_iso)
     out = tmp_path / "r.json"
     assert main(["check", "figure", "--out", str(out)]) == 1
     data = json.loads(out.read_text())

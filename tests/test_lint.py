@@ -89,11 +89,14 @@ def test_cartan_matrix_is_the_only_table(name):
     assert not hasattr(cartan.build_cartan("B", 3), name)
 
 
-# dominance_leq reads the det-scaled root coordinates adj·(nu - mu) itself:
-# no chain of one-line CartanData wrappers under it
+# the dominance order has one copy of its arithmetic: CrystalGraph.extremal
+# tests the det-scaled root coordinates adj·mu of one table per graph for
+# Q^+ itself, with no dominance_leq and no chain of one-line CartanData
+# wrappers beside it
 @pytest.mark.parametrize("name", ["weight_root_coords",
                                   "is_positive_root_coords",
-                                  "in_positive_root_lattice"])
+                                  "in_positive_root_lattice",
+                                  "dominance_leq"])
 def test_dominance_has_no_wrapper_chain(name):
     from krcrystals.cartan import CartanData
     assert not hasattr(CartanData, name)
@@ -310,6 +313,34 @@ def _per_node_lines(func, names):
                     and any(_mentions(arg, names) for arg in node.args):
                 lines.append(node.lineno)
     return lines
+
+
+# a component is a (graph, ids) pair read in place: no copying subgraph,
+# no component_of, and no per-id pick over a ProductView behind them (the
+# copy is the test oracle subgraph_oracle)
+@pytest.mark.parametrize("owner,name", [
+    ("CrystalGraph", "subgraph"), ("CrystalGraph", "component_of"),
+    ("ProductView", "pick"), (None, "_pick"), (None, "subgraph"),
+    (None, "component_of")])
+def test_components_are_read_in_place(owner, name):
+    from krcrystals import crystals
+    obj = crystals if owner is None else getattr(crystals, owner)
+    assert not hasattr(obj, name)
+    calls = [(path.name, node.lineno) for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and name.lstrip("_") == getattr(node.func, "attr", getattr(
+                 node.func, "id", None))]
+    assert calls == []
+
+
+def test_components_build_no_graph():
+    tree = ast.parse((SRC / "crystals.py").read_text())
+    (func,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "components"]
+    assert "CrystalGraph" not in {node.id for node in ast.walk(func)
+                                  if isinstance(node, ast.Name)}
 
 
 # a tensor product's payloads and reprs are ProductViews over its factors'
