@@ -400,8 +400,9 @@ def explore(chain, dirs, level, colors):
 
 def alcove_crystal(cartan, lam, level=1, order="lex",
                    node_cap=DEFAULT_NODE_CAP, weyl_cap=DEFAULT_WEYL_CAP):
-    """The crystal A_l(Gamma) on all admissible subsets of the lexicographic
-    lambda-chain, as a CrystalGraph tabulated by explore."""
+    """The crystal A_l(Gamma) on all admissible subsets of the lambda-chain
+    of the given order ('lex' or 'revlex'), as a CrystalGraph tabulated by
+    explore."""
     if level < 1:
         raise ValueError("level must be >= 1")
     return _explored(cartan, lam, order, True, level, node_cap, weyl_cap)

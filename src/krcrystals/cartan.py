@@ -221,18 +221,6 @@ class CartanData:
             return -1
         raise ValueError("not a root: %r" % (root,))
 
-    # -- reflection matrices --------------------------------------------------
-
-    def reflection_weight_matrix(self, root):
-        """Matrix of s_beta on fundamental-weight coordinates."""
-        n = self.rank
-        bw = self.root_to_weight(root)
-        cor = self.coroot_coords(root)
-        return tuple(
-            tuple((1 if i == j else 0) - bw[i] * cor[j] for j in range(n))
-            for i in range(n)
-        )
-
     # -- invariants -----------------------------------------------------------
 
     def _affine_cartan(self):

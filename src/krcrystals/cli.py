@@ -35,13 +35,20 @@ def _load_config(path):
     return cfg
 
 
+def _options(args):
+    """args' subcommand's options by config key, each its (one, long) flag
+    with - as _: node_cap for --node-cap, lambda for --lambda."""
+    return {a.option_strings[-1][2:].replace("-", "_"): a
+            for a in _parser.commands[args.command]._actions
+            if a.option_strings and hasattr(args, a.dest)}
+
+
 def _resolve(args):
     """Fill unset options from --config, then from the documented defaults.
     Each config value is checked as its flag's would be: a switch takes
     true or false, any other flag its type, then its choices."""
     cfg = _load_config(args.config) if args.config else {}
-    actions = {a.dest: a for a in _parser.commands[args.command]._actions
-               if a.option_strings and hasattr(args, a.dest)}
+    actions = _options(args)
     for key, value in cfg.items():
         if key not in actions:
             raise UsageError("config key %r is not an option of %s"
@@ -57,8 +64,8 @@ def _resolve(args):
         if action.choices is not None and value not in action.choices:
             raise UsageError("config key %r: %r is not one of %s"
                              % (key, value, ", ".join(action.choices)))
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
     for key, default in (("level", 1), ("mode", "head"),
                          ("node_cap", DEFAULT_NODE_CAP),
                          ("weyl_cap", DEFAULT_WEYL_CAP)):
@@ -147,12 +154,13 @@ def cmd_check(args):
         raise UsageError("unknown check %r (one of %s)"
                          % (args.name, ", ".join(experiments.CHECKS)))
     function, options = experiments.CHECKS[args.name]
+    flags = {a.dest: "--" + key.replace("_", "-")
+             for key, a in _options(args).items()}
     values = []
     for key in options:
         value = getattr(args, key)
         if value is None:
-            raise UsageError("check %r needs --%s"
-                             % (args.name, key.replace("lam", "lambda")))
+            raise UsageError("check %r needs %s" % (args.name, flags[key]))
         if key == "type":
             value = cartan = parse_type(value)
         elif key in ("factors", "factors2"):

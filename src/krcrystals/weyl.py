@@ -44,12 +44,6 @@ def write_blocks(fh, n, parts, sep=""):
                 lead = sep
 
 
-def signed_root_id(cartan, root):
-    """+(k + 1) for the positive root beta_k, -(k + 1) for -beta_k."""
-    sign = cartan.root_sign(root)
-    return sign * (cartan._root_index[root if sign > 0 else vec_neg(root)] + 1)
-
-
 class WeylGroup:
     """The full finite Weyl group of a CartanData, enumerated once.
 
@@ -58,7 +52,7 @@ class WeylGroup:
     w(beta_k) = beta_j and -(j + 1) when w(beta_k) = -beta_j, for the
     positive roots beta_0, beta_1, ... of CartanData.positive_roots_list),
     wt_mats[w] its matrix on the fundamental-weight basis, lengths[w] its
-    length, right[w][i - 1] the id of w s_i and descents[w] the smallest
+    length, right[i - 1][w] the id of w s_i and descents[w] the smallest
     0-based i with l(w s_{i+1}) < l(w) (None for the identity).
 
     A group over the cap is refused from |W| before any walk.  The
@@ -71,9 +65,9 @@ class WeylGroup:
     matrix gives the ids: the identity is 0, w0 the last id, and w s_i
     has a smaller id than w whenever i is a descent of w.  reduced_word
     walks the descent table, so it gives the greedy smallest-descent word.
-    Each positive root beta_k keeps a reduced word of s_beta, so w s_beta
-    is a few table lookups, and the column w -> w s_beta over the whole
-    group is one composition of right-table columns per letter
+    Each s_beta, found in the walk by its signed roots, keeps a reduced
+    word, so w s_beta is a few lookups in the right table, whose columns
+    w -> w s_i compose along that word to the column w -> w s_beta
     (Bjorner-Brenti, ch. 1-2, 4).
     """
 
@@ -91,19 +85,21 @@ class WeylGroup:
         # alpha_i on the fundamental weights: w s_i changes only column i of
         # w's weight matrix M, as M s_i = M - (M alpha_i) e_i^T
         s_wt = [cartan.simple_root_weight(i + 1) for i in range(n)]
+        ident = tuple(range(1, m + 1))
+        negs = (0,) + tuple(map(neg, ident)) + ident[::-1]    # negs[t] = -t
+        # sid[root] = +(k + 1) for beta_k and -(k + 1) for -beta_k
+        sid = dict(zip(pos, ident))
+        sid.update(zip(map(vec_neg, pos), map(neg, ident)))
         # s_get[i] reads (w s_{i+1})(beta_k) = +-w(beta_j) for every k out of
         # w's signed roots followed by their negatives
         s_get = []
         for i in range(n):
-            at = [signed_root_id(cartan,
-                                 cartan.simple_reflection_on_root(i + 1, beta))
+            at = [sid[cartan.simple_reflection_on_root(i + 1, beta)]
                   for beta in pos]
             get = itemgetter(*[t - 1 if t > 0 else m - t - 1 for t in at])
             # itemgetter of one index returns the item, not a 1-tuple
             s_get.append(get if m > 1 else lambda ext, get=get: (get(ext),))
 
-        ident = tuple(range(1, m + 1))
-        negs = (0,) + tuple(map(neg, ident)) + ident[::-1]    # negs[t] = -t
         roots, mats, lengths = [ident], [identity_matrix(n)], [0]
         intern = {r: r for r in mats[0]}.setdefault
         found = {ident: 0}                  # roots -> discovery number
@@ -121,9 +117,16 @@ class WeylGroup:
                     mats.append(tuple(map(intern, new, new)))
                     lengths.append(length + 1)
                 step.append(d)
-        del found
         if len(roots) != size:
             raise InvariantError("|W| = %d, walked %d" % (size, len(roots)))
+        # s_beta(beta_k) = beta_k - <beta^vee, beta_k> beta, which is beta_k
+        # when the pairing is 0
+        wts = [cartan.root_to_weight(bk) for bk in pos]
+        reflections = [found[tuple(
+            sid[vec_sub(bk, vec_scale(c, beta))]
+            if (c := cartan.pairing(beta, wt)) else k
+            for k, bk, wt in zip(ident, pos, wts))] for beta in pos]
+        del found
 
         order = []
         for _, same in groupby(range(size), lengths.__getitem__):
@@ -132,16 +135,15 @@ class WeylGroup:
         self.roots = tuple(map(roots.__getitem__, order))
         self.wt_mats = tuple(map(mats.__getitem__, order))
         lengths = self.lengths = tuple(map(lengths.__getitem__, order))
-        self.right = tuple(zip(*([ids[s[d]] for d in order] for s in steps)))
-        self.index = dict(zip(self.wt_mats, map(ids.__getitem__, order)))
+        self.right = tuple(tuple([ids[s[d]] for d in order]) for s in steps)
         if self.lengths.count(self.lengths[-1]) != 1:
             raise InvariantError("longest element not unique")
         self.w0 = size - 1
         self.descents = tuple(
             next((i for i, ws in enumerate(row) if lengths[ws] < length),
-                 None) for row, length in zip(self.right, lengths))
-        self._reflection_words = tuple(self.reduced_word(self.index[
-            cartan.reflection_weight_matrix(beta)]) for beta in pos)
+                 None) for row, length in zip(zip(*self.right), lengths))
+        self._reflection_words = tuple(
+            self.reduced_word(ids[d]) for d in reflections)
 
     def __len__(self):
         return len(self.lengths)
@@ -150,25 +152,20 @@ class WeylGroup:
         """w s_beta for the k-th positive root beta."""
         right = self.right
         for i in self._reflection_words[k]:
-            w = right[w][i - 1]
+            w = right[i - 1][w]
         return w
 
     def reflection_column(self, k):
         """(w s_beta for w in the group's ids), for the k-th positive root
         beta: the right-table columns composed along s_beta's word."""
-        columns = self._right_columns
+        right = self.right
         first, *rest = self._reflection_words[k]
-        column = columns[first - 1]
+        column = right[first - 1]
         for i in rest:
-            # column[w] -> columns[i - 1][column[w]]; |W| >= 2, so the
+            # column[w] -> right[i - 1][column[w]]; |W| >= 2, so the
             # itemgetter returns a tuple
-            column = itemgetter(*column)(columns[i - 1])
+            column = itemgetter(*column)(right[i - 1])
         return column
-
-    @cached_property
-    def _right_columns(self):
-        # _right_columns[i][w] = right[w][i]
-        return tuple(zip(*self.right))
 
     def reduced_word(self, w):
         """The greedy smallest-descent reduced word of w, read off the
@@ -178,7 +175,7 @@ class WeylGroup:
         descents, right = self.descents, self.right
         while (i := descents[w]) is not None:
             word.append(i + 1)
-            w = right[w][i]
+            w = right[i][w]
         word.reverse()
         if len(word) != length:
             raise InvariantError("reduced word of the wrong length")
@@ -288,7 +285,7 @@ class QuantumBruhatGraph:
         words = [""] * len(group)
         for w, d in enumerate(group.descents):
             if d is not None:
-                ws = right[w][d]
+                ws = right[d][w]
                 if lengths[ws] != lengths[w] - 1:
                     raise InvariantError("reduced word of the wrong length")
                 words[w] = words[ws] + "s%d" % (d + 1)

@@ -68,6 +68,26 @@ def reflection_root_matrix(cartan, root):
     )
 
 
+def reflection_weight_matrix(cartan, root):
+    """Matrix of s_beta on fundamental-weight coordinates:
+    s_beta(mu) = mu - <beta^vee, mu> beta, with beta's weight coordinates
+    <alpha_i^vee, beta> read off the Cartan matrix's rows."""
+    n = cartan.rank
+    cor = cartan.coroot_coords(root)
+    wt = tuple(sum(cartan.cartan[i][k] * root[k] for k in range(n))
+               for i in range(n))
+    return tuple(
+        tuple((1 if i == j else 0) - wt[i] * cor[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def matrix_ids(group):
+    """The group's weight matrix -> id dict, built here from wt_mats."""
+    return {mat: w for w, mat in enumerate(group.wt_mats)}
+
+
 def decode_root(cartan, g):
     """The root named by the signed root id g = +-(k + 1)."""
     beta = cartan.positive_roots_list[abs(g) - 1]
@@ -109,18 +129,19 @@ def all_reduced_words(group, w):
     def words(w):
         if lengths[w] == 0:
             return [()]
-        return [word + (i + 1,) for i, ws in enumerate(right[w])
-                if lengths[ws] < lengths[w] for word in words(ws)]
+        return [word + (i + 1,) for i, column in enumerate(right)
+                if lengths[ws := column[w]] < lengths[w]
+                for word in words(ws)]
 
     return words(w)
 
 
 def smallest_descent(group, w):
-    """Smallest 0-based i with l(w s_{i+1}) < l(w), by a scan of w's row of
-    the right table; w is not e."""
+    """Smallest 0-based i with l(w s_{i+1}) < l(w), by a scan of w's entry
+    in each column of the right table; w is not e."""
     lengths = group.lengths
-    return next(i for i, ws in enumerate(group.right[w])
-                if lengths[ws] < lengths[w])
+    return next(i for i, column in enumerate(group.right)
+                if lengths[column[w]] < lengths[w])
 
 
 def greedy_reduced_word(group, w):
@@ -131,7 +152,7 @@ def greedy_reduced_word(group, w):
     while group.lengths[w] > 0:
         i = smallest_descent(group, w)
         word.append(i + 1)
-        w = group.right[w][i]
+        w = group.right[i][w]
     return tuple(reversed(word))
 
 
@@ -143,21 +164,21 @@ def bruhat_leq(group, v, w):
         if lengths[w] == 0:
             return True
         i = smallest_descent(group, w)
-        if lengths[right[v][i]] < lengths[v]:
-            v = right[v][i]
-        w = right[w][i]
+        if lengths[right[i][v]] < lengths[v]:
+            v = right[i][v]
+        w = right[i][w]
     return False
 
 
 def group_mul(group, v, w):
     """v w by matrix product: the oracle the right table is checked
     against."""
-    return group.index[mat_mul(group.wt_mats[v], group.wt_mats[w])]
+    return matrix_ids(group)[mat_mul(group.wt_mats[v], group.wt_mats[w])]
 
 
 def reflection(group, root):
     """s_beta in the group, for any root beta, found by its weight matrix."""
-    return group.index[group.cartan.reflection_weight_matrix(root)]
+    return matrix_ids(group)[reflection_weight_matrix(group.cartan, root)]
 
 
 def subword_products(group, w):
@@ -228,7 +249,7 @@ def validate_chain(chain):
         assert (beta, -level) in walls, \
             "step %d does not cross a wall of the current alcove" % (pos + 1)
         before = frac_pairing(ct, beta, current_point())
-        s_wt = ct.reflection_weight_matrix(beta)
+        s_wt = reflection_weight_matrix(ct, beta)
         v = vec_add(mat_vec(s_wt, v), vec_scale(-level, ct.root_to_weight(beta)))
         w_wt = mat_mul(s_wt, w_wt)
         w_root = mat_mul(reflection_root_matrix(ct, beta), w_root)
@@ -273,7 +294,7 @@ def folding_direction_oracle(chain, J):
     ct = chain.cartan
     w = identity_matrix(ct.rank)
     for j in sorted(J):
-        w = mat_mul(w, ct.reflection_weight_matrix(chain.roots[j - 1]))
+        w = mat_mul(w, reflection_weight_matrix(ct, chain.roots[j - 1]))
     return w
 
 

@@ -369,6 +369,12 @@ def test_check_missing_parameter(capsys):
     assert "--a" in capsys.readouterr().err
 
 
+# the missing option is named by its flag, --lambda for the dest lam
+def test_check_names_the_missing_flag(capsys):
+    assert run(["check", "alcove", "--type", "A2"]) == 2
+    assert capsys.readouterr().err == "error: check 'alcove' needs --lambda\n"
+
+
 def test_check_precondition_violation_is_usage_error():
     code = run(["check", "reduction", "--type", "A2", "--factors", "1,1",
                 "--factors2", "2,1", "--level", "1"])
@@ -740,6 +746,27 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert run(["build", "--type", "A2", "--factors", "1,1",
                 "--config", str(cfg), "--out", str(tmp_path / "g.json")]) == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+# a config key is its flag's name, not the option's argparse dest: lambda
+# for --lambda gives the flag's report bytes, and lam is no option
+def test_config_keys_are_flag_names(tmp_path, capsys):
+    cfg = tmp_path / "conf"
+    paths = [tmp_path / name for name in ("config.json", "flags.json")]
+    cfg.write_text("lambda=1,1\n")
+    assert run(["check", "alcove", "--type", "A2", "--config", str(cfg),
+                "--out", str(paths[0])]) == 0
+    assert run(["check", "alcove", "--type", "A2", "--lambda", "1,1",
+                "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    capsys.readouterr()
+    cfg.write_text("lam=1,1\n")
+    out = tmp_path / "lam.json"
+    assert run(["check", "alcove", "--type", "A2", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: config key 'lam' is not an option of check\n")
+    assert not out.exists()
 
 
 def test_parse_factors():

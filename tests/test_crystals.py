@@ -1044,7 +1044,7 @@ def test_demazure_subset_reducedness_against_group_lengths(family, rank):
         for word in itertools.product(ct.classical_index_set, repeat=k):
             w = group.identity
             for i in word:
-                w = group.right[w][i - 1]
+                w = group.right[i - 1][w]
             try:
                 demazure_subset(graph, word)
                 reduced = True

@@ -68,6 +68,21 @@ def test_weyl_has_one_element_representation(name):
     assert not hasattr(krcrystals, name)
 
 
+# a group keeps one right-multiplication table, its rank columns, and no
+# weight matrix -> id dict: the walk finds each s_beta by its signed roots,
+# so CartanData builds no reflection matrix for it
+@pytest.mark.parametrize("owner,name", [
+    ("group", "index"), ("group", "_right_columns"),
+    ("cartan", "reflection_weight_matrix")])
+def test_weyl_group_keeps_one_right_table(owner, name):
+    from krcrystals.cartan import build_cartan
+    from krcrystals.weyl import WeylGroup
+    ct = build_cartan("B", 3)
+    obj = WeylGroup(ct) if owner == "group" else ct
+    assert not hasattr(obj, name)
+    assert not hasattr(type(obj), name)
+
+
 # the root data are read off CartanData: no module-level one-line wrapper
 # around its positive_roots_list or pairing
 @pytest.mark.parametrize("name", ["positive_roots", "pairing"])

@@ -10,7 +10,8 @@ import pytest
 
 from helpers import (QBG_TYPES, WriteLog, bruhat_leq, decode_root, dot_text,
                      greedy_reduced_word, group_mul, length_by_inversions,
-                     mat_mul, qbg_dot_oracle, qbg_edges, reflection,
+                     mat_mul, matrix_ids, qbg_dot_oracle, qbg_edges,
+                     reflection, reflection_weight_matrix,
                      root_matrix_of_word, smallest_descent, subword_products)
 from krcrystals import cli, weyl
 from krcrystals.cartan import build_cartan, identity_matrix, mat_vec, vec_neg
@@ -64,8 +65,8 @@ def test_reflections_are_involutions():
 def test_weight_matrices_match_reflection_products(family, rank):
     ct = build_cartan(family, rank)
     group = build_weyl_group(ct)
-    simple = [ct.reflection_weight_matrix(tuple(int(j == i)
-                                                for j in range(rank)))
+    simple = [reflection_weight_matrix(ct, tuple(int(j == i)
+                                                 for j in range(rank)))
               for i in range(rank)]
     for w in range(len(group)):
         mat = identity_matrix(rank)
@@ -89,9 +90,25 @@ def test_right_table_matches_matrix_products(family, rank):
     group = build_weyl_group(build_cartan(family, rank))
     simple = [reflection(group, tuple(int(j == i) for j in range(rank)))
               for i in range(rank)]
-    for w in range(len(group)):
-        for i, ws in enumerate(group.right[w]):
+    for i, column in enumerate(group.right):
+        for w, ws in enumerate(column):
             assert ws == group_mul(group, w, simple[i])
+
+
+# each s_beta's word is the greedy word of the element whose weight matrix
+# is s_beta's, found by the oracle's own matrix -> id dict; the right table
+# is rank columns of |W| ids
+@pytest.mark.parametrize("family,rank", QBG_TYPES)
+def test_reflection_words_match_the_matrix_oracle(family, rank):
+    ct = build_cartan(family, rank)
+    group = build_weyl_group(ct)
+    ids = matrix_ids(group)
+    for k, beta in enumerate(ct.positive_roots_list):
+        s_beta = ids[reflection_weight_matrix(ct, beta)]
+        assert group._reflection_words[k] == \
+            greedy_reduced_word(group, s_beta)
+    assert len(group.right) == rank
+    assert all(len(column) == len(group) for column in group.right)
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
@@ -197,13 +214,21 @@ def test_equal_rows_and_root_ids_are_one_object(family, rank):
 
 
 # the group build keeps no per-element walk tuples, rows or negated ids:
-# A5 peaks near 430 KiB and B5 near 2,400 KiB, about half of what such
+# A5 peaks near 380 KiB and B5 near 2,200 KiB, under half of what such
 # tuples took
 @pytest.mark.parametrize("family,rank,bound", [
     ("A", 5, 512 * 1024), ("B", 5, 3 * 1024 * 1024)])
 def test_group_build_peak(family, rank, bound):
     ct = build_cartan(family, rank)
     assert _peak_bytes(lambda: WeylGroup(ct)) < bound
+
+
+# one right table, as columns, and no weight matrix -> id dict: B5 peaks
+# near 2,200 KiB, where a row table beside a transposed copy and the dict
+# peaked near 2,500 KiB
+def test_group_build_peak_with_one_right_table():
+    ct = build_cartan("B", 5)
+    assert _peak_bytes(lambda: WeylGroup(ct)) < 2400 * 1024
 
 
 # ---------------------------------------------------------------------------
