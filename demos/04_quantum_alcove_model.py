@@ -7,7 +7,7 @@ Run:  python3 demos/04_quantum_alcove_model.py
 
 from krcrystals import build_cartan
 from krcrystals.alcove import (alcove_crystal, build_lambda_chain,
-                               enumerate_admissible, fold, g_graph)
+                               enumerate_admissible, fold)
 from krcrystals.crystals import components, demazure_filter, explore_tensor, \
     match_components
 from krcrystals.kr import kr_typeA
@@ -39,9 +39,15 @@ for J in subsets[:4]:
 
 print()
 print("=== a height profile and one operator application ===")
-gg = g_graph(chain, (), fold(chain, ()), 1)
-print("g_{alpha_1} of the empty subset: positions", gg.positions,
-      "heights", gg.heights, "endpoint", gg.h_inf, "M =", gg.M)
+# g_{alpha_1} of the empty folding: the levels where |gamma| = alpha_1,
+# ending at <wt, alpha_1^vee>; M is the largest of them
+fol = fold(chain, ())
+positions = tuple(i for i, g in enumerate(fol.gamma, 1)
+                  if abs(g) == chain.alphas[1][1])
+heights = tuple(fol.levels[i - 1] for i in positions)
+print("g_{alpha_1} of the empty subset: positions", positions,
+      "heights", heights, "endpoint", fol.weight[0],
+      "M =", max(heights + (fol.weight[0],)))
 # the operators are read off the crystal's tables, node ids over its subsets
 alc = alcove_crystal(a2, lam, 1)
 print("f_1(emptyset) =", alc.nodes[alc.fs[1][alc.index[()]]])

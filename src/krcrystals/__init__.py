@@ -9,7 +9,7 @@ from .weyl import build_qbg, build_weyl_group, dominantize
 from .crystals import (CrystalGraph, components, demazure_filter,
                        explore_tensor, hw_census, iso_check)
 from .alcove import (LambdaChain, alcove_crystal, build_lambda_chain,
-                     enumerate_admissible, fold, g_graph, hw_crystal)
+                     enumerate_admissible, fold, hw_crystal)
 from .kr import fixture_C2, kr_C_onebox, kr_typeA, promotion
 from .experiments import (Report, check_alcove_correspondence, check_bmin,
                           check_character_qsystem, check_figure,
@@ -23,7 +23,7 @@ __all__ = [
     "CrystalGraph", "components", "demazure_filter", "explore_tensor",
     "hw_census", "hw_crystal", "iso_check",
     "LambdaChain", "alcove_crystal", "build_lambda_chain",
-    "enumerate_admissible", "fold", "g_graph",
+    "enumerate_admissible", "fold",
     "fixture_C2", "kr_C_onebox", "kr_typeA", "promotion",
     "Report", "check_alcove_correspondence", "check_bmin",
     "check_character_qsystem", "check_figure", "check_qsystem_typeA",

@@ -9,12 +9,12 @@ Heights are exact integers, and every walk of a height profile checks the
 folded hyperplane levels against its slopes, so the two routes to the
 heights (affine reflections vs slope accumulation) must always agree.
 
-fold() folds one subset, one _fold_step per position.  enumerate_admissible
+fold() folds one subset in one pass over the chain.  enumerate_admissible
 maps each admissible subset to the element its QBG walk ends at (up edges
 only, for B(lambda)), folding nothing, and explore walks each subset of
 the map from its parent's walk (_walks), with one skeleton of walks per
 Weyl element reached, so no subset's Gamma(J) is built; _rule reads M,
-f_p and e_p of each color off the walks and g_graph one color's profile.
+f_p and e_p of each color off the walks.
 """
 
 import math
@@ -100,51 +100,36 @@ class Folding(NamedTuple):
     final_dir: int
 
 
-def _fold_step(chain, group, state, j, w):
-    """The state (Folding, weight shift v) of J + (j,) from that of J (None
-    for the empty folding, with j = 0 and w the identity), a position j
-    past J and w = final_dir s_{beta_j}: the shift v - l_j gamma_j, gamma
-    and levels at positions 1..j copied from J's folding and positions
-    j+1..m recomputed from w and the new v."""
-    ct = chain.cartan
-    if state is None:
-        v, gamma, levels = (0,) * ct.rank, [], []
-    else:
-        fol, v = state
-        g = fol.gamma[j - 1]
-        sl = chain.l[j - 1] if g > 0 else -chain.l[j - 1]
-        v = tuple([x - sl * y
-                   for x, y in zip(v, ct._root_weights[abs(g) - 1])])
-        gamma, levels = list(fol.gamma[:j]), list(fol.levels[:j])
-    roots, coroots = group.roots[w], ct._coroots
-    for idx, l in zip(chain.root_indices[j:], chain.l[j:]):
-        g = roots[idx]
-        gamma.append(g)
-        sl = l if g > 0 else -l
-        levels.append(sl - sum(map(mul, coroots[abs(g) - 1], v)))
-    wt = group.wt_mats[w]
-    return (Folding(tuple(gamma), tuple(levels), mat_vec(wt, ct.rho),
-                    tuple(map(sub, mat_vec(wt, chain.lam), v)), w), v)
-
-
 def fold(chain, J):
-    """The folding Gamma(J) (admissibility not required), folded from the
-    empty folding by _fold_step at each position of J in ascending order.
+    """The folding Gamma(J) (admissibility not required), in one pass over
+    the chain from the identity: gamma_k from the running element's signed
+    root permutation, its level from the running weight shift v, and at
+    each k in J the shift by -l_k gamma_k and the product with s_{beta_k}.
     ValueError for a position outside 1..m.  No library function calls it,
     but the benchmark's tracer (bench/tracing.py) wraps it for three
     per-layer metrics, alcove.fold_s, alcove.fold_calls and
     alcove.fold_distinct."""
-    J = tuple(sorted(set(J)))
-    for j in J:
+    J = set(J)
+    for j in sorted(J):
         if not 1 <= j <= chain.m:
             raise ValueError("position %d outside 1..%d" % (j, chain.m))
-    group = build_qbg(chain.cartan).group
-    state = _fold_step(chain, group, None, 0, group.identity)
-    for j in J:
-        w = group.times_reflection(state[0].final_dir,
-                                   chain.root_indices[j - 1])
-        state = _fold_step(chain, group, state, j, w)
-    return state[0]
+    ct = chain.cartan
+    group = build_qbg(ct).group
+    w, v = group.identity, (0,) * ct.rank
+    roots, gamma, levels = group.roots[w], [], []
+    for k, (idx, l) in enumerate(zip(chain.root_indices, chain.l), 1):
+        g = roots[idx]
+        gamma.append(g)
+        sl = l if g > 0 else -l
+        levels.append(sl - sum(map(mul, ct._coroots[abs(g) - 1], v)))
+        if k in J:
+            v = tuple([x - sl * y
+                       for x, y in zip(v, ct._root_weights[abs(g) - 1])])
+            w = group.times_reflection(w, idx)
+            roots = group.roots[w]
+    wt = group.wt_mats[w]
+    return Folding(tuple(gamma), tuple(levels), mat_vec(wt, ct.rho),
+                   tuple(map(sub, mat_vec(wt, chain.lam), v)), w)
 
 
 def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
@@ -184,15 +169,6 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
 
 # ---------------------------------------------------------------------------
 # the height walks and the operators
-
-
-class GGraph(NamedTuple):
-    """The height profile g_{alpha_p} of a folded chain, read by g_graph."""
-    p: int
-    positions: tuple      # I_alpha, ascending; infinity is implicit
-    heights: tuple        # sgn(alpha) * l_i^J along positions
-    h_inf: int            # <wt(J), alpha_p^vee> = height at the right end
-    M: int
 
 
 def _skeleton(chain, gamma, signed, gamma_inf, wlam):
@@ -334,29 +310,6 @@ def _rule(walk, sign, J, threshold):
             insort(new, m_pos)
         e_img = tuple(new)
     return M, f_img, e_img
-
-
-def g_graph(chain, J, fol, p):
-    """The height profile for color p of J, walked by _walks along its
-    prefixes (p = 0: alpha_0 = -theta, reflected in the x-axis).  ValueError
-    for a color outside 0..r, InvariantError unless fol is fold(chain, J)'s
-    weight and element."""
-    if not 0 <= p <= chain.cartan.rank:
-        raise ValueError("color %r outside 0..%d" % (p, chain.cartan.rank))
-    group = build_qbg(chain.cartan).group
-    J, w = tuple(sorted(set(J))), group.identity
-    prefixes = {(): w}
-    for k, j in enumerate(J, 1):
-        w = prefixes[J[:k]] = group.times_reflection(
-            w, chain.root_indices[j - 1])
-    *_, (_, weight, walks) = _walks(chain, prefixes)
-    if weight != fol.weight or w != fol.final_dir:
-        raise InvariantError("the walk of %r is not its folding's" % (J,))
-    sign, rid = chain.alphas[p]
-    positions, levels, l_inf = walks[rid]
-    heights = tuple(sign * h for h in levels)
-    return GGraph(p, tuple(positions), heights, sign * l_inf,
-                  max(heights + (sign * l_inf,)))
 
 
 # ---------------------------------------------------------------------------

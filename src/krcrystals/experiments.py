@@ -99,11 +99,11 @@ def _check_node_cap(graph, what, node_cap):
 def build_factor(cartan, r, s, node_cap=DEFAULT_NODE_CAP):
     """One KR factor as an explored affine crystal graph of at most
     node_cap nodes."""
-    if s == 0:
-        g = trivial_crystal(cartan, cartan.index_set)
-    elif r not in cartan.classical_index_set or s < 0:
+    if r not in cartan.classical_index_set or s < 0:
         raise UnsupportedFactorError("no factor %s in type %s"
                                      % (factor_name(r, s), cartan.type_name))
+    if s == 0:
+        g = trivial_crystal(cartan, cartan.index_set)
     elif cartan.family == "A":
         g = kr_typeA(cartan.rank, r, s, node_cap)
     elif cartan.family == "C" and (r, s) == (1, 1):

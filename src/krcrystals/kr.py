@@ -173,12 +173,10 @@ def kr_typeA(n, r, s, node_cap=DEFAULT_NODE_CAP):
     for table in (fs, es):
         one = table[1]
         table[0] = [None if (x := one[p]) is None else inv[x] for p in pr]
-    graph = CrystalGraph(build_cartan("A", n), range(n + 1), tableaux, fs,
-                         [tableau_weight(t, n) for t in tableaux],
-                         map(tableau_repr, tableaux), affine_complete=True,
-                         es=es)
-    graph.index = index
-    return graph
+    return CrystalGraph(build_cartan("A", n), range(n + 1), tableaux, fs,
+                        [tableau_weight(t, n) for t in tableaux],
+                        map(tableau_repr, tableaux), affine_complete=True,
+                        es=es)
 
 
 # ---------------------------------------------------------------------------

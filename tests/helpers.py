@@ -26,9 +26,10 @@ import re
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from krcrystals import alcove
-from krcrystals.alcove import Folding, GGraph, fold, hw_crystal
+from krcrystals.alcove import Folding, fold, hw_crystal
 from krcrystals.cartan import (identity_matrix, mat_vec, vec_add, vec_neg,
                                vec_scale, vec_sub)
 from krcrystals.crystals import (DEFAULT_NODE_CAP, CrystalGraph, components,
@@ -348,6 +349,16 @@ def is_bruhat_admissible(chain, J):
             return False
         cur = nxt
     return True
+
+
+class GGraph(NamedTuple):
+    """The height profile g_{alpha_p} of a folded chain, read by
+    g_graph_oracle."""
+    p: int
+    positions: tuple      # I_alpha, ascending; infinity is implicit
+    heights: tuple        # sgn(alpha) * l_i^J along positions
+    h_inf: int            # <wt(J), alpha_p^vee> = height at the right end
+    M: int
 
 
 def g_graph_oracle(chain, J, p):

@@ -17,7 +17,7 @@ from helpers import (QBG_TYPES, alcove_e, alcove_f, decode_root,
 from krcrystals import alcove
 from krcrystals.alcove import (LambdaChain, alcove_crystal,
                                build_lambda_chain, enumerate_admissible, fold,
-                               g_graph, hw_crystal)
+                               hw_crystal)
 from krcrystals.cartan import build_cartan, vec_add, vec_sub
 from krcrystals.crystals import (components, demazure_filter, explore_tensor,
                                  iso_check, match_components)
@@ -292,9 +292,9 @@ def test_fold_weight_matches_reflection_oracle(cartan, lam):
 
 @pytest.mark.parametrize("cartan,lam,order", ORACLE_CASES, ids=ORACLE_IDS)
 def test_fold_matches_from_scratch_oracle(cartan, lam, order):
-    # the table build's weights, each walk from its parent's, and the
-    # final elements of the quantum and the Bruhat-only subsets, and the
-    # step applied from the empty folding, against the one-pass loop
+    # the table build's weights, each walk from its parent's, the final
+    # elements of the quantum and the Bruhat-only subsets, and fold, against
+    # the one-pass loop
     chain = build_lambda_chain(cartan, lam, order)
     for quantum in (True, False):
         dirs = enumerate_admissible(chain, quantum=quantum)
@@ -318,8 +318,16 @@ def test_fold_of_any_subset_matches_oracle(cartan, lam, order):
         tuple(sorted(rng.sample(positions, rng.randint(1, chain.m))))
         for _ in range(40)]
     assert sum(not is_admissible(chain, J) for J in subsets) >= 15
+    # fold and fold_oracle run one loop; the weight, the direction and the
+    # roots are also checked against reflections built afresh
+    wt_mats = build_weyl_group(cartan).wt_mats
     for J in subsets:
-        assert fold(chain, J) == fold_oracle(chain, J)
+        fol = fold(chain, J)
+        assert fol == fold_oracle(chain, J)
+        assert fol.weight == folding_weight_oracle(chain, J)
+        assert wt_mats[fol.final_dir] == folding_direction_oracle(chain, J)
+        assert tuple(decode_root(cartan, g) for g in fol.gamma) == \
+            folding_gamma_oracle(chain, J)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 5])
@@ -357,17 +365,23 @@ def test_sign_partition_matches_qbg_tags():
 # height profiles
 
 
+def empty_walk(chain, p):
+    """The table build's walk of color p's root over the empty subset."""
+    (J, _, walks), *_ = alcove._walks(chain, enumerate_admissible(chain))
+    assert J == ()
+    return walks[chain.alphas[p][1]]
+
+
 def test_ggraph_trivial_no_occurrences():
     chain = build_lambda_chain(A2, (0, 1))
-    gg = g_graph(chain, (), fold(chain, ()), 1)  # alpha_1 never occurs
-    assert gg.positions == ()
-    assert gg.M == 0 and gg.h_inf == 0
+    walk = empty_walk(chain, 1)  # alpha_1 never occurs
+    assert list(walk[0]) == [] and walk[2] == 0
+    assert alcove._rule(walk, 1, (), 0)[0] == 0
 
 
 def test_ggraph_a1_basic():
     chain = build_lambda_chain(A1, (1,))
-    gg = g_graph(chain, (), fold(chain, ()), 1)
-    assert gg.M == 1
+    assert alcove._rule(empty_walk(chain, 1), 1, (), 0)[0] == 1
     assert alcove_f(chain, (), 1) == (1,)
 
 
@@ -381,11 +395,10 @@ PROFILE_CASES = [(A1, (5,)), (A2, (1, 1)), (C2, (2, 0)), (B3, (1, 1, 0)),
     for ct, lam in PROFILE_CASES])
 def test_height_profiles_match_per_color_oracle(cartan, lam, order):
     # every color's walk from the table build, read with the color's
-    # sign, the rule's maximum, and every field of g_graph's profile,
-    # against a separate scan of Gamma(J) per color
+    # sign, and the rule's maximum, against a separate scan of Gamma(J)
+    # per color
     chain = build_lambda_chain(cartan, lam, order)
     for J, _, walks in alcove._walks(chain, enumerate_admissible(chain)):
-        fol = fold(chain, J)
         assert set(walks) == {rid for _, rid in chain.alphas}
         for p, (sign, rid) in enumerate(chain.alphas):
             want = g_graph_oracle(chain, J, p)
@@ -394,7 +407,6 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
             assert tuple(sign * h for h in levels) == want.heights
             assert sign * l_inf == want.h_inf
             assert alcove._rule(walks[rid], sign, J, int(p == 0))[0] == want.M
-            assert g_graph(chain, J, fol, p) == want
 
 
 @pytest.mark.parametrize("J", [(), (2,), (1, 3)])
@@ -405,7 +417,7 @@ def test_height_profiles_cross_check_the_folding(J):
     fol = fold(chain, J)
     build = _height_walks
     positions = {i for p in range(3)
-                 for i in g_graph(chain, J, fol, p).positions}
+                 for i in g_graph_oracle(chain, J, p).positions}
     assert positions
     for i in positions:
         levels = list(fol.levels)
@@ -571,8 +583,7 @@ def test_e_kills_empty_subset_classically():
 @pytest.mark.parametrize("p", [-1, 3])
 def test_colors_outside_0_to_r_are_rejected(p):
     chain = build_lambda_chain(A2, (1, 1))
-    for call in (lambda: g_graph(chain, (), fold(chain, ()), p),
-                 lambda: alcove_f(chain, (), p),
+    for call in (lambda: alcove_f(chain, (), p),
                  lambda: alcove_e(chain, (), p)):
         with pytest.raises(ValueError, match=r"^color %d outside 0\.\.2$" % p):
             call()

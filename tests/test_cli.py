@@ -49,6 +49,19 @@ def test_build_unconstructible_factor(tmp_path, capsys):
     assert "B^{2,1}" in capsys.readouterr().err
 
 
+# a zero-width factor is the trivial one only for a node r in I_0: B^{99,0}
+# in A2 is refused, not read as a one-node graph of weight 0
+@pytest.mark.parametrize("argv", [
+    ["build", "--type", "A2", "--factors", "99,0"],
+    ["check", "bmin", "--type", "A2", "--factors", "99,0:1,1", "--level", "1"],
+], ids=["build", "check-bmin"])
+def test_zero_width_factor_needs_a_classical_node(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no factor B^{99,0} in type A2~\n"
+    assert not out.exists()
+
+
 def test_build_bad_extension(tmp_path):
     assert run(["build", "--type", "A2", "--factors", "1,1",
                 "--out", str(tmp_path / "g.txt")]) == 2

@@ -265,10 +265,12 @@ def test_no_library_function_calls_fold(module):
 
 
 # the alcove table extends each parent's walk by a skeleton's tail: the
-# per-subset folding path and the from-scratch walk are gone from src
-# (the walk is a test oracle in tests/helpers.py), and explore folds
-# nothing
-@pytest.mark.parametrize("name", ["_foldings", "_height_walks"])
+# per-subset folding path, the from-scratch walk and the per-color height
+# profile are gone from src (the walk and the profile are test oracles in
+# tests/helpers.py), fold is one pass over the chain with no incremental
+# step, and explore folds nothing
+@pytest.mark.parametrize("name", ["_foldings", "_height_walks", "_fold_step",
+                                  "g_graph", "GGraph"])
 def test_alcove_table_has_one_walk(name):
     import re
     lines = [(module, k) for module in MODULES
