@@ -127,7 +127,7 @@ def fold(chain, J):
                        for x, y in zip(v, ct._root_weights[abs(g) - 1])])
             w = group.times_reflection(w, idx)
             roots = group.roots[w]
-    wt = group.wt_mats[w]
+    wt = group.weight_matrix(w)
     return Folding(tuple(gamma), tuple(levels), mat_vec(wt, ct.rho),
                    tuple(map(sub, mat_vec(wt, chain.lam), v)), w)
 
@@ -248,7 +248,7 @@ def _walks(chain, dirs):
         if (skel := skeletons.get(w)) is None:
             gamma = list(map(group.roots[w].__getitem__, chain.root_indices))
             signed = [l if g > 0 else -l for g, l in zip(gamma, chain.l)]
-            wt = group.wt_mats[w]
+            wt = group.weight_matrix(w)
             skel = skeletons[w] = _skeleton(chain, gamma, signed, mat_vec(
                 wt, ct.rho), mat_vec(wt, chain.lam))
         entry = path[len(J)] = _walk_step(chain, parent, J,

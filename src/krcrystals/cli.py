@@ -83,13 +83,15 @@ def _check_out(path, suffixes=(".dot", ".json")):
 
 def _export(path, write):
     """Stream write(fh) into the file at path, created for it; a write that
-    raises removes the file, so a failed export leaves no partial one."""
+    raises removes the file, so a failed export leaves no partial one, but
+    only a regular file: a device such as /dev/full stays."""
     fh = open(path, "w")
     try:
         with fh:
             write(fh)
     except BaseException:
-        os.remove(path)
+        if os.path.isfile(path):
+            os.remove(path)
         raise
 
 

@@ -2,8 +2,8 @@
 level-l affine dominantization used by the Demazure decomposition checks.
 
 A Weyl group element is an integer id into its WeylGroup's tables (signed
-root permutations, weight matrices, lengths, the right-multiplication table
-and each element's smallest right descent); the QBG's vertices are the same
+root permutations, lengths, the right-multiplication table and each
+element's smallest right descent); the QBG's vertices are the same
 ids, and its edge rule reads the group's length table.  The QBG export works
 on whole columns: one column w -> w s_beta per positive root, with each
 edge's kind, for the edges and their count, and one pass over the descent
@@ -12,7 +12,7 @@ table for every vertex's reduced word."""
 from functools import cached_property, lru_cache
 from itertools import groupby
 from math import prod
-from operator import itemgetter, mul, neg, sub
+from operator import itemgetter, neg, sub
 
 from .cartan import identity_matrix, vec_add, vec_neg, vec_scale, vec_sub
 from .errors import InvariantError, ResourceLimitError
@@ -51,24 +51,23 @@ class WeylGroup:
     roots[w] is its signed root permutation (roots[w][k] = +(j + 1) when
     w(beta_k) = beta_j and -(j + 1) when w(beta_k) = -beta_j, for the
     positive roots beta_0, beta_1, ... of CartanData.positive_roots_list),
-    wt_mats[w] its matrix on the fundamental-weight basis, lengths[w] its
-    length, right[i - 1][w] the id of w s_i and descents[w] the smallest
-    0-based i with l(w s_{i+1}) < l(w) (None for the identity).
+    lengths[w] its length, right[i - 1][w] the id of w s_i and descents[w]
+    the smallest 0-based i with w(alpha_{i+1}) < 0 (None for the identity);
+    weight_matrix(w) reads w's matrix on the fundamental weights off roots[w].
 
     A group over the cap is refused from |W| before any walk.  The
     breadth-first walk of the Cayley graph keys each element on its signed
     root permutation (faithful: W acts faithfully on the roots), so a step
     w -> w s_i is one index lookup of s_i's table into w's roots and their
-    negatives (one shared table), and the new element's weight matrix is
-    its parent's with one column updated (equal rows are one tuple).  The
-    walk meets elements by length; sorting each length class by weight
-    matrix gives the ids: the identity is 0, w0 the last id, and w s_i
-    has a smaller id than w whenever i is a descent of w.  reduced_word
-    walks the descent table, so it gives the greedy smallest-descent word.
-    Each s_beta, found in the walk by its signed roots, keeps a reduced
-    word, so w s_beta is a few lookups in the right table, whose columns
-    w -> w s_i compose along that word to the column w -> w s_beta
-    (Bjorner-Brenti, ch. 1-2, 4).
+    negatives (one shared table).  The walk meets elements by length;
+    sorting each length class by the coroots of w^-1(alpha_i), the rows of
+    w's weight matrix, gives the ids: the identity is 0, w0 the last id,
+    and w s_i has a smaller id than w whenever i is a descent of w.
+    reduced_word walks the descent table, so it gives the greedy
+    smallest-descent word.  Each s_beta, found in the walk by its signed
+    roots, keeps a reduced word, so w s_beta is a few lookups in the right
+    table, whose columns w -> w s_i compose along that word to the column
+    w -> w s_beta (Bjorner-Brenti, ch. 1-2, 4).
     """
 
     identity = 0
@@ -82,14 +81,15 @@ class WeylGroup:
         size = prod(sum(beta) + 1 for beta in pos) // prod(map(sum, pos))
         if size > cap:
             raise ResourceLimitError("Weyl group larger than cap %d" % cap)
-        # alpha_i on the fundamental weights: w s_i changes only column i of
-        # w's weight matrix M, as M s_i = M - (M alpha_i) e_i^T
-        s_wt = [cartan.simple_root_weight(i + 1) for i in range(n)]
         ident = tuple(range(1, m + 1))
         negs = (0,) + tuple(map(neg, ident)) + ident[::-1]    # negs[t] = -t
         # sid[root] = +(k + 1) for beta_k and -(k + 1) for -beta_k
         sid = dict(zip(pos, ident))
         sid.update(zip(map(vec_neg, pos), map(neg, ident)))
+        # w^-1(alpha_i) has the coroot _cor[t] for the t at which w's roots
+        # and then their negatives hold alpha_i's id
+        cor = self._cor = (*cartan._coroots, *map(vec_neg, cartan._coroots))
+        simple = self._simple = [sid[e] for e in identity_matrix(n)]
         # s_get[i] reads (w s_{i+1})(beta_k) = +-w(beta_j) for every k out of
         # w's signed roots followed by their negatives
         s_get = []
@@ -100,21 +100,18 @@ class WeylGroup:
             # itemgetter of one index returns the item, not a 1-tuple
             s_get.append(get if m > 1 else lambda ext, get=get: (get(ext),))
 
-        roots, mats, lengths = [ident], [identity_matrix(n)], [0]
-        intern = {r: r for r in mats[0]}.setdefault
+        roots, keys, lengths = [ident], [], [0]
         found = {ident: 0}                  # roots -> discovery number
         steps = [[] for _ in range(n)]      # steps[i][d]: that of w_d s_{i+1}
-        for w, wt, length in zip(roots, mats, lengths):
+        for w, length in zip(roots, lengths):
             ext = w + tuple(map(negs.__getitem__, w))
-            for i, get, a, step in zip(range(n), s_get, s_wt, steps):
+            keys.append(tuple([cor[ext.index(a)] for a in simple]))
+            for get, step in zip(s_get, steps):
                 ws = get(ext)
                 d = found.get(ws)
                 if d is None:
                     d = found[ws] = len(roots)
                     roots.append(ws)
-                    new = [r[:i] + (r[i] - sum(map(mul, r, a)),) + r[i + 1:]
-                           for r in wt]
-                    mats.append(tuple(map(intern, new, new)))
                     lengths.append(length + 1)
                 step.append(d)
         if len(roots) != size:
@@ -130,20 +127,25 @@ class WeylGroup:
 
         order = []
         for _, same in groupby(range(size), lengths.__getitem__):
-            order += sorted(same, key=mats.__getitem__)
+            order += sorted(same, key=keys.__getitem__)
+        del keys
         ids = sorted(range(size), key=order.__getitem__)    # ids[order[k]] = k
         self.roots = tuple(map(roots.__getitem__, order))
-        self.wt_mats = tuple(map(mats.__getitem__, order))
         lengths = self.lengths = tuple(map(lengths.__getitem__, order))
         self.right = tuple(tuple([ids[s[d]] for d in order]) for s in steps)
-        if self.lengths.count(self.lengths[-1]) != 1:
+        if lengths.count(lengths[-1]) != 1:
             raise InvariantError("longest element not unique")
         self.w0 = size - 1
         self.descents = tuple(
-            next((i for i, ws in enumerate(row) if lengths[ws] < length),
-                 None) for row, length in zip(zip(*self.right), lengths))
+            next((i for i, a in enumerate(simple) if r[a - 1] < 0),
+                 None) for r in self.roots)
         self._reflection_words = tuple(
             self.reduced_word(ids[d]) for d in reflections)
+
+    def weight_matrix(self, w):
+        """w's weight matrix: row i is the coroot of w^-1(alpha_i)."""
+        ext = self.roots[w] + tuple(map(neg, self.roots[w]))
+        return tuple([self._cor[ext.index(a)] for a in self._simple])
 
     def __len__(self):
         return len(self.lengths)
@@ -196,8 +198,8 @@ class QuantumBruhatGraph:
     tests one pair, and on first use by edge_count or the DOT export each
     root's whole column w -> w s_beta is classified at once into one bytes
     of kinds, so a walk that only asks has_edge never builds it.  The adjacency
-    lists out, read off the column table, serve strong connectivity and
-    the tests only."""
+    lists out, read off the column table, serve the demos and the tests
+    only."""
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
@@ -254,25 +256,20 @@ class QuantumBruhatGraph:
         return rows
 
     def is_strongly_connected(self):
-        n = len(self.group)
-
-        def sweep(adj):
-            seen = {0}
-            stack = [0]
+        """Does the identity reach every vertex along the edges, and along
+        them reversed?  Reversed, beta's edge out of v goes to u = v s_beta
+        = column[v] when u -> u s_beta = v is an edge (s_beta squares to 1)."""
+        def sweep(forward):
+            seen, stack = {0}, [0]
             while stack:
                 v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
+                for _, column, kinds in self._columns:
+                    w = column[v]
+                    if w not in seen and kinds[v if forward else w]:
                         seen.add(w)
                         stack.append(w)
-            return len(seen) == n
-
-        fwd = [[dst for (_, dst, _) in lst] for lst in self.out]
-        back = [[] for _ in range(n)]
-        for src, lst in enumerate(self.out):
-            for (_, dst, _) in lst:
-                back[dst].append(src)
-        return sweep(fwd) and sweep(back)
+            return len(seen) == len(self.group)
+        return sweep(True) and sweep(False)
 
     def to_dot(self, fh):
         """Write the graph as DOT to the open text file fh: the vertices,

@@ -85,8 +85,8 @@ def reflection_weight_matrix(cartan, root):
 
 @lru_cache(maxsize=None)
 def matrix_ids(group):
-    """The group's weight matrix -> id dict, built here from wt_mats."""
-    return {mat: w for w, mat in enumerate(group.wt_mats)}
+    """The group's weight matrix -> id dict, built here from weight_matrix."""
+    return {group.weight_matrix(w): w for w in range(len(group))}
 
 
 def decode_root(cartan, g):
@@ -174,7 +174,8 @@ def bruhat_leq(group, v, w):
 def group_mul(group, v, w):
     """v w by matrix product: the oracle the right table is checked
     against."""
-    return matrix_ids(group)[mat_mul(group.wt_mats[v], group.wt_mats[w])]
+    return matrix_ids(group)[mat_mul(group.weight_matrix(v),
+                                     group.weight_matrix(w))]
 
 
 def reflection(group, root):
@@ -321,7 +322,7 @@ def fold_oracle(chain, J):
         if k in jset:
             v = vec_sub(v, vec_scale(sl, ct._root_weights[b]))
             w = group.times_reflection(w, idx)
-    wt = group.wt_mats[w]
+    wt = group.weight_matrix(w)
     return Folding(tuple(gamma), tuple(levels), mat_vec(wt, ct.rho),
                    vec_sub(mat_vec(wt, chain.lam), v), w)
 

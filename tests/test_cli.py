@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import time
 
@@ -498,6 +499,22 @@ def test_failed_report_write_leaves_no_file(tmp_path, monkeypatch, capsys,
                + ["--junit"] * junit) == 2
     assert "can't encode" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a failed write removes a regular file only: check --out has no suffix
+# rule, and a device such as /dev/full or /dev/null must outlive a failed
+# export; os.remove is a recorder here, so no real removal runs
+def test_failed_export_removes_only_a_regular_file(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(experiments.Report, "to_json", lambda self: "\ud800")
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    assert run(["check", "figure", "--out", os.devnull]) == 2
+    assert "can't encode" in capsys.readouterr().err
+    assert os.devnull not in removed
+    out = tmp_path / "r.json"
+    assert run(["check", "figure", "--out", str(out)]) == 2
+    assert removed == [str(out)]
 
 
 def test_check_junit(tmp_path):

@@ -688,7 +688,7 @@ def test_extremal_anchors_weigh_lambda_and_w0_lambda(cartan, factors, level,
     group = build_weyl_group(cartan)
     assert graph.weight(graph.extremal("max")) == lam
     assert graph.weight(graph.extremal("min")) == \
-        mat_vec(group.wt_mats[group.w0], lam)
+        mat_vec(group.weight_matrix(group.w0), lam)
 
 
 @pytest.mark.parametrize("mode", ["max", "min"])

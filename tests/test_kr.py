@@ -95,8 +95,8 @@ def test_kr_typeA_seminormal_and_irreducible(n, r, s):
     assert hw_census(g, g.cartan.classical_index_set) == [lam]
     assert g.weights[g.extremal("max")] == lam
     group = build_weyl_group(g.cartan)
-    assert g.weights[g.extremal("min")] == mat_vec(group.wt_mats[group.w0],
-                                                   lam)
+    assert g.weights[g.extremal("min")] == \
+        mat_vec(group.weight_matrix(group.w0), lam)
 
 
 def test_zero_arrow_weight_rule_picks_orientation():

@@ -68,11 +68,12 @@ def test_weyl_has_one_element_representation(name):
     assert not hasattr(krcrystals, name)
 
 
-# a group keeps one right-multiplication table, its rank columns, and no
-# weight matrix -> id dict: the walk finds each s_beta by its signed roots,
-# so CartanData builds no reflection matrix for it
+# a group keeps one right-multiplication table, its rank columns, no
+# weight matrix -> id dict and no per-element weight matrix: the walk finds
+# each s_beta by its signed roots, so CartanData builds no reflection matrix
+# for it, and weight_matrix reads a matrix off the signed roots on demand
 @pytest.mark.parametrize("owner,name", [
-    ("group", "index"), ("group", "_right_columns"),
+    ("group", "index"), ("group", "_right_columns"), ("group", "wt_mats"),
     ("cartan", "reflection_weight_matrix")])
 def test_weyl_group_keeps_one_right_table(owner, name):
     from krcrystals.cartan import build_cartan

@@ -35,7 +35,7 @@ def test_reflect_simple_on_weight():
     group = build_weyl_group(ct)
     s1 = reflection(group, (1, 0))
     # s_1(pi_1) = pi_1 - alpha_1
-    assert mat_vec(group.wt_mats[s1], (1, 0)) == (1 - 2, 0 + 1)
+    assert mat_vec(group.weight_matrix(s1), (1, 0)) == (1 - 2, 0 + 1)
     assert group.lengths[s1] == 1
 
 
@@ -59,8 +59,8 @@ def test_reflections_are_involutions():
             assert group.roots[s][k] == -(k + 1)
 
 
-# the walk updates one column per step; the oracle multiplies the full
-# reflection matrices along a reduced word
+# weight_matrix reads each row off the signed roots; the oracle multiplies
+# the full reflection matrices along a reduced word
 @pytest.mark.parametrize("family,rank", QBG_TYPES + [("A", 1)])
 def test_weight_matrices_match_reflection_products(family, rank):
     ct = build_cartan(family, rank)
@@ -72,7 +72,7 @@ def test_weight_matrices_match_reflection_products(family, rank):
         mat = identity_matrix(rank)
         for i in group.reduced_word(w):
             mat = mat_mul(mat, simple[i - 1])
-        assert group.wt_mats[w] == mat
+        assert group.weight_matrix(w) == mat
 
 
 def test_lengths_match_inversion_oracle():
@@ -122,8 +122,10 @@ def test_times_reflection_matches_matrix_products(family, rank):
             assert reflection(group, vec_neg(beta)) == reflection(group, beta)
 
 
-# the descent table against a scan of each row of the right table, and the
-# words walked off it against the greedy oracle's
+# the descent table, read off the signed roots (i is a descent of w when
+# w(alpha_i) < 0), against a scan of w's entry in each column of the right
+# table against the lengths, and the words walked off it against the greedy
+# oracle's
 @pytest.mark.parametrize("family,rank", EXPORT_TYPES)
 def test_descent_table_words_match_the_greedy_oracle(family, rank):
     group = build_weyl_group(build_cartan(family, rank))
@@ -134,6 +136,17 @@ def test_descent_table_words_match_the_greedy_oracle(family, rank):
         word = group.reduced_word(w)
         assert word == greedy_reduced_word(group, w)
         assert len(word) == group.lengths[w]
+
+
+# the id order is a contract: by length, and within a length class by the
+# weight matrix, whose rows are the coroots of w^-1(alpha_i)
+@pytest.mark.parametrize("family,rank", EXPORT_TYPES + [("A", 1)])
+def test_ids_are_sorted_by_length_then_weight_matrix(family, rank):
+    group = build_weyl_group(build_cartan(family, rank))
+    keys = [(group.lengths[w], group.weight_matrix(w))
+            for w in range(len(group))]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert keys[0] == (0, identity_matrix(rank))
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
@@ -202,19 +215,17 @@ def test_walk_is_checked_against_the_group_order(monkeypatch):
         WeylGroup(build_cartan("A", 2))
 
 
-# every element's weight-matrix rows and signed root ids are shared objects:
-# one tuple per distinct row, one int per distinct id
+# every element's signed root ids are shared objects: one int per distinct
+# id
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
 def test_equal_rows_and_root_ids_are_one_object(family, rank):
     group = WeylGroup(build_cartan(family, rank))
-    rows = [r for mat in group.wt_mats for r in mat]
-    assert len({id(r) for r in rows}) == len(set(rows))
     ids = [t for roots in group.roots for t in roots]
     assert len({id(t) for t in ids}) == len(set(ids))
 
 
 # the group build keeps no per-element walk tuples, rows or negated ids:
-# A5 peaks near 380 KiB and B5 near 2,200 KiB, under half of what such
+# A5 peaks near 365 KiB and B5 near 1,930 KiB, under half of what such
 # tuples took
 @pytest.mark.parametrize("family,rank,bound", [
     ("A", 5, 512 * 1024), ("B", 5, 3 * 1024 * 1024)])
@@ -224,11 +235,28 @@ def test_group_build_peak(family, rank, bound):
 
 
 # one right table, as columns, and no weight matrix -> id dict: B5 peaks
-# near 2,200 KiB, where a row table beside a transposed copy and the dict
+# near 1,930 KiB, where a row table beside a transposed copy and the dict
 # peaked near 2,500 KiB
 def test_group_build_peak_with_one_right_table():
     ct = build_cartan("B", 5)
     assert _peak_bytes(lambda: WeylGroup(ct)) < 2400 * 1024
+
+
+# the group keeps no weight matrix per element: B5 retains near 1,260 KiB
+# once a full collection has emptied the free lists, where a table of
+# matrices beside the signed roots retained near 1,590 KiB
+def test_group_retains_no_weight_matrices():
+    ct = build_cartan("B", 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        group = WeylGroup(ct)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 3840
+    assert retained < 1536 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +335,17 @@ def test_qbg_kinds_follow_the_length_difference_rule(family, rank):
                 expected[(w, k)] = edge
     assert qbg_edges(qbg) == expected
     assert qbg.edge_count == len(expected)
+
+
+# the sweeps read the column table: with only its up edges nothing leads back
+# to the identity, and with only its down edges nothing leaves it
+@pytest.mark.parametrize("keep", [{1, 2}, {1}, {2}], ids=["all", "up", "down"])
+@pytest.mark.parametrize("family,rank", QBG_TYPES + [("A", 1)])
+def test_qbg_strong_connectivity_needs_both_kinds(family, rank, keep):
+    qbg = QuantumBruhatGraph(build_cartan(family, rank))
+    for kinds in qbg._kinds:
+        kinds[:] = bytes(kind if kind in keep else 0 for kind in kinds)
+    assert qbg.is_strongly_connected() == (keep == {1, 2})
 
 
 @pytest.mark.parametrize("family,rank", QBG_TYPES)
