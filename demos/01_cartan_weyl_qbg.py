@@ -28,7 +28,9 @@ group = build_weyl_group(ct)
 print("|W| =", len(group), " longest element length =",
       group.lengths[group.w0])
 qbg = build_qbg(ct)
-ups = sum(not down for row in qbg.out for (_, _, down) in row)
+ups = sum(not e[1] for w in range(qbg.vertex_count)
+          for k in range(len(ct.positive_roots_list))
+          if (e := qbg.has_edge(w, k)))
 downs = qbg.edge_count - ups
 print("QBG: %d vertices, %d edges (%d covers, %d quantum)"
       % (qbg.vertex_count, qbg.edge_count, ups, downs))

@@ -374,10 +374,13 @@ def hw_crystal(cartan, lam, node_cap=DEFAULT_NODE_CAP,
 
 def _explored(cartan, lam, order, quantum, level, node_cap, weyl_cap):
     """The quantum (colors 0..r) or Bruhat (I_0) subsets, tabulated.  The
-    empty subset and the lambda_i singletons at alpha_i crossings are
-    admissible, so 1 + sum(lambda) > node_cap stops before the chain."""
-    if len(lam) == cartan.rank and cartan.is_dominant(lam) \
-            and sum(lam) >= node_cap:
+    chain crosses each alpha_i lambda_i times, and w -> w s_i is a QBG edge
+    for every w, so all 2^sum(lambda) subsets of those positions are quantum
+    subsets, and the empty one and the singletons Bruhat ones: a node_cap
+    below their count stops before the chain."""
+    if len(lam) == cartan.rank and cartan.is_dominant(lam) and (
+            (node_cap < 1 or sum(lam) >= node_cap.bit_length()) if quantum
+            else sum(lam) >= node_cap):
         raise ResourceLimitError("admissible subsets exceed node cap %d"
                                  % node_cap)
     # the cap goes in positionally: the same cache key the QBG's group uses

@@ -214,13 +214,6 @@ class CartanData:
         out[i - 1] -= c
         return tuple(out)
 
-    def root_sign(self, root):
-        if all(x >= 0 for x in root) and any(x > 0 for x in root):
-            return 1
-        if all(x <= 0 for x in root) and any(x < 0 for x in root):
-            return -1
-        raise ValueError("not a root: %r" % (root,))
-
     # -- invariants -----------------------------------------------------------
 
     def _affine_cartan(self):

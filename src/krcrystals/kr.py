@@ -9,6 +9,8 @@ from the paper-figure fixtures.
 """
 
 from functools import lru_cache, reduce
+from itertools import combinations
+from operator import ge
 
 from .cartan import build_cartan, vec_add
 from .crystals import CrystalGraph, DEFAULT_NODE_CAP
@@ -21,26 +23,32 @@ from .errors import (InvariantError, ResourceLimitError,
 
 def rect_tableaux(n, r, s, limit=float("inf")):
     """All SSYT of shape r x s over the alphabet 1..n+1, generated column
-    by column in lexicographic order; ResourceLimitError as soon as there
-    are more than limit of them."""
-    from itertools import combinations
-    cols = [c for c in combinations(range(1, n + 2), r)]
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == s:
-            if len(out) >= limit:
-                raise ResourceLimitError(
-                    "tableaux of B^{%d,%d} exceed node cap %d" % (r, s, limit))
-            rows = tuple(tuple(col[i] for col in prefix) for i in range(r))
-            out.append(rows)
-            return
-        last = prefix[-1] if prefix else None
-        for col in cols:
-            if last is None or all(x >= y for x, y in zip(col, last)):
-                extend(prefix + [col])
-
-    extend([])
+    by column in lexicographic order by a stack of column iterators, not
+    by recursion; the largest column, the only one that may follow itself,
+    fills the rest at once.  ResourceLimitError as soon as there are more
+    than limit of them, UnsupportedFactorError for s < 1."""
+    if s < 1:
+        raise UnsupportedFactorError("B^{r,s} needs s >= 1")
+    cols = list(combinations(range(1, n + 2), r))
+    follow = {}     # col -> the columns that may stand right of it, in order
+    out, prefix, stack = [], [], [iter(cols)]
+    while stack:
+        col = next(stack[-1], None)
+        if col is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        if (right := follow.get(col)) is None:
+            right = follow[col] = [c for c in cols if all(map(ge, c, col))]
+        if len(prefix) + 1 < s and len(right) > 1:
+            prefix.append(col)
+            stack.append(iter(right))
+            continue
+        if len(out) >= limit:
+            raise ResourceLimitError(
+                "tableaux of B^{%d,%d} exceed node cap %d" % (r, s, limit))
+        out.append(tuple(zip(*prefix, *[col] * (s - len(prefix)))))
     return out
 
 
@@ -98,7 +106,9 @@ def promotion(t, n):
     Entries n+1 (necessarily in the last row) are vacated, the holes are
     slid to the upper-left by reverse jeu de taquin (largest of the
     above/left neighbors moves, ties to above), remaining entries are
-    incremented and holes become 1.
+    incremented and holes become 1.  The holes slid before a hole are the
+    first cells of the top row (its 1s), so a hole that reaches the top row
+    joins them in one move past every entry left of it.
     """
     r = len(t)
     grid = [list(row) for row in t]
@@ -109,8 +119,8 @@ def promotion(t, n):
         grid[r - 1][j] = None
     for j in holes:
         i, k = r - 1, j
-        while True:
-            above = grid[i - 1][k] if i > 0 else None
+        while i:
+            above = grid[i - 1][k]
             left = grid[i][k - 1] if k > 0 else None
             if above is None and left is None:
                 break
@@ -122,6 +132,8 @@ def promotion(t, n):
                 grid[i][k] = left
                 grid[i][k - 1] = None
                 k -= 1
+        if i == 0:
+            grid[0].insert(0, grid[0].pop(k))
     out = tuple(tuple(1 if x is None else x + 1 for x in row) for row in grid)
     if not is_rect_ssyt(out, n):
         raise InvariantError("promotion left the tableau family")
@@ -151,8 +163,6 @@ def kr_typeA(n, r, s, node_cap=DEFAULT_NODE_CAP):
     checks that every e table inverts its f table."""
     if not 1 <= r <= n:
         raise UnsupportedFactorError("type A%d has no node r=%d" % (n, r))
-    if s < 1:
-        raise UnsupportedFactorError("B^{r,s} needs s >= 1")
     tableaux = rect_tableaux(n, r, s, node_cap)
     ids = list(range(len(tableaux)))  # every edge entry is one of these
     index = dict(zip(tableaux, ids))

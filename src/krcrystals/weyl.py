@@ -197,9 +197,7 @@ class QuantumBruhatGraph:
     length difference to the edge kind (0 none, 1 up, 2 down): has_edge
     tests one pair, and on first use by edge_count or the DOT export each
     root's whole column w -> w s_beta is classified at once into one bytes
-    of kinds, so a walk that only asks has_edge never builds it.  The adjacency
-    lists out, read off the column table, serve the demos and the tests
-    only."""
+    of kinds, so a walk that only asks has_edge never builds it."""
 
     def __init__(self, cartan, cap=DEFAULT_WEYL_CAP):
         self.cartan = cartan
@@ -244,16 +242,6 @@ class QuantumBruhatGraph:
                 self._kinds[k].__getitem__,
                 map(sub, itemgetter(*column)(lengths), lengths)))))
         return columns
-
-    @cached_property
-    def out(self):
-        """out[w]: the (root_idx, dst_id, is_down) of w's edges, by root."""
-        rows = [[] for _ in range(len(self.group))]
-        for k, column, kinds in self._columns:
-            for row, dst, kind in zip(rows, column, kinds):
-                if kind:
-                    row.append((k, dst, kind == 2))
-        return rows
 
     def is_strongly_connected(self):
         """Does the identity reach every vertex along the edges, and along

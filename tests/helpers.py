@@ -118,8 +118,18 @@ def length_by_inversions(cartan, word):
     return count
 
 
+def root_sign(root):
+    """+1 for a nonzero vector with no negative coordinate, -1 for one with
+    no positive coordinate; ValueError for any other."""
+    if all(x >= 0 for x in root) and any(x > 0 for x in root):
+        return 1
+    if all(x <= 0 for x in root) and any(x < 0 for x in root):
+        return -1
+    raise ValueError("not a root: %r" % (root,))
+
+
 def is_root(cartan, root):
-    r = root if cartan.root_sign(root) > 0 else vec_neg(root)
+    r = root if root_sign(root) > 0 else vec_neg(root)
     return r in cartan._root_index
 
 
@@ -216,7 +226,7 @@ def hyperplane_image(cartan, pair, w_root, w_wt, v):
     to a positive root."""
     gamma, k = pair
     g = mat_vec(w_root, gamma)
-    sign = cartan.root_sign(g)
+    sign = root_sign(g)
     base = g if sign > 0 else vec_neg(g)
     kk = k + sign * cartan.pairing(base, v)
     return (base, kk if sign > 0 else -kk)
@@ -565,6 +575,45 @@ def promotion_inverse(t, n):
     for _ in range(n):
         t = promotion(t, n)
     return t
+
+
+def rect_tableaux_oracle(n, r, s):
+    """Every SSYT of shape r x s over 1..n+1, by recursion over its
+    columns in lexicographic order: the reference for kr.rect_tableaux."""
+    cols = list(itertools.combinations(range(1, n + 2), r))
+
+    def extend(prefix):
+        if len(prefix) == s:
+            return [tuple(zip(*prefix))]
+        return [t for c in cols
+                if not prefix or all(x >= y for x, y in zip(c, prefix[-1]))
+                for t in extend(prefix + [c])]
+
+    return extend([])
+
+
+def promotion_oracle(t, n):
+    """Promotion with each hole slid one cell at a time, the larger of its
+    upper and left neighbours moving in (ties to the upper), until neither
+    is left: the reference for kr.promotion's one move along the top row."""
+    r = len(t)
+    grid = [list(row) for row in t]
+    holes = [j for j, x in enumerate(grid[-1]) if x == n + 1]
+    for j in holes:
+        grid[-1][j] = None
+    for j in holes:
+        i, k = r - 1, j
+        while True:
+            above = grid[i - 1][k] if i > 0 else None
+            left = grid[i][k - 1] if k > 0 else None
+            if above is None and left is None:
+                break
+            if above is not None and (left is None or above >= left):
+                grid[i][k], grid[i - 1][k], i = above, None, i - 1
+            else:
+                grid[i][k], grid[i][k - 1], k = left, None, k - 1
+    return tuple(tuple(1 if x is None else x + 1 for x in row)
+                 for row in grid)
 
 
 def column_replication(t, m):
@@ -1268,9 +1317,20 @@ def crystal_dot_oracle(g):
     return "\n".join(lines) + "\n"
 
 
+def qbg_rows(qbg):
+    """Each vertex's (root_idx, dst, is_down) edges, in the sorted order of
+    the roots, asked of has_edge one pair at a time: independent of the
+    column table the exports read."""
+    pos = qbg.cartan.positive_roots_list
+    order = sorted(range(len(pos)), key=pos.__getitem__)
+    return [[(k,) + edge for k in order
+             if (edge := qbg.has_edge(w, k)) is not None]
+            for w in range(len(qbg.group))]
+
+
 def qbg_edges(qbg):
-    """{(src, root_idx): (dst, is_down)} read from the adjacency lists."""
-    return {(src, k): (dst, down) for src, row in enumerate(qbg.out)
+    """{(src, root_idx): (dst, is_down)}, asked of has_edge per pair."""
+    return {(src, k): (dst, down) for src, row in enumerate(qbg_rows(qbg))
             for k, dst, down in row}
 
 
@@ -1282,7 +1342,7 @@ def qbg_dot_oracle(qbg):
         word = greedy_reduced_word(qbg.group, w)
         label = "e" if not word else "".join("s%d" % j for j in word)
         lines.append('  n%d [label="%s"];' % (w, label))
-    for src, lst in enumerate(qbg.out):
+    for src, lst in enumerate(qbg_rows(qbg)):
         for root_idx, dst, down in lst:
             beta = ",".join(str(x) for x in pos[root_idx])
             style = ", style=dashed" if down else ""

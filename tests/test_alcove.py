@@ -639,6 +639,24 @@ def test_operator_tables_match_the_profile_oracle(cartan, lam, build):
                     oracle(gg, J, level)
 
 
+BOUND_CASES = list(dict.fromkeys(
+    CHAIN_CASES + PROFILE_CASES + OPERATOR_CASES))
+
+
+# w -> w s_i is a QBG edge for every w and simple root alpha_i (the length
+# changes by 1 = -(1 - 2 <rho, alpha_i^vee>)), and the chain crosses alpha_i
+# lambda_i times, so every subset of those sum(lambda) positions is
+# admissible: the bound the alcove command's node-cap pre-check refuses by,
+# an equality in A1, where every position crosses alpha_1
+@pytest.mark.parametrize("cartan,lam", BOUND_CASES, ids=[
+    "%s%d-%s" % (ct.family, ct.rank, "".join(map(str, lam)))
+    for ct, lam in BOUND_CASES])
+def test_alcove_crystal_has_two_to_the_sum_of_lambda_subsets(cartan, lam):
+    size = len(alcove_crystal(cartan, lam))
+    assert size >= 2 ** sum(lam)
+    assert (size == 2 ** sum(lam)) == (cartan.rank == 1 or sum(lam) == 0)
+
+
 # instances where many subsets share a final element, so most walks are
 # a parent's walk extended by a tail of a skeleton built once: A1 lambda=8
 # has 256 subsets on 2 elements, A3 (1,2,2) 2304 subsets on 24
@@ -695,14 +713,14 @@ def test_each_height_profile_is_built_once(monkeypatch):
     assert len(built) == len(graph) == len(set(built))
 
 
-# the DFS asks the QBG one edge at a time: a use of the adjacency lists on
+# the DFS asks the QBG one edge at a time: a use of the column table on
 # the alcove path would build the whole graph; a data descriptor on the
-# class wins over a value cached on an instance by an earlier test
+# class wins over a table cached on an instance by an earlier test
 def test_alcove_path_never_builds_the_qbg_adjacency(monkeypatch):
     def unused(qbg):
-        pytest.fail("QuantumBruhatGraph.out read on the alcove path")
+        pytest.fail("QuantumBruhatGraph._columns read on the alcove path")
 
-    monkeypatch.setattr(QuantumBruhatGraph, "out", property(unused))
+    monkeypatch.setattr(QuantumBruhatGraph, "_columns", property(unused))
     assert len(alcove_crystal(D4, (1, 0, 0, 1))) == 64  # |B^{1,1}| |B^{4,1}|
     assert len(hw_crystal(D4, (1, 0, 0, 1))) == 56      # dim V(w1 + w4)
 

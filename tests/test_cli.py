@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from krcrystals import cli, experiments, kr, weyl
+from krcrystals import alcove, cli, experiments, kr, weyl
 from krcrystals.cartan import build_cartan
 from krcrystals.cli import main, parse_factors
 from krcrystals.crystals import CrystalGraph
@@ -187,7 +187,8 @@ def test_alcove_node_cap_bounds_the_subsets(tmp_path, capsys, ctype, lam,
 
 
 def test_alcove_node_cap_stops_the_enumeration(tmp_path, capsys):
-    # 2^40 admissible subsets: the cap must stop the DFS, not the explore
+    # 2^40 admissible subsets: 40 >= 10, the bit length of the cap, so the
+    # cap stops the command before the lambda-chain, before any subset
     out = tmp_path / "a.dot"
     start = time.perf_counter()
     assert run(["alcove", "--type", "A1", "--lambda", "40",
@@ -197,9 +198,9 @@ def test_alcove_node_cap_stops_the_enumeration(tmp_path, capsys):
     assert not out.exists()
 
 
-# 1 + sum(lambda) subsets (the empty one and the lambda_i singletons at the
-# alpha_i crossings) are admissible, so a smaller cap stops before the
-# lambda-chain of millions of crossings is built
+# 2^sum(lambda) subsets (every subset of the positions crossing a simple
+# root) are admissible, so a smaller cap stops before the lambda-chain of
+# millions of crossings is built
 @pytest.mark.parametrize("argv", [
     ["alcove", "--type", "C2", "--lambda", "1000000,0", "--node-cap", "10"],
     ["alcove", "--type", "A3", "--lambda", "3000000,0,0", "--node-cap", "10"],
@@ -214,6 +215,35 @@ def test_node_cap_stops_before_the_lambda_chain(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# a cap below 2^sum(lambda) refuses before the DFS, which on A1 (2000)
+# would hold about cap x 2000 ids in its subset map first (the fake fails
+# the test instead of running it); on A2 (4, 4) 256 <= 1000 < 6,561
+# subsets, so the DFS runs and stops at the cap
+@pytest.mark.parametrize("ctype,lam,cap,dfs", [
+    ("A1", "2000", 3000, False), ("A2", "4,4", 1000, True)],
+    ids=["A1-2000-before-the-dfs", "A2-44-in-the-dfs"])
+def test_alcove_node_cap_stops_before_or_in_the_dfs(tmp_path, capsys,
+                                                    monkeypatch, ctype, lam,
+                                                    cap, dfs):
+    caps = []
+    enumerate_admissible = alcove.enumerate_admissible
+
+    def logged(chain, node_cap, quantum):
+        if not dfs:
+            pytest.fail("enumerate_admissible called under a refusing cap")
+        caps.append(node_cap)
+        return enumerate_admissible(chain, node_cap, quantum)
+
+    monkeypatch.setattr(alcove, "enumerate_admissible", logged)
+    out = tmp_path / "a.json"
+    assert run(["alcove", "--type", ctype, "--lambda", lam,
+                "--node-cap", str(cap), "--out", str(out)]) == 2
+    assert caps == [cap] * dfs
+    assert capsys.readouterr() == (
+        "", "error: admissible subsets exceed node cap %d\n" % cap)
+    assert not out.exists()
+
+
 # D7's 322,560 elements are refused from |W| before any element is walked
 def test_weyl_cap_refuses_before_the_walk(tmp_path, capsys):
     out = tmp_path / "a.json"
@@ -223,6 +253,16 @@ def test_weyl_cap_refuses_before_the_walk(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert "Weyl group larger than cap 100000" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a factor wider than Python's recursion limit: the tableaux are made
+# column by column without recursing
+def test_build_a_factor_wider_than_the_recursion_limit(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert run(["build", "--type", "A1", "--factors", "1,1200",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr() == (
+        "wrote %s: 1201 nodes, 2400 edges\n" % out, "")
 
 
 def test_node_cap_stops_the_tableau_enumeration(tmp_path, capsys):

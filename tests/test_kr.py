@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import column_replication, promotion_inverse, similarity_check
+from helpers import (column_replication, promotion_inverse, promotion_oracle,
+                     rect_tableaux_oracle, similarity_check)
 from krcrystals import kr
 from krcrystals.cartan import build_cartan, mat_vec, vec_sub
 from krcrystals.crystals import (demazure_filter, explore_tensor,
@@ -25,6 +26,25 @@ def test_rect_tableaux_counts():
     assert len(rect_tableaux(2, 2, 1)) == 3
     assert len(rect_tableaux(2, 2, 2)) == 6
     assert len(rect_tableaux(3, 2, 2)) == 20
+
+
+# the tableaux come from a stack of column iterators, and promotion moves
+# a hole along the top row at once: both against step-by-step references
+# on every rectangle with n <= 4 and s <= 4
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tableaux_and_promotion_match_their_step_by_step_oracles(n):
+    for r in range(1, n + 1):
+        for s in range(1, 5):
+            tableaux = rect_tableaux(n, r, s)
+            assert tableaux == rect_tableaux_oracle(n, r, s)
+            for t in tableaux:
+                assert promotion(t, n) == promotion_oracle(t, n)
+
+
+# B^{1,1500} is wider than Python's recursion limit: the tableaux are
+# made column by column without recursing
+def test_a_factor_wider_than_the_recursion_limit():
+    assert len(kr_typeA(1, 1, 1500)) == 1501
 
 
 def test_promotion_single_box_cycles():

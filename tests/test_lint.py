@@ -15,6 +15,28 @@ def _is_assertion_raise(node):
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
+def _self_calls(tree):
+    """(line, name) of each call, inside a function's body, of a callee
+    that bears the function's own name, as a bare name or an attribute
+    (self.name for a method)."""
+    return [(node.lineno, func.name)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and func.name in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))]
+
+
+# no library function recurses: a walk as deep as its input (a factor's
+# columns, an alcove DFS path) would die of Python's recursion limit, so
+# every such walk keeps its own stack
+def test_no_function_calls_itself():
+    calls = {module: lines for module in MODULES
+             if (lines := _self_calls(ast.parse((SRC / module).read_text())))}
+    assert calls == {}
+
+
 # invariants raise InvariantError: `python -O` strips asserts, and an
 # AssertionError is not a KRCrystalError, so the CLI would exit 1 on it
 @pytest.mark.parametrize("module", MODULES)

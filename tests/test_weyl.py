@@ -269,15 +269,15 @@ def test_qbg_rank_one():
     assert qbg.vertex_count == 2
     assert qbg.edge_count == 2
     # identity up to s_1, s_1 down to the identity
-    assert qbg.out == [[(0, 1, False)], [(0, 0, True)]]
+    assert qbg_edges(qbg) == {(0, 0): (1, False), (1, 0): (0, True)}
 
 
 @pytest.mark.parametrize("family,rank,count", [
     ("A", 2, 15), ("A", 3, 104), ("B", 3, 240), ("C", 3, 238),
     ("D", 4, 1336)])
 def test_qbg_against_brute_force(family, rank, count):
-    # the edge rule from matrix products and inversion counts, against the
-    # adjacency lists and against has_edge on every (w, k)
+    # the edge rule from matrix products and inversion counts, against
+    # has_edge on every (w, k) and against edge_count
     ct = build_cartan(family, rank)
     group = build_weyl_group(ct)
     qbg = build_qbg(ct)
@@ -299,25 +299,20 @@ def test_qbg_against_brute_force(family, rank, count):
             assert qbg.has_edge(w, k) == expected.get((w, k))
 
 
-# the adjacency lists come from whole columns w -> w s_beta, has_edge from
-# one pair's word walk: each row is has_edge's edges in root order
+# the exports read whole columns w -> w s_beta, has_edge one pair's word
+# walk: each column is the walk's w s_beta for every w (the DOT oracle
+# checks the columns' kinds against has_edge)
 @pytest.mark.parametrize("family,rank", EXPORT_TYPES)
 def test_qbg_rows_match_has_edge_in_root_order(family, rank):
     ct = build_cartan(family, rank)
-    qbg = build_qbg(ct)
-    group = qbg.group
-    pos = ct.positive_roots_list
-    order = sorted(range(len(pos)), key=pos.__getitem__)
-    for k in order:
+    group = build_qbg(ct).group
+    for k in range(len(ct.positive_roots_list)):
         assert group.reflection_column(k) == tuple(
             group.times_reflection(w, k) for w in range(len(group)))
-    for w, row in enumerate(qbg.out):
-        assert row == [(k,) + edge for k in order
-                       if (edge := qbg.has_edge(w, k)) is not None]
 
 
 # the kinds 0/1/2 read per slot as the rule from the length difference to
-# None (no edge), False (up) or True (down): has_edge, out and edge_count
+# None (no edge), False (up) or True (down): has_edge and edge_count
 @pytest.mark.parametrize("family,rank", EXPORT_TYPES + [("A", 1)])
 def test_qbg_kinds_follow_the_length_difference_rule(family, rank):
     ct = build_cartan(family, rank)
@@ -365,13 +360,13 @@ def test_qbg_strong_connectivity_and_down_identity(family, rank):
 
 
 def test_qbg_at_most_one_edge_per_pair():
-    # no root repeats within a row, and a row lists its roots in order
+    # the column table lists each root once, in sorted order, so the
+    # exports write at most one edge per (vertex, root) pair
     for family, rank in QBG_TYPES:
         qbg = build_qbg(build_cartan(family, rank))
         pos = qbg.cartan.positive_roots_list
-        for row in qbg.out:
-            roots = [pos[k] for k, _, _ in row]
-            assert roots == sorted(set(roots))
+        roots = [pos[k] for k, _, _ in qbg._columns]
+        assert roots == sorted(set(pos))
 
 
 def test_qbg_dot_output():
@@ -406,18 +401,11 @@ def test_qbg_export_never_calls_reduced_word(monkeypatch):
     assert "".join(log.writes) == qbg_dot_oracle(qbg)
 
 
-# edge_count and the DOT export read the column table, so neither they nor
-# the qbg command build the adjacency lists, which only strong connectivity
-# and the tests read; a data descriptor on the class wins over lists an
-# earlier test cached on an instance
+# edge_count and the DOT export read the column table, and the qbg
+# command writes the bytes of the graph's own export
 @pytest.mark.parametrize("name,edges", [("A5", 6264), ("B4", 2908),
                                         ("C4", 2876), ("D4", 1336)])
-def test_qbg_export_never_builds_the_adjacency(monkeypatch, tmp_path, name,
-                                               edges):
-    def unused(qbg):
-        pytest.fail("QuantumBruhatGraph.out read by the export")
-
-    monkeypatch.setattr(weyl.QuantumBruhatGraph, "out", property(unused))
+def test_qbg_export_never_builds_the_adjacency(tmp_path, name, edges):
     qbg = weyl.QuantumBruhatGraph(build_cartan(name[0], int(name[1:])))
     assert qbg.edge_count == edges
     out = tmp_path / "qbg.dot"
