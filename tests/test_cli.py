@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from krcrystals import alcove, cli, experiments, kr, weyl
+from krcrystals import alcove, cartan, cli, experiments, kr, weyl
 from krcrystals.cartan import build_cartan
 from krcrystals.cli import main, parse_factors
 from krcrystals.crystals import CrystalGraph
@@ -276,6 +276,42 @@ def test_node_cap_stops_the_tableau_enumeration(tmp_path, capsys):
     assert not out.exists()
 
 
+# a type-A factor is refused from its count before any column is made: a
+# per-tableau cap test would come after B^{1,99999999}'s 10^8-cell prefix
+@pytest.mark.parametrize("argv,factor,cap", [
+    (["check", "qchar", "--type", "A2", "--a", "1", "--m", "99999999",
+      "--node-cap", "10"], "1,99999999", 10),
+    (["build", "--type", "A2", "--factors", "1,300000"], "1,300000",
+     1000000),
+], ids=["qchar-m-99999999", "build-B1-300000"])
+def test_over_cap_factor_is_refused_from_its_count(tmp_path, capsys, argv,
+                                                   factor, cap):
+    out = tmp_path / "x.json"
+    start = time.perf_counter()
+    assert run(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr() == (
+        "", "error: tableaux of B^{%s} exceed node cap %d\n" % (factor, cap))
+    assert not out.exists()
+
+
+# a rank above the ceiling exits 2 before its Cartan matrix is made
+@pytest.mark.parametrize("argv", [
+    ["qbg", "--type", "A99999", "--out", "x.dot"],
+    ["build", "--type", "A99999", "--factors", "1,1", "--out", "x.json"],
+], ids=["qbg", "build"])
+def test_rank_above_the_ceiling_exits_two(tmp_path, monkeypatch, capsys,
+                                          argv):
+    def no_matrix(family, n):
+        raise AssertionError("Cartan matrix built for rank %d" % n)
+    monkeypatch.setattr(cartan, "_finite_cartan", no_matrix)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: rank 99999 exceeds the rank ceiling 100\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_alcove_weyl_cap_bounds_the_group(tmp_path, capsys):
     out = tmp_path / "a.json"
     assert run(["alcove", "--type", "D4", "--lambda", "1,0,0,0",
@@ -437,7 +473,7 @@ def test_check_precondition_violation_is_usage_error():
 
 def test_check_failing_report_exits_one(monkeypatch):
     def fake(node_cap=None):
-        return experiments.Report("figure", {}, "fail",
+        return experiments.Report("figure", {},
                                   {"counterexample": ["forced"]}, 0.0)
     monkeypatch.setattr(experiments, "check_figure", fake)
     assert run(["check", "figure"]) == 1
@@ -519,7 +555,7 @@ def test_check_row_runs_the_function_it_names(monkeypatch, name):
 
     def fake(*args):
         calls.append(args)
-        return experiments.Report(name, {}, "fail",
+        return experiments.Report(name, {},
                                   {"counterexample": ["forced"]}, 0.0)
     monkeypatch.setattr(experiments, function, fake)
     assert run(["check", name] + CHECK_ROWS[name][0]

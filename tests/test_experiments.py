@@ -169,12 +169,22 @@ def test_report_serialization():
 
 def test_junit_output():
     reports = [check_figure(),
-               Report("demo", {"x": 1}, "fail",
-                      {"counterexample": "n/a"}, 0.0)]
+               Report("demo", {"x": 1}, {"counterexample": "n/a"}, 0.0)]
     xml = to_junit(reports)
     assert xml.startswith('<?xml version="1.0"')
     assert 'tests="2" failures="1"' in xml
     assert "<failure" in xml
+
+
+# a report's verdict is read off its witnesses: it fails exactly when they
+# carry a counterexample
+def test_report_fails_exactly_with_a_counterexample():
+    failing = Report("demo", {}, {"size": 3, "counterexample": [1]}, 0.0)
+    passing = Report("demo", {}, {"size": 3}, 0.0)
+    assert (failing.status, failing.passed) == ("fail", False)
+    assert (passing.status, passing.passed) == ("pass", True)
+    assert json.loads(failing.to_json())["status"] == "fail"
+    assert json.loads(passing.to_json())["status"] == "pass"
 
 
 # ---------------------------------------------------------------------------

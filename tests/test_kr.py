@@ -1,15 +1,17 @@
 import pytest
 
-from helpers import (column_replication, promotion_inverse, promotion_oracle,
-                     rect_tableaux_oracle, similarity_check)
+from helpers import (column_replication, is_rect_ssyt, promotion_inverse,
+                     promotion_oracle, rect_tableaux_oracle, similarity_check,
+                     ssyt_count_oracle)
 from krcrystals import kr
 from krcrystals.cartan import build_cartan, mat_vec, vec_sub
 from krcrystals.crystals import (demazure_filter, explore_tensor,
                                  graphs_equal, hw_census)
-from krcrystals.errors import InvariantError, UnsupportedFactorError
-from krcrystals.kr import (fixture_C2, is_rect_ssyt, kn_letters, kn_weight,
-                           kr_C_onebox, kr_typeA, promotion, rect_tableaux,
-                           tableau_ops, tableau_weight)
+from krcrystals.errors import (InvariantError, ResourceLimitError,
+                               UnsupportedFactorError)
+from krcrystals.kr import (fixture_C2, kn_letters, kn_weight, kr_C_onebox,
+                           kr_typeA, promotion, rect_tableaux, tableau_ops,
+                           tableau_weight)
 from krcrystals.weyl import build_weyl_group
 
 A2 = build_cartan("A", 2)
@@ -39,6 +41,46 @@ def test_tableaux_and_promotion_match_their_step_by_step_oracles(n):
             assert tableaux == rect_tableaux_oracle(n, r, s)
             for t in tableaux:
                 assert promotion(t, n) == promotion_oracle(t, n)
+
+
+# the cap is tested against MacMahon's count before any column is made:
+# exactly |B^{r,s}| tableaux, by the hook-content formula, fit a cap of
+# that size and not one below it
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rect_tableaux_count_is_exact_at_the_cap(n):
+    for r in range(1, n + 1):
+        for s in range(1, 5):
+            count = ssyt_count_oracle(n, r, s)
+            assert len(rect_tableaux(n, r, s, count)) == count
+            with pytest.raises(ResourceLimitError, match="^tableaux of "
+                               "B\\^\\{%d,%d\\} exceed node cap %d$"
+                               % (r, s, count - 1)):
+                rect_tableaux(n, r, s, count - 1)
+
+
+# B^{1,3000000} in A2 has 4.5e12 tableaux: refused from the count, before
+# the columns of the rectangle are listed
+def test_rect_tableaux_cap_stops_before_any_column(monkeypatch):
+    def no_columns(*args):
+        raise AssertionError("columns listed for an over-cap factor")
+    monkeypatch.setattr(kr, "combinations", no_columns)
+    with pytest.raises(ResourceLimitError,
+                       match="exceed node cap 10$"):
+        rect_tableaux(2, 1, 3_000_000, 10)
+
+
+# every operator and promotion image is looked up in the factor's own
+# index: one outside the family is an InvariantError, not a KeyError
+@pytest.mark.parametrize("name", ["promotion", "tableau_ops"])
+def test_an_image_outside_the_factor_is_an_invariant_error(monkeypatch,
+                                                           name):
+    not_a_tableau = ((0, 0),)
+    fake = {"promotion": lambda t, n: not_a_tableau,
+            "tableau_ops": lambda t, i: (not_a_tableau, None)}[name]
+    monkeypatch.setattr(kr, name, fake)
+    with pytest.raises(InvariantError, match="is not a tableau of "
+                       "B\\^\\{1,2\\}$"):
+        kr_typeA.__wrapped__(2, 1, 2)
 
 
 # B^{1,1500} is wider than Python's recursion limit: the tableaux are

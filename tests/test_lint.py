@@ -70,6 +70,14 @@ def test_no_fractions_import(module):
     assert lines == [], "%s uses fractions on lines %s" % (module, lines)
 
 
+# pyproject.toml declares requires-python >= 3.10: every module parses
+# with the 3.10 grammar (no except*, no PEP 695 type parameters, ...)
+@pytest.mark.parametrize("module", MODULES)
+def test_parses_as_python_3_10(module):
+    path = SRC / module
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 # a name dropped from the package but left in __all__ breaks
 # `from krcrystals import *`
 def test_public_names_resolve():
@@ -142,9 +150,10 @@ def test_dominance_has_no_wrapper_chain(name):
 
 # type-A factors are tables over the tableaux, one signature pass per
 # tableau and color: no payload-level source, no per-operator tableau
-# functions, and no explore behind them
+# functions, no explore behind them, and no re-check of promotion's
+# output beside the lookup in the factor's own index
 @pytest.mark.parametrize("name", ["TypeAKR", "tableau_f", "tableau_e",
-                                  "explore"])
+                                  "explore", "is_rect_ssyt"])
 def test_type_a_factors_are_tables(name):
     from krcrystals import kr
     assert not hasattr(kr, name)
