@@ -14,11 +14,14 @@ maps each admissible subset to the element its QBG walk ends at (up edges
 only, for B(lambda)), folding nothing, and explore walks each subset of
 the map from its parent's walk (_walks), with one skeleton of walks per
 Weyl element reached, so no subset's Gamma(J) is built; _rule reads M,
-f_p and e_p of each color off the walks.
+f_p and e_p of each color off the walks.  The table keys each subset by
+its bitmask, bit j for chain position j: an operator's image is its
+subset's mask with one or two bits flipped, its membership tests are bit
+tests, and explore's index maps masks to node ids.
 """
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -172,11 +175,11 @@ def enumerate_admissible(chain, node_cap=DEFAULT_NODE_CAP, quantum=True):
 
 
 def _skeleton(chain, gamma, signed, gamma_inf, wlam):
-    """(gamma, signed, w(lambda), per walked root id: (rid, its coroot, P =
-    the positions with |gamma_i| = rid, the signed l and heights before and
-    after each at v = 0, per index of P the next whose height before is not
-    the last one's after, or None, <rid^vee, w(lambda)>, <rid^vee, w(rho)>
-    < 0)) of w: InvariantError on a zero <rid^vee, w(rho)>."""
+    """(gamma, signed, per walked root in chain.walked order: (P = the
+    positions with |gamma_i| = that root, the signed l and heights before
+    and after each at v = 0, per index of P the next whose height before is
+    not the last one's after, or None, <rid^vee, w(lambda)>, <rid^vee,
+    w(rho)> < 0)) of w: InvariantError on a zero <rid^vee, w(rho)>."""
     tails = []
     for rid, cor in chain.walked.items():
         P = [i for i, g in enumerate(gamma, 1) if g == rid or g == -rid]
@@ -189,28 +192,32 @@ def _skeleton(chain, gamma, signed, gamma_inf, wlam):
         side = sum(map(mul, cor, gamma_inf))
         if side == 0:
             raise InvariantError("gamma_inf orthogonal to alpha")
-        tails.append((rid, cor, P, sl, before, after, bad,
-                      sum(map(mul, cor, wlam)), side < 0))
-    return gamma, signed, wlam, tails
+        tails.append((P, sl, before, after, bad, sum(map(mul, cor, wlam)),
+                      side < 0))
+    return gamma, signed, tails
 
 
-def _walk_step(chain, parent, J, j, skel):
-    """The state (J, v, skeleton, walks, end heights) of J = the parent's
-    subset + (j,) (j = 0 for ()), skel the skeleton of J's element.  walks:
-    root id -> (I_alpha, the levels l_i^J, <wt(J), alpha^vee>), the
-    parent's walk up to j, which it checked, and skel's tail past j, whose
-    levels sl - <beta^vee, v> must rise to h at gamma_i > 0 (fall to h - 1
-    else): one compare where it joins, then skel's next bad index."""
-    _, v, (prow, psigned, *_), pwalks, ends = parent
+def _walk_step(dots, parent, J, j, skel):
+    """The state (J, its mask, its repr less the closing bracket, c, skel,
+    walks, end heights) of J = the parent's subset + (j,) (j = 0 for ()),
+    skel the skeleton of J's element; c, walks and heights in
+    chain.walked order.  c: each walked root's <beta^vee, v>, the parent's
+    less the parent's signed l_j times the row of dots at |gamma_j|.
+    walks: (I_alpha, the levels l_i^J, <wt(J), alpha^vee>), the parent's
+    walk up to j, which it checked, and skel's tail past j, whose levels
+    sl - c must rise to h at gamma_i > 0 (fall to h - 1 else): one compare
+    where it joins, then skel's next bad index.  A walk with nothing past
+    j in either is the parent's, its lists shared."""
+    _, mask, head, cs, (prow, psigned, _), pwalks, ends = parent
     if j:
-        shift, g = psigned[j - 1], prow[j - 1]
-        v = tuple([x - shift * y for x, y in
-                   zip(v, chain.cartan._root_weights[abs(g) - 1])])
-    walks, heights = {}, []
-    for (rid, cor, P, sl, before, after, bad, lam, below), h in \
-            zip(skel[3], ends):
-        c = sum(map(mul, cor, v))
-        positions, levels, _ = pwalks[rid]
+        shift = psigned[j - 1]
+        cs = [c - shift * d for c, d in zip(cs, dots[abs(prow[j - 1]) - 1])]
+        mask |= 1 << j
+        head = "%s,%d" % (head, j) if len(J) > 1 else "[%d" % j
+    walks, heights = [], []
+    for (P, sl, before, after, bad, lam, below), c, pwalk, h in \
+            zip(skel[2], cs, pwalks, ends):
+        positions, levels, _ = pwalk
         k = bisect_left(positions, j)
         if k < len(positions):
             i = positions[k]
@@ -222,25 +229,36 @@ def _walk_step(chain, parent, J, j, skel):
                 raise InvariantError("height/slope mismatch at position %d"
                                      % P[first])
             h = after[-1] - c
+        if k < len(positions) or t < len(P):
+            walks.append((positions[:k] + P[t:],
+                          levels[:k] + [s - c for s in sl[t:]], lam - c))
+        else:
+            walks.append((positions, levels, lam - c))
         if lam - c != h - below:
             raise InvariantError("endpoint height mismatch")
-        walks[rid] = (positions[:k] + P[t:],
-                      levels[:k] + [s - c for s in sl[t:]], lam - c)
         heights.append(h)
-    return J, v, skel, walks, heights
+    return J, mask, head, cs, skel, walks, heights
 
 
 def _walks(chain, dirs):
-    """(J, wt(J), walks) for each subset J of dirs, enumerate_admissible's
-    map, in its order, each by one _walk_step from its parent's state on a
-    path indexed by depth; InvariantError names a parent the map lacks.
-    The skeletons, one per element reached, live as long as the call."""
+    """(J, its mask, its repr, wt(J), walks) for each subset J of dirs,
+    enumerate_admissible's map, in its order, each by one _walk_step from
+    its parent's state on a path indexed by depth; InvariantError names a
+    parent the map lacks.  dots[k]: <beta^vee, wt(beta_k)> for each walked
+    root beta, one table per chain.  The walks of alpha_1, ..., alpha_r end
+    chain.walked (theta is first unless it is alpha_1), and the end of
+    alpha_i's is <wt(J), alpha_i^vee>, so they give wt(J).  The skeletons,
+    one per element reached, live as long as the call."""
     ct, group, skeletons = chain.cartan, build_qbg(chain.cartan).group, {}
+    cors = tuple(chain.walked.values())
+    dots = [[sum(map(mul, cor, wt)) for cor in cors]
+            for wt in ct._root_weights]
+    simple = len(cors) - ct.rank
     # path[d]: the state of the last subset of depth d, a sentinel subset
     # None until one comes; path[-1]: ()'s parent, nothing walked, heights 0
     path = [(None,)] * (chain.m + 1) + [(
-        (), (0,) * ct.rank, ((), ()), dict.fromkeys(chain.walked, ([], [], 0)),
-        [0] * len(chain.walked))]
+        (), 0, "[", [0] * len(cors), ((), (), ()), [([], [], 0)] * len(cors),
+        [0] * len(cors))]
     for J, w in dirs.items():
         if (parent := path[len(J) - 1])[0] != J[:-1]:
             raise InvariantError("the admissible map lacks %r, the parent "
@@ -251,19 +269,23 @@ def _walks(chain, dirs):
             wt = group.weight_matrix(w)
             skel = skeletons[w] = _skeleton(chain, gamma, signed, mat_vec(
                 wt, ct.rho), mat_vec(wt, chain.lam))
-        entry = path[len(J)] = _walk_step(chain, parent, J,
-                                          J[-1] if J else 0, skel)
-        yield J, tuple(map(sub, skel[2], entry[1])), entry[3]
+        _, mask, head, _, _, walks, _ = path[len(J)] = _walk_step(
+            dots, parent, J, J[-1] if J else 0, skel)
+        yield J, mask, head + "]", tuple([walk[2] for walk in
+                                          walks[simple:]]), walks
 
 
-def _rule(walk, sign, J, threshold):
+def _rule(walk, sign, mask, threshold):
     """(M, f_p(J), e_p(J)) of a color p from the walk of |alpha_p|, sign
-    sgn(alpha_p), the sorted J and threshold l * delta_{p,0} (None where an
-    operator vanishes).  The heights are sign times the levels: for sign -1
-    the highest positions are those of least level.  f_p needs M > threshold:
-    the first position reaching M (or infinity) leaves J and its predecessor
-    in I_alpha joins.  e_p needs M > the endpoint height and M >= threshold:
-    the last position reaching M leaves J and its successor joins."""
+    sgn(alpha_p), J's mask (bit j set for each position j in J) and
+    threshold l * delta_{p,0}, each image a mask (None where an operator
+    vanishes) that differs from J's in two bits, or in one where infinity
+    takes part.  The heights are sign times the levels: for sign -1 the
+    highest positions are those of least level.  f_p needs M > threshold:
+    the first position reaching M (or infinity) leaves J and its
+    predecessor in I_alpha joins.  e_p needs M > the endpoint height and
+    M >= threshold: the last position reaching M leaves J and its
+    successor joins."""
     positions, levels, l_inf = walk
     h_inf = sign * l_inf
     peak = (max(levels) if sign > 0 else min(levels)) if levels else l_inf
@@ -277,38 +299,31 @@ def _rule(walk, sign, J, threshold):
         if levels and top == M:
             idx = levels.index(peak)
             m_pos = positions[idx]
-            if m_pos not in J:
+            if not mask >> m_pos & 1:
                 raise InvariantError(
                     "minimum-position element not a folding position")
             if idx == 0:
                 raise InvariantError("no predecessor although M > delta")
-            k_pos = positions[idx - 1]
+            k_pos, f_img = positions[idx - 1], mask ^ 1 << m_pos
         elif not positions:  # the maximum is attained at infinity only
             raise InvariantError(
                 "no predecessor of infinity although M > delta")
         else:
-            m_pos, k_pos = None, positions[-1]
-        if k_pos in J:
+            k_pos, f_img = positions[-1], mask
+        if mask >> k_pos & 1:
             raise InvariantError("predecessor already a folding position")
-        new = list(J)
-        if m_pos is not None:
-            new.remove(m_pos)
-        insort(new, k_pos)
-        f_img = tuple(new)
+        f_img |= 1 << k_pos
     if e_on:
         idx = len(levels) - 1 - levels[::-1].index(peak)
         k_pos = positions[idx]
-        if k_pos not in J:
+        if not mask >> k_pos & 1:
             raise InvariantError(
                 "maximum-position element not a folding position")
-        m_pos = positions[idx + 1] if idx + 1 < len(positions) else None
-        if m_pos in J:
-            raise InvariantError("successor already a folding position")
-        new = list(J)
-        new.remove(k_pos)
-        if m_pos is not None:
-            insort(new, m_pos)
-        e_img = tuple(new)
+        e_img = mask ^ 1 << k_pos
+        if idx + 1 < len(positions):
+            if mask >> (m_pos := positions[idx + 1]) & 1:
+                raise InvariantError("successor already a folding position")
+            e_img |= 1 << m_pos
     return M, f_img, e_img
 
 
@@ -320,23 +335,27 @@ def explore(chain, dirs, level, colors):
     """A_l(Gamma) (colors 0..r) or B(lambda) (colors I_0) as a
     CrystalGraph over the sorted subsets of dirs, enumerate_admissible's
     map: node k is its k-th subset, walked once by _walks, and _rule reads
-    every f_p and e_p off the walks as node ids, the e lists checked
-    against the f lists by the constructor.  Equal weights share one
-    tuple.  InvariantError when an operator leaves the map or a subset's
-    parent is missing from it, ValueError for a level below 1."""
+    every f_p and e_p off the walks as a mask, bit j for position j, which
+    an index from masks turns into a node id, the e lists checked against
+    the f lists by the constructor.  Equal weights share one tuple.
+    InvariantError when an operator leaves the map or a subset's parent
+    is missing from it, ValueError for a level below 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
     colors = tuple(colors)
-    # an image -> its node id, None -> None (the graph's own is lazy)
-    index = {J: k for k, J in enumerate(dirs)}
+    # a mask -> its node id, None -> None (the graph's own is lazy)
+    bits = [1 << j for j in range(chain.m + 1)]
+    index = {sum(map(bits.__getitem__, J)): k for k, J in enumerate(dirs)}
     index[None] = None
+    walked = list(chain.walked)
     fs, es = {c: [] for c in colors}, {c: [] for c in colors}
-    steps = [(*chain.alphas[c], level if c == 0 else 0, fs[c].append,
-              es[c].append) for c in colors]
-    weights, interned = [], {}
-    for J, weight, walks in _walks(chain, dirs):
-        for sign, rid, threshold, f_out, e_out in steps:
-            _, f_img, e_img = _rule(walks[rid], sign, J, threshold)
+    steps = [(sign, walked.index(rid), level if c == 0 else 0, fs[c].append,
+              es[c].append) for c in colors
+             for sign, rid in [chain.alphas[c]]]
+    weights, interned, reprs = [], {}, []
+    for _, mask, label, weight, walks in _walks(chain, dirs):
+        for sign, t, threshold, f_out, e_out in steps:
+            _, f_img, e_img = _rule(walks[t], sign, mask, threshold)
             try:
                 f_out(index[f_img])
                 e_out(index[e_img])
@@ -344,9 +363,10 @@ def explore(chain, dirs, level, colors):
                 raise InvariantError("crystal operators left the "
                                      "admissible family") from None
         weights.append(interned.setdefault(weight, weight))
+        reprs.append(label)
+    del index  # its mask keys are not held while the graph checks its nodes
     graph = CrystalGraph(chain.cartan, colors, list(dirs), fs, weights,
-                         ["[" + ",".join(map(str, J)) + "]" for J in dirs],
-                         es=es)
+                         reprs, es=es)
     graph.chain = chain
     return graph
 

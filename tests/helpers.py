@@ -13,8 +13,9 @@ source, Demazure subsets of B(lambda) by strings of e_i^max read off
 a reduced word, with the highest weight node found one e call per node
 and color, the height profile of one color by its own scan of the folded
 chain, and f and e read off that profile, every walked color's walk of a
-folded chain by one scan of its positions, and f_p, e_p and phi_0 of any
-subset, folded afresh and read by the library's rule),
+folded chain by one scan of its positions, the operator rule on sorted
+tuples, and f_p, e_p and phi_0 of any subset, folded afresh and read by
+that rule, the dense walk over the roots and coroots of a Cartan matrix),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -117,6 +118,29 @@ def length_by_inversions(cartan, word):
         if all(x <= 0 for x in img):
             count += 1
     return count
+
+
+def roots_and_coroots_oracle(cartan):
+    """{root: coroot} over every root, negatives included, by the dense
+    orbit walk the library used before it read each pairing off a root's
+    weight: every root reflected by every s_i through a full dot product
+    with row i of the Cartan matrix, every coroot through column i."""
+    a, n = cartan.cartan, cartan.rank
+    coroot_of = {e: e for e in identity_matrix(n)}
+    frontier = list(coroot_of)
+    while frontier:
+        new = []
+        for beta in frontier:
+            cor = coroot_of[beta]
+            for i in range(n):
+                b = sum(a[i][j] * beta[j] for j in range(n))
+                img = beta[:i] + (beta[i] - b,) + beta[i + 1:]
+                if img not in coroot_of:
+                    c = sum(cor[j] * a[j][i] for j in range(n))
+                    coroot_of[img] = cor[:i] + (cor[i] - c,) + cor[i + 1:]
+                    new.append(img)
+        frontier = new
+    return coroot_of
 
 
 def root_sign(root):
@@ -511,11 +535,70 @@ def _height_walks(chain, J, fol):
     return walks
 
 
+def rule_oracle(walk, sign, J, threshold):
+    """(M, f_p(J), e_p(J)) of a color p from the walk of |alpha_p|, sign
+    sgn(alpha_p), the sorted subset J and threshold l * delta_{p,0}, each
+    image a sorted tuple made by list edits (None where an operator
+    vanishes): the rule the library ran on tuples before it kept each
+    subset as a bitmask.  The heights are sign times the levels.  f_p needs
+    M > threshold: the first position reaching M (or infinity) leaves J and
+    its predecessor in I_alpha joins.  e_p needs M > the endpoint height
+    and M >= threshold: the last position reaching M leaves J and its
+    successor joins."""
+    positions, levels, l_inf = walk
+    h_inf = sign * l_inf
+    peak = (max(levels) if sign > 0 else min(levels)) if levels else l_inf
+    top = sign * peak
+    M = top if top > h_inf else h_inf
+    f_img = e_img = None
+    f_on, e_on = M > threshold, M > h_inf and M >= threshold
+    if M < 0 and (f_on or e_on):
+        raise InvariantError("negative maximum on an admissible subset")
+    if f_on:
+        if levels and top == M:
+            idx = levels.index(peak)
+            m_pos = positions[idx]
+            if m_pos not in J:
+                raise InvariantError(
+                    "minimum-position element not a folding position")
+            if idx == 0:
+                raise InvariantError("no predecessor although M > delta")
+            k_pos = positions[idx - 1]
+        elif not positions:  # the maximum is attained at infinity only
+            raise InvariantError(
+                "no predecessor of infinity although M > delta")
+        else:
+            m_pos, k_pos = None, positions[-1]
+        if k_pos in J:
+            raise InvariantError("predecessor already a folding position")
+        new = list(J)
+        if m_pos is not None:
+            new.remove(m_pos)
+        insort(new, k_pos)
+        f_img = tuple(new)
+    if e_on:
+        idx = len(levels) - 1 - levels[::-1].index(peak)
+        k_pos = positions[idx]
+        if k_pos not in J:
+            raise InvariantError(
+                "maximum-position element not a folding position")
+        m_pos = positions[idx + 1] if idx + 1 < len(positions) else None
+        if m_pos in J:
+            raise InvariantError("successor already a folding position")
+        new = list(J)
+        new.remove(k_pos)
+        if m_pos is not None:
+            insort(new, m_pos)
+        e_img = tuple(new)
+    return M, f_img, e_img
+
+
 def walk_table_oracle(chain, dirs, level, colors):
     """(fs, es, weights) of the crystal table over the subsets of dirs,
     each folded from scratch by fold_oracle and walked by _height_walks,
-    with the library's rule read off the walks: the per-subset loop the
-    library used before it built each walk from its parent's."""
+    with the tuple rule read off the walks: the per-subset loop the
+    library used before it built each walk from its parent's and kept each
+    subset as a bitmask."""
     index = {J: k for k, J in enumerate(dirs)}
     index[None] = None
     fs = {c: [] for c in colors}
@@ -526,8 +609,8 @@ def walk_table_oracle(chain, dirs, level, colors):
         walks = _height_walks(chain, J, fol)
         for c in colors:
             sign, rid = chain.alphas[c]
-            _, f_img, e_img = alcove._rule(walks[rid], sign, J,
-                                           level if c == 0 else 0)
+            _, f_img, e_img = rule_oracle(walks[rid], sign, J,
+                                          level if c == 0 else 0)
             fs[c].append(index[f_img])
             es[c].append(index[e_img])
         weights.append(fol.weight)
@@ -535,8 +618,8 @@ def walk_table_oracle(chain, dirs, level, colors):
 
 
 def _rule_args(chain, J, p, level=1):
-    """The arguments of the library's rule for color p of any subset J at
-    level l, read from a fresh fold of J.  ValueError for a color outside
+    """The arguments of the tuple rule for color p of any subset J at level
+    l, read from a fresh fold of J.  ValueError for a color outside
     0..r or a level below 1."""
     if not 0 <= p <= chain.cartan.rank:
         raise ValueError("color %r outside 0..%d" % (p, chain.cartan.rank))
@@ -553,18 +636,18 @@ def alcove_f(chain, J, p, level=1):
     afresh; None when the maximum M fails M > l * delta_{p,0}: the
     per-subset path the library used before it read every operator off
     its crystal table."""
-    return alcove._rule(*_rule_args(chain, J, p, level))[1]
+    return rule_oracle(*_rule_args(chain, J, p, level))[1]
 
 
 def alcove_e(chain, J, p, level=1):
     """The level-l raising operator e_p, as alcove_f; None unless
     M > <wt(J), alpha_p^vee> and M >= l * delta_{p,0}."""
-    return alcove._rule(*_rule_args(chain, J, p, level))[2]
+    return rule_oracle(*_rule_args(chain, J, p, level))[2]
 
 
 def phi0(chain, J):
     """phi_0(J) = max(M - 1, 0) for the p = 0 height profile."""
-    return max(alcove._rule(*_rule_args(chain, J, 0))[0] - 1, 0)
+    return max(rule_oracle(*_rule_args(chain, J, 0))[0] - 1, 0)
 
 
 # ---------------------------------------------------------------------------

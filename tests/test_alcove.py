@@ -177,9 +177,9 @@ def fold_step_log(monkeypatch):
     log = []
     step = alcove._walk_step
 
-    def logged(chain, parent, J, j, skel):
+    def logged(dots, parent, J, j, skel):
         log.append(j)
-        return step(chain, parent, J, j, skel)
+        return step(dots, parent, J, j, skel)
 
     monkeypatch.setattr(alcove, "_walk_step", logged)
     return log
@@ -300,9 +300,11 @@ def test_fold_matches_from_scratch_oracle(cartan, lam, order):
     for quantum in (True, False):
         dirs = enumerate_admissible(chain, quantum=quantum)
         walked = list(alcove._walks(chain, dirs))
-        assert [J for J, _, _ in walked] == list(dirs)
-        for J, weight, _ in walked:
+        assert [J for J, *_ in walked] == list(dirs)
+        for J, mask, label, weight, _ in walked:
             want = fold_oracle(chain, J)
+            assert mask == sum(1 << j for j in J)
+            assert label == "[%s]" % ",".join(map(str, J))
             assert weight == want.weight
             assert dirs[J] == want.final_dir
             assert fold(chain, J) == want
@@ -367,23 +369,31 @@ def test_sign_partition_matches_qbg_tags():
 # height profiles
 
 
+def by_root(chain, walks):
+    """The table build's walks of one subset, a list in chain.walked
+    order, keyed by root id."""
+    assert len(walks) == len(chain.walked)
+    return dict(zip(chain.walked, walks))
+
+
 def empty_walk(chain, p):
     """The table build's walk of color p's root over the empty subset."""
-    (J, _, walks), *_ = alcove._walks(chain, enumerate_admissible(chain))
-    assert J == ()
-    return walks[chain.alphas[p][1]]
+    (J, mask, _, _, walks), *_ = alcove._walks(chain,
+                                               enumerate_admissible(chain))
+    assert J == () and mask == 0
+    return by_root(chain, walks)[chain.alphas[p][1]]
 
 
 def test_ggraph_trivial_no_occurrences():
     chain = build_lambda_chain(A2, (0, 1))
     walk = empty_walk(chain, 1)  # alpha_1 never occurs
     assert list(walk[0]) == [] and walk[2] == 0
-    assert alcove._rule(walk, 1, (), 0)[0] == 0
+    assert alcove._rule(walk, 1, 0, 0)[0] == 0
 
 
 def test_ggraph_a1_basic():
     chain = build_lambda_chain(A1, (1,))
-    assert alcove._rule(empty_walk(chain, 1), 1, (), 0)[0] == 1
+    assert alcove._rule(empty_walk(chain, 1), 1, 0, 0)[0] == 1
     assert alcove_f(chain, (), 1) == (1,)
 
 
@@ -400,7 +410,9 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
     # sign, and the rule's maximum, against a separate scan of Gamma(J)
     # per color
     chain = build_lambda_chain(cartan, lam, order)
-    for J, _, walks in alcove._walks(chain, enumerate_admissible(chain)):
+    for J, mask, _, _, walks in alcove._walks(chain,
+                                              enumerate_admissible(chain)):
+        walks = by_root(chain, walks)
         assert set(walks) == {rid for _, rid in chain.alphas}
         for p, (sign, rid) in enumerate(chain.alphas):
             want = g_graph_oracle(chain, J, p)
@@ -408,7 +420,8 @@ def test_height_profiles_match_per_color_oracle(cartan, lam, order):
             assert tuple(positions) == want.positions
             assert tuple(sign * h for h in levels) == want.heights
             assert sign * l_inf == want.h_inf
-            assert alcove._rule(walks[rid], sign, J, int(p == 0))[0] == want.M
+            assert alcove._rule(walks[rid], sign, mask,
+                                int(p == 0))[0] == want.M
 
 
 @pytest.mark.parametrize("J", [(), (2,), (1, 3)])
@@ -451,10 +464,10 @@ def first_tail(chain, dirs):
     or more past J's last: (the number of elements reached before J, the
     second of those positions)."""
     seen = set()
-    for J, _, walks in alcove._walks(chain, dirs):
+    for J, _, _, _, walks in alcove._walks(chain, dirs):
         w = dirs[J]
         if J and w not in seen:
-            for positions, _, _ in walks.values():
+            for positions, _, _ in walks:
                 tail = [i for i in positions if i > J[-1]]
                 if len(tail) >= 2:
                     return len(seen), tail[1]
@@ -476,12 +489,10 @@ TABLE_CHECK_CASES = [(A2, (1, 1)), (A3, (1, 2, 0))]
 def test_the_table_checks_each_walked_level(monkeypatch, cartan, lam):
     chain = build_lambda_chain(cartan, lam)
     dirs = enumerate_admissible(chain)
-    _, _, walks = next(alcove._walks(chain, dirs))
+    *_, walks = next(alcove._walks(chain, dirs))
     # (i, the skeleton build to patch, None for every build)
-    cases = [(i, None) for positions, _, _ in walks.values()
-             for i in positions]
-    junctions = {positions[0] for positions, _, _ in walks.values()
-                 if positions}
+    cases = [(i, None) for positions, _, _ in walks for i in positions]
+    junctions = {positions[0] for positions, _, _ in walks if positions}
     assert {i for i, _ in cases} - junctions
     built, i = first_tail(chain, dirs)
     assert built > 0
@@ -531,10 +542,12 @@ def test_the_table_checks_each_endpoint(monkeypatch, cartan, lam):
                                         (C2, (2, 0))])
 def test_M_nonnegative_integer_everywhere(cartan, lam):
     chain = build_lambda_chain(cartan, lam)
-    for J, _, walks in alcove._walks(chain, enumerate_admissible(chain)):
+    for _, mask, _, _, walks in alcove._walks(chain,
+                                              enumerate_admissible(chain)):
+        walks = by_root(chain, walks)
         for p in range(0, cartan.rank + 1):
             sign, rid = chain.alphas[p]
-            M = alcove._rule(walks[rid], sign, J, int(p == 0))[0]
+            M = alcove._rule(walks[rid], sign, mask, int(p == 0))[0]
             assert isinstance(M, int) and M >= 0
 
 
@@ -659,18 +672,22 @@ def test_alcove_crystal_has_two_to_the_sum_of_lambda_subsets(cartan, lam):
 
 # instances where many subsets share a final element, so most walks are
 # a parent's walk extended by a tail of a skeleton built once: A1 lambda=8
-# has 256 subsets on 2 elements, A3 (1,2,2) 2304 subsets on 24
+# has 256 subsets on 2 elements, A3 (1,2,2) 2304 subsets on 24; then every
+# ORACLE_CASES and PROFILE_CASES entry, most with little reuse
 REUSE_CASES = [(A1, (8,), order) for order in ("lex", "revlex")] + \
     [(A3, (1, 2, 2), order) for order in ("lex", "revlex")]
+TABLE_CASES = REUSE_CASES + list(dict.fromkeys(
+    ORACLE_CASES + [(ct, lam, "lex") for ct, lam in PROFILE_CASES]))
 
 
 @pytest.mark.parametrize("build", ["level1", "level2", "hw"])
-@pytest.mark.parametrize("cartan,lam,order", REUSE_CASES, ids=[
+@pytest.mark.parametrize("cartan,lam,order", TABLE_CASES, ids=[
     "%s%d-%s-%s" % (ct.family, ct.rank, "".join(map(str, lam)), order)
-    for ct, lam, order in REUSE_CASES])
+    for ct, lam, order in TABLE_CASES])
 def test_operator_tables_match_the_oracle_table(cartan, lam, order, build):
-    # every f, e and weight of the table against the same rule on walks
-    # of foldings made from scratch, subset by subset
+    # every f, e, weight and repr of the table against the tuple rule on
+    # walks of foldings made from scratch, subset by subset, which shares
+    # no code with the table's mask images
     chain = build_lambda_chain(cartan, lam, order)
     quantum = build != "hw"
     dirs = enumerate_admissible(chain, quantum=quantum)
@@ -682,8 +699,53 @@ def test_operator_tables_match_the_oracle_table(cartan, lam, order, build):
     assert {c: list(graph.fs[c]) for c in colors} == fs
     assert {c: list(graph.es[c]) for c in colors} == es
     assert list(graph.weights) == weights
-    if quantum:
+    assert graph.reprs == ["[%s]" % ",".join(map(str, J)) for J in dirs]
+    if quantum and (cartan, lam, order) in REUSE_CASES:
         assert 10 * len(set(dirs.values())) < len(dirs)
+
+
+# one bit flipped in one image is refused: an image outside the map by
+# the operator check, one inside it by the constructor's audit of the e
+# lists against the f lists (an f-edge that is not the inverse of an
+# e-edge, or two f-edges into one node); A2 (1,1) has both kinds
+@pytest.mark.parametrize("which", [1, 2], ids=["f", "e"])
+def test_a_flipped_image_bit_is_refused(monkeypatch, which):
+    chain = build_lambda_chain(A2, (1, 1))
+    dirs = enumerate_admissible(chain)
+    rule = alcove._rule
+    calls = []
+
+    def count(*args):
+        out = rule(*args)
+        calls.append(out[which] is not None)
+        return out
+
+    monkeypatch.setattr(alcove, "_rule", count)
+    alcove.explore(chain, dirs, 1, range(3))
+    images = [n for n, some in enumerate(calls) if some]
+    assert images
+    messages = Counter()
+    for n in images:
+        for j in range(1, chain.m + 1):
+            seen = []
+
+            def flipped(*args, n=n, j=j, seen=seen):
+                out = list(rule(*args))
+                if len(seen) == n:
+                    out[which] ^= 1 << j
+                seen.append(None)
+                return tuple(out)
+
+            monkeypatch.setattr(alcove, "_rule", flipped)
+            with pytest.raises(InvariantError) as err:
+                alcove.explore(chain, dirs, 1, range(3))
+            message = str(err.value)
+            assert re.fullmatch(
+                "crystal operators left the admissible family|"
+                r"e_(\d) is not the inverse of f_\1 at node \d+|"
+                r"two f_\d-edges into one node", message), message
+            messages[message.split(" ")[0]] += 1
+    assert messages["crystal"] and len(messages) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +766,9 @@ def test_each_height_profile_is_built_once(monkeypatch):
     built = []
     build = alcove._walk_step
 
-    def counted(chain, parent, J, j, skel):
+    def counted(dots, parent, J, j, skel):
         built.append(J)
-        return build(chain, parent, J, j, skel)
+        return build(dots, parent, J, j, skel)
 
     monkeypatch.setattr(alcove, "_walk_step", counted)
     graph = alcove_crystal(A3, (1, 1, 1))
@@ -726,19 +788,24 @@ def test_alcove_path_never_builds_the_qbg_adjacency(monkeypatch):
 
 
 # the table build holds one folding per level of depth, not one per
-# subset: alcove_crystal(A3, (2, 2, 1)) peaks about 260 KiB above the graph
-# it returns, and a subset -> folding map took it to about 970 KiB
+# subset: alcove_crystal(A3, (2, 2, 1)) peaks about 280 KiB above the graph
+# it returns, and a subset -> folding map took it to about 970 KiB; A1
+# lambda=12, the benchmark's other large alcove build, peaks about 390 KiB
+# above it, bounded at twice the 482 KiB it read with a tuple-keyed index
 def test_alcove_table_build_holds_no_folding_map():
-    alcove_crystal(A3, (2, 2, 1))     # the group and the QBG, built once
-    gc.collect()
-    tracemalloc.start()
-    try:
-        graph = alcove_crystal(A3, (2, 2, 1))
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(graph) == 2304
-    assert peak - retained <= 512 * 1024
+    for cartan, lam, size, bound in [(A3, (2, 2, 1), 2304, 512),
+                                     (A1, (12,), 4096, 964)]:
+        alcove_crystal(cartan, lam)     # the group and the QBG, built once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = alcove_crystal(cartan, lam)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graph) == size
+        assert peak - retained <= bound * 1024
+        del graph
 
 
 # the one check that refuses A2 (1,1)'s map without each subset: an earlier

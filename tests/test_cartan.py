@@ -3,7 +3,8 @@ from operator import mul
 
 import pytest
 
-from helpers import fraction_inverse, is_root, mat_mul, root_sign
+from helpers import (fraction_inverse, is_root, mat_mul, root_sign,
+                     roots_and_coroots_oracle)
 from krcrystals import cartan
 from krcrystals.cartan import _MIN_RANK, build_cartan, c_value, parse_type
 from krcrystals.crystals import CrystalGraph
@@ -221,6 +222,19 @@ def test_adjugate_is_det_times_inverse(family, rank):
     assert ct.det == {"A": rank + 1, "B": 2, "C": 2, "D": 4}[family]
     inv = fraction_inverse(ct.cartan)
     assert ct.adj == tuple(tuple(ct.det * x for x in row) for row in inv)
+
+
+# the root walk tries s_i only where a root's weight is nonzero and sums
+# over the nonzero entries of a column; the dense walk over every s_i and
+# every entry finds the same roots and coroots, and the weights it keeps
+# are the roots' images under the Cartan matrix
+@pytest.mark.parametrize("family,rank", RANKS_UP_TO_8 + [("A", 30),
+                                                         ("D", 30)])
+def test_root_walk_matches_the_dense_walk(family, rank):
+    ct = cartan.CartanData(family, rank)
+    assert ct._coroot_of == roots_and_coroots_oracle(ct)
+    assert ct._root_weights == tuple(map(ct.root_to_weight,
+                                         ct.positive_roots_list))
 
 
 # the root data are read off the Cartan matrix alone; these check them with

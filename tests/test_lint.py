@@ -300,9 +300,11 @@ def test_no_library_function_calls_fold(module):
 # per-subset folding path, the from-scratch walk and the per-color height
 # profile are gone from src (the walk and the profile are test oracles in
 # tests/helpers.py), fold is one pass over the chain with no incremental
-# step, and explore folds nothing
+# step, and explore folds nothing; the rule flips bits of a subset's mask,
+# so no image is a sorted list edited by insort (the tuple rule is
+# helpers.rule_oracle)
 @pytest.mark.parametrize("name", ["_foldings", "_height_walks", "_fold_step",
-                                  "g_graph", "GGraph"])
+                                  "g_graph", "GGraph", "insort"])
 def test_alcove_table_has_one_walk(name):
     import re
     lines = [(module, k) for module in MODULES
