@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 
 from .cartan import mat_vec, vec_add, vec_sub
 from .errors import AmbiguousAnchorError, InvariantError, ResourceLimitError
-from .weyl import write_blocks
+from .weyl import node_lines, write_blocks
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -301,55 +301,68 @@ class CrystalGraph:
         before the first write, as json.dumps writes the dict of the three
         with separators (",", ":") and ensure_ascii=False.  With a
         lambda-chain (the alcove export), each node also has its subset as
-        "J", and the chain's roots close the object as "chain"."""
+        "J", and the chain's roots close the object as "chain".  A block's
+        node items are one % over its ids, reprs, weights and subsets."""
         closing = '],"anchors":%s' % json.dumps(self.anchors(),
                                                  separators=(",", ":"))
-        if chain is None:
-            subsets = itertools.repeat("")
-        else:
+        item = ',{"id":%d,"repr":"%s","wt":%s}'
+        wt = {w: _int_list(w) for w in set(self.weights)}  # each array once
+        fields = [_labels(self.reprs, _json_escape),
+                  map(wt.__getitem__, self.weights)]
+        if chain is not None:
             closing += ',"chain":%s' % json.dumps(chain.roots,
                                                   separators=(",", ":"))
-            subsets = (',"J":' + _int_list(J) for J in self.nodes)
-        reprs, weights = iter(self.reprs), self.weights
-        # each distinct weight's array and each color's edge ending, once
-        wt = {w: _int_list(w) for w in set(weights)}
-        tails = [(self.fs[c], ',"color":%d}' % c)
-                 for c in sorted(self.colors)]
-
-        def node_items(ids):
-            return ['{"id":%d,"repr":%s,"wt":%s%s}'
-                    % (i, encode_basestring(r), wt[weights[i]], J)
-                    for i, r, J in zip(ids, reprs, subsets)]
-
-        def edge_items(ids):
-            return [f'{{"src":{src},"dst":{dst}{tail}' for src in ids
-                    for fc, tail in tails if (dst := fc[src]) is not None]
-
-        write_blocks(fh, len(self.nodes), ['{"nodes":[', node_items,
-                                           '],"edges":[', edge_items,
-                                           closing + "}\n"], sep=",")
+            item = ',{"id":%d,"repr":"%s","wt":%s,"J":%s}'
+            fields.append(map(_int_list, self.nodes))
+        write_blocks(fh, len(self.nodes), [
+            '{"nodes":[', node_lines(item, fields), '],"edges":[',
+            self._edge_lines(',{"src":', ',"dst":', lambda c: ',"color":%d}'
+                             % c), closing + "}\n"], sep=",")
 
     def to_dot(self, fh):
         """Write the graph as DOT to the open text file fh, block by block:
-        the node lines, then the edge lines by source node."""
-        reprs = iter(self.reprs)  # node_lines takes the ids block by block
-        # each color's edge attributes, formatted once
-        tails = []
-        for c in sorted(self.colors):
-            color = DOT_EDGE_COLORS.get(c)
-            attr = ', color=%s' % color if color else ""
-            tails.append((self.fs[c], ' [label="%d"%s];\n' % (c, attr)))
+        the node lines, one % over a block's ids and labels (the reprs as
+        _labels escapes them), then the edge lines by source node."""
+        colors = {c: ", color=" + name for c, name in DOT_EDGE_COLORS.items()}
+        write_blocks(fh, len(self.nodes), [
+            "digraph crystal {\n", node_lines('  n%d [label="%s"];\n', [
+                _labels(self.reprs, _dot_escape)]),
+            self._edge_lines("  n", " -> n", lambda c: ' [label="%d"%s];\n'
+                             % (c, colors.get(c, ""))), "}\n"])
 
-        def node_lines(ids):
-            return ['  n%d [label="%s"];\n' % (i, r.replace('"', r'\"'))
-                    for i, r in zip(ids, reprs)]
+    def _edge_lines(self, left, right, tail):
+        """The export part that gives a block's edge lines by source and
+        color, a c-edge src -> dst as left, src, right, dst, tail(c), in one
+        join: each source's head and each color's tail is built once."""
+        rows = [(self.fs[c], tail(c)) for c in sorted(self.colors)]
 
         def edge_lines(ids):
-            return [f"  n{src} -> n{dst}{tail}" for src in ids
-                    for fc, tail in tails if (dst := fc[src]) is not None]
+            lines = []
+            for src in ids:
+                head = f"{left}{src}{right}"
+                for fc, end in rows:
+                    if (dst := fc[src]) is not None:
+                        lines.append(f"{head}{dst}{end}")
+            return "".join(lines)
+        return edge_lines
 
-        write_blocks(fh, len(self.nodes), ["digraph crystal {\n", node_lines,
-                                           edge_lines, "}\n"])
+
+# a repr as DOT label text, and as JSON string text without the quotes
+_dot_escape = operator.methodcaller("replace", '"', r'\"')
+
+
+def _json_escape(r):
+    return encode_basestring(r)[1:-1]
+
+
+def _labels(reprs, escape):
+    """The reprs, escaped as they are read.  A ProductView's are joined from
+    its lists escaped once per element: an escape maps each character on
+    its own, and " (x) " holds nothing it changes."""
+    if not isinstance(reprs, ProductView):
+        return map(escape, reprs)
+    return iter(ProductView([list(map(escape, lst)) for lst in reprs.lists],
+                            reprs.join))
 
 
 def _int_list(values):
@@ -481,20 +494,22 @@ def demazure_filter(graph, level, mode):
     """Drop the 0-edges in the length-l head (mode='head', giving the
     level-l Demazure subcrystal) or keep only those at depth >= l from the
     bottom of their 0-string (mode='tail', the dual version).  Nodes are
-    never removed; statistics come from the unfiltered graph."""
+    never removed; statistics come from the unfiltered graph.  The result
+    shares the other colors' f and e lists and copies f_0 and e_0, each
+    dropped edge cleared in both; its constructor audits every color."""
     if mode not in ("head", "tail"):
         raise ValueError("mode must be 'head' or 'tail'")
     if level < 1:
         raise ValueError("level must be >= 1")
     eps0, phi0 = graph._string_stats(0)
-    fs = {c: list(fc) for c, fc in graph.fs.items()}
-    f0 = fs[0]
-    for src, dst in enumerate(f0):
+    f0, e0 = list(graph.fs[0]), list(graph.es[0])
+    for src, dst in enumerate(graph.fs[0]):
         if dst is not None and (eps0[dst] <= level if mode == "head"
                                 else phi0[dst] < level):
-            f0[src] = None
-    return CrystalGraph(graph.cartan, graph.colors, graph.nodes, fs,
-                        graph.weights, graph.reprs, affine_complete=False)
+            f0[src] = e0[dst] = None
+    return CrystalGraph(graph.cartan, graph.colors, graph.nodes,
+                        {**graph.fs, 0: f0}, graph.weights, graph.reprs,
+                        affine_complete=False, es={**graph.es, 0: e0})
 
 
 def components(graph):

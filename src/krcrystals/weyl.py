@@ -10,7 +10,7 @@ edge's kind, for the edges and their count, and one pass over the descent
 table for every vertex's reduced word."""
 
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from math import prod
 from operator import itemgetter, neg, sub
 
@@ -26,22 +26,29 @@ EXPORT_BLOCK = 256
 
 def write_blocks(fh, n, parts, sep=""):
     """Write an export of nodes 0..n-1 to the open text file fh, part by
-    part: a str part as it is, and a callable part(ids), which gives a list
-    of strings for a range of node ids, once per EXPORT_BLOCK nodes, each
-    block's strings joined by sep in one write.  sep also goes between the
-    strings of two blocks, so a part's strings are written as if joined by
-    sep in one piece; a block with none writes nothing."""
+    part: a str part as it is, and a callable part(ids), which gives the
+    text of a range of node ids as one str, once per EXPORT_BLOCK nodes, in
+    one write each.  Every item of a callable part's text opens with sep,
+    which is dropped from the part's first item, so the items are written
+    as if joined by sep; a block with no items writes nothing."""
     ids = range(n)
     for part in parts:
         if isinstance(part, str):
             fh.write(part)
             continue
-        lead = ""
+        skip = len(sep)
         for lo in range(0, n, EXPORT_BLOCK):
-            items = part(ids[lo:lo + EXPORT_BLOCK])
-            if items:
-                fh.write(lead + sep.join(items))
-                lead = sep
+            text = part(ids[lo:lo + EXPORT_BLOCK])
+            if text:
+                fh.write(text[skip:])
+                skip = 0
+
+
+def node_lines(line, fields):
+    """The export part that gives a block's node lines as one % of line,
+    repeated, over each id and the next item of each iterator in fields."""
+    return lambda ids: (line * len(ids)) % tuple(
+        chain.from_iterable(zip(ids, *fields)))
 
 
 class WeylGroup:
@@ -260,11 +267,12 @@ class QuantumBruhatGraph:
         return sweep(True) and sweep(False)
 
     def to_dot(self, fh):
-        """Write the graph as DOT to the open text file fh: the vertices,
-        labelled by their reduced words, then the edges by source vertex.
-        The labels are built in one pass in id order off the descent table,
-        word(w) = word(w s_d) + s_d, each step checked against the lengths;
-        they are reduced_word's words."""
+        """Write the graph as DOT to the open text file fh, block by block:
+        the vertex lines, one % over a block's ids and reduced words, then
+        the edges by source vertex.  The words are built in one pass in id
+        order off the descent table, word(w) = word(w s_d) + s_d, each step
+        checked against the lengths; they are reduced_word's words ("e" for
+        vertex 0, the identity)."""
         group, columns = self.group, self._columns
         lengths, right = group.lengths, group.right
         words = [""] * len(group)
@@ -274,6 +282,7 @@ class QuantumBruhatGraph:
                 if lengths[ws] != lengths[w] - 1:
                     raise InvariantError("reduced word of the wrong length")
                 words[w] = words[ws] + "s%d" % (d + 1)
+        words[0] = "e"
         names = ["n%d" % w for w in range(len(group))]
         # each root's edge label by kind, plain (up) and dashed (down), once
         tails = []
@@ -281,10 +290,6 @@ class QuantumBruhatGraph:
             label = ",".join(map(str, beta))
             tails.append((None, ' [label="%s"];\n' % label,
                           ' [label="%s", style=dashed];\n' % label))
-
-        def node_lines(ids):
-            return ['  %s [label="%s"];\n' % (names[w], words[w] or "e")
-                    for w in ids]
 
         def edge_lines(ids):
             lines = []
@@ -295,10 +300,10 @@ class QuantumBruhatGraph:
                     if kind:
                         lines.append(head + names[column[src]]
                                      + tails[k][kind])
-            return lines
+            return "".join(lines)
 
-        write_blocks(fh, len(group),
-                     ["digraph qbg {\n", node_lines, edge_lines, "}\n"])
+        write_blocks(fh, len(group), ["digraph qbg {\n", node_lines(
+            '  n%d [label="%s"];\n', [iter(words)]), edge_lines, "}\n"])
 
 
 @lru_cache(maxsize=None)

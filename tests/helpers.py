@@ -15,7 +15,8 @@ and color, the height profile of one color by its own scan of the folded
 chain, and f and e read off that profile, every walked color's walk of a
 folded chain by one scan of its positions, the operator rule on sorted
 tuples, and f_p, e_p and phi_0 of any subset, folded afresh and read by
-that rule, the dense walk over the roots and coroots of a Cartan matrix),
+that rule, the dense walk over the roots and coroots of a Cartan matrix,
+the Demazure filter that copies every color's lists),
 deliberately avoiding the package's own code paths wherever a statement
 is being checked against it.
 """
@@ -1041,6 +1042,22 @@ def subgraph_oracle(graph, node_ids):
         graph.cartan, graph.colors, [graph.nodes[i] for i in ids], fs,
         [graph.weights[i] for i in ids], [graph.reprs[i] for i in ids],
         affine_complete=False)
+
+
+def demazure_filter_oracle(graph, level, mode):
+    """demazure_filter by copying: every color's f list copied, the dropped
+    0-edges cleared in the copy of f_0, and every e list derived again by
+    the constructor.  The library shares the lists of the colors it leaves
+    alone."""
+    eps0, phi0 = graph._string_stats(0)
+    fs = {c: list(fc) for c, fc in graph.fs.items()}
+    f0 = fs[0]
+    for src, dst in enumerate(f0):
+        if dst is not None and (eps0[dst] <= level if mode == "head"
+                                else phi0[dst] < level):
+            f0[src] = None
+    return CrystalGraph(graph.cartan, graph.colors, graph.nodes, fs,
+                        graph.weights, graph.reprs, affine_complete=False)
 
 
 def component_graph(graph, node):

@@ -788,10 +788,12 @@ def test_alcove_path_never_builds_the_qbg_adjacency(monkeypatch):
 
 
 # the table build holds one folding per level of depth, not one per
-# subset: alcove_crystal(A3, (2, 2, 1)) peaks about 280 KiB above the graph
+# subset: alcove_crystal(A3, (2, 2, 1)) peaks about 300 KiB above the graph
 # it returns, and a subset -> folding map took it to about 970 KiB; A1
-# lambda=12, the benchmark's other large alcove build, peaks about 390 KiB
-# above it, bounded at twice the 482 KiB it read with a tuple-keyed index
+# lambda=12, the benchmark's other large alcove build, peaks about 400 KiB
+# above it, bounded at twice the 482 KiB it read with a tuple-keyed index.
+# What the graph retains is read after a full collection, which empties
+# the interpreter's free lists, so they never count as retained
 def test_alcove_table_build_holds_no_folding_map():
     for cartan, lam, size, bound in [(A3, (2, 2, 1), 2304, 512),
                                      (A1, (12,), 4096, 964)]:
@@ -800,6 +802,7 @@ def test_alcove_table_build_holds_no_folding_map():
         tracemalloc.start()
         try:
             graph = alcove_crystal(cartan, lam)
+            gc.collect()    # free lists out of what the graph retains
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

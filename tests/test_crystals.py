@@ -13,7 +13,8 @@ from helpers import (GraphSource, NonReducedWordError, TensorProduct,
                      bruhat_leq, classical_restriction, component_graph,
                      component_graphs, component_ids_oracle,
                      crystal_dot_oracle, crystal_json_oracle,
-                     decomposes_into_demazure, demazure_subset, dot_text,
+                     decomposes_into_demazure, demazure_filter_oracle,
+                     demazure_subset, dot_text,
                      explore, extremal_oracle, fundamentals,
                      highest_weight_node, is_connected, json_text,
                      match_components_oracle, similarity_check,
@@ -31,8 +32,9 @@ from krcrystals.errors import (AmbiguousAnchorError, InvariantError,
                                NonDominantWeightError, ResourceLimitError)
 from krcrystals.kr import fixture_C2, kr_C_onebox, kr_typeA
 from krcrystals import crystals, weyl
-from krcrystals.weyl import build_weyl_group
+from krcrystals.weyl import build_qbg, build_weyl_group
 
+A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
 A3 = build_cartan("A", 3)
 C2 = build_cartan("C", 2)
@@ -1288,6 +1290,43 @@ def test_json_streams_in_blocks(monkeypatch, graph):
     assert max(log.nodes_per_write()) == min(5, len(g))
 
 
+# a product's labels are its factors' reprs escaped and then joined: both
+# exports give the text of escaping each joined repr, over factors whose
+# reprs hold quotes, backslashes, control characters and non-ASCII, at
+# block sizes that cut the product's rows in different places
+@pytest.mark.parametrize("block", [5, 7])
+@pytest.mark.parametrize("name,oracle", [("to_dot", crystal_dot_oracle),
+                                         ("to_json", crystal_json_oracle)])
+def test_escaping_commutes_with_the_tensor_join(monkeypatch, name, oracle,
+                                                block):
+    g = explore_tensor(A2, [_escaped_reprs(), _escaped_reprs()])
+    monkeypatch.setattr(weyl, "EXPORT_BLOCK", block)
+    log = WriteLog()
+    getattr(g, name)(log)
+    assert "".join(log.writes) == oracle(g)
+    assert max(log.nodes_per_write()) == block
+
+
+# on a product the escape runs once per factor element, sum |B_i| times,
+# not once per node
+@pytest.mark.parametrize("name,escape", [("to_dot", "_dot_escape"),
+                                         ("to_json", "_json_escape")])
+def test_a_product_escapes_each_factor_element_once(monkeypatch, name,
+                                                    escape):
+    factors = [kr_typeA(2, 1, 1), kr_typeA(2, 2, 1), kr_typeA(2, 1, 2)]
+    g = explore_tensor(A2, factors)
+    real = getattr(crystals, escape)
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return real(r)
+    monkeypatch.setattr(crystals, escape, counted)
+    getattr(g, name)(_Sink())
+    assert sorted(calls) == sorted(r for f in factors for r in f.reprs)
+    assert len(calls) == 12 and len(g) == 54
+
+
 @pytest.mark.parametrize("ctype,lam,level", [
     (A2, (1, 1), 2),
     (build_cartan("B", 3), (1, 1, 0), 1),
@@ -1321,24 +1360,48 @@ class _Sink:
         return len(text)
 
 
+def _qbg_d5():
+    """The D5 QBG with its edge columns, which it keeps, built."""
+    qbg = build_qbg(D5)
+    assert qbg._columns
+    return qbg
+
+
 # the exports hold one block's text at a time, not the whole graph's: on
 # the 6,561-node A2 (1,1)^8 product each streamed export peaks near
-# 120 KiB above the retained graph, 4,096-node blocks at over 1 MiB and
-# the one-string JSON at 9.6 MiB
-@pytest.mark.parametrize("name", ["to_dot", "to_json"])
-def test_exports_hold_one_block_at_a_time(name):
-    g = explore_tensor(A2, [kr_typeA(2, 1, 1)] * 8)
-    assert len(g) == 6561
+# 130 KiB above the retained graph, 4,096-node blocks at over 1 MiB and
+# the one-string JSON at 9.6 MiB; the 4,096-node alcove crystal A1
+# lambda=12, whose reprs are a list and whose JSON holds "J" arrays, peaks
+# near 100 KiB, and escaping its reprs into one list took its JSON to
+# 390 KiB.  The D5 QBG's export holds each vertex's name and word, about
+# 260 KiB, and a 256-vertex block of its edges is about 100 KiB of text
+# from 2,500 line strings: it peaks near 740 KiB, and at 2.9 MiB as one
+# block
+@pytest.mark.parametrize("build,name,size,bound", [
+    pytest.param(lambda: explore_tensor(A2, [kr_typeA(2, 1, 1)] * 8),
+                 "to_dot", 6561, 256, id="to_dot"),
+    pytest.param(lambda: explore_tensor(A2, [kr_typeA(2, 1, 1)] * 8),
+                 "to_json", 6561, 256, id="to_json"),
+    pytest.param(lambda: alcove_crystal(A1, (12,)), "to_dot", 4096, 256,
+                 id="alcove-to_dot"),
+    pytest.param(lambda: alcove_crystal(A1, (12,)), "to_json", 4096, 256,
+                 id="alcove-to_json"),
+    pytest.param(_qbg_d5, "to_dot", 1920, 1024, id="qbg-D5"),
+])
+def test_exports_hold_one_block_at_a_time(build, name, size, bound):
+    g = build()
+    assert len(getattr(g, "group", g)) == size   # a QBG's vertices
+    args = (g.chain,) if hasattr(g, "chain") and name == "to_json" else ()
     export = getattr(g, name)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        export(_Sink())
+        export(_Sink(), *args)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 256 * 1024
+    assert peak <= bound * 1024
 
 
 def test_graphs_equal_detects_edge_change():
@@ -1393,6 +1456,23 @@ def test_e_lists_invert_f_lists(build):
                 assert fc[ec[b]] == b
         assert sum(x is not None for x in fc) == \
             sum(x is not None for x in ec)
+
+
+# the filter copies f_0 and e_0 only: every other color's lists are the
+# unfiltered graph's own, and each list equals the copy-based filter's
+@pytest.mark.parametrize("mode", ["head", "tail"])
+@pytest.mark.parametrize("cartan,factors,level,filt", FILTERED_CASES)
+def test_filter_shares_the_lists_it_leaves_alone(cartan, factors, level,
+                                                 filt, mode):
+    full = build_tensor(cartan, factors)
+    got = demazure_filter(full, level, mode)
+    want = demazure_filter_oracle(full, level, mode)
+    for c in cartan.index_set:
+        assert got.fs[c] == want.fs[c] and got.es[c] == want.es[c]
+        if c:
+            assert got.fs[c] is full.fs[c] and got.es[c] is full.es[c]
+    assert got.fs[0] is not full.fs[0] and got.es[0] is not full.es[0]
+    assert got.fs[0] != full.fs[0]
 
 
 @pytest.mark.parametrize("cartan,factors,level,mode", FILTERED_CASES)
